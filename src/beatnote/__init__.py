@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 
 from .lineshape import (  # noqa: E402
     HALF_POWER_DB,
-    DensityTrace,
     FrequencyGrid,
     LineshapeParams,
+    SpectrumTrace,
     eval_gaussian,
     eval_lorentzian,
     eval_voigt_numeric,
@@ -22,7 +22,6 @@ from .dshi import (  # noqa: E402
     NoiseModel,
     ServoBumpModel,
     SimConfig,
-    SpectrumTrace,
     analytic_psd,
     apply_rbw,
     extract_servo_bumps,

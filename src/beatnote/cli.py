@@ -22,7 +22,6 @@ from .dshi import (
     NoiseModel,
     ServoBumpModel,
     SimConfig,
-    SpectrumTrace,
     analytic_psd,
     apply_rbw,
     extract_servo_bumps,
@@ -64,6 +63,7 @@ from .ionsim import (
 from .lineshape import (
     FrequencyGrid,
     LineshapeParams,
+    SpectrumTrace,
     eval_voigt_numeric,
 )
 
@@ -178,17 +178,14 @@ def cmd_simulate(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-def _fitted_profile(trace: SpectrumTrace, estimate) -> Optional[SpectrumTrace]:
+def _fitted_profile(trace: SpectrumTrace, estimate) -> SpectrumTrace:
     """Voigt overlay with the estimated widths, scaled to the trace peak."""
     params = LineshapeParams(
         center=trace.grid.start + trace.grid.step * int(np.argmax(trace.linear_values())),
         fwhm_gaussian=estimate.gaussian_fwhm,
         fwhm_lorentzian=estimate.lorentzian_fwhm,
     )
-    try:
-        profile = eval_voigt_numeric(trace.grid, params)
-    except (ResolutionError, InvalidParameterError):
-        return None
+    profile = eval_voigt_numeric(trace.grid, params)
     scale = trace.linear_values().max() / profile.values.max()
     return SpectrumTrace(trace.grid, profile.values * scale, "linear", trace.rbw)
 
@@ -202,12 +199,7 @@ def cmd_fit(args) -> int:
         est = estimate_voigt(trace, opts)
         reports.append(("voigt", est))
         if args.fitted_trace:
-            overlay = _fitted_profile(trace, est)
-            if overlay is not None:
-                write_trace(overlay, args.fitted_trace)
-            else:
-                print("fitted-profile grid too coarse; overlay skipped",
-                      file=sys.stderr)
+            write_trace(_fitted_profile(trace, est), args.fitted_trace)
     if args.method in ("envelope", "both"):
         params = _dshi_params(args, laser_fwhm=0.0)
         est = estimate_envelope_contrast(

@@ -15,8 +15,8 @@ trace generated with laser_fwhm = X hands an estimator a Lorentzian of FWHM X.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Literal, NamedTuple
+from dataclasses import dataclass, fields
+from typing import List, NamedTuple
 
 import numpy as np
 from scipy.signal import fftconvolve, lfilter, welch
@@ -27,7 +27,8 @@ from .errors import (
     InvalidParameterError,
     ResolutionError,
 )
-from .lineshape import FrequencyGrid, LineshapeParams, eval_voigt_numeric
+from .lineshape import (UNIT_DBM, UNIT_LINEAR, FrequencyGrid, LineshapeParams,
+                        SpectrumTrace, eval_voigt_numeric)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -51,9 +52,6 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-UNIT_LINEAR = "linear"  # linear power per Hz
-UNIT_DBM = "dbm"        # dBm per resolution bandwidth
-
 
 @dataclass(frozen=True)
 class DshiParams:
@@ -70,6 +68,8 @@ class DshiParams:
     optical_power: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise InvalidParameterError("interferometer parameters must be finite")
         if not self.optical_power > 0:
             raise InvalidParameterError("optical_power must be > 0")
         if not self.eom_frequency > 0:
@@ -137,49 +137,6 @@ class SimConfig:
             raise InvalidParameterError("sample_rate and duration must be > 0")
         if self.segments < 16:
             raise InvalidParameterError("need at least 16 averaging segments")
-
-
-@dataclass(frozen=True)
-class SpectrumTrace:
-    """One-sided PSD samples on a uniform grid, in linear or dBm units."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-    unit: Literal["linear", "dbm"] = UNIT_LINEAR
-    rbw: float = 0.0
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.count,):
-            raise InvalidParameterError(
-                f"values shape {values.shape} does not match grid count {self.grid.count}"
-            )
-        if self.unit not in (UNIT_LINEAR, UNIT_DBM):
-            raise InvalidParameterError(f"unknown unit {self.unit!r}")
-        if self.unit == UNIT_LINEAR and np.any(values < 0):
-            raise InvalidParameterError("linear PSD values must be >= 0")
-        object.__setattr__(self, "values", values)
-
-    def linear_values(self) -> np.ndarray:
-        if self.unit == UNIT_LINEAR:
-            return self.values
-        return 10.0 ** (self.values / 10.0)
-
-    def dbm_values(self) -> np.ndarray:
-        if self.unit == UNIT_DBM:
-            return self.values
-        with np.errstate(divide="ignore"):
-            return 10.0 * np.log10(self.values)
-
-    def to_linear(self) -> "SpectrumTrace":
-        if self.unit == UNIT_LINEAR:
-            return self
-        return SpectrumTrace(self.grid, self.linear_values(), UNIT_LINEAR, self.rbw)
-
-    def to_dbm(self) -> "SpectrumTrace":
-        if self.unit == UNIT_DBM:
-            return self
-        return SpectrumTrace(self.grid, self.dbm_values(), UNIT_DBM, self.rbw)
 
 
 class Extremum(NamedTuple):

@@ -22,7 +22,7 @@ from typing import Callable, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dshi import DshiParams, SpectrumTrace, extrema_spacing
+from .dshi import DshiParams, extrema_spacing
 from .errors import (
     AmbiguousPeakError,
     ExtremumNotFoundError,
@@ -37,6 +37,7 @@ from .lineshape import (
     LORENTZIAN_20DB_FACTOR,
     VOIGT_WIDTH_CL,
     VOIGT_WIDTH_CQ,
+    SpectrumTrace,
     voigt_fwhm_approx,
     voigt_width_numeric,
     width_at_level,
@@ -262,7 +263,6 @@ class VoigtOptions:
     tol: float = 1e-3
     max_iter: int = 60
     exclude_central_bins: int = 3
-    points_per_width: int = 40
 
     def __post_init__(self):
         if not self.tol > 0 or self.max_iter < 1 or self.exclude_central_bins < 0:
@@ -331,12 +331,7 @@ def estimate_voigt(trace: SpectrumTrace, opts: Optional[VoigtOptions] = None,
 
     def model_w20(lorentzian: float) -> float:
         gaussian, _ = _gaussian_from_measured_fwhm(w3, lorentzian)
-        if gaussian == 0.0:
-            return LORENTZIAN_20DB_FACTOR * lorentzian
-        if lorentzian < gaussian / 4000.0:
-            return GAUSSIAN_20DB_FACTOR * gaussian
-        return voigt_width_numeric(lorentzian, gaussian, 20.0,
-                                   opts.points_per_width)
+        return voigt_width_numeric(lorentzian, gaussian, 20.0)
 
     lo = w20 / 20.0
     hi = w20 / 2.0

@@ -21,10 +21,9 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 
 from . import __version__ as _tool_version
-from .dshi import UNIT_DBM, UNIT_LINEAR, SpectrumTrace
 from .errors import DomainError, ParseError, SchemaError, TraceIOError
 from .estimate import FitResult, LinewidthEstimate
-from .lineshape import FrequencyGrid
+from .lineshape import UNIT_DBM, UNIT_LINEAR, FrequencyGrid, SpectrumTrace
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -85,7 +84,8 @@ def write_trace(trace: SpectrumTrace, path) -> None:
 
 
 def read_trace(path) -> SpectrumTrace:
-    """Parse a trace CSV, rejecting non-monotone or non-uniform grids."""
+    """Parse a trace CSV, rejecting non-monotone or non-uniform grids and
+    rows holding a non-finite frequency or a NaN or +inf value."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw_lines = fh.readlines()
@@ -116,10 +116,13 @@ def read_trace(path) -> SpectrumTrace:
         if len(parts) != 2:
             raise ParseError(f"expected 2 columns, got {len(parts)}", lineno)
         try:
-            freqs.append(float(parts[0]))
-            values.append(float(parts[1]))
+            freq, value = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"non-numeric row {text!r}", lineno) from None
+        if not math.isfinite(freq) or not value < math.inf:
+            raise SchemaError(f"line {lineno}: non-finite row {text!r}")
+        freqs.append(freq)
+        values.append(value)
 
     if not header_seen:
         raise ParseError("missing header row")

@@ -4,21 +4,22 @@ width measurements at arbitrary dB levels.
 All shapes are normalized to unit integral and expressed through their full
 width at half maximum (FWHM), the natural parameter for linewidth work.
 Widths are measured on power quantities, so "x dB below peak" always means
-a factor 10**(-x/10) in value.
+a factor 10**(-x/10) in value.  The Voigt profile is the exact Faddeeva
+closed form (scipy.special.voigt_profile).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.special import voigt_profile
 
 from .errors import (
     AmbiguousPeakError,
     InvalidParameterError,
-    ResolutionError,
     WidthUndefinedError,
 )
 
@@ -26,9 +27,11 @@ __all__ = [
     "HALF_POWER_DB",
     "LORENTZIAN_20DB_FACTOR",
     "GAUSSIAN_20DB_FACTOR",
+    "UNIT_LINEAR",
+    "UNIT_DBM",
     "FrequencyGrid",
     "LineshapeParams",
-    "DensityTrace",
+    "SpectrumTrace",
     "eval_gaussian",
     "eval_lorentzian",
     "eval_voigt_numeric",
@@ -51,9 +54,8 @@ GAUSSIAN_20DB_FACTOR = math.sqrt(math.log2(100.0))
 VOIGT_WIDTH_CL = 1.0692
 VOIGT_WIDTH_CQ = 0.866639
 
-# Width ratio beyond which the narrow component is numerically a delta on any
-# reasonable grid; voigt_grid() then grids on the wide component alone.
-_DEGENERATE_WIDTH_RATIO = 4000.0
+UNIT_LINEAR = "linear"  # linear power per Hz
+UNIT_DBM = "dbm"        # dBm per resolution bandwidth
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,15 @@ class FrequencyGrid:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.step)):
+            raise InvalidParameterError(
+                f"grid start and step must be finite, got {self.start}, {self.step}"
+            )
         if not self.step > 0:
             raise InvalidParameterError(f"grid step must be > 0, got {self.step}")
+        if not float(self.count).is_integer():
+            raise InvalidParameterError(f"grid count must be an integer, got {self.count}")
+        object.__setattr__(self, "count", int(self.count))
         if self.count < 2:
             raise InvalidParameterError(f"grid needs >= 2 points, got {self.count}")
 
@@ -95,6 +104,9 @@ class LineshapeParams:
     fwhm_lorentzian: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.center, self.fwhm_gaussian,
+                                       self.fwhm_lorentzian))):
+            raise InvalidParameterError("center and linewidths must be finite")
         if self.fwhm_gaussian < 0 or self.fwhm_lorentzian < 0:
             raise InvalidParameterError("linewidths must be >= 0")
         if self.fwhm_gaussian == 0 and self.fwhm_lorentzian == 0:
@@ -102,11 +114,16 @@ class LineshapeParams:
 
 
 @dataclass(frozen=True)
-class DensityTrace:
-    """Spectral density samples (1/Hz) on a uniform grid."""
+class SpectrumTrace:
+    """Spectral density samples on a uniform grid, in linear or dBm units.
+
+    NaN and +inf are refused; -inf is a legal dBm value (a zero-power bin).
+    """
 
     grid: FrequencyGrid
     values: np.ndarray
+    unit: Literal["linear", "dbm"] = UNIT_LINEAR
+    rbw: float = 0.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -114,29 +131,59 @@ class DensityTrace:
             raise InvalidParameterError(
                 f"values shape {values.shape} does not match grid count {self.grid.count}"
             )
+        if self.unit not in (UNIT_LINEAR, UNIT_DBM):
+            raise InvalidParameterError(f"unknown unit {self.unit!r}")
+        if not np.all(values < np.inf):  # false for NaN and +inf alike
+            raise InvalidParameterError("trace values must not be NaN or +inf")
+        if self.unit == UNIT_LINEAR and np.any(values < 0):
+            raise InvalidParameterError("linear PSD values must be >= 0")
+        if not math.isfinite(self.rbw):
+            raise InvalidParameterError(f"rbw must be finite, got {self.rbw}")
         object.__setattr__(self, "values", values)
 
+    def linear_values(self) -> np.ndarray:
+        if self.unit == UNIT_LINEAR:
+            return self.values
+        return 10.0 ** (self.values / 10.0)
+
+    def dbm_values(self) -> np.ndarray:
+        if self.unit == UNIT_DBM:
+            return self.values
+        with np.errstate(divide="ignore"):
+            return 10.0 * np.log10(self.values)
+
+    def to_linear(self) -> "SpectrumTrace":
+        if self.unit == UNIT_LINEAR:
+            return self
+        return SpectrumTrace(self.grid, self.linear_values(), UNIT_LINEAR, self.rbw)
+
+    def to_dbm(self) -> "SpectrumTrace":
+        if self.unit == UNIT_DBM:
+            return self
+        return SpectrumTrace(self.grid, self.dbm_values(), UNIT_DBM, self.rbw)
+
     def integral(self) -> float:
-        return float(np.trapezoid(self.values, dx=self.grid.step))
+        """Trapezoidal integral of the linear values over the grid."""
+        return float(np.trapezoid(self.linear_values(), dx=self.grid.step))
 
 
-def eval_gaussian(grid: FrequencyGrid, f0: float, fwhm: float) -> DensityTrace:
+def eval_gaussian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
     """Unit-integral Gaussian of the given FWHM centered at f0."""
     if not fwhm > 0:
         raise InvalidParameterError(f"gaussian fwhm must be > 0, got {fwhm}")
     x = grid.points() - f0
     peak = 2.0 * math.sqrt(math.log(2.0)) / (math.sqrt(math.pi) * fwhm)
     values = peak * np.exp(-4.0 * math.log(2.0) * (x / fwhm) ** 2)
-    return DensityTrace(grid, values)
+    return SpectrumTrace(grid, values)
 
 
-def eval_lorentzian(grid: FrequencyGrid, f0: float, fwhm: float) -> DensityTrace:
+def eval_lorentzian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
     """Unit-integral Lorentzian of the given FWHM centered at f0."""
     if not fwhm > 0:
         raise InvalidParameterError(f"lorentzian fwhm must be > 0, got {fwhm}")
     x = grid.points() - f0
     values = (fwhm / (2.0 * math.pi)) / (x * x + fwhm * fwhm / 4.0)
-    return DensityTrace(grid, values)
+    return SpectrumTrace(grid, values)
 
 
 def voigt_fwhm_approx(fwhm_lorentzian: float, fwhm_gaussian: float) -> float:
@@ -149,15 +196,21 @@ def voigt_fwhm_approx(fwhm_lorentzian: float, fwhm_gaussian: float) -> float:
     )
 
 
-def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> DensityTrace:
-    """Voigt profile by direct discrete convolution of the two sampled shapes.
+def _voigt_density(x, params: LineshapeParams):
+    """Exact unit-integral Voigt density at offsets x from the center:
+    sigma = FWHM_G / (2 sqrt(2 ln 2)), gamma = FWHM_L / 2."""
+    sigma = params.fwhm_gaussian / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    return voigt_profile(x, sigma, params.fwhm_lorentzian / 2.0)
 
-    The Lorentzian is sampled on `grid`, convolved with a Gaussian kernel
-    sampled on symmetric offsets, and the result renormalized to unit
-    trapezoidal integral.  A component narrower than step/100 is treated as a
-    delta and the other pure shape is returned directly; otherwise the grid
-    must put at least 20 points across the narrower FWHM and span
-    +-10*(fwhm_gaussian + fwhm_lorentzian) about the center.
+
+def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> SpectrumTrace:
+    """Voigt profile sampled on the grid, renormalized to unit trapezoidal
+    integral.
+
+    The samples come from the Faddeeva closed form, so any grid step and
+    span is exact up to that one normalization constant.  A component
+    narrower than step/100 is treated as a delta and the other pure shape is
+    returned directly.
     """
     fg, fl, f0 = params.fwhm_gaussian, params.fwhm_lorentzian, params.center
     step = grid.step
@@ -167,63 +220,42 @@ def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> DensityT
         return eval_lorentzian(grid, f0, fl)
     if fl < step / 100.0:
         return eval_gaussian(grid, f0, fg)
-
-    narrower = min(fg, fl)
-    if narrower / step < 20.0:
-        raise ResolutionError(
-            f"need >= 20 points across the narrower FWHM ({narrower:g} Hz), "
-            f"grid step is {step:g} Hz"
-        )
-    half_span = 10.0 * (fg + fl)
-    if grid.start > f0 - half_span or grid.stop < f0 + half_span:
-        raise ResolutionError(
-            f"grid must span +-{half_span:g} Hz about {f0:g} Hz to hold the Voigt wings"
-        )
-
-    lorentz = eval_lorentzian(grid, f0, fl).values
-    m = int(math.ceil(4.0 * fg / step))
-    offsets = step * np.arange(-m, m + 1)
-    peak = 2.0 * math.sqrt(math.log(2.0)) / (math.sqrt(math.pi) * fg)
-    kernel = peak * np.exp(-4.0 * math.log(2.0) * (offsets / fg) ** 2)
-    values = fftconvolve(lorentz, kernel, mode="same") * step
-    values = np.maximum(values, 0.0)
+    values = _voigt_density(grid.points() - f0, params)
     values /= np.trapezoid(values, dx=step)
-    return DensityTrace(grid, values)
+    return SpectrumTrace(grid, values)
 
 
-def voigt_grid(params: LineshapeParams, points_per_width: int = 40,
-               extent_factor: float = 20.0) -> FrequencyGrid:
-    """Grid suited to eval_voigt_numeric: +-extent_factor*(sum of widths) span,
-    points_per_width samples across the narrower resolvable component."""
+def voigt_grid(params: LineshapeParams, extent_factor: float = 20.0) -> FrequencyGrid:
+    """Grid centered on the profile: +-extent_factor*(sum of widths) span,
+    40 samples across the Voigt FWHM."""
     fg, fl = params.fwhm_gaussian, params.fwhm_lorentzian
-    widths = [w for w in (fg, fl) if w > 0]
-    wider = max(widths)
-    narrower = min(widths)
-    if narrower >= wider / _DEGENERATE_WIDTH_RATIO:
-        step = narrower / points_per_width
-    else:
-        # The narrow component is a delta at any usable resolution; grid on
-        # the wide one and let the limit branch of eval_voigt_numeric fire.
-        step = wider / points_per_width
-    half_span = extent_factor * (fg + fl)
-    half_count = int(math.ceil(half_span / step))
+    step = voigt_fwhm_approx(fl, fg) / 40.0
+    half_count = int(math.ceil(extent_factor * (fg + fl) / step))
     return FrequencyGrid(params.center - half_count * step, step, 2 * half_count + 1)
 
 
 def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
-                        level_db: float = HALF_POWER_DB,
-                        points_per_width: int = 40) -> float:
-    """Width of the numerically convolved Voigt at `level_db` below its peak."""
+                        level_db: float = HALF_POWER_DB) -> float:
+    """Full width of the exact Voigt profile at `level_db` below its peak.
+
+    Bisects on the half width where the profile falls to
+    peak * 10**(-level_db/10), inside a bracket doubled from the summed
+    component widths until it holds the crossing.
+    """
+    if not level_db > 0:
+        raise InvalidParameterError(f"level must be > 0 dB, got {level_db}")
     params = LineshapeParams(0.0, fwhm_gaussian, fwhm_lorentzian)
-    grid = voigt_grid(params, points_per_width)
-    return width_at_level(eval_voigt_numeric(grid, params), level_db)
-
-
-def _linear_values(trace) -> np.ndarray:
-    to_linear = getattr(trace, "linear_values", None)
-    if to_linear is not None:
-        return to_linear()
-    return np.asarray(trace.values, dtype=float)
+    target = _voigt_density(0.0, params) * 10.0 ** (-level_db / 10.0)
+    lo, hi = 0.0, fwhm_lorentzian + fwhm_gaussian
+    while _voigt_density(hi, params) > target:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if _voigt_density(mid, params) > target:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo + hi)  # full width: twice the bracket midpoint
 
 
 def _interpolated_peak(values: np.ndarray, i: int) -> float:
@@ -238,7 +270,8 @@ def _interpolated_peak(values: np.ndarray, i: int) -> float:
     return float(values[i])
 
 
-def width_at_level(trace, level_db: float, allow_ties: bool = False) -> float:
+def width_at_level(trace: SpectrumTrace, level_db: float,
+                   allow_ties: bool = False) -> float:
     """Full width of the trace's peak at `level_db` (power dB) below the peak.
 
     The two crossings nearest the peak are located by linear interpolation
@@ -249,7 +282,7 @@ def width_at_level(trace, level_db: float, allow_ties: bool = False) -> float:
     """
     if not level_db > 0:
         raise InvalidParameterError(f"level must be > 0 dB, got {level_db}")
-    values = _linear_values(trace)
+    values = trace.linear_values()
     grid = trace.grid
     vmax = values.max()
     peaks = np.flatnonzero(values == vmax)
@@ -282,4 +315,4 @@ def width_at_level(trace, level_db: float, allow_ties: bool = False) -> float:
     f_right = grid.start + grid.step * (
         j - (threshold - values[j]) / (values[j - 1] - values[j])
     )
-    return f_right - f_left
+    return float(f_right - f_left)

@@ -57,6 +57,14 @@ class TestDshiParams:
         with pytest.raises(InvalidParameterError):
             DshiParams(eom_frequency=7e6, laser_fwhm=1.0, optical_power=0.0)
 
+    @pytest.mark.parametrize("field", ["eom_frequency", "laser_fwhm",
+                                       "fiber_length", "fiber_index",
+                                       "optical_power"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(InvalidParameterError):
+            DshiParams(**{**P5KM, field: bad})
+
 
 class TestSpectrumTrace:
     def test_unit_conversion_involutive(self):

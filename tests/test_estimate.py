@@ -1,5 +1,7 @@
 """Linewidth estimators and the least-squares engine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from beatnote import (
     inject_servo_bumps,
     measure_envelope_contrast,
     model_contrast_db,
+    read_trace,
     solve_contrast,
     voigt_beat_note,
 )
@@ -28,6 +31,7 @@ from beatnote.errors import (
     InsufficientDataError,
     InvalidParameterError,
     NoSolutionError,
+    SchemaError,
     WidthUndefinedError,
 )
 from beatnote.estimate import (
@@ -170,6 +174,22 @@ class TestEstimateVoigt:
         with pytest.raises(WidthUndefinedError):
             estimate_voigt(trace, VoigtOptions(exclude_central_bins=0))
 
+    def test_nan_at_argmax_yields_no_estimate(self, tmp_path):
+        # A NaN bin would be the argmax carrier and be interpolated away by
+        # mask_central_bins; the trace itself now refuses it, in memory and
+        # on disk.
+        trace, _ = beat_trace(320.0, 640.0)
+        values = trace.values.copy()
+        i_pk = int(np.argmax(values))
+        values[i_pk] = math.nan
+        with pytest.raises(InvalidParameterError):
+            estimate_voigt(SpectrumTrace(trace.grid, values, "linear"))
+        path = tmp_path / "nan.csv"
+        rows = [f"{f:.17g},{v:.17g}" for f, v in zip(trace.grid.points(), values)]
+        path.write_text("frequency_hz,psd\n" + "\n".join(rows) + "\n")
+        with pytest.raises(SchemaError, match=f"line {i_pk + 2}"):
+            estimate_voigt(read_trace(path))
+
     def test_mask_central_bins_removes_spike(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
         trace = analytic_psd(params, grid_about(7e6, 60e3, 10.0))
@@ -268,3 +288,31 @@ class TestDirectLorentzian:
         est = estimate_direct_lorentzian(trace)
         assert est.lorentzian_fwhm == pytest.approx(400.0, rel=1e-3)
         assert est.method == "direct-lorentzian"
+
+
+class TestPlainFloats:
+    WIDTHS = ("lorentzian_fwhm", "gaussian_fwhm", "voigt_fwhm",
+              "single_laser_fwhm", "residual")
+
+    def assert_plain(self, est):
+        for name in self.WIDTHS:
+            assert type(getattr(est, name)) is float, name
+        assert type(est.iterations) is int
+
+    def test_voigt(self):
+        self.assert_plain(estimate_voigt(beat_trace(320.0, 640.0)[0]))
+
+    def test_voigt_pure_gaussian_branch(self):
+        grid = grid_about(0.0, 5e3, 2.0)
+        trace = SpectrumTrace(grid, eval_gaussian(grid, 0.0, 300.0).values, "linear")
+        self.assert_plain(estimate_voigt(trace, VoigtOptions(exclude_central_bins=0)))
+
+    def test_envelope(self):
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
+        trace = analytic_psd(params, grid_about(7e6, 80e3, 20.0))
+        self.assert_plain(estimate_envelope_contrast(trace, params, 1, 2))
+
+    def test_direct(self):
+        grid = grid_about(0.0, 5e3, 2.0)
+        trace = SpectrumTrace(grid, eval_lorentzian(grid, 0.0, 400.0).values, "linear")
+        self.assert_plain(estimate_direct_lorentzian(trace))

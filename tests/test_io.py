@@ -97,6 +97,18 @@ class TestTraceFiles:
         with pytest.raises(ParseError, match="line 3"):
             read_trace(path)
 
+    @pytest.mark.parametrize("row", ["2,nan", "2,inf", "nan,1", "inf,1"])
+    def test_non_finite_row_reports_line(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"# unit=linear\nfrequency_hz,psd\n1,1\n{row}\n3,1\n")
+        with pytest.raises(SchemaError, match="line 4"):
+            read_trace(path)
+
+    def test_negative_inf_dbm_row_accepted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# unit=dbm\nfrequency_hz,psd\n1,-3\n2,-inf\n3,-3\n")
+        assert read_trace(path).values[1] == -np.inf
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceIOError):
             read_trace(tmp_path / "nope.csv")

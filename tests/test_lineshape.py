@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import voigt_profile
+from scipy.signal import fftconvolve
 
 from beatnote import (
     HALF_POWER_DB,
-    DensityTrace,
     FrequencyGrid,
     LineshapeParams,
+    SpectrumTrace,
     eval_gaussian,
     eval_lorentzian,
     eval_voigt_numeric,
@@ -22,7 +22,6 @@ from beatnote import (
 from beatnote.errors import (
     AmbiguousPeakError,
     InvalidParameterError,
-    ResolutionError,
     WidthUndefinedError,
 )
 
@@ -44,6 +43,28 @@ def lorentzian_trace(fwhm=100.0, f0=0.0, step=None, half_span=None):
     return eval_lorentzian(FrequencyGrid(f0 - n * step, step, 2 * n + 1), f0, fwhm)
 
 
+def reference_voigt(fl, fg, step=None):
+    """Independent Voigt: brute-force discrete convolution of the sampled
+    Lorentzian with a sampled Gaussian kernel, renormalized to unit
+    trapezoidal integral.  Grid: 40 points across the narrower FWHM (the
+    wider one when the ratio passes 4000, where the narrow part is a delta),
+    spanning +-20*(fg + fl).  Returns (grid, values)."""
+    if step is None:
+        narrower, wider = min(fl, fg), max(fl, fg)
+        step = (narrower if narrower >= wider / 4000.0 else wider) / 40.0
+    n = int(math.ceil(20.0 * (fg + fl) / step))
+    grid = FrequencyGrid(-n * step, step, 2 * n + 1)
+    if fg < step / 100.0:
+        return grid, eval_lorentzian(grid, 0.0, fl).values
+    if fl < step / 100.0:
+        return grid, eval_gaussian(grid, 0.0, fg).values
+    m = int(math.ceil(4.0 * fg / step))
+    kernel = eval_gaussian(FrequencyGrid(-m * step, step, 2 * m + 1), 0.0, fg).values
+    values = fftconvolve(eval_lorentzian(grid, 0.0, fl).values, kernel, mode="same")
+    values = np.maximum(values, 0.0)
+    return grid, values / np.trapezoid(values, dx=step)
+
+
 class TestFrequencyGrid:
     def test_points_exactly_reproducible(self):
         grid = FrequencyGrid(7e6 - 1e3, 0.25, 8001)
@@ -57,6 +78,26 @@ class TestFrequencyGrid:
             FrequencyGrid(0.0, 0.0, 10)
         with pytest.raises(InvalidParameterError):
             FrequencyGrid(0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_start(self, start):
+        with pytest.raises(InvalidParameterError):
+            FrequencyGrid(start, 1.0, 10)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_rejects_non_finite_step(self, step):
+        with pytest.raises(InvalidParameterError):
+            FrequencyGrid(0.0, step, 10)
+
+    @pytest.mark.parametrize("count", [3.5, math.nan, math.inf])
+    def test_rejects_non_integral_count(self, count):
+        with pytest.raises(InvalidParameterError):
+            FrequencyGrid(0.0, 1.0, count)
+
+    def test_integral_count_becomes_int(self):
+        grid = FrequencyGrid(0.0, 1.0, np.int64(4))
+        assert type(grid.count) is int
+        assert FrequencyGrid(0.0, 1.0, 4.0) == FrequencyGrid(0.0, 1.0, 4)
 
     def test_index_of(self):
         grid = FrequencyGrid(100.0, 2.0, 51)
@@ -160,47 +201,72 @@ class TestVoigtNumeric:
         assert np.array_equal(trace.values, eval_gaussian(grid, 0.0, 100.0).values)
 
     def test_equal_widths_match_closed_form(self):
-        # Brute-force convolution vs the closed-form width: ~163.8 Hz
+        # Root find on the exact profile vs the closed-form width: ~163.8 Hz
         fwhm = voigt_width_numeric(100.0, 100.0, HALF_POWER_DB)
         assert fwhm == pytest.approx(voigt_fwhm_approx(100.0, 100.0), rel=1e-2)
         assert fwhm == pytest.approx(163.8, rel=1e-2)
 
     def test_profile_matches_faddeeva_oracle(self):
-        # Independent oracle: scipy's Faddeeva-function Voigt, renormalized
-        # to the same finite span as the discrete convolution.
+        # The package's Faddeeva profile against the independent brute-force
+        # convolution, both renormalized over the same finite span.
+        grid, reference = reference_voigt(100.0, 100.0)
         params = LineshapeParams(0.0, fwhm_gaussian=100.0, fwhm_lorentzian=100.0)
-        grid = voigt_grid(params)
         trace = eval_voigt_numeric(grid, params)
-        sigma = 100.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        oracle = voigt_profile(grid.points(), sigma, 50.0)
-        oracle /= np.trapezoid(oracle, dx=grid.step)
-        assert np.max(np.abs(trace.values - oracle)) / oracle.max() < 2e-3
+        assert np.max(np.abs(trace.values - reference)) / reference.max() < 2e-3
 
     def test_unit_integral(self):
         params = LineshapeParams(0.0, fwhm_gaussian=50.0, fwhm_lorentzian=200.0)
         trace = eval_voigt_numeric(voigt_grid(params), params)
         assert trace.integral() == pytest.approx(1.0, abs=1e-9)
 
-    def test_fwhm_converged_under_refinement(self):
-        coarse = voigt_width_numeric(100.0, 100.0, HALF_POWER_DB, points_per_width=40)
-        fine = voigt_width_numeric(100.0, 100.0, HALF_POWER_DB, points_per_width=80)
-        assert abs(coarse / fine - 1.0) < 1e-3
-
-    def test_coarse_grid_rejected(self):
-        grid = FrequencyGrid(-4000.0, 10.0, 801)
+    @pytest.mark.parametrize("sub", [
+        FrequencyGrid(-4000.0, 10.0, 801),   # 10 points across the FWHM
+        FrequencyGrid(-500.0, 1.0, 1001),    # +-5 widths of span
+    ], ids=["coarse_step", "narrow_span"])
+    def test_sub_grid_samples_match_fine_grid(self, sub):
+        # Exact samples at any step or span: on frequencies shared with a
+        # fine, wide grid they differ only by the one normalization constant.
         params = LineshapeParams(0.0, fwhm_gaussian=100.0, fwhm_lorentzian=100.0)
-        with pytest.raises(ResolutionError):
-            eval_voigt_numeric(grid, params)
+        fine = FrequencyGrid(-4000.0, 0.5, 16001)
+        shared = fine.points()
+        keep = np.isin(shared, sub.points())
+        assert np.count_nonzero(keep) == sub.count
+        ratio = eval_voigt_numeric(sub, params).values \
+            / eval_voigt_numeric(fine, params).values[keep]
+        assert np.ptp(ratio) / ratio.mean() < 1e-12
 
-    def test_narrow_span_rejected(self):
-        grid = FrequencyGrid(-500.0, 1.0, 1001)
-        params = LineshapeParams(0.0, fwhm_gaussian=100.0, fwhm_lorentzian=100.0)
-        with pytest.raises(ResolutionError):
-            eval_voigt_numeric(grid, params)
+    def test_width_matches_reference_convolution(self):
+        # Criterion-4 width grid, half power: the root find on the exact
+        # profile against widths read off the brute-force convolution.
+        widths = [1.0, 10.0, 100.0, 1000.0, 10000.0]
+        worst = 0.0
+        for fl in widths:
+            for fg in widths:
+                grid, values = reference_voigt(fl, fg)
+                reference = width_at_level(SpectrumTrace(grid, values), HALF_POWER_DB)
+                exact = voigt_width_numeric(fl, fg, HALF_POWER_DB)
+                worst = max(worst, abs(exact / reference - 1.0))
+        assert worst <= 2e-4
+
+    def test_width_exact_in_pure_limits(self):
+        assert voigt_width_numeric(100.0, 0.0, 20.0) == pytest.approx(
+            LORENTZ_20DB * 100.0, rel=1e-11)
+        assert voigt_width_numeric(0.0, 100.0, 20.0) == pytest.approx(
+            GAUSS_20DB * 100.0, rel=1e-11)
+
+    def test_width_level_must_be_positive(self):
+        with pytest.raises(InvalidParameterError):
+            voigt_width_numeric(100.0, 100.0, 0.0)
 
     def test_both_degenerate_rejected(self):
         with pytest.raises(InvalidParameterError):
             LineshapeParams(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (0.0, math.inf, 1.0),
+                                      (0.0, 1.0, math.nan)])
+    def test_non_finite_params_rejected(self, args):
+        with pytest.raises(InvalidParameterError):
+            LineshapeParams(*args)
 
     @pytest.mark.parametrize("fl,fg", [(1.0, 1.0), (10.0, 1000.0), (1000.0, 10.0)])
     def test_symmetry(self, fl, fg):
@@ -230,7 +296,7 @@ class TestWidthAtLevel:
 
     def test_peak_on_edge(self):
         grid = FrequencyGrid(0.0, 1.0, 101)
-        trace = DensityTrace(grid, np.exp(-np.linspace(0, 5, 101)))
+        trace = SpectrumTrace(grid, np.exp(-np.linspace(0, 5, 101)))
         with pytest.raises(WidthUndefinedError):
             width_at_level(trace, 3.0)
 
@@ -238,7 +304,7 @@ class TestWidthAtLevel:
         grid = FrequencyGrid(0.0, 1.0, 101)
         values = np.ones(101) * 0.1
         values[30] = values[70] = 1.0
-        trace = DensityTrace(grid, values)
+        trace = SpectrumTrace(grid, values)
         with pytest.raises(AmbiguousPeakError):
             width_at_level(trace, 3.0)
         width_at_level(trace, 3.0, allow_ties=True)  # lowest frequency wins
@@ -246,3 +312,38 @@ class TestWidthAtLevel:
     def test_level_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             width_at_level(gaussian_trace(), 0.0)
+
+    def test_returns_plain_float(self):
+        assert type(width_at_level(gaussian_trace(), HALF_POWER_DB)) is float
+        assert type(voigt_width_numeric(100.0, 100.0)) is float
+
+
+class TestSpectrumTrace:
+    grid = FrequencyGrid(0.0, 1.0, 5)
+
+    @pytest.mark.parametrize("unit", ["linear", "dbm"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nan_and_positive_inf(self, unit, bad):
+        values = np.ones(5)
+        values[2] = bad
+        with pytest.raises(InvalidParameterError):
+            SpectrumTrace(self.grid, values, unit)
+
+    def test_negative_inf_legal_in_dbm(self):
+        trace = SpectrumTrace(self.grid, np.zeros(5)).to_dbm()
+        assert np.all(trace.values == -np.inf)
+        assert np.array_equal(trace.linear_values(), np.zeros(5))
+
+    def test_negative_inf_illegal_in_linear(self):
+        with pytest.raises(InvalidParameterError):
+            SpectrumTrace(self.grid, [1.0, 1.0, -np.inf, 1.0, 1.0])
+
+    @pytest.mark.parametrize("rbw", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rbw(self, rbw):
+        with pytest.raises(InvalidParameterError):
+            SpectrumTrace(self.grid, np.ones(5), rbw=rbw)
+
+    def test_integral_of_dbm_trace_is_linear(self):
+        linear = SpectrumTrace(self.grid, [0.0, 1.0, 2.0, 1.0, 0.0])
+        assert linear.to_dbm().integral() == pytest.approx(linear.integral(), rel=1e-12)
+        assert linear.integral() == 4.0
