@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from typing import List, NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter, welch
 
 from .errors import (
     DomainError,
@@ -28,7 +27,7 @@ from .errors import (
     ResolutionError,
 )
 from .lineshape import (UNIT_DBM, UNIT_LINEAR, FrequencyGrid, LineshapeParams,
-                        SpectrumTrace, eval_voigt_numeric)
+                        SpectrumTrace, _whole_number, eval_voigt_numeric)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -103,8 +102,8 @@ class NoiseModel:
     rin_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.white_fm_fwhm < 0 or self.flicker_level < 0 or self.rin_sigma < 0:
-            raise InvalidParameterError("noise levels must be >= 0")
+        if not all(0 <= getattr(self, f.name) < math.inf for f in fields(self)):
+            raise InvalidParameterError("noise levels must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,8 @@ class ServoBumpModel:
     symmetric: bool = True
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.offset, self.width, self.height_db))):
+            raise InvalidParameterError("bump offset, width and height must be finite")
         if not self.offset > 0:
             raise InvalidParameterError("bump offset must be > 0")
         if not self.width > 0:
@@ -133,10 +134,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sample_rate > 0 or not self.duration > 0:
-            raise InvalidParameterError("sample_rate and duration must be > 0")
+        if not (0 < self.sample_rate < math.inf and 0 < self.duration < math.inf):
+            raise InvalidParameterError(
+                "sample_rate and duration must be finite and > 0")
+        object.__setattr__(self, "segments", _whole_number(self.segments, "segments"))
+        object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
         if self.segments < 16:
             raise InvalidParameterError("need at least 16 averaging segments")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 class Extremum(NamedTuple):
@@ -252,29 +258,38 @@ def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
 
 def _flicker_frequency_noise(level: float, n: int, dt: float,
                              rng: np.random.Generator) -> np.ndarray:
-    """Frequency deviation (Hz) with a one-sided PSD approximating level/f.
+    """Frequency deviation (Hz) with a one-sided PSD of level/f.
 
-    Sum of first-order Gauss-Markov processes with octave-spaced corner
-    frequencies spanning the resolvable band; equal-variance members of such
-    a bank superpose to a 1/f spectrum with sub-dB ripple.
+    Spectral synthesis (Timmer & Koenig 1995, A&A 300, 707): Gaussian
+    Fourier amplitudes of variance level/f on a power-of-two length m >= n,
+    inverted and truncated to n samples so the series does not wrap around.
+    E|X_k|^2 = S(f_k) m / (2 dt) makes the one-sided periodogram S(f_k).
     """
-    duration = n * dt
-    f_lo = 1.0 / duration
-    f_hi = 0.25 / dt
-    octaves = max(1, int(math.ceil(math.log2(f_hi / f_lo))))
-    # Per-member variance calibrated so the bank sums to level/f:
-    # sum_k (2 s^2/pi) f_k/(f_k^2+f^2) ~ 1.4412 s^2 / f for octave spacing.
-    sigma2 = level / 1.4412
-    nu = np.zeros(n)
-    for k in range(octaves + 1):
-        theta = 2.0 * math.pi * f_lo * 2.0**k
-        rho = math.exp(-theta * dt)
-        drive = math.sqrt(sigma2 * (1.0 - rho * rho))
-        white = rng.standard_normal(n)
-        x0 = math.sqrt(sigma2) * rng.standard_normal()
-        member, _ = lfilter([drive], [1.0, -rho], white, zi=np.array([rho * x0]))
-        nu += member
-    return nu
+    m = 1 << (n - 1).bit_length()
+    f = np.fft.rfftfreq(m, dt)
+    sigma = np.zeros(f.size)
+    sigma[1:] = np.sqrt(level * m / (4.0 * dt * f[1:]))
+    re, im = rng.standard_normal(f.size), rng.standard_normal(f.size)
+    return np.fft.irfft(sigma * (re + 1j * im), m)[:n]
+
+
+def _welch_density(x: np.ndarray, fs: float, nperseg: int) -> np.ndarray:
+    """One-sided Welch PSD of x over non-overlapping segments of nperseg.
+
+    Each segment loses its mean and takes a periodic Hann window; the
+    scaling and the one-sided doubling (not of DC, nor of the Nyquist bin of
+    an even nperseg) are those of scipy.signal.welch with scaling="density".
+    len(x) must be a multiple of nperseg.
+    """
+    segments = x.reshape(-1, nperseg)
+    segments = segments - segments.mean(axis=1, keepdims=True)
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
+    segments *= window
+    spectra = np.fft.rfft(segments, axis=1)
+    psd = (spectra.real ** 2 + spectra.imag ** 2).mean(axis=0)
+    psd /= fs * np.sum(window ** 2)
+    psd[1:(nperseg + 1) // 2] *= 2.0
+    return psd
 
 
 def simulate_time_domain(params: DshiParams, noise: NoiseModel,
@@ -332,9 +347,8 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
         * np.exp(1j * (2.0 * math.pi * params.eom_frequency) * t)
     )
 
-    freqs, psd = welch(beat, fs=fs, window="hann", nperseg=nperseg,
-                       noverlap=0, detrend="constant", scaling="density")
-    grid = FrequencyGrid(float(freqs[0]), float(freqs[1] - freqs[0]), len(freqs))
+    psd = _welch_density(beat, fs, nperseg)
+    grid = FrequencyGrid(0.0, 1.0 / (nperseg * dt), psd.size)
     # Halve the one-sided Welch estimate: the analytic model is two-sided.
     return SpectrumTrace(grid, psd / 2.0, UNIT_LINEAR, rbw=fs / nperseg)
 
@@ -400,6 +414,9 @@ def apply_rbw(trace: SpectrumTrace, rbw: float) -> SpectrumTrace:
     offsets = step * np.arange(-m, m + 1)
     kernel = np.exp(-4.0 * math.log(2.0) * (offsets / rbw) ** 2)
     kernel /= kernel.sum()
-    values = np.maximum(fftconvolve(trace.linear_values(), kernel, mode="same"), 0.0)
+    values = trace.linear_values()
+    nfft = 1 << (values.size + kernel.size - 2).bit_length()
+    full = np.fft.irfft(np.fft.rfft(values, nfft) * np.fft.rfft(kernel, nfft), nfft)
+    values = np.maximum(full[m:m + values.size], 0.0)
     out = SpectrumTrace(trace.grid, values, UNIT_LINEAR, rbw)
     return out.to_dbm() if trace.unit == UNIT_DBM else out

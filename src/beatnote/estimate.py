@@ -38,6 +38,7 @@ from .lineshape import (
     VOIGT_WIDTH_CL,
     VOIGT_WIDTH_CQ,
     SpectrumTrace,
+    _whole_number,
     voigt_fwhm_approx,
     voigt_width_numeric,
     width_at_level,
@@ -265,6 +266,8 @@ class VoigtOptions:
     exclude_central_bins: int = 3
 
     def __post_init__(self):
+        for name in ("max_iter", "exclude_central_bins"):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
         if not self.tol > 0 or self.max_iter < 1 or self.exclude_central_bins < 0:
             raise InvalidParameterError("invalid Voigt estimator options")
 

@@ -83,9 +83,23 @@ def write_trace(trace: SpectrumTrace, path) -> None:
         raise TraceIOError(f"cannot write trace to {path}: {exc}") from exc
 
 
+def _meta_number(meta: Dict[str, str], key: str, default: float) -> float:
+    """Finite float value of metadata `key`, or `default` when absent."""
+    if key not in meta:
+        return default
+    try:
+        value = float(meta[key])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SchemaError(f"metadata {key}={meta[key]!r} is not a finite number")
+    return value
+
+
 def read_trace(path) -> SpectrumTrace:
-    """Parse a trace CSV, rejecting non-monotone or non-uniform grids and
-    rows holding a non-finite frequency or a NaN or +inf value."""
+    """Parse a trace CSV, rejecting non-monotone or non-uniform grids, rows
+    holding a non-finite frequency or a NaN or +inf value, and numeric
+    metadata that is not a finite number."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw_lines = fh.readlines()
@@ -133,20 +147,19 @@ def read_trace(path) -> SpectrumTrace:
     if np.any(np.diff(f) <= 0):
         raise SchemaError("frequencies must be strictly ascending")
     step = (f[-1] - f[0]) / (len(f) - 1)
-    grid = FrequencyGrid(f[0], step, len(f))
-    if "grid_start_hz" in meta and "grid_step_hz" in meta:
-        declared = FrequencyGrid(float(meta["grid_start_hz"]),
-                                 float(meta["grid_step_hz"]), len(f))
-        if abs(declared.start - f[0]) <= 1e-9 * step and \
-                abs(declared.step - step) <= 1e-9 * step:
-            grid = declared
+    # A declared grid within 1e-9 of a step of the inferred one replaces it.
+    start = _meta_number(meta, "grid_start_hz", f[0])
+    declared_step = _meta_number(meta, "grid_step_hz", step)
+    if abs(start - f[0]) > 1e-9 * step or abs(declared_step - step) > 1e-9 * step:
+        start, declared_step = f[0], step
+    grid = FrequencyGrid(start, declared_step, len(f))
     if np.max(np.abs(f - grid.points())) > 1e-6 * step:
         raise SchemaError("frequency grid is not uniform")
 
     unit_token = meta.get("unit", UNIT_LINEAR).lower()
     if unit_token not in _UNIT_ALIASES:
         raise SchemaError(f"unknown unit {unit_token!r}")
-    rbw = float(meta.get("rbw_hz", 0.0))
+    rbw = _meta_number(meta, "rbw_hz", 0.0)
     return SpectrumTrace(grid, np.asarray(values), _UNIT_ALIASES[unit_token], rbw)
 
 

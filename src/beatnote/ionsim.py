@@ -26,7 +26,7 @@ from .errors import (
     ResolutionError,
 )
 from .estimate import FitResult, fit_least_squares, lorentzian_peak_model
-from .lineshape import FrequencyGrid
+from .lineshape import FrequencyGrid, _whole_number
 
 __all__ = [
     "IonProbeParams",
@@ -56,12 +56,17 @@ class IonProbeParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.rabi_frequency > 0:
-            raise InvalidParameterError("rabi_frequency must be > 0")
-        if not self.pulse_duration > 0:
-            raise InvalidParameterError("pulse_duration must be > 0")
+        if not 0 < self.rabi_frequency < math.inf:
+            raise InvalidParameterError("rabi_frequency must be finite and > 0")
+        if not 0 < self.pulse_duration < math.inf:
+            raise InvalidParameterError("pulse_duration must be finite and > 0")
+        object.__setattr__(self, "shots_per_point",
+                           _whole_number(self.shots_per_point, "shots_per_point"))
+        object.__setattr__(self, "rng_seed", _whole_number(self.rng_seed, "rng_seed"))
         if self.shots_per_point < 1:
             raise InvalidParameterError("shots_per_point must be >= 1")
+        if self.rng_seed < 0:
+            raise InvalidParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,8 @@ class LaserNoise:
     rin_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.fwhm < 0 or self.rin_sigma < 0:
-            raise InvalidParameterError("noise levels must be >= 0")
+        if not (0 <= self.fwhm < math.inf and 0 <= self.rin_sigma < math.inf):
+            raise InvalidParameterError("noise levels must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -106,20 +111,22 @@ def rabi_probability(omega: float, delta, t):
 
 def _shot_noise_tables(seed: int, n_points: int, n_shots: int, n_steps: int,
                        phase_step_sigma: float, rin_sigma: float):
-    """Per-(point, shot) noise streams keyed by (seed, point, shot).
+    """Per-point noise streams keyed by (seed, point).
 
-    Keying each shot's stream by its indices makes the averaged result
-    independent of evaluation order or any future parallel split.
+    Point ip draws from child ip of SeedSequence(seed): first its whole
+    (shots, steps) block of phase kicks, then its shots' Rabi scales.  Child
+    ip does not depend on how many points there are, so each point's noise,
+    and the averaged result, is independent of evaluation order or any
+    future parallel split over points.
     """
     kicks = np.zeros((n_points, n_shots, n_steps))
     scales = np.ones((n_points, n_shots))
-    for ip in range(n_points):
-        for js in range(n_shots):
-            rng = np.random.default_rng((seed, ip, js))
-            if phase_step_sigma > 0:
-                kicks[ip, js] = rng.normal(0.0, phase_step_sigma, n_steps)
-            if rin_sigma > 0:
-                scales[ip, js] = 1.0 + rng.normal(0.0, rin_sigma)
+    for ip, child in enumerate(np.random.SeedSequence(seed).spawn(n_points)):
+        rng = np.random.default_rng(child)
+        if phase_step_sigma > 0:
+            kicks[ip] = rng.normal(0.0, phase_step_sigma, (n_shots, n_steps))
+        if rin_sigma > 0:
+            scales[ip] = 1.0 + rng.normal(0.0, rin_sigma, n_shots)
     return kicks, scales
 
 

@@ -11,6 +11,7 @@ closed form (scipy.special.voigt_profile).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
@@ -58,6 +59,15 @@ UNIT_LINEAR = "linear"  # linear power per Hz
 UNIT_DBM = "dbm"        # dBm per resolution bandwidth
 
 
+def _whole_number(value, name: str) -> int:
+    """`value` as an int; an integral float or numpy number passes, anything
+    fractional, non-finite or non-numeric is refused."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform frequency axis: point(i) = start + i*step, i in [0, count)."""
@@ -73,9 +83,7 @@ class FrequencyGrid:
             )
         if not self.step > 0:
             raise InvalidParameterError(f"grid step must be > 0, got {self.step}")
-        if not float(self.count).is_integer():
-            raise InvalidParameterError(f"grid count must be an integer, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", _whole_number(self.count, "grid count"))
         if self.count < 2:
             raise InvalidParameterError(f"grid needs >= 2 points, got {self.count}")
 

@@ -204,12 +204,31 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(tmp_path / "missing.csv"),
                        "--out", str(tmp_path / "r.json")) == 4
 
+    @pytest.mark.parametrize("bad", ["abc", "nan"])
+    def test_bad_trace_metadata_is_io_error(self, tmp_path, bad):
+        path = tmp_path / "t.csv"
+        rows = [f"# rbw_hz={bad}", "frequency_hz,psd"]
+        path.write_text("\n".join(rows + [f"{6e6 + i},1.0" for i in range(64)]) + "\n")
+        assert run_cli("fit", "--input", str(path), "--method", "voigt",
+                       "--out", str(tmp_path / "r.json")) == 4
+
     def test_argparse_usage_error_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "beatnote.cli", "simulate", "--mode", "bogus"],
             capture_output=True,
         )
         assert proc.returncode == 2
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy_signal(self):
+        # scipy.signal alone costs about a second of start-up per CLI call.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, beatnote.cli; print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestConfigFile:

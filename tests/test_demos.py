@@ -16,6 +16,8 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
     "lineshapes.py",
     "linewidth_estimation.py",
     "beat_note_model.py",
+    "monte_carlo_oracle.py",
+    "ion_spectroscopy.py",
 ])
 def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

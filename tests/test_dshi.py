@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.signal import welch
+from scipy.signal import fftconvolve, welch
 
 from beatnote import (
     SPEED_OF_LIGHT,
@@ -24,7 +24,12 @@ from beatnote import (
     voigt_beat_note,
     width_at_level,
 )
-from beatnote.dshi import _bump_multiplier, _flicker_frequency_noise, _wing_and_envelope
+from beatnote.dshi import (
+    _bump_multiplier,
+    _flicker_frequency_noise,
+    _welch_density,
+    _wing_and_envelope,
+)
 from beatnote.errors import (
     DomainError,
     GridMismatchError,
@@ -64,6 +69,42 @@ class TestDshiParams:
     def test_rejects_non_finite(self, field, bad):
         with pytest.raises(InvalidParameterError):
             DshiParams(**{**P5KM, field: bad})
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("field", ["white_fm_fwhm", "flicker_level", "rin_sigma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_noise_model_rejects_non_finite(self, field, bad):
+        with pytest.raises(InvalidParameterError):
+            NoiseModel(**{"white_fm_fwhm": 100.0, field: bad})
+
+    @pytest.mark.parametrize("field", ["offset", "width", "height_db"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_servo_bump_rejects_non_finite(self, field, bad):
+        with pytest.raises(InvalidParameterError):
+            ServoBumpModel(**{"offset": 1e3, "width": 50.0, "height_db": 3.0,
+                              field: bad})
+
+    @pytest.mark.parametrize("field", ["sample_rate", "duration"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sim_config_rejects_non_finite_rates(self, field, bad):
+        with pytest.raises(InvalidParameterError):
+            SimConfig(**{"sample_rate": 8e6, "duration": 0.1, field: bad})
+
+    @pytest.mark.parametrize("segments", [16.5, math.nan, "16"])
+    def test_sim_config_rejects_non_integral_segments(self, segments):
+        with pytest.raises(InvalidParameterError):
+            SimConfig(sample_rate=8e6, duration=0.1, segments=segments)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_sim_config_rejects_bad_seed(self, seed):
+        with pytest.raises(InvalidParameterError):
+            SimConfig(sample_rate=8e6, duration=0.1, seed=seed)
+
+    def test_sim_config_integral_floats_become_int(self):
+        cfg = SimConfig(sample_rate=8e6, duration=0.1, segments=32.0, seed=np.int64(3))
+        assert (cfg.segments, cfg.seed) == (32, 3)
+        assert type(cfg.segments) is int and type(cfg.seed) is int
 
 
 class TestSpectrumTrace:
@@ -239,6 +280,14 @@ class TestMonteCarlo:
                 dev_db = 10.0 * math.log10(np.mean(psd[band] * f[band]) / level)
                 assert abs(dev_db) < 1.0
 
+    @pytest.mark.parametrize("nperseg", [4096, 4095])
+    def test_welch_matches_scipy(self, nperseg):
+        x = 3.0 + np.random.default_rng(5).standard_normal(16 * nperseg)
+        _, expected = welch(x, fs=8e6, window="hann", nperseg=nperseg, noverlap=0,
+                            detrend="constant", scaling="density")
+        psd = _welch_density(x, 8e6, nperseg)
+        assert np.max(np.abs(psd / expected - 1.0)) <= 1e-12
+
 
 class TestServoBumps:
     def setup_method(self):
@@ -336,3 +385,13 @@ class TestApplyRbw:
         raw = analytic_psd(params, grid)
         smoothed = apply_rbw(raw, 300.0)
         assert np.sum(smoothed.values) == pytest.approx(np.sum(raw.values), rel=1e-6)
+
+    def test_matches_fftconvolve(self):
+        raw = analytic_psd(DshiParams(**P5KM), grid_about(7e6, 50e3, 10.0))
+        rbw, step = 370.0, raw.grid.step
+        offsets = step * np.arange(-148, 149)  # m = ceil(4 rbw / step)
+        kernel = np.exp(-4.0 * math.log(2.0) * (offsets / rbw) ** 2)
+        expected = np.maximum(
+            fftconvolve(raw.values, kernel / kernel.sum(), mode="same"), 0.0)
+        smoothed = apply_rbw(raw, rbw).values
+        assert np.max(np.abs(smoothed - expected)) <= 1e-12 * np.max(expected)

@@ -190,6 +190,15 @@ class TestEstimateVoigt:
         with pytest.raises(SchemaError, match=f"line {i_pk + 2}"):
             estimate_voigt(read_trace(path))
 
+    @pytest.mark.parametrize("field, bad", [
+        ("max_iter", 3.5),
+        ("max_iter", math.nan),
+        ("exclude_central_bins", 1.5),
+    ])
+    def test_options_reject_non_integral_counts(self, field, bad):
+        with pytest.raises(InvalidParameterError):
+            VoigtOptions(**{field: bad})
+
     def test_mask_central_bins_removes_spike(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
         trace = analytic_psd(params, grid_about(7e6, 60e3, 10.0))

@@ -109,6 +109,16 @@ class TestTraceFiles:
         path.write_text("# unit=dbm\nfrequency_hz,psd\n1,-3\n2,-inf\n3,-3\n")
         assert read_trace(path).values[1] == -np.inf
 
+    @pytest.mark.parametrize("key", ["rbw_hz", "grid_start_hz", "grid_step_hz"])
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+    def test_bad_numeric_metadata_names_key(self, tmp_path, key, bad):
+        meta = {"rbw_hz": "0", "grid_start_hz": "1", "grid_step_hz": "1", key: bad}
+        header = "".join(f"# {k}={v}\n" for k, v in meta.items())
+        path = tmp_path / "t.csv"
+        path.write_text(header + "frequency_hz,psd\n1,1\n2,1\n")
+        with pytest.raises(SchemaError, match=key):
+            read_trace(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceIOError):
             read_trace(tmp_path / "nope.csv")

@@ -24,7 +24,7 @@ from beatnote.errors import (
     InvalidParameterError,
     ResolutionError,
 )
-from beatnote.ionsim import damped_sine_model
+from beatnote.ionsim import _shot_noise_tables, damped_sine_model
 
 RESONANT_GRID = FrequencyGrid(-1.0, 1.0, 3)
 
@@ -102,6 +102,19 @@ class TestProbabilityBounds:
         assert np.array_equal(r1.probability, r2.probability)
 
 
+class TestNoiseKeying:
+    def test_point_noise_independent_of_point_count(self):
+        kicks_5, scales_5 = _shot_noise_tables(7, 5, 20, 30, 0.1, 0.01)
+        kicks_9, scales_9 = _shot_noise_tables(7, 9, 20, 30, 0.1, 0.01)
+        assert np.array_equal(kicks_5, kicks_9[:5])
+        assert np.array_equal(scales_5, scales_9[:5])
+
+    def test_points_draw_distinct_noise(self):
+        kicks, scales = _shot_noise_tables(7, 2, 20, 30, 0.1, 0.01)
+        assert not np.array_equal(kicks[0], kicks[1])
+        assert not np.array_equal(scales[0], scales[1])
+
+
 class TestPreconditions:
     def test_grid_span_enforced(self):
         with pytest.raises(ResolutionError):
@@ -121,6 +134,25 @@ class TestPreconditions:
             LaserNoise(fwhm=-1.0)
         with pytest.raises(InvalidParameterError):
             ExcitationCurve(np.arange(3.0), np.array([0.0, 0.5, 1.5]), 1)
+
+    @pytest.mark.parametrize("field", ["fwhm", "rin_sigma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_laser_noise_rejects_non_finite(self, field, bad):
+        with pytest.raises(InvalidParameterError):
+            LaserNoise(**{field: bad})
+
+    @pytest.mark.parametrize("field, bad", [
+        ("shots_per_point", 2.5),
+        ("rng_seed", -1),
+        ("rng_seed", 1.5),
+        ("rabi_frequency", math.inf),
+        ("pulse_duration", math.nan),
+    ])
+    def test_probe_params_rejected(self, field, bad):
+        kwargs = dict(rabi_frequency=125.0, pulse_duration=4e-3,
+                      detuning_grid=RESONANT_GRID)
+        with pytest.raises(InvalidParameterError):
+            IonProbeParams(**{**kwargs, field: bad})
 
 
 class TestSpectrumTrends:
