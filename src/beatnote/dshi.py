@@ -162,6 +162,7 @@ def predict_extrema(params: DshiParams, max_order: int) -> List[Extremum]:
     Odd orders sit where the delayed and direct arms interfere
     constructively (peaks), even orders where they cancel (troughs).
     """
+    max_order = _whole_number(max_order, "max_order")
     if max_order < 1:
         raise InvalidParameterError("max_order must be >= 1")
     if not params.laser_fwhm > 0:
@@ -294,15 +295,15 @@ def _welch_density(x: np.ndarray, fs: float, nperseg: int) -> np.ndarray:
 
 def simulate_time_domain(params: DshiParams, noise: NoiseModel,
                          cfg: SimConfig) -> SpectrumTrace:
-    """Monte-Carlo beat-note PSD from an explicit time-domain field.
+    """Monte-Carlo beat-note PSD from explicit time-domain phase noise.
 
-    Synthesizes one complex field with Wiener phase noise (per-arm
-    autocorrelation exp(-pi (fwhm/2) |tau|), so the two arms beat to a
-    Lorentzian of FWHM white_fm_fwhm), plus optional 1/f frequency noise and
-    intensity noise.  One copy is delayed by the fiber transit time and
-    shifted by the EOM frequency; the photodetected power is Welch-averaged
-    over non-overlapping Hann segments.  The returned values are halved to
-    the two-sided density convention of analytic_psd.
+    Synthesizes one field's Wiener phase (per-arm autocorrelation
+    exp(-pi (fwhm/2) |tau|), so the two arms beat to a Lorentzian of FWHM
+    white_fm_fwhm), plus optional 1/f frequency and intensity noise.  One
+    copy is delayed by the fiber transit time and shifted by the EOM
+    frequency; the detected power, a real cosine of the arms' phase
+    difference, is Welch-averaged over non-overlapping Hann segments and
+    halved to the two-sided density convention of analytic_psd.
     """
     fs = cfg.sample_rate
     if fs < 8.0 * params.eom_frequency:
@@ -332,20 +333,19 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
     if noise.flicker_level > 0:
         nu = _flicker_frequency_noise(noise.flicker_level, n_field, dt, rng)
         phase += 2.0 * math.pi * np.cumsum(nu) * dt
-    field = np.exp(1j * phase)
-    if noise.rin_sigma > 0:
-        intensity = 1.0 + rng.normal(0.0, noise.rin_sigma, n_field)
-        field *= np.sqrt(np.maximum(intensity, 0.0))
 
-    direct = field[delay_n:]
-    delayed = field[:n_total]
-    t = np.arange(n_total) * dt
+    # Arms sqrt(I) e^{i phi}: |direct|^2 + |delayed|^2 + 2 Re(conj(direct) delayed
+    # e^{iwt}) = I_dir + I_del + 2 sqrt(I_dir I_del) cos(phi_del - phi_dir + wt).
+    beat = np.arange(n_total) * (2.0 * math.pi * params.eom_frequency * dt)
+    beat += phase[:n_total] - phase[delay_n:]
+    np.cos(beat, out=beat)
     half = 0.5 * params.optical_power
-    beat = half * (np.abs(direct) ** 2 + np.abs(delayed) ** 2)
-    beat += 2.0 * half * np.real(
-        np.conj(direct) * delayed
-        * np.exp(1j * (2.0 * math.pi * params.eom_frequency) * t)
-    )
+    if noise.rin_sigma > 0:
+        intensity = np.maximum(1.0 + rng.normal(0.0, noise.rin_sigma, n_field), 0.0)
+        beat *= 2.0 * half * np.sqrt(intensity[delay_n:] * intensity[:n_total])
+        beat += half * (intensity[delay_n:] + intensity[:n_total])
+    else:
+        beat = 2.0 * half * (beat + 1.0)
 
     psd = _welch_density(beat, fs, nperseg)
     grid = FrequencyGrid(0.0, 1.0 / (nperseg * dt), psd.size)
@@ -407,8 +407,8 @@ def extract_servo_bumps(measured: SpectrumTrace,
 
 def apply_rbw(trace: SpectrumTrace, rbw: float) -> SpectrumTrace:
     """Smooth the trace with a Gaussian of FWHM `rbw` (resolution bandwidth)."""
-    if not rbw > 0:
-        raise InvalidParameterError("rbw must be > 0")
+    if not 0 < rbw < math.inf:
+        raise InvalidParameterError(f"rbw must be finite and > 0, got {rbw}")
     step = trace.grid.step
     m = max(1, int(math.ceil(4.0 * rbw / step)))
     offsets = step * np.arange(-m, m + 1)

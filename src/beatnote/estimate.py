@@ -424,6 +424,8 @@ def solve_contrast(params: DshiParams, peak_order: int, trough_order: int,
     contrasts outside the attainable [model(hi), model(lo)] range raise
     NoSolutionError.  Returns (linewidth, iterations).
     """
+    if not math.isfinite(contrast_db):
+        raise InvalidParameterError(f"contrast must be finite, got {contrast_db}")
     lo, hi = bracket
     ds_lo = model_contrast_db(params, peak_order, trough_order, lo)
     ds_hi = model_contrast_db(params, peak_order, trough_order, hi)

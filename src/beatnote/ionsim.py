@@ -95,10 +95,16 @@ class ExcitationCurve:
         probability = np.asarray(self.probability, dtype=float)
         if abscissa.shape != probability.shape:
             raise InvalidParameterError("abscissa and probability shapes differ")
+        if not (np.all(np.isfinite(abscissa)) and np.all(np.isfinite(probability))):
+            raise InvalidParameterError("abscissa and probability must be finite")
+        shot_count = _whole_number(self.shot_count, "shot_count")
+        if shot_count < 1:
+            raise InvalidParameterError("shot_count must be >= 1")
         if np.any(probability < -1e-12) or np.any(probability > 1.0 + 1e-12):
             raise InvalidParameterError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "abscissa", abscissa)
         object.__setattr__(self, "probability", np.clip(probability, 0.0, 1.0))
+        object.__setattr__(self, "shot_count", shot_count)
 
 
 def rabi_probability(omega: float, delta, t):
@@ -117,14 +123,14 @@ def _shot_noise_tables(seed: int, n_points: int, n_shots: int, n_steps: int,
     (shots, steps) block of phase kicks, then its shots' Rabi scales.  Child
     ip does not depend on how many points there are, so each point's noise,
     and the averaged result, is independent of evaluation order or any
-    future parallel split over points.
+    future parallel split over points; kicks are step-major (steps, points, shots).
     """
-    kicks = np.zeros((n_points, n_shots, n_steps))
+    kicks = np.zeros((n_steps, n_points, n_shots))
     scales = np.ones((n_points, n_shots))
     for ip, child in enumerate(np.random.SeedSequence(seed).spawn(n_points)):
         rng = np.random.default_rng(child)
         if phase_step_sigma > 0:
-            kicks[ip] = rng.normal(0.0, phase_step_sigma, (n_shots, n_steps))
+            kicks[:, ip] = rng.normal(0.0, phase_step_sigma, (n_shots, n_steps)).T
         if rin_sigma > 0:
             scales[ip] = 1.0 + rng.normal(0.0, rin_sigma, n_shots)
     return kicks, scales
@@ -157,27 +163,28 @@ def _evolve(deltas: np.ndarray, omega: float, duration: float,
     phase_sigma = math.sqrt(2.0 * math.pi * noise.fwhm * dt) if noise.fwhm > 0 else 0.0
     kicks, scales = _shot_noise_tables(seed, n_points, shots, n_steps,
                                        phase_sigma, noise.rin_sigma)
+    np.cumsum(kicks, axis=0, out=kicks)  # kicks[step] is now the laser phase
 
     omega_s = omega * scales  # (n_points, shots)
     delta_c = deltas[:, None]
     norm = np.sqrt(omega_s * omega_s + delta_c * delta_c)
     theta = math.pi * dt * norm
-    cos_t = np.cos(theta)
     sin_ratio = np.where(norm > 0, np.sin(theta) / np.where(norm > 0, norm, 1.0), 0.0)
+    # U = cos(theta) I - i sin(theta) (v.sigma)/|v|, v = (Re d, Im d, -delta)
+    u_gg = np.cos(theta) + 1j * sin_ratio * delta_c
+    u_ee = np.conj(u_gg)
+    rot = -1j * sin_ratio * omega_s
 
     g = np.ones((n_points, shots), dtype=complex)
     e = np.zeros((n_points, shots), dtype=complex)
-    phase = np.zeros((n_points, shots))
+    carrier = np.empty((n_points, shots), dtype=complex)
     recorded = np.empty((n_blocks, n_points)) if record_times is not None else None
 
     for step in range(n_steps):
-        phase += kicks[:, :, step]
-        drive = omega_s * np.exp(1j * phase)
-        # U = cos(theta) I - i sin(theta) (v.sigma)/|v|, v = (Re d, Im d, -delta)
-        u_gg = cos_t + 1j * sin_ratio * delta_c
-        u_ge = -1j * sin_ratio * np.conj(drive)
-        u_eg = -1j * sin_ratio * drive
-        u_ee = cos_t - 1j * sin_ratio * delta_c
+        np.cos(kicks[step], out=carrier.real)
+        np.sin(kicks[step], out=carrier.imag)
+        u_eg = rot * carrier
+        u_ge = -np.conj(u_eg)
         g, e = u_gg * g + u_ge * e, u_eg * g + u_ee * e
         if recorded is not None and (step + 1) % block == 0:
             recorded[(step + 1) // block - 1] = np.mean(np.abs(e) ** 2, axis=1)
@@ -205,8 +212,9 @@ def simulate_carrier_spectrum(params: IonProbeParams,
 def simulate_rabi(params: IonProbeParams, noise: LaserNoise, t_max: float,
                   t_points: int) -> ExcitationCurve:
     """Resonant excitation probability vs pulse length (Rabi flopping)."""
-    if not t_max > 0:
-        raise InvalidParameterError("t_max must be > 0")
+    if not 0 < t_max < math.inf:
+        raise InvalidParameterError("t_max must be finite and > 0")
+    t_points = _whole_number(t_points, "t_points")
     periods = params.rabi_frequency * t_max
     if t_points < 20.0 * periods:
         raise ResolutionError(

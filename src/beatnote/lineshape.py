@@ -236,6 +236,9 @@ def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> Spectrum
 def voigt_grid(params: LineshapeParams, extent_factor: float = 20.0) -> FrequencyGrid:
     """Grid centered on the profile: +-extent_factor*(sum of widths) span,
     40 samples across the Voigt FWHM."""
+    if not 0 < extent_factor < math.inf:
+        raise InvalidParameterError(
+            f"extent_factor must be finite and > 0, got {extent_factor}")
     fg, fl = params.fwhm_gaussian, params.fwhm_lorentzian
     step = voigt_fwhm_approx(fl, fg) / 40.0
     half_count = int(math.ceil(extent_factor * (fg + fl) / step))

@@ -1,6 +1,7 @@
 """Analytic beat-note model, Monte-Carlo oracle, and servo bumps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,37 @@ P5KM = dict(eom_frequency=7e6, laser_fwhm=100.0, fiber_length=5e3, fiber_index=1
 def grid_about(center, half_span, step):
     n = int(half_span / step)
     return FrequencyGrid(center - n * step, step, 2 * n + 1)
+
+
+def reference_simulate_time_domain(params, noise, cfg):
+    """Independent beat: the same draws in the same order as
+    simulate_time_domain, but an explicit complex field sqrt(I) e^{i phi}
+    and the photocurrent |direct|^2 + |delayed|^2
+    + 2 Re(conj(direct) delayed e^{iwt}).  Returns the halved Welch density."""
+    fs = cfg.sample_rate
+    delay_n = int(round(params.delay * fs))
+    nperseg = int(fs * cfg.duration) // cfg.segments
+    n_total = nperseg * cfg.segments
+    n_field = n_total + delay_n
+    dt = 1.0 / fs
+    rng = np.random.default_rng(cfg.seed)
+    phase = np.cumsum(
+        rng.normal(0.0, math.sqrt(math.pi * noise.white_fm_fwhm * dt), n_field))
+    if noise.flicker_level > 0:
+        nu = _flicker_frequency_noise(noise.flicker_level, n_field, dt, rng)
+        phase += 2.0 * math.pi * np.cumsum(nu) * dt
+    field = np.exp(1j * phase)
+    if noise.rin_sigma > 0:
+        intensity = 1.0 + rng.normal(0.0, noise.rin_sigma, n_field)
+        field *= np.sqrt(np.maximum(intensity, 0.0))
+    direct, delayed = field[delay_n:], field[:n_total]
+    t = np.arange(n_total) * dt
+    half = 0.5 * params.optical_power
+    beat = half * (np.abs(direct) ** 2 + np.abs(delayed) ** 2)
+    beat += 2.0 * half * np.real(
+        np.conj(direct) * delayed
+        * np.exp(1j * (2.0 * math.pi * params.eom_frequency) * t))
+    return _welch_density(beat, fs, nperseg) / 2.0
 
 
 class TestDshiParams:
@@ -202,6 +234,12 @@ class TestPredictExtrema:
         p2 = DshiParams(**{**P5KM, "fiber_length": 10e3})
         assert extrema_spacing(p2) == pytest.approx(extrema_spacing(p1) / 2.0, rel=1e-12)
 
+    def test_non_integral_order_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            predict_extrema(DshiParams(**P5KM), 2.5)
+        assert predict_extrema(DshiParams(**P5KM), 2.0) == \
+            predict_extrema(DshiParams(**P5KM), 2)
+
     def test_preconditions(self):
         with pytest.raises(InvalidParameterError):
             predict_extrema(DshiParams(**P5KM), 0)
@@ -279,6 +317,32 @@ class TestMonteCarlo:
             if np.count_nonzero(band) >= 3:
                 dev_db = 10.0 * math.log10(np.mean(psd[band] * f[band]) / level)
                 assert abs(dev_db) < 1.0
+
+    @pytest.mark.parametrize("noise, seed", [
+        (NoiseModel(white_fm_fwhm=320.0), 4),
+        (NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4, rin_sigma=0.05), 9),
+    ], ids=["white_fm", "flicker_rin"])
+    def test_matches_complex_field_reference(self, noise, seed):
+        params = DshiParams(eom_frequency=1e6, laser_fwhm=320.0)
+        cfg = SimConfig(sample_rate=8e6, duration=16 * 16384 / 8e6,
+                        segments=16, seed=seed)
+        expected = reference_simulate_time_domain(params, noise, cfg)
+        values = simulate_time_domain(params, noise, cfg).values
+        assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(expected)
+
+    def test_peak_memory_below_72_bytes_per_sample(self):
+        # One complex array over all samples costs 16 B a sample; the real
+        # beat with flicker and RIN peaks near 57 B, a complex field above 100.
+        params = DshiParams(eom_frequency=1e6, laser_fwhm=320.0)
+        noise = NoiseModel(white_fm_fwhm=320.0, flicker_level=1e3, rin_sigma=1e-3)
+        cfg = SimConfig(sample_rate=8e6, duration=512_000 / 8e6, segments=16, seed=1)
+        tracemalloc.start()
+        try:
+            simulate_time_domain(params, noise, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 512_000 < 72.0
 
     @pytest.mark.parametrize("nperseg", [4096, 4095])
     def test_welch_matches_scipy(self, nperseg):
@@ -385,6 +449,12 @@ class TestApplyRbw:
         raw = analytic_psd(params, grid)
         smoothed = apply_rbw(raw, 300.0)
         assert np.sum(smoothed.values) == pytest.approx(np.sum(raw.values), rel=1e-6)
+
+    @pytest.mark.parametrize("rbw", [math.inf, math.nan, 0.0])
+    def test_rbw_must_be_finite_positive(self, rbw):
+        raw = analytic_psd(DshiParams(**P5KM), grid_about(7e6, 50e3, 10.0))
+        with pytest.raises(InvalidParameterError):
+            apply_rbw(raw, rbw)
 
     def test_matches_fftconvolve(self):
         raw = analytic_psd(DshiParams(**P5KM), grid_about(7e6, 50e3, 10.0))

@@ -236,6 +236,13 @@ class TestEnvelopeContrast:
         with pytest.raises(NoSolutionError):
             solve_contrast(params, 1, 2, 0.001)
 
+    @pytest.mark.parametrize("contrast_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_contrast_rejected(self, contrast_db):
+        # Every comparison with NaN is false: unchecked, the bisection walks
+        # down to the lower bracket and returns its 0.1 Hz as a linewidth.
+        with pytest.raises(InvalidParameterError):
+            solve_contrast(DshiParams(7e6, 300.0), 1, 2, contrast_db)
+
     def test_order_validation(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=100.0)
         trace = analytic_psd(params, grid_about(7e6, 80e3, 20.0))

@@ -24,9 +24,56 @@ from beatnote.errors import (
     InvalidParameterError,
     ResolutionError,
 )
-from beatnote.ionsim import _shot_noise_tables, damped_sine_model
+from beatnote.ionsim import (
+    _STEPS_PER_PERIOD,
+    _evolve,
+    _shot_noise_tables,
+    damped_sine_model,
+)
 
 RESONANT_GRID = FrequencyGrid(-1.0, 1.0, 3)
+
+
+def reference_evolve(deltas, omega, duration, noise, shots, seed,
+                     record_times=None):
+    """Independent propagator: the same step rule and noise tables as
+    _evolve, but the laser phase accumulated step by step and every factor
+    of the step matrix rebuilt each step from drive = omega_s e^{i phase}."""
+    n_points = deltas.size
+    rate = _STEPS_PER_PERIOD * math.sqrt(
+        omega * omega + float(np.max(np.abs(deltas))) ** 2)
+    if record_times is None:
+        n_steps = max(int(math.ceil(duration * rate)), 32)
+        block, n_blocks = n_steps, 1
+    else:
+        n_blocks = record_times
+        block = max(int(math.ceil(duration * rate / n_blocks)), 1)
+        n_steps = block * n_blocks
+    dt = duration / n_steps
+    phase_sigma = math.sqrt(2.0 * math.pi * noise.fwhm * dt) if noise.fwhm > 0 else 0.0
+    kicks, scales = _shot_noise_tables(seed, n_points, shots, n_steps,
+                                       phase_sigma, noise.rin_sigma)
+    omega_s = omega * scales
+    delta_c = deltas[:, None]
+    norm = np.sqrt(omega_s * omega_s + delta_c * delta_c)
+    theta = math.pi * dt * norm
+    cos_t = np.cos(theta)
+    sin_ratio = np.where(norm > 0, np.sin(theta) / np.where(norm > 0, norm, 1.0), 0.0)
+    g = np.ones((n_points, shots), dtype=complex)
+    e = np.zeros((n_points, shots), dtype=complex)
+    phase = np.zeros((n_points, shots))
+    recorded = np.empty((n_blocks, n_points))
+    for step in range(n_steps):
+        phase += kicks[step]
+        drive = omega_s * np.exp(1j * phase)
+        u_gg = cos_t + 1j * sin_ratio * delta_c
+        u_ge = -1j * sin_ratio * np.conj(drive)
+        u_eg = -1j * sin_ratio * drive
+        u_ee = cos_t - 1j * sin_ratio * delta_c
+        g, e = u_gg * g + u_ge * e, u_eg * g + u_ee * e
+        if (step + 1) % block == 0:
+            recorded[(step + 1) // block - 1] = np.mean(np.abs(e) ** 2, axis=1)
+    return recorded if record_times is not None else recorded[0]
 
 
 def detuning_grid(half_span, points):
@@ -70,6 +117,18 @@ class TestNoiselessOracle:
         assert np.max(np.abs(curve.probability - oracle)) < 1e-6
 
 
+class TestReferencePropagator:
+    def test_carrier_scan_matches_reference(self):
+        args = (detuning_grid(1200.0, 81).points(), 125.0, 4e-3,
+                LaserNoise(fwhm=156.0), 20, 7)
+        assert np.max(np.abs(_evolve(*args) - reference_evolve(*args))) <= 1e-12
+
+    def test_rabi_flop_with_rin_matches_reference(self):
+        args = (np.zeros(1), 40e3, 3e-4, LaserNoise(rin_sigma=0.02), 20, 4)
+        flop = _evolve(*args, record_times=300)
+        assert np.max(np.abs(flop - reference_evolve(*args, record_times=300))) <= 1e-12
+
+
 class TestProbabilityBounds:
     def test_bounded_with_noise(self):
         curve = spectrum(250.0, 4e-3, fwhm=500.0, rin=0.1, shots=40, seed=2)
@@ -106,12 +165,12 @@ class TestNoiseKeying:
     def test_point_noise_independent_of_point_count(self):
         kicks_5, scales_5 = _shot_noise_tables(7, 5, 20, 30, 0.1, 0.01)
         kicks_9, scales_9 = _shot_noise_tables(7, 9, 20, 30, 0.1, 0.01)
-        assert np.array_equal(kicks_5, kicks_9[:5])
+        assert np.array_equal(kicks_5, kicks_9[:, :5])
         assert np.array_equal(scales_5, scales_9[:5])
 
     def test_points_draw_distinct_noise(self):
         kicks, scales = _shot_noise_tables(7, 2, 20, 30, 0.1, 0.01)
-        assert not np.array_equal(kicks[0], kicks[1])
+        assert not np.array_equal(kicks[:, 0], kicks[:, 1])
         assert not np.array_equal(scales[0], scales[1])
 
 
@@ -134,6 +193,23 @@ class TestPreconditions:
             LaserNoise(fwhm=-1.0)
         with pytest.raises(InvalidParameterError):
             ExcitationCurve(np.arange(3.0), np.array([0.0, 0.5, 1.5]), 1)
+
+    @pytest.mark.parametrize("abscissa, probability, shots", [
+        ([0.0, 1.0, 2.0], [0.0, math.nan, 0.5], 1),
+        ([0.0, 1.0, math.inf], [0.0, 0.5, 0.5], 1),
+        ([0.0, 1.0, 2.0], [0.0, 0.5, 0.5], -3),
+        ([0.0, 1.0, 2.0], [0.0, 0.5, 0.5], 2.5),
+    ], ids=["nan_probability", "inf_abscissa", "negative_shots", "fractional_shots"])
+    def test_excitation_curve_rejected(self, abscissa, probability, shots):
+        with pytest.raises(InvalidParameterError):
+            ExcitationCurve(np.array(abscissa), np.array(probability), shots)
+
+    def test_rabi_points_must_be_whole(self):
+        params = IonProbeParams(rabi_frequency=40e3, pulse_duration=1.0,
+                                detuning_grid=RESONANT_GRID)
+        with pytest.raises(InvalidParameterError):
+            simulate_rabi(params, LaserNoise(), t_max=3e-4, t_points=400.5)
+        assert simulate_rabi(params, LaserNoise(), 3e-4, 300.0).shot_count == 1
 
     @pytest.mark.parametrize("field", ["fwhm", "rin_sigma"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
