@@ -3,8 +3,9 @@ ion-spectroscopy simulator, and extract servo bumps.
 
 Exit codes: 0 success, 2 flag/validation error, 3 estimation failure,
 4 I/O error.  Every run is deterministic for a fixed (flags, seed) pair; a
---config JSON file may supply any flag (underscores or dashes), with explicit
-flags taking precedence.
+--config JSON file may supply any flag of the subcommand it is used with
+(underscores or dashes), with explicit flags taking precedence.  Any other
+config key exits 4.
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ from .dshi import (
 from .errors import (
     AmbiguousPeakError,
     BeatnoteError,
-    DomainError,
     ExtremumNotFoundError,
-    GridMismatchError,
     InitializationError,
     InsufficientDataError,
     InvalidParameterError,
     NoSolutionError,
     ParseError,
-    ResolutionError,
     SchemaError,
     TraceIOError,
     WidthUndefinedError,
@@ -72,12 +70,6 @@ EXIT_USAGE = 2
 EXIT_ESTIMATION = 3
 EXIT_IO = 4
 
-_VALIDATION_ERRORS = (
-    InvalidParameterError,
-    ResolutionError,
-    DomainError,
-    GridMismatchError,
-)
 _ESTIMATION_ERRORS = (
     WidthUndefinedError,
     AmbiguousPeakError,
@@ -213,9 +205,10 @@ def cmd_fit(args) -> int:
         "fiber_index", "power",
     ])
     for name, est in reports:
-        out = args.out if len(reports) == 1 else \
-            args.out.replace(".json", f"_{name}.json") if args.out.endswith(".json") \
-            else f"{args.out}_{name}"
+        out = args.out
+        if len(reports) > 1:
+            stem = out[:-len(".json")] if out.endswith(".json") else out
+            out = f"{stem}_{name}{out[len(stem):]}"
         report = AnalysisReport(
             input={"path": args.input},
             method=est.method,
@@ -242,16 +235,27 @@ def _ion_grid(args, pulse_s, rabi_hz) -> FrequencyGrid:
     return _centered_grid(0.0, span, args.points)
 
 
-def _spectrum_once(args, pulse_s, rabi_hz):
-    params = IonProbeParams(
-        rabi_frequency=rabi_hz,
-        pulse_duration=pulse_s,
-        detuning_grid=_ion_grid(args, pulse_s, rabi_hz),
-        shots_per_point=args.shots,
-        rng_seed=args.seed,
-    )
-    noise = LaserNoise(fwhm=args.laser_fwhm_hz, rin_sigma=args.rin)
+def _spectrum_once(args, noise, pulse_s, rabi_hz):
+    grid = _ion_grid(args, pulse_s, rabi_hz)
+    params = IonProbeParams(rabi_hz, pulse_s, grid, shots_per_point=args.shots,
+                            rng_seed=args.seed)
     return simulate_carrier_spectrum(params, noise)
+
+
+def _rabi_once(args, noise, rabi_hz, t_max_s, t_points):
+    """Resonant Rabi flop; the probe's detuning grid is unused on resonance."""
+    params = IonProbeParams(rabi_hz, t_max_s, FrequencyGrid(-1.0, 1.0, 3),
+                            shots_per_point=args.shots, rng_seed=args.seed)
+    return simulate_rabi(params, noise, t_max_s, t_points)
+
+
+def _fit_sweep(args, x_name, y_name, pairs, exponent):
+    """Write the sweep curve and fit it with an inverse power law."""
+    _write_curve(args.out_curve, x_name, y_name,
+                 [p[0] for p in pairs], [p[1] for p in pairs])
+    fit = fit_inverse_power(pairs, None if args.free_exponent else exponent)
+    print(f"exponent={fit.parameters[1]:.4g} amplitude={fit.parameters[0]:.6g}")
+    return fit
 
 
 def cmd_ionsim(args) -> int:
@@ -263,21 +267,15 @@ def cmd_ionsim(args) -> int:
     ])
 
     if args.mode == "spectrum":
-        curve = _spectrum_once(args, args.pulse_ms * 1e-3, args.rabi_hz)
+        curve = _spectrum_once(args, noise, args.pulse_ms * 1e-3, args.rabi_hz)
         _write_curve(args.out_curve, "detuning_hz", "excitation_probability",
                      curve.abscissa, curve.probability)
         fit = fit_lorentzian_peak(curve)
         method = "ion-spectrum-lorentzian"
         print(f"fitted_fwhm_hz={fit.parameters[1]:.6g}")
     elif args.mode == "rabi":
-        params = IonProbeParams(
-            rabi_frequency=args.rabi_hz,
-            pulse_duration=args.t_max_ms * 1e-3,
-            detuning_grid=FrequencyGrid(-1.0, 1.0, 3),  # unused on resonance
-            shots_per_point=args.shots,
-            rng_seed=args.seed,
-        )
-        curve = simulate_rabi(params, noise, args.t_max_ms * 1e-3, args.t_points)
+        curve = _rabi_once(args, noise, args.rabi_hz, args.t_max_ms * 1e-3,
+                           args.t_points)
         _write_curve(args.out_curve, "time_s", "excitation_probability",
                      curve.abscissa, curve.probability)
         fit = fit_damped_sine(curve)
@@ -287,36 +285,21 @@ def cmd_ionsim(args) -> int:
         durations = [float(v) * 1e-3 for v in args.durations_ms.split(",")]
         pairs = []
         for pulse_s in durations:
-            rabi = args.rabi_time_product / pulse_s
-            curve = _spectrum_once(args, pulse_s, rabi)
-            width = float(fit_lorentzian_peak(curve).parameters[1])
-            pairs.append((pulse_s, width))
-        _write_curve(args.out_curve, "pulse_duration_s", "fitted_fwhm_hz",
-                     [p[0] for p in pairs], [p[1] for p in pairs])
-        fit = fit_inverse_power(pairs, None if args.free_exponent else 1.0)
+            curve = _spectrum_once(args, noise, pulse_s,
+                                   args.rabi_time_product / pulse_s)
+            pairs.append((pulse_s, float(fit_lorentzian_peak(curve).parameters[1])))
+        fit = _fit_sweep(args, "pulse_duration_s", "fitted_fwhm_hz", pairs, 1.0)
         method = "ion-sweep-duration-inverse-power"
-        print(f"exponent={fit.parameters[1]:.4g} amplitude={fit.parameters[0]:.6g}")
     elif args.mode == "sweep-omega":
         rabis = [float(v) for v in args.rabi_values_hz.split(",")]
         pairs = []
         for rabi in rabis:
             t_max = args.rabi_periods / rabi
-            params = IonProbeParams(
-                rabi_frequency=rabi,
-                pulse_duration=t_max,
-                detuning_grid=FrequencyGrid(-1.0, 1.0, 3),
-                shots_per_point=args.shots,
-                rng_seed=args.seed,
-            )
-            curve = simulate_rabi(params, noise, t_max,
-                                  max(args.t_points, int(20 * rabi * t_max) + 1))
-            tau = float(fit_damped_sine(curve).parameters[1])
-            pairs.append((rabi, tau))
-        _write_curve(args.out_curve, "rabi_frequency_hz", "coherence_time_s",
-                     [p[0] for p in pairs], [p[1] for p in pairs])
-        fit = fit_inverse_power(pairs, None if args.free_exponent else 2.0)
+            curve = _rabi_once(args, noise, rabi, t_max,
+                               max(args.t_points, int(20 * rabi * t_max) + 1))
+            pairs.append((rabi, float(fit_damped_sine(curve).parameters[1])))
+        fit = _fit_sweep(args, "rabi_frequency_hz", "coherence_time_s", pairs, 2.0)
         method = "ion-sweep-rabi-inverse-power"
-        print(f"exponent={fit.parameters[1]:.4g} amplitude={fit.parameters[0]:.6g}")
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidParameterError(f"unknown mode {args.mode!r}")
 
@@ -368,7 +351,8 @@ def _add_dshi_flags(parser):
                         help="normalized optical power (default 1)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="beatnote",
         description="Delayed self-heterodyne beat-note simulation and "
@@ -459,42 +443,41 @@ def build_parser() -> argparse.ArgumentParser:
     bumps.add_argument("--inject-width-hz", type=float, default=15e3)
     bumps.add_argument("--out", type=str, required=True)
     bumps.set_defaults(func=cmd_bumps)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser, argv):
-    """Load --config JSON as parser defaults; explicit flags still win."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", type=str, default=None)
-    known, _ = probe.parse_known_args(argv)
-    if known.config is None:
-        return
+def _read_config(path) -> dict:
+    """Config JSON object with dashes in its keys turned into underscores."""
     try:
-        with open(known.config, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii") as fh:
             values = json.load(fh)
     except OSError as exc:
-        raise TraceIOError(f"cannot read config {known.config}: {exc}") from exc
+        raise TraceIOError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid config JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise SchemaError("config file must hold a JSON object")
-    normalized = {str(k).replace("-", "_"): v for k, v in values.items()}
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        for sub in action.choices.values():
-            sub.set_defaults(**{k: v for k, v in normalized.items()
-                                if any(k == a.dest for a in sub._actions)})
+    return {str(k).replace("-", "_"): v for k, v in values.items()}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # Config values become the subcommand's defaults, so explicit
+            # flags still win and string values still pass through `type`.
+            values = _read_config(args.config)
+            accepted = vars(args).keys() - {"command", "func", "config"}
+            unknown = sorted(values.keys() - accepted)
+            if unknown:
+                raise SchemaError(
+                    f"config keys not accepted by {args.command}: "
+                    + ", ".join(unknown))
+            commands[args.command].set_defaults(**values)
+            args = parser.parse_args(argv)
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _ESTIMATION_ERRORS as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION

@@ -108,12 +108,11 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ServoBumpModel:
-    """Gaussian intensity bump(s) at +-offset from the carrier."""
+    """Pair of Gaussian intensity bumps at +-offset from the carrier."""
 
     offset: float
     width: float
     height_db: float
-    symmetric: bool = True
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.offset, self.width, self.height_db))):
@@ -359,12 +358,10 @@ def _bump_multiplier(bumps: ServoBumpModel, carrier: float,
     shape = np.exp(
         -4.0 * math.log(2.0)
         * ((freqs - (carrier + bumps.offset)) / bumps.width) ** 2
+    ) + np.exp(
+        -4.0 * math.log(2.0)
+        * ((freqs - (carrier - bumps.offset)) / bumps.width) ** 2
     )
-    if bumps.symmetric:
-        shape = shape + np.exp(
-            -4.0 * math.log(2.0)
-            * ((freqs - (carrier - bumps.offset)) / bumps.width) ** 2
-        )
     return 1.0 + gain * shape
 
 
@@ -377,16 +374,15 @@ def _carrier_or_peak(trace: SpectrumTrace, carrier_hz) -> float:
 
 def inject_servo_bumps(trace: SpectrumTrace, bumps: ServoBumpModel,
                        carrier_hz: float | None = None) -> SpectrumTrace:
-    """Multiply the linear trace by Gaussian bump(s) at +-offset from the carrier.
+    """Multiply the linear trace by Gaussian bumps at +-offset from the carrier.
 
     carrier_hz defaults to the trace's peak frequency.  Exact inverse of
     extract_servo_bumps against the unbumped trace.
     """
     carrier = _carrier_or_peak(trace, carrier_hz)
     grid = trace.grid
-    if not grid.covers(carrier + bumps.offset) or (
-        bumps.symmetric and not grid.covers(carrier - bumps.offset)
-    ):
+    if not (grid.covers(carrier + bumps.offset)
+            and grid.covers(carrier - bumps.offset)):
         raise DomainError("bump offset falls outside the trace grid")
     values = trace.linear_values() * _bump_multiplier(bumps, carrier, grid.points())
     out = SpectrumTrace(grid, values, UNIT_LINEAR, trace.rbw)

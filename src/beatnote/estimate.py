@@ -120,14 +120,20 @@ def _make_estimate(lorentzian, gaussian, method, iterations, residual,
 
 def halve_combined(combined_fwhm: float) -> float:
     """Single-laser width from the combined two-arm width (identical arms)."""
-    if combined_fwhm < 0:
-        raise InvalidParameterError("combined width must be >= 0")
+    if not 0 <= combined_fwhm < math.inf:
+        raise InvalidParameterError(
+            f"combined width must be finite and >= 0, got {combined_fwhm}")
     return combined_fwhm / 2.0
 
 
 # ---------------------------------------------------------------------------
 # Damped least squares
 # ---------------------------------------------------------------------------
+
+_LM_MAX_ITER = 200
+_LM_COST_TOL = 1e-10
+_LM_GRAD_TOL = 1e-12
+
 
 def fit_least_squares(
     model: Callable[..., np.ndarray],
@@ -136,16 +142,13 @@ def fit_least_squares(
     init: Sequence[float],
     bounds: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
     jacobian: Optional[Callable[..., np.ndarray]] = None,
-    max_iter: int = 200,
-    cost_tol: float = 1e-10,
-    grad_tol: float = 1e-12,
 ) -> FitResult:
     """Levenberg-Marquardt minimization of sum((y - model(x, *p))^2).
 
     The Jacobian comes from forward differences with step max(1e-6*|p|,
     1e-12) unless `jacobian(x, *p)` is supplied.  Convergence: relative cost
-    decrease below cost_tol, gradient infinity-norm below grad_tol, or the
-    iteration cap (which leaves converged=False).  `bounds` is an optional
+    decrease below 1e-10, gradient infinity-norm below 1e-12, or the cap of
+    200 iterations (which leaves converged=False).  `bounds` is an optional
     (lower, upper) box; trial steps are clipped into it.
     """
     x = np.asarray(xdata, dtype=float)
@@ -186,10 +189,10 @@ def fit_least_squares(
     iterations = 0
     J = jac(p, y - r)
 
-    for it in range(max_iter):
+    for it in range(_LM_MAX_ITER):
         iterations = it + 1
         g = J.T @ r
-        if np.max(np.abs(g)) < grad_tol:
+        if np.max(np.abs(g)) < _LM_GRAD_TOL:
             converged = True
             break
         jtj = J.T @ J
@@ -220,7 +223,7 @@ def fit_least_squares(
                 p, r, cost = p_try, r_try, cost_try
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if rel_drop < cost_tol:
+                if rel_drop < _LM_COST_TOL:
                     converged = True
                 break
             lam *= 10.0
@@ -279,7 +282,10 @@ def mask_central_bins(trace: SpectrumTrace, count: int,
     Removes the coherent-residue spike before width measurements; on a
     smooth peak the interpolation is a no-op to within the local curvature.
     """
-    if count <= 0:
+    count = _whole_number(count, "masked bin count")
+    if count < 0:
+        raise InvalidParameterError(f"masked bin count must be >= 0, got {count}")
+    if count == 0:
         return trace.to_linear()
     values = trace.linear_values().copy()
     grid = trace.grid
@@ -415,18 +421,20 @@ def model_contrast_db(params: DshiParams, peak_order: int, trough_order: int,
     return 10.0 * math.log10(ratio)
 
 
+_CONTRAST_BRACKET_HZ = (0.1, 1e6)
+
+
 def solve_contrast(params: DshiParams, peak_order: int, trough_order: int,
-                   contrast_db: float,
-                   bracket: Tuple[float, float] = (0.1, 1e6)) -> Tuple[float, int]:
+                   contrast_db: float) -> Tuple[float, int]:
     """Invert the contrast model for the combined linewidth by bisection.
 
-    The contrast is monotone decreasing in linewidth over the bracket;
-    contrasts outside the attainable [model(hi), model(lo)] range raise
-    NoSolutionError.  Returns (linewidth, iterations).
+    The contrast is monotone decreasing in linewidth over the [0.1 Hz, 1 MHz]
+    bracket; contrasts outside the attainable [model(hi), model(lo)] range
+    raise NoSolutionError.  Returns (linewidth, iterations).
     """
     if not math.isfinite(contrast_db):
         raise InvalidParameterError(f"contrast must be finite, got {contrast_db}")
-    lo, hi = bracket
+    lo, hi = _CONTRAST_BRACKET_HZ
     ds_lo = model_contrast_db(params, peak_order, trough_order, lo)
     ds_hi = model_contrast_db(params, peak_order, trough_order, hi)
     if contrast_db > ds_lo:
@@ -461,18 +469,15 @@ def _quadratic_value_at(freqs, values, position):
                  + 0.5 * (vs[2] - 2.0 * vs[1] + vs[0]) * delta * delta)
 
 
-def _locate_extremum(trace_values, grid, carrier, position, window, kind, gamma):
-    """Validate and read one envelope extremum near its predicted position.
+def _locate_extremum(freqs, values, step, carrier, position, window, kind,
+                     gamma) -> float:
+    """Validated position of one envelope extremum near its prediction.
 
     The existence search runs on the wing-detrended series
     v*((f-carrier)^2 + gamma^2), whose extrema track the envelope's: on the
     raw trace the 1/x^2 wing falloff swallows low-order peaks outright.  The
-    reported position is the parabolic vertex of the detrended samples; the
-    contrast value is the raw trace quadratically interpolated at the
-    *predicted* position, matching the convention of the contrast model
-    (which evaluates the spectrum exactly at multiples of the spacing).
+    position is the parabolic vertex of the detrended samples.
     """
-    freqs = grid.points()
     mask = np.abs(freqs - position) <= window
     if np.count_nonzero(mask) < 5:
         raise ExtremumNotFoundError(
@@ -480,8 +485,7 @@ def _locate_extremum(trace_values, grid, carrier, position, window, kind, gamma)
             f"the predicted extremum at {position:.0f} Hz"
         )
     sub_f = freqs[mask]
-    sub_v = trace_values[mask]
-    detrended = sub_v * ((sub_f - carrier) ** 2 + gamma * gamma)
+    detrended = values[mask] * ((sub_f - carrier) ** 2 + gamma * gamma)
     idx = int(np.argmax(detrended) if kind == "peak" else np.argmin(detrended))
     if idx == 0 or idx == len(detrended) - 1:
         raise ExtremumNotFoundError(
@@ -490,14 +494,24 @@ def _locate_extremum(trace_values, grid, carrier, position, window, kind, gamma)
     qs = detrended[idx - 1:idx + 2]
     denom = qs[0] - 2.0 * qs[1] + qs[2]
     delta = 0.5 * (qs[0] - qs[2]) / denom if denom != 0 else 0.0
-    refined = float(sub_f[idx] + np.clip(delta, -1.0, 1.0) * grid.step)
-    return refined, _quadratic_value_at(freqs, trace_values, position)
+    return float(sub_f[idx] + np.clip(delta, -1.0, 1.0) * step)
 
 
-def _contrast_at_predictions(trace, params, peak_order, trough_order) -> float:
-    """Contrast read at the predicted positions without extremum validation."""
-    values = trace.linear_values()
-    freqs = trace.grid.points()
+def _locate_extrema(freqs, values, step, params, peak_order, trough_order,
+                    gamma) -> Tuple[float, float]:
+    """Peak then trough position, each searched within a quarter spacing."""
+    carrier = params.eom_frequency
+    spacing = extrema_spacing(params)
+    return tuple(
+        _locate_extremum(freqs, values, step, carrier, carrier + order * spacing,
+                         spacing / 4.0, kind, gamma)
+        for order, kind in ((peak_order, "peak"), (trough_order, "trough")))
+
+
+def _predicted_contrast(freqs, values, params, peak_order, trough_order) -> float:
+    """Contrast (dB) of the trace quadratically interpolated at the
+    *predicted* extremum positions, the convention of the contrast model
+    (which evaluates the spectrum exactly at multiples of the spacing)."""
     spacing = extrema_spacing(params)
     s_p = _quadratic_value_at(freqs, values,
                               params.eom_frequency + peak_order * spacing)
@@ -518,18 +532,11 @@ def measure_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     """
     _check_orders(peak_order, trough_order)
     values = trace.linear_values()
-    carrier = params.eom_frequency
-    spacing = extrema_spacing(params)
-    window = spacing / 4.0
-    x_p, s_p = _locate_extremum(values, trace.grid, carrier,
-                                carrier + peak_order * spacing, window,
-                                "peak", gamma_hint)
-    x_t, s_t = _locate_extremum(values, trace.grid, carrier,
-                                carrier + trough_order * spacing, window,
-                                "trough", gamma_hint)
-    if s_t <= 0 or s_p <= 0:
-        raise ExtremumNotFoundError("non-positive PSD at a located extremum")
-    return 10.0 * math.log10(s_p / s_t), x_p, x_t
+    freqs = trace.grid.points()
+    x_p, x_t = _locate_extrema(freqs, values, trace.grid.step, params,
+                               peak_order, trough_order, gamma_hint)
+    ds = _predicted_contrast(freqs, values, params, peak_order, trough_order)
+    return ds, x_p, x_t
 
 
 def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
@@ -540,18 +547,24 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     Extrema within servo_band_hz of the carrier get the servo-contaminated
     flag, since that is where cavity-lock servo bumps live.
     """
-    # Provisional pass: contrast read straight off the predicted positions
-    # gives the wing-detrend hint; the real pass then validates that the
-    # extrema actually exist near those positions.
-    hint = 0.0
+    if not 0 <= servo_band_hz < math.inf:
+        raise InvalidParameterError(
+            f"servo band must be finite and >= 0, got {servo_band_hz}")
+    values = trace.linear_values()
+    freqs = trace.grid.points()
+    # One reading at the predicted positions gives both the linewidth and the
+    # locator's wing-detrend hint.  An unsolvable contrast waits until both
+    # extrema are validated, so a missing extremum is reported first.
+    ds = _predicted_contrast(freqs, values, params, peak_order, trough_order)
+    unsolved = None
     try:
-        ds0 = _contrast_at_predictions(trace, params, peak_order, trough_order)
-        hint = solve_contrast(params, peak_order, trough_order, ds0)[0] / 2.0
-    except NoSolutionError:
-        pass
-    ds, x_p, x_t = measure_envelope_contrast(trace, params, peak_order,
-                                             trough_order, gamma_hint=hint)
-    fwhm, iterations = solve_contrast(params, peak_order, trough_order, ds)
+        fwhm, iterations = solve_contrast(params, peak_order, trough_order, ds)
+    except NoSolutionError as exc:
+        unsolved, fwhm = exc, 0.0
+    x_p, x_t = _locate_extrema(freqs, values, trace.grid.step, params,
+                               peak_order, trough_order, fwhm / 2.0)
+    if unsolved is not None:
+        raise unsolved
 
     flags = set()
     carrier = params.eom_frequency

@@ -253,8 +253,8 @@ def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
     peak * 10**(-level_db/10), inside a bracket doubled from the summed
     component widths until it holds the crossing.
     """
-    if not level_db > 0:
-        raise InvalidParameterError(f"level must be > 0 dB, got {level_db}")
+    if not 0 < level_db < math.inf:
+        raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
     params = LineshapeParams(0.0, fwhm_gaussian, fwhm_lorentzian)
     target = _voigt_density(0.0, params) * 10.0 ** (-level_db / 10.0)
     lo, hi = 0.0, fwhm_lorentzian + fwhm_gaussian

@@ -104,6 +104,22 @@ class TestFit:
         doc = read_report(report)
         assert "servo-contaminated" in doc["result"]["flags"]
 
+    def test_both_methods_replace_only_a_trailing_json(self, tmp_path):
+        trace = self.synth(tmp_path, **{"--flicker-gaussian-hz": "0"})
+        out_dir = tmp_path / "x.json.d"
+        out_dir.mkdir()
+        assert run_cli("fit", "--input", str(trace), "--method", "both",
+                       "--linewidth-hz", "0",
+                       "--out", str(out_dir / "r.json")) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "r_envelope.json", "r_voigt.json"]
+
+    def test_nan_servo_band_is_usage_error(self, tmp_path):
+        trace = self.synth(tmp_path, **{"--flicker-gaussian-hz": "0"})
+        assert run_cli("fit", "--input", str(trace), "--method", "envelope",
+                       "--linewidth-hz", "0", "--servo-band-hz", "nan",
+                       "--out", str(tmp_path / "r.json")) == 2
+
     def test_fitted_profile_overlay(self, tmp_path):
         trace = self.synth(tmp_path)
         report = tmp_path / "report.json"
@@ -245,3 +261,75 @@ class TestConfigFile:
         assert run_cli("--config", str(cfg), "simulate", "--mode", "analytic",
                        "--linewidth-hz", "100", "--out", str(c)) == 0
         assert c.read_bytes() != a.read_bytes()
+
+    @staticmethod
+    def run_both_ways(tmp_path, command, base, key, flag, value, outputs):
+        """Run once with `key` in a config and once with `flag` on the command
+        line; return the bytes each run wrote to `outputs`, file names whose
+        stems name the output flags."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        written = []
+        for name, pre, extra in (("c", ["--config", str(cfg)], []),
+                                 ("f", [], [flag, str(value)])):
+            paths = [tmp_path / f"{name}-{o}" for o in outputs]
+            out_flags = [x for o, p in zip(outputs, paths)
+                         for x in (f"--{o.split('.')[0]}", str(p))]
+            assert run_cli(*pre, command, *base, *extra, *out_flags) == 0
+            written.append([p.read_bytes() for p in paths])
+        return written
+
+    def test_simulate_config_matches_flag(self, tmp_path):
+        a, b = self.run_both_ways(
+            tmp_path, "simulate", ["--points", "2001"], "fiber-km",
+            "--fiber-km", 2.5, ["out.csv"])
+        assert a == b
+
+    def test_fit_config_matches_flag(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        assert run_cli("simulate", "--points", "4001", "--out", str(trace)) == 0
+        a, b = self.run_both_ways(
+            tmp_path, "fit", ["--input", str(trace), "--method", "envelope"],
+            "servo_band_hz", "--servo-band-hz", 1000.0, ["out.json"])
+        assert a == b
+
+    def test_ionsim_config_matches_flag(self, tmp_path):
+        a, b = self.run_both_ways(
+            tmp_path, "ionsim", ["--points", "11", "--shots", "5"],
+            "laser-fwhm-hz", "--laser-fwhm-hz", 300.0,
+            ["out-curve.csv", "out.json"])
+        assert a == b
+
+    def test_bumps_config_matches_flag(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        assert run_cli("simulate", "--points", "2001", "--out", str(trace)) == 0
+        a, b = self.run_both_ways(
+            tmp_path, "bumps", ["--measured", str(trace), "--model", str(trace)],
+            "inject_height_db", "--inject-height-db", 6.0, ["out.csv"])
+        assert a == b
+
+    @pytest.mark.parametrize("key", [
+        "linewdith_hz",  # misspelt
+        "rabi_hz",       # a flag of ionsim, not of simulate
+        "command",
+        "func",
+        "config",
+    ])
+    def test_unknown_config_key_is_refused(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 640.0}))
+        out = tmp_path / "a.csv"
+        assert run_cli("--config", str(cfg), "simulate", "--out", str(out)) == 4
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_config_key_subprocess(self, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"linewdith-hz": 640.0}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "beatnote.cli", "--config", str(cfg),
+             "simulate", "--points", "101", "--out", str(tmp_path / "a.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 4
+        assert "linewdith_hz" in proc.stderr

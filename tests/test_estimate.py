@@ -15,6 +15,7 @@ from beatnote import (
     estimate_envelope_contrast,
     estimate_voigt,
     eval_gaussian,
+    extrema_spacing,
     eval_lorentzian,
     fit_least_squares,
     halve_combined,
@@ -38,6 +39,9 @@ from beatnote.estimate import (
     FLAG_GRID_LIMITED,
     FLAG_SERVO_CONTAMINATED,
     VoigtOptions,
+    _check_orders,
+    _make_estimate,
+    _quadratic_value_at,
     lorentzian_peak_model,
     mask_central_bins,
 )
@@ -62,6 +66,11 @@ class TestHalveCombined:
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameterError):
             halve_combined(-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidParameterError):
+            halve_combined(bad)
 
 
 class TestFitLeastSquares:
@@ -207,6 +216,14 @@ class TestEstimateVoigt:
         assert trace.values[i0] > 100.0 * masked.values[i0]
         assert np.array_equal(masked.values[:i0 - 2], trace.values[:i0 - 2])
 
+    @pytest.mark.parametrize("count", [2.5, -1, math.nan])
+    def test_mask_central_bins_rejects_bad_count(self, count):
+        # Unchecked, 2.5 dies in slicing with a bare IndexError and -1 leaves
+        # the trace unmasked.
+        trace, _ = beat_trace(320.0, 640.0)
+        with pytest.raises(InvalidParameterError):
+            mask_central_bins(trace, count)
+
 
 class TestEnvelopeContrast:
     def test_roundtrip_against_forward_model(self):
@@ -230,6 +247,14 @@ class TestEnvelopeContrast:
         assert FLAG_SERVO_CONTAMINATED in est.flags  # extrema at 20/41 kHz
         far = estimate_envelope_contrast(trace, params, 1, 2, servo_band_hz=1e3)
         assert FLAG_SERVO_CONTAMINATED not in far.flags
+
+    @pytest.mark.parametrize("band", [math.nan, math.inf, -1.0])
+    def test_servo_band_must_be_finite_non_negative(self, band):
+        # Every comparison with NaN is false: unchecked, the flag never rises.
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
+        trace = analytic_psd(params, grid_about(7e6, 80e3, 20.0))
+        with pytest.raises(InvalidParameterError):
+            estimate_envelope_contrast(trace, params, 1, 2, servo_band_hz=band)
 
     def test_vanishing_contrast_has_no_solution(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=1.0)
@@ -332,3 +357,131 @@ class TestPlainFloats:
         grid = grid_about(0.0, 5e3, 2.0)
         trace = SpectrumTrace(grid, eval_lorentzian(grid, 0.0, 400.0).values, "linear")
         self.assert_plain(estimate_direct_lorentzian(trace))
+
+
+def _reference_locate_extremum(values, grid, carrier, position, window, kind,
+                               gamma):
+    freqs = grid.points()
+    mask = np.abs(freqs - position) <= window
+    if np.count_nonzero(mask) < 5:
+        raise ExtremumNotFoundError("grid too coarse")
+    sub_f = freqs[mask]
+    detrended = values[mask] * ((sub_f - carrier) ** 2 + gamma * gamma)
+    idx = int(np.argmax(detrended) if kind == "peak" else np.argmin(detrended))
+    if idx == 0 or idx == len(detrended) - 1:
+        raise ExtremumNotFoundError(f"no {kind} inside the search window")
+    qs = detrended[idx - 1:idx + 2]
+    denom = qs[0] - 2.0 * qs[1] + qs[2]
+    delta = 0.5 * (qs[0] - qs[2]) / denom if denom != 0 else 0.0
+    refined = float(sub_f[idx] + np.clip(delta, -1.0, 1.0) * grid.step)
+    return refined, _quadratic_value_at(freqs, values, position)
+
+
+def reference_estimate_envelope_contrast(trace, params, peak_order=1,
+                                         trough_order=2, servo_band_hz=100e3):
+    """Two-pass envelope estimator: a provisional reading and solve for the
+    locator hint, then a second reading and solve at the located extrema."""
+    values = trace.linear_values()
+    freqs = trace.grid.points()
+    carrier = params.eom_frequency
+    spacing = extrema_spacing(params)
+    hint = 0.0
+    try:
+        s_p = _quadratic_value_at(freqs, values, carrier + peak_order * spacing)
+        s_t = _quadratic_value_at(freqs, values, carrier + trough_order * spacing)
+        if s_p <= 0 or s_t <= 0:
+            raise ExtremumNotFoundError("non-positive PSD at a predicted extremum")
+        ds0 = 10.0 * math.log10(s_p / s_t)
+        hint = solve_contrast(params, peak_order, trough_order, ds0)[0] / 2.0
+    except NoSolutionError:
+        pass
+    _check_orders(peak_order, trough_order)
+    x_p, s_p = _reference_locate_extremum(
+        values, trace.grid, carrier, carrier + peak_order * spacing,
+        spacing / 4.0, "peak", hint)
+    x_t, s_t = _reference_locate_extremum(
+        values, trace.grid, carrier, carrier + trough_order * spacing,
+        spacing / 4.0, "trough", hint)
+    if s_t <= 0 or s_p <= 0:
+        raise ExtremumNotFoundError("non-positive PSD at a located extremum")
+    ds = 10.0 * math.log10(s_p / s_t)
+    fwhm, iterations = solve_contrast(params, peak_order, trough_order, ds)
+    flags = set()
+    if min(abs(x_p - carrier), abs(x_t - carrier)) < servo_band_hz:
+        flags.add(FLAG_SERVO_CONTAMINATED)
+    residual = abs(
+        model_contrast_db(params, peak_order, trough_order, fwhm) - ds
+    ) / max(abs(ds), 1e-12)
+    return _make_estimate(fwhm, 0.0, "envelope-contrast", iterations,
+                          residual, flags)
+
+
+def _envelope_case(name):
+    p320 = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
+    spacing = extrema_spacing(p320)
+    clean5 = voigt_beat_note(p320, 640.0, grid_about(7e6, 90e3, 10.0))
+    analytic = analytic_psd(p320, grid_about(7e6, 80e3, 20.0))
+    wide = DshiParams(eom_frequency=7e6, laser_fwhm=50e3)
+
+    def dip(height_db, width):
+        # A dip at the order-1 peak: its reading drops, its location holds.
+        bump = ServoBumpModel(offset=spacing, width=width, height_db=height_db)
+        return inject_servo_bumps(analytic, bump, carrier_hz=7e6), p320
+
+    cases = {
+        "criterion-5 clean": lambda: (clean5, p320),
+        "criterion-5 bumped": lambda: (inject_servo_bumps(
+            clean5, ServoBumpModel(offset=50e3, width=15e3, height_db=12.0),
+            carrier_hz=7e6), p320),
+        "analytic 1 Hz": lambda: (analytic_psd(
+            DshiParams(7e6, 1.0), grid_about(7e6, 80e3, 20.0)), DshiParams(7e6, 1.0)),
+        "analytic 320 Hz": lambda: (analytic, p320),
+        "analytic 320 Hz dBm": lambda: (analytic.to_dbm(), p320),
+        "analytic 50 kHz": lambda: (analytic_psd(
+            wide, grid_about(7e6, 500e3, 100.0)), wide),
+        "analytic coarse grid": lambda: (analytic_psd(
+            p320, grid_about(7e6, 80e3, 4000.0)), p320),
+        "analytic shallow dip": lambda: dip(-3.0, 1000.0),
+        "analytic deep dip": lambda: dip(-30.0, 600.0),
+        "voigt 320/960 Hz": lambda: (voigt_beat_note(
+            p320, 960.0, grid_about(7e6, 60e3, 10.0)), p320),
+        "voigt 50/1 kHz": lambda: (voigt_beat_note(
+            wide, 1e3, grid_about(7e6, 500e3, 100.0)), wide),
+        "voigt 50/20 kHz": lambda: (voigt_beat_note(
+            wide, 20e3, grid_about(7e6, 500e3, 100.0)), wide),
+    }
+    return cases[name]()
+
+
+def _outcome(estimator, trace, params):
+    try:
+        return estimator(trace, params, 1, 2)
+    except (ExtremumNotFoundError, NoSolutionError) as exc:
+        return type(exc).__name__
+
+
+class TestEnvelopeSinglePass:
+    """The single reading and solve gives what the two-pass estimator gave:
+    equal estimates, or the same exception type in the same order."""
+
+    @pytest.mark.parametrize("name", [
+        "criterion-5 clean", "criterion-5 bumped", "analytic 1 Hz",
+        "analytic 320 Hz", "analytic 320 Hz dBm", "analytic 50 kHz",
+        "analytic coarse grid", "analytic shallow dip", "analytic deep dip",
+        "voigt 320/960 Hz", "voigt 50/1 kHz", "voigt 50/20 kHz",
+    ])
+    def test_matches_two_pass_reference(self, name):
+        trace, params = _envelope_case(name)
+        expected = _outcome(reference_estimate_envelope_contrast, trace, params)
+        assert _outcome(estimate_envelope_contrast, trace, params) == expected
+
+    def test_cases_cover_every_outcome(self):
+        outcomes = {
+            name: _outcome(estimate_envelope_contrast, *_envelope_case(name))
+            for name in ("criterion-5 bumped", "analytic 320 Hz",
+                         "analytic deep dip")
+        }
+        assert outcomes["criterion-5 bumped"] == "ExtremumNotFoundError"
+        assert outcomes["analytic deep dip"] == "NoSolutionError"
+        assert outcomes["analytic 320 Hz"].lorentzian_fwhm == pytest.approx(
+            320.0, rel=1e-6)

@@ -258,6 +258,13 @@ class TestVoigtNumeric:
         with pytest.raises(InvalidParameterError):
             voigt_width_numeric(100.0, 100.0, 0.0)
 
+    @pytest.mark.parametrize("level_db", [math.inf, math.nan])
+    def test_width_level_must_be_finite(self, level_db):
+        # Unchecked, an infinite level makes the target density 0 and the
+        # bracket doubles until the profile underflows (5.2e161 Hz).
+        with pytest.raises(InvalidParameterError):
+            voigt_width_numeric(1.0, 1.0, level_db)
+
     def test_both_degenerate_rejected(self):
         with pytest.raises(InvalidParameterError):
             LineshapeParams(0.0, 0.0, 0.0)
