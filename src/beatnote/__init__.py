@@ -48,6 +48,7 @@ from .ionsim import (  # noqa: E402
     ExcitationCurve,
     IonProbeParams,
     LaserNoise,
+    expected_excitation,
     fit_damped_sine,
     fit_inverse_power,
     fit_lorentzian_peak,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -109,6 +110,20 @@ def _write_curve(path, x_name, y_name, x, y):
         raise TraceIOError(f"cannot write curve to {path}: {exc}") from exc
 
 
+def _number_list(text: str, flag: str, positive: bool = False) -> list:
+    """The comma-separated numbers of `flag`; with `positive`, each must also
+    be finite and > 0."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidParameterError(
+            f"{flag} must be comma-separated numbers, got {text!r}") from None
+    if positive and not all(0 < v < math.inf for v in values):
+        raise InvalidParameterError(
+            f"{flag} values must be finite and > 0, got {text!r}")
+    return values
+
+
 def _echo_config(args, keys):
     return {key: getattr(args, key) for key in keys if hasattr(args, key)}
 
@@ -151,7 +166,7 @@ def cmd_simulate(args) -> int:
         if not args.sweep_values:
             raise InvalidParameterError("--sweep-values required with --sweep-param")
         attr = _SWEEPABLE[args.sweep_param]
-        values = [float(v) for v in args.sweep_values.split(",")]
+        values = _number_list(args.sweep_values, "--sweep-values")
         for value in values:
             setattr(args, attr, value)
             trace = _one_trace(args)
@@ -282,7 +297,8 @@ def cmd_ionsim(args) -> int:
         method = "ion-rabi-damped-sine"
         print(f"fitted_rabi_hz={fit.parameters[0]:.6g} tau_s={fit.parameters[1]:.6g}")
     elif args.mode == "sweep-T":
-        durations = [float(v) * 1e-3 for v in args.durations_ms.split(",")]
+        durations = [v * 1e-3 for v in _number_list(
+            args.durations_ms, "--durations-ms", positive=True)]
         pairs = []
         for pulse_s in durations:
             curve = _spectrum_once(args, noise, pulse_s,
@@ -291,7 +307,7 @@ def cmd_ionsim(args) -> int:
         fit = _fit_sweep(args, "pulse_duration_s", "fitted_fwhm_hz", pairs, 1.0)
         method = "ion-sweep-duration-inverse-power"
     elif args.mode == "sweep-omega":
-        rabis = [float(v) for v in args.rabi_values_hz.split(",")]
+        rabis = _number_list(args.rabi_values_hz, "--rabi-values-hz", positive=True)
         pairs = []
         for rabi in rabis:
             t_max = args.rabi_periods / rabi

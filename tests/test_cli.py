@@ -228,6 +228,21 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(path), "--method", "voigt",
                        "--out", str(tmp_path / "r.json")) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ("ionsim", "--mode", "sweep-T", "--durations-ms", "1,abc"),
+        ("ionsim", "--mode", "sweep-T", "--durations-ms", "0"),
+        ("ionsim", "--mode", "sweep-omega", "--rabi-values-hz", "0,1"),
+        ("ionsim", "--mode", "sweep-omega", "--rabi-values-hz", "inf"),
+        ("simulate", "--sweep-param", "power", "--sweep-values", "1,x"),
+    ], ids=["duration_not_number", "zero_duration", "zero_rabi",
+            "infinite_rabi", "sweep_value_not_number"])
+    def test_bad_number_list_is_validation_error(self, tmp_path, argv):
+        outputs = {"ionsim": ("--out-curve", str(tmp_path / "c.csv"),
+                              "--out", str(tmp_path / "r.json")),
+                   "simulate": ("--out-prefix", str(tmp_path / "t"))}
+        assert run_cli(*argv, *outputs[argv[0]]) == 2
+        assert not any(tmp_path.iterdir())
+
     def test_argparse_usage_error_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "beatnote.cli", "simulate", "--mode", "bogus"],
@@ -245,6 +260,18 @@ class TestStartup:
             capture_output=True, text=True, check=True,
         )
         assert proc.stdout.strip() == "False"
+
+    def test_import_does_not_load_scipy_linalg_or_optimize(self):
+        # The exact ion mean and the fits are numpy only; either module
+        # would add to every CLI call's start-up.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, beatnote.cli; "
+             "print([m for m in ('scipy.linalg', 'scipy.optimize') "
+             "if m in sys.modules])"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestConfigFile:

@@ -10,6 +10,7 @@ from beatnote import (
     FrequencyGrid,
     IonProbeParams,
     LaserNoise,
+    expected_excitation,
     fit_damped_sine,
     fit_inverse_power,
     fit_lorentzian_peak,
@@ -25,9 +26,9 @@ from beatnote.errors import (
     ResolutionError,
 )
 from beatnote.ionsim import (
-    _STEPS_PER_PERIOD,
     _evolve,
     _shot_noise_tables,
+    _step_plan,
     damped_sine_model,
 )
 
@@ -36,20 +37,13 @@ RESONANT_GRID = FrequencyGrid(-1.0, 1.0, 3)
 
 def reference_evolve(deltas, omega, duration, noise, shots, seed,
                      record_times=None):
-    """Independent propagator: the same step rule and noise tables as
+    """Independent propagator: the same step plan and noise tables as
     _evolve, but the laser phase accumulated step by step and every factor
     of the step matrix rebuilt each step from drive = omega_s e^{i phase}."""
     n_points = deltas.size
-    rate = _STEPS_PER_PERIOD * math.sqrt(
-        omega * omega + float(np.max(np.abs(deltas))) ** 2)
-    if record_times is None:
-        n_steps = max(int(math.ceil(duration * rate)), 32)
-        block, n_blocks = n_steps, 1
-    else:
-        n_blocks = record_times
-        block = max(int(math.ceil(duration * rate / n_blocks)), 1)
-        n_steps = block * n_blocks
-    dt = duration / n_steps
+    n_steps, block, dt = _step_plan(omega, deltas, duration, noise.fwhm,
+                                    record_times)
+    n_blocks = n_steps // block
     phase_sigma = math.sqrt(2.0 * math.pi * noise.fwhm * dt) if noise.fwhm > 0 else 0.0
     kicks, scales = _shot_noise_tables(seed, n_points, shots, n_steps,
                                        phase_sigma, noise.rin_sigma)
@@ -74,6 +68,59 @@ def reference_evolve(deltas, omega, duration, noise, shots, seed,
         if (step + 1) % block == 0:
             recorded[(step + 1) // block - 1] = np.mean(np.abs(e) ** 2, axis=1)
     return recorded if record_times is not None else recorded[0]
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def discrete_kick_mean(deltas, omega, duration, noise, record_times=None):
+    """Exact shot mean of _evolve's discrete kicks, (D R)^N on the Bloch
+    vector from the ground state (0, 0, 1), with P = (1 - z)/2.
+
+    R is one constant step U0 = exp(-i pi dt (omega sx - delta sz)) as a
+    rotation, R_ij = Tr(s_i U0 s_j U0^dagger)/2.  A kick turns the Bloch
+    vector about z by a normal angle of variance 2 pi fwhm dt, whose mean is
+    D = diag(c, c, 1) with c = exp(-pi fwhm dt).  RIN is averaged with a
+    dense Gauss-Hermite rule."""
+    n_steps, block, dt = _step_plan(omega, deltas, duration, noise.fwhm,
+                                    record_times)
+    if noise.rin_sigma > 0:
+        nodes, weights = np.polynomial.hermite_e.hermegauss(64)
+        weights = weights / np.sum(weights)
+    else:
+        nodes, weights = np.zeros(1), np.ones(1)
+    omega_s = omega * (1.0 + noise.rin_sigma * nodes)[:, None, None, None]
+    generator = omega_s * PAULI[0] - deltas[None, :, None, None] * PAULI[2]
+    norm = np.hypot(omega_s, deltas[None, :, None, None])
+    theta = math.pi * dt * norm
+    u0 = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) / norm * generator
+    rotation = 0.5 * np.einsum("iab,npbc,jcd,npad->npij", PAULI, u0, PAULI,
+                               np.conj(u0)).real
+    c = math.exp(-math.pi * noise.fwhm * dt)
+    step = rotation @ np.diag([c, c, 1.0])
+    bloch = np.zeros(step.shape[:2] + (3,))
+    bloch[..., 2] = 1.0
+    recorded = []
+    for k in range(1, n_steps + 1):
+        bloch = np.einsum("npij,npj->npi", step, bloch)
+        if k % block == 0:
+            recorded.append(weights @ (0.5 * (1.0 - bloch[..., 2])))
+    recorded = np.array(recorded)
+    return recorded if record_times is not None else recorded[0]
+
+
+def bloch_expm_mean(omega, deltas, times, fwhm):
+    """Bloch mean without RIN through scipy.linalg.expm, one matrix at a time."""
+    from scipy.linalg import expm
+    gamma = math.pi * fwhm
+    out = np.empty((len(deltas), len(times)))
+    for i, delta in enumerate(deltas):
+        a = np.array([[-gamma, -2 * math.pi * delta, 0.0],
+                      [2 * math.pi * delta, -gamma, -2 * math.pi * omega],
+                      [0.0, 2 * math.pi * omega, 0.0]])
+        for j, t in enumerate(times):
+            out[i, j] = 0.5 * (1.0 - expm(a * t)[2, 2])
+    return out
 
 
 def detuning_grid(half_span, points):
@@ -127,6 +174,107 @@ class TestReferencePropagator:
         args = (np.zeros(1), 40e3, 3e-4, LaserNoise(rin_sigma=0.02), 20, 4)
         flop = _evolve(*args, record_times=300)
         assert np.max(np.abs(flop - reference_evolve(*args, record_times=300))) <= 1e-12
+
+
+SCAN_6A = (125.0, 4e-3, detuning_grid(1200.0, 81))
+README_FLOP = (40e3, 0.5e-3, 400)
+
+
+def flop_times(t_max, t_points):
+    return t_max * np.arange(1, t_points + 1) / t_points
+
+
+class TestExactMean:
+    def test_matches_scipy_expm(self):
+        omega, pulse, grid = SCAN_6A
+        params = IonProbeParams(omega, pulse, grid)
+        # 500 Hz puts gamma2 = 4 pi Omega, the resonant degenerate point
+        for fwhm in (156.0, 500.0):
+            exact = expected_excitation(params, LaserNoise(fwhm=fwhm))
+            oracle = bloch_expm_mean(omega, grid.points(), [pulse], fwhm)[:, 0]
+            assert np.max(np.abs(exact - oracle)) <= 1e-12
+        rabi, t_max, t_points = README_FLOP
+        times = flop_times(t_max, t_points)
+        flop = expected_excitation(IonProbeParams(rabi, t_max, RESONANT_GRID),
+                                   LaserNoise(fwhm=156.0), times)
+        assert np.max(np.abs(flop - bloch_expm_mean(rabi, [0.0], times, 156.0)[0])) <= 1e-12
+
+    def test_rin_average_matches_quadrature(self):
+        from scipy.integrate import quad
+        rabi, rin, t = 40e3, 0.01, 3e-4
+        params = IonProbeParams(rabi, t, RESONANT_GRID)
+        exact = expected_excitation(params, LaserNoise(rin_sigma=rin), [t])[0]
+
+        def integrand(x):
+            density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+            return density * float(rabi_probability(rabi * (1.0 + rin * x), 0.0, t))
+
+        oracle, _ = quad(integrand, -12.0, 12.0, epsabs=1e-14, limit=200)
+        assert exact == pytest.approx(oracle, abs=1e-10)
+
+    def test_noiseless_matches_closed_form(self):
+        omega, pulse, grid = SCAN_6A
+        exact = expected_excitation(IonProbeParams(omega, pulse, grid), LaserNoise())
+        assert np.max(np.abs(exact - rabi_probability(omega, grid.points(), pulse))) <= 1e-12
+        rabi, t_max, t_points = README_FLOP
+        times = flop_times(t_max, t_points)
+        flop = expected_excitation(IonProbeParams(rabi, t_max, RESONANT_GRID),
+                                   LaserNoise(), times)
+        assert np.max(np.abs(flop - rabi_probability(rabi, 0.0, times))) <= 1e-12
+
+    def test_times_rejected(self):
+        params = IonProbeParams(125.0, 4e-3, RESONANT_GRID)
+        for bad in ([1e-3, math.nan], [-1e-3], [[1e-3]]):
+            with pytest.raises(InvalidParameterError):
+                expected_excitation(params, LaserNoise(), bad)
+
+    @pytest.mark.parametrize("omega, pulse, half_span, fwhm", [
+        (125.0, 4e-3, 1200.0, 156.0),   # criterion 6a
+        (250.0, 2e-3, 2400.0, 156.0),   # its 2 ms sibling
+        (125.0, 4e-3, 1250.0, 156.0),   # criterion 6c, 4 ms
+        (62.5, 8e-3, 625.0, 156.0),     # 8 ms
+        (31.25, 16e-3, 624.0, 156.0),   # 16 ms
+        (125.0, 4e-3, 1200.0, 2000.0),  # wide lasers, where 4 fwhm sets the rate
+        (125.0, 4e-3, 1200.0, 5000.0),
+    ])
+    def test_step_rule_bias_on_scans(self, omega, pulse, half_span, fwhm):
+        grid = detuning_grid(half_span, 81)
+        noise = LaserNoise(fwhm=fwhm)
+        discrete = discrete_kick_mean(grid.points(), omega, pulse, noise)
+        exact = expected_excitation(IonProbeParams(omega, pulse, grid), noise)
+        assert np.max(np.abs(discrete - exact)) <= 2e-4
+
+    def test_step_rule_bias_on_flop(self):
+        rabi, t_max, t_points = README_FLOP
+        noise = LaserNoise(fwhm=156.0, rin_sigma=0.01)
+        discrete = discrete_kick_mean(np.zeros(1), rabi, t_max, noise, t_points)[:, 0]
+        exact = expected_excitation(IonProbeParams(rabi, t_max, RESONANT_GRID),
+                                    noise, flop_times(t_max, t_points))
+        assert np.max(np.abs(discrete - exact)) <= 2e-4
+
+    def test_scan_within_shot_noise_band(self):
+        omega, pulse, grid = SCAN_6A
+        params = IonProbeParams(omega, pulse, grid, shots_per_point=200, rng_seed=7)
+        noise = LaserNoise(fwhm=156.0)
+        exact = expected_excitation(params, noise)
+        curve = simulate_carrier_spectrum(params, noise)
+        sigma = np.sqrt(exact * (1.0 - exact) / 200)
+        assert np.all(np.abs(curve.probability - exact) <= 4.0 * sigma)
+
+    def test_flop_within_shot_noise_band(self):
+        rabi, t_max, t_points = README_FLOP
+        params = IonProbeParams(rabi, t_max, RESONANT_GRID, shots_per_point=200)
+        noise = LaserNoise(fwhm=156.0, rin_sigma=0.01)
+        curve = simulate_rabi(params, noise, t_max, t_points)
+        exact = expected_excitation(params, noise, curve.abscissa)
+        sigma = np.sqrt(exact * (1.0 - exact) / 200)
+        assert np.all(np.abs(curve.probability - exact) <= 4.0 * sigma)
+
+    def test_criterion_6a_mean_peaks_on_resonance(self):
+        omega, pulse, grid = SCAN_6A
+        exact = expected_excitation(IonProbeParams(omega, pulse, grid),
+                                    LaserNoise(fwhm=156.0))
+        assert np.argmax(exact) == np.argmin(np.abs(grid.points()))
 
 
 class TestProbabilityBounds:
