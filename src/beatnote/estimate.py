@@ -25,6 +25,7 @@ import numpy as np
 from .dshi import DshiParams, extrema_spacing
 from .errors import (
     AmbiguousPeakError,
+    DomainError,
     ExtremumNotFoundError,
     InitializationError,
     InsufficientDataError,
@@ -271,7 +272,10 @@ class VoigtOptions:
     def __post_init__(self):
         for name in ("max_iter", "exclude_central_bins"):
             object.__setattr__(self, name, _whole_number(getattr(self, name), name))
-        if not self.tol > 0 or self.max_iter < 1 or self.exclude_central_bins < 0:
+        if not 0 < self.tol < math.inf:
+            raise InvalidParameterError(
+                f"tol must be finite and > 0, got {self.tol}")
+        if self.max_iter < 1 or self.exclude_central_bins < 0:
             raise InvalidParameterError("invalid Voigt estimator options")
 
 
@@ -281,14 +285,23 @@ def mask_central_bins(trace: SpectrumTrace, count: int,
 
     Removes the coherent-residue spike before width measurements; on a
     smooth peak the interpolation is a no-op to within the local curvature.
+    Without a carrier the bins nearest the trace maximum are masked; a
+    carrier must be finite and on the grid.
     """
+    grid = trace.grid
+    if carrier_hz is not None:
+        if not math.isfinite(carrier_hz):
+            raise InvalidParameterError(f"carrier must be finite, got {carrier_hz}")
+        if not grid.covers(carrier_hz):
+            raise DomainError(
+                f"carrier {carrier_hz:g} Hz lies outside the grid "
+                f"[{grid.start:g}, {grid.stop:g}] Hz")
     count = _whole_number(count, "masked bin count")
     if count < 0:
         raise InvalidParameterError(f"masked bin count must be >= 0, got {count}")
     if count == 0:
         return trace.to_linear()
     values = trace.linear_values().copy()
-    grid = trace.grid
     center = grid.index_of(carrier_hz) if carrier_hz is not None else int(np.argmax(values))
     lo = max(center - count // 2, 1)
     hi = min(lo + count - 1, grid.count - 2)
@@ -389,7 +402,11 @@ def estimate_voigt(trace: SpectrumTrace, opts: Optional[VoigtOptions] = None,
 # Envelope-contrast estimator
 # ---------------------------------------------------------------------------
 
-def _check_orders(peak_order: int, trough_order: int):
+def _check_orders(peak_order: int, trough_order: int) -> Tuple[int, int]:
+    """The two orders as ints, refused unless whole, >= 1, adjacent, and a
+    peak (odd) then a trough (even)."""
+    peak_order = _whole_number(peak_order, "peak order")
+    trough_order = _whole_number(trough_order, "trough order")
     if peak_order < 1 or trough_order < 1:
         raise InvalidParameterError("extremum orders must be >= 1")
     if abs(peak_order - trough_order) != 1:
@@ -398,6 +415,7 @@ def _check_orders(peak_order: int, trough_order: int):
         raise InvalidParameterError(f"order {peak_order} is a trough, not a peak")
     if trough_order % 2 == 1:
         raise InvalidParameterError(f"order {trough_order} is a peak, not a trough")
+    return peak_order, trough_order
 
 
 def model_contrast_db(params: DshiParams, peak_order: int, trough_order: int,
@@ -407,8 +425,14 @@ def model_contrast_db(params: DshiParams, peak_order: int, trough_order: int,
     Evaluates the wing-times-envelope model at the two extremum positions;
     laser_fwhm overrides params.laser_fwhm so the solver can scan candidates.
     """
-    _check_orders(peak_order, trough_order)
+    peak_order, trough_order = _check_orders(peak_order, trough_order)
     fwhm = params.laser_fwhm if laser_fwhm is None else laser_fwhm
+    return _contrast_db(params, peak_order, trough_order, fwhm)
+
+
+def _contrast_db(params: DshiParams, peak_order: int, trough_order: int,
+                 fwhm: float) -> float:
+    """model_contrast_db on orders already checked."""
     if not fwhm > 0:
         raise InvalidParameterError("contrast model needs a positive linewidth")
     gamma = fwhm / 2.0
@@ -434,9 +458,10 @@ def solve_contrast(params: DshiParams, peak_order: int, trough_order: int,
     """
     if not math.isfinite(contrast_db):
         raise InvalidParameterError(f"contrast must be finite, got {contrast_db}")
+    peak_order, trough_order = _check_orders(peak_order, trough_order)
     lo, hi = _CONTRAST_BRACKET_HZ
-    ds_lo = model_contrast_db(params, peak_order, trough_order, lo)
-    ds_hi = model_contrast_db(params, peak_order, trough_order, hi)
+    ds_lo = _contrast_db(params, peak_order, trough_order, lo)
+    ds_hi = _contrast_db(params, peak_order, trough_order, hi)
     if contrast_db > ds_lo:
         raise NoSolutionError(
             f"contrast {contrast_db:.3f} dB exceeds the model maximum "
@@ -450,7 +475,7 @@ def solve_contrast(params: DshiParams, peak_order: int, trough_order: int,
     iterations = 0
     for iterations in range(1, 200):
         mid = math.sqrt(lo * hi)
-        if model_contrast_db(params, peak_order, trough_order, mid) > contrast_db:
+        if _contrast_db(params, peak_order, trough_order, mid) > contrast_db:
             lo = mid
         else:
             hi = mid
@@ -530,7 +555,7 @@ def measure_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     Returns (contrast_db, peak_position, trough_position).  gamma_hint (the
     per-arm half width) sharpens the wing detrend used by the locator.
     """
-    _check_orders(peak_order, trough_order)
+    peak_order, trough_order = _check_orders(peak_order, trough_order)
     values = trace.linear_values()
     freqs = trace.grid.points()
     x_p, x_t = _locate_extrema(freqs, values, trace.grid.step, params,
@@ -550,6 +575,7 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     if not 0 <= servo_band_hz < math.inf:
         raise InvalidParameterError(
             f"servo band must be finite and >= 0, got {servo_band_hz}")
+    peak_order, trough_order = _check_orders(peak_order, trough_order)
     values = trace.linear_values()
     freqs = trace.grid.points()
     # One reading at the predicted positions gives both the linewidth and the
@@ -571,7 +597,7 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     if min(abs(x_p - carrier), abs(x_t - carrier)) < servo_band_hz:
         flags.add(FLAG_SERVO_CONTAMINATED)
     residual = abs(
-        model_contrast_db(params, peak_order, trough_order, fwhm) - ds
+        _contrast_db(params, peak_order, trough_order, fwhm) - ds
     ) / max(abs(ds), 1e-12)
     return _make_estimate(fwhm, 0.0, METHOD_ENVELOPE, iterations, residual, flags)
 

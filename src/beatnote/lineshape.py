@@ -4,8 +4,10 @@ width measurements at arbitrary dB levels.
 All shapes are normalized to unit integral and expressed through their full
 width at half maximum (FWHM), the natural parameter for linewidth work.
 Widths are measured on power quantities, so "x dB below peak" always means
-a factor 10**(-x/10) in value.  The Voigt profile is the exact Faddeeva
-closed form (scipy.special.voigt_profile).
+a factor 10**(-x/10) in value.  The Voigt profile is the Faddeeva closed
+form, with the Faddeeva function w(z) from Weideman's rational approximation
+in numpy (SIAM J. Numer. Anal. 31, 1497, 1994): its real part is within
+about 1e-13 relative wherever the profile is within 30 dB of its peak.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import voigt_profile
 
 from .errors import (
     AmbiguousPeakError,
@@ -204,11 +205,55 @@ def voigt_fwhm_approx(fwhm_lorentzian: float, fwhm_gaussian: float) -> float:
     )
 
 
-def _voigt_density(x, params: LineshapeParams):
-    """Exact unit-integral Voigt density at offsets x from the center:
-    sigma = FWHM_G / (2 sqrt(2 ln 2)), gamma = FWHM_L / 2."""
-    sigma = params.fwhm_gaussian / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    return voigt_profile(x, sigma, params.fwhm_lorentzian / 2.0)
+def _weideman_coefficients(n: int):
+    """Scale L and the n coefficients (highest degree first) of Weideman's
+    approximation w(z) = 2 p(Z) / (L - iz)**2 + 1 / (sqrt(pi) (L - iz)),
+    Z = (L + iz) / (L - iz), from a 4n-point FFT."""
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = scale * np.tan(np.arange(1 - m, m) * (math.pi / (2 * m)))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return scale, tuple(float(c) for c in a[n:0:-1])
+
+
+# 40 terms: 32 leave errors of ~3e-11 in the real part.
+_WEIDEMAN_L, _WEIDEMAN_COEFFS = _weideman_coefficients(40)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def _faddeeva(z):
+    """Faddeeva function w(z) for Im z >= 0, on a Python complex or a complex
+    array (the array path works in place on its temporaries).
+
+    1/(L - iz) is formed once and never squared, so no intermediate
+    overflows at large |z|.
+    """
+    inv = 1.0 / (_WEIDEMAN_L - 1j * z)
+    big_z = 2.0 * _WEIDEMAN_L * inv - 1.0
+    p = _WEIDEMAN_COEFFS[0] * big_z
+    p += _WEIDEMAN_COEFFS[1]
+    for c in _WEIDEMAN_COEFFS[2:]:
+        p *= big_z
+        p += c
+    p *= inv
+    p *= 2.0
+    p += _INV_SQRT_PI
+    p *= inv
+    return p
+
+
+# sigma * sqrt(2) of a Gaussian, in units of its FWHM.
+_SIGMA_ROOT2_PER_FWHM = 1.0 / (2.0 * math.sqrt(math.log(2.0)))
+
+
+def _voigt_density(x: np.ndarray, params: LineshapeParams) -> np.ndarray:
+    """Exact unit-integral Voigt density at offsets x from the center, for
+    two non-zero widths: Re w((x + i gamma) / (sigma sqrt 2)) / (sigma
+    sqrt(2 pi)), gamma = FWHM_L / 2."""
+    s = params.fwhm_gaussian * _SIGMA_ROOT2_PER_FWHM
+    w = _faddeeva((x + 0.5j * params.fwhm_lorentzian) / s)
+    return w.real * (_INV_SQRT_PI / s)
 
 
 def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> SpectrumTrace:
@@ -245,28 +290,70 @@ def voigt_grid(params: LineshapeParams, extent_factor: float = 20.0) -> Frequenc
     return FrequencyGrid(params.center - half_count * step, step, 2 * half_count + 1)
 
 
+# Beyond this gamma / (sigma sqrt 2) the Voigt width equals the Lorentzian's
+# to double precision (the relative difference falls as its inverse square).
+_LORENTZIAN_LIMIT = 1e8
+
+
 def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
                         level_db: float = HALF_POWER_DB) -> float:
     """Full width of the exact Voigt profile at `level_db` below its peak.
 
-    Bisects on the half width where the profile falls to
-    peak * 10**(-level_db/10), inside a bracket doubled from the summed
-    component widths until it holds the crossing.
+    A pure shape, or a Gaussian part too small to move the Lorentzian width,
+    gives the closed form.  Otherwise a safeguarded Newton iteration finds
+    the half width u (in units of sigma sqrt 2) where Re w(u + iy) falls to
+    Re w(iy) * 10**(-level_db/10), with the slope from w'(z) = -2z w(z) +
+    2i/sqrt(pi).  The bracket starts at the summed component widths, doubled
+    until it holds the crossing; a Newton step that leaves the bracket, does
+    not halve the last step, or rests on a slope lost to rounding bisects
+    instead.  The stop is a step or bracket within 1e-12 relative.
     """
     if not 0 < level_db < math.inf:
         raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
-    params = LineshapeParams(0.0, fwhm_gaussian, fwhm_lorentzian)
-    target = _voigt_density(0.0, params) * 10.0 ** (-level_db / 10.0)
-    lo, hi = 0.0, fwhm_lorentzian + fwhm_gaussian
-    while _voigt_density(hi, params) > target:
+    LineshapeParams(0.0, fwhm_gaussian, fwhm_lorentzian)  # validates the widths
+    fwhm_lorentzian, fwhm_gaussian = float(fwhm_lorentzian), float(fwhm_gaussian)
+    ratio = 10.0 ** (level_db / 10.0)
+    pure_l = math.sqrt(ratio - 1.0)   # width per FWHM of a Lorentzian
+    pure_g = math.sqrt(math.log2(ratio))  # same for a Gaussian
+    if fwhm_lorentzian == 0:
+        return fwhm_gaussian * pure_g
+    # Scaled by the larger width, every finite input stays finite below.
+    scale = max(fwhm_lorentzian, fwhm_gaussian)
+    fl, fg = fwhm_lorentzian / scale, fwhm_gaussian / scale
+    s = fg * _SIGMA_ROOT2_PER_FWHM
+    if not 0.5 * fl <= _LORENTZIAN_LIMIT * s:
+        return fwhm_lorentzian * pure_l
+    y = 0.5 * fl / s
+    target = _faddeeva(complex(0.0, y)).real / ratio
+    lo, hi = 0.0, (fl + fg) / s
+    while _faddeeva(complex(hi, y)).real > target:
         lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if _voigt_density(mid, params) > target:
-            lo = mid
+    u = 0.5 * voigt_fwhm_approx(fl * pure_l, fg * pure_g) / s
+    if not lo < u < hi:
+        u = 0.5 * (lo + hi)
+    last_step = hi - lo
+    while True:
+        w = _faddeeva(complex(u, y))
+        excess = w.real - target
+        if excess > 0:
+            lo = u
         else:
-            hi = mid
-    return float(lo + hi)  # full width: twice the bracket midpoint
+            hi = u
+        # Re w'(u + iy) = -2 (u Re w - y Im w).  The two terms cancel as |z|
+        # grows; a slope under 1e-12 of their size is rounding, not trusted.
+        slope = -2.0 * (u * w.real - y * w.imag)
+        if slope < -1e-12 * (abs(u * w.real) + abs(y * w.imag)):
+            step = excess / slope
+            if abs(step) <= 1e-12 * u:
+                return 2.0 * (u - step) * s * scale
+            if lo < u - step < hi and abs(step) < 0.5 * last_step:
+                u -= step
+                last_step = abs(step)
+                continue
+        if hi - lo <= 1e-12 * hi:
+            return (lo + hi) * s * scale  # full width: twice the midpoint
+        u = 0.5 * (lo + hi)
+        last_step = hi - lo
 
 
 def _interpolated_peak(values: np.ndarray, i: int) -> float:

@@ -120,6 +120,12 @@ class TestFit:
                        "--linewidth-hz", "0", "--servo-band-hz", "nan",
                        "--out", str(tmp_path / "r.json")) == 2
 
+    def test_infinite_tol_is_usage_error(self, tmp_path):
+        # Unchecked, tol=inf stops the bisection at its first probe.
+        trace = self.synth(tmp_path)
+        assert run_cli("fit", "--input", str(trace), "--method", "voigt",
+                       "--tol", "inf", "--out", str(tmp_path / "r.json")) == 2
+
     def test_fitted_profile_overlay(self, tmp_path):
         trace = self.synth(tmp_path)
         report = tmp_path / "report.json"
@@ -252,6 +258,48 @@ class TestExitCodes:
 
 
 class TestStartup:
+    def test_import_does_not_load_scipy(self):
+        # The Voigt profile is numpy only; scipy.special alone cost about
+        # 0.3 s of start-up per CLI call.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, beatnote.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+        # A None entry in sys.modules makes any scipy import raise.
+        script = f"""
+import sys
+sys.modules["scipy"] = None
+from beatnote.cli import main
+d = {str(tmp_path)!r}
+runs = [
+    ["simulate", "--mode", "montecarlo", "--eom-mhz", "1",
+     "--linewidth-hz", "5000", "--duration-s", "0.01", "--segments", "16",
+     "--seed", "1", "--out", d + "/mc.csv"],
+    ["simulate", "--mode", "analytic", "--linewidth-hz", "50000",
+     "--flicker-gaussian-hz", "0", "--span-hz", "1000000",
+     "--points", "10001", "--out", d + "/an.csv"],
+    ["fit", "--input", d + "/an.csv", "--method", "both",
+     "--linewidth-hz", "0", "--fitted-trace", d + "/fit.csv",
+     "--out", d + "/r.json"],
+    ["ionsim", "--mode", "spectrum", "--rabi-hz", "125", "--pulse-ms", "4",
+     "--laser-fwhm-hz", "156", "--shots", "5", "--out-curve", d + "/c.csv",
+     "--out", d + "/ion.json"],
+    ["bumps", "--measured", d + "/an.csv", "--model", d + "/an.csv",
+     "--out", d + "/ratio.csv"],
+]
+print([main(argv) for argv in runs])
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0]"
+
     def test_import_does_not_load_scipy_signal(self):
         # scipy.signal alone costs about a second of start-up per CLI call.
         proc = subprocess.run(

@@ -27,6 +27,7 @@ from beatnote import (
     voigt_beat_note,
 )
 from beatnote.errors import (
+    DomainError,
     ExtremumNotFoundError,
     InitializationError,
     InsufficientDataError,
@@ -208,6 +209,31 @@ class TestEstimateVoigt:
         with pytest.raises(InvalidParameterError):
             VoigtOptions(**{field: bad})
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-3])
+    def test_options_reject_non_finite_or_non_positive_tol(self, tol):
+        # Unchecked, tol=inf "converges" on the first probe: 461 Hz on this
+        # 320 Hz trace.
+        with pytest.raises(InvalidParameterError):
+            VoigtOptions(tol=tol)
+
+    @pytest.mark.parametrize("carrier, error", [
+        (math.nan, InvalidParameterError),
+        (math.inf, InvalidParameterError),
+        (-math.inf, InvalidParameterError),
+        (1.0, DomainError),          # far below the 7 MHz grid
+        (7e6 + 61e3, DomainError),   # just past its upper edge
+    ], ids=["nan", "inf", "-inf", "below_grid", "above_grid"])
+    @pytest.mark.parametrize("call", [
+        lambda trace, carrier: estimate_voigt(trace, carrier_hz=carrier),
+        lambda trace, carrier: mask_central_bins(trace, 3, carrier_hz=carrier),
+    ], ids=["estimate_voigt", "mask_central_bins"])
+    def test_carrier_must_be_finite_and_on_grid(self, call, carrier, error):
+        # Unchecked, NaN raised a bare ValueError, inf an OverflowError, and
+        # an off-grid carrier masked three bins at the grid edge.
+        trace, _ = beat_trace(320.0, 640.0)
+        with pytest.raises(error):
+            call(trace, carrier)
+
     def test_mask_central_bins_removes_spike(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
         trace = analytic_psd(params, grid_about(7e6, 60e3, 10.0))
@@ -275,6 +301,35 @@ class TestEnvelopeContrast:
             estimate_envelope_contrast(trace, params, 2, 3)  # 2 is a trough
         with pytest.raises(InvalidParameterError):
             estimate_envelope_contrast(trace, params, 1, 4)  # not adjacent
+
+    def test_swapped_orders_refused_before_the_trace_is_read(self):
+        # The grid stops short of order 2: read first, the swapped pair
+        # failed as a missing extremum instead of as bad orders.
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=100.0)
+        trace = analytic_psd(params, grid_about(7e6, 25e3, 20.0))
+        with pytest.raises(InvalidParameterError, match="trough, not a peak"):
+            estimate_envelope_contrast(trace, params, 2, 1)
+
+    @pytest.mark.parametrize("orders", [(math.nan, 2), (1, math.nan), (1.5, 2),
+                                        (1, 2.5)])
+    @pytest.mark.parametrize("call", [
+        lambda trace, params, p, t: estimate_envelope_contrast(trace, params, p, t),
+        lambda trace, params, p, t: measure_envelope_contrast(trace, params, p, t),
+        lambda trace, params, p, t: model_contrast_db(params, p, t),
+    ], ids=["estimate", "measure", "model"])
+    def test_non_integral_orders_refused(self, call, orders):
+        # NaN raised a bare ValueError from round(), and 1.5 was refused as
+        # "not adjacent".
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=100.0)
+        trace = analytic_psd(params, grid_about(7e6, 80e3, 20.0))
+        with pytest.raises(InvalidParameterError, match="integer"):
+            call(trace, params, *orders)
+
+    def test_integral_float_orders_accepted(self):
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=100.0)
+        trace = analytic_psd(params, grid_about(7e6, 80e3, 20.0))
+        assert estimate_envelope_contrast(trace, params, 1.0, 2.0) \
+            == estimate_envelope_contrast(trace, params, 1, 2)
 
     def test_bumped_extrema_not_locatable_or_flagged(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)

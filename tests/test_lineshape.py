@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
+from scipy.special import voigt_profile, wofz
 
 from beatnote import (
     HALF_POWER_DB,
@@ -24,6 +25,7 @@ from beatnote.errors import (
     InvalidParameterError,
     WidthUndefinedError,
 )
+from beatnote.lineshape import _faddeeva, _voigt_density
 
 GAUSS_20DB = math.sqrt(math.log2(100.0))     # 2.577568
 LORENTZ_20DB = math.sqrt(99.0)               # 9.949874
@@ -63,6 +65,73 @@ def reference_voigt(fl, fg, step=None):
     values = fftconvolve(eval_lorentzian(grid, 0.0, fl).values, kernel, mode="same")
     values = np.maximum(values, 0.0)
     return grid, values / np.trapezoid(values, dx=step)
+
+
+def reference_voigt_density(x, fl, fg):
+    """scipy's exact Voigt density at offsets x from the center."""
+    sigma = fg / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    return voigt_profile(x, sigma, fl / 2.0)
+
+
+def reference_voigt_width(fl, fg, level_db):
+    """Full width at `level_db` by plain bisection on scipy's density, inside
+    a bracket doubled from the summed widths, to 1e-12 relative."""
+    target = reference_voigt_density(0.0, fl, fg) * 10.0 ** (-level_db / 10.0)
+    lo, hi = 0.0, fl + fg
+    while reference_voigt_density(hi, fl, fg) > target:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if reference_voigt_density(mid, fl, fg) > target:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo + hi)
+
+
+def random_width_cases(count, seed=11):
+    """(fl, fg, level_db): widths log-uniform over 1e-3..1e3, every fifth
+    Lorentzian spread by up to 1e6 either way, levels 0.5..30 dB."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        fl, fg = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        if i % 5 == 0:
+            fl *= 10.0 ** rng.uniform(-6.0, 6.0)
+        cases.append((float(fl), float(fg), float(rng.uniform(0.5, 30.0))))
+    return cases
+
+
+class TestFaddeeva:
+    def test_matches_wofz(self):
+        rng = np.random.default_rng(5)
+        y = 10.0 ** rng.uniform(-8.0, 4.0, 20000)
+        x = 10.0 ** rng.uniform(-6.0, 5.0, 20000) * rng.choice([-1.0, 1.0], 20000)
+        w, reference = _faddeeva(x + 1j * y), wofz(x + 1j * y)
+        assert np.max(np.abs(w - reference) / np.abs(reference)) < 1e-12
+        # The real part, which the Voigt profile is, within 30 dB of its
+        # peak over x, Re w(iy).
+        near = reference.real >= 1e-3 * wofz(1j * y).real
+        assert np.count_nonzero(near) > 5000
+        assert np.max(np.abs(w.real[near] / reference.real[near] - 1.0)) < 1e-12
+
+    def test_scalar_path_matches_array_path(self):
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-50.0, 50.0, 200) + 1j * 10.0 ** rng.uniform(-6.0, 3.0, 200)
+        array = _faddeeva(z)
+        for zk, wk in zip(z, array):
+            scalar = _faddeeva(complex(zk))
+            assert isinstance(scalar, complex)
+            assert abs(scalar - wk) <= 1e-15 * abs(wk)
+
+    @pytest.mark.parametrize("z", [8e300 + 1e300j, 8e300 + 8e299j,
+                                   1e150 + 1e150j, 1e5 + 1e3j, 1.0 + 1e-301j])
+    def test_large_and_edge_arguments(self, z):
+        # (L - iz)**2 would overflow past |z| ~ 1e154; the form used never
+        # squares it.
+        got, reference = _faddeeva(z), complex(wofz(z))
+        assert abs(got.real / reference.real - 1.0) < 1e-13
+        assert abs(got.imag / reference.imag - 1.0) < 1e-13
 
 
 class TestFrequencyGrid:
@@ -247,6 +316,55 @@ class TestVoigtNumeric:
                 exact = voigt_width_numeric(fl, fg, HALF_POWER_DB)
                 worst = max(worst, abs(exact / reference - 1.0))
         assert worst <= 2e-4
+
+    def test_density_matches_scipy_on_voigt_grids(self):
+        for ratio in np.logspace(-4.0, 4.0, 17):
+            params = LineshapeParams(0.0, fwhm_gaussian=1.0, fwhm_lorentzian=ratio)
+            x = voigt_grid(params).points()
+            reference = reference_voigt_density(x, ratio, 1.0)
+            density = _voigt_density(x, params)
+            peak = reference.max()
+            assert np.max(np.abs(density - reference)) <= 1e-13 * peak, ratio
+            near = reference >= 1e-3 * peak
+            assert np.max(np.abs(density[near] / reference[near] - 1.0)) <= 1e-10
+            assert density.min() >= 0.0
+
+    @pytest.mark.parametrize("cases", [
+        random_width_cases(400),
+        # L/G from 1e4 to 1e8: the Newton slope loses digits to cancellation
+        # here; trusted regardless, it puts widths 4e-10 off.
+        [(1.0, 10.0 ** -e, level) for e, level in
+         np.random.default_rng(13).uniform((4.0, 0.5), (8.0, 30.0), (60, 2))],
+    ], ids=["mixed", "lorentzian_dominated"])
+    def test_width_matches_reference_bisection(self, cases):
+        worst = max(abs(voigt_width_numeric(fl, fg, level)
+                        / reference_voigt_width(fl, fg, level) - 1.0)
+                    for fl, fg, level in cases)
+        assert worst <= 2e-12
+
+    @pytest.mark.parametrize("fl,fg", [(0.0, 1.0), (1.0, 0.0), (1e-300, 1.0),
+                                       (1.0, 1e-300), (1e300, 1.0), (1.0, 1e300)])
+    def test_width_at_extreme_ratios(self, fl, fg):
+        assert voigt_width_numeric(fl, fg, 20.0) == pytest.approx(
+            reference_voigt_width(fl, fg, 20.0), rel=2e-12)
+
+    @pytest.mark.parametrize("fg", [1e-310, 5e-324])
+    def test_width_subnormal_gaussian_is_lorentzian(self, fg):
+        # gamma / (sigma sqrt 2) overflows here (scipy's profile reads 0).
+        assert voigt_width_numeric(1.0, fg, 20.0) == pytest.approx(
+            LORENTZ_20DB, rel=1e-15)
+
+    def test_width_newton_needs_few_evaluations(self, monkeypatch):
+        # Bisection to 1e-12 takes about 43 profile evaluations a width.
+        calls = []
+        monkeypatch.setattr("beatnote.lineshape._faddeeva",
+                            lambda z: calls.append(z) or _faddeeva(z))
+        counts = []
+        for fl, fg, level in random_width_cases(100, seed=12):
+            calls.clear()
+            voigt_width_numeric(fl, fg, level)
+            counts.append(len(calls))
+        assert np.median(counts) <= 8
 
     def test_width_exact_in_pure_limits(self):
         assert voigt_width_numeric(100.0, 0.0, 20.0) == pytest.approx(
