@@ -201,18 +201,19 @@ def cmd_fit(args) -> int:
     trace = read_trace(args.input)
     opts = VoigtOptions(tol=args.tol, max_iter=args.max_iter,
                         exclude_central_bins=args.exclude_central_bins)
+    # Every requested estimator runs before any file is written, so a
+    # failure leaves no partial output.
     reports = []
     if args.method in ("voigt", "both"):
-        est = estimate_voigt(trace, opts)
-        reports.append(("voigt", est))
-        if args.fitted_trace:
-            write_trace(_fitted_profile(trace, est), args.fitted_trace)
+        reports.append(("voigt", estimate_voigt(trace, opts)))
     if args.method in ("envelope", "both"):
         params = _dshi_params(args, laser_fwhm=0.0)
         est = estimate_envelope_contrast(
             trace, params, peak_order=args.peak_order,
             trough_order=args.trough_order, servo_band_hz=args.servo_band_hz)
         reports.append(("envelope", est))
+    if args.fitted_trace and reports[0][0] == "voigt":
+        write_trace(_fitted_profile(trace, reports[0][1]), args.fitted_trace)
 
     config = _echo_config(args, [
         "input", "method", "tol", "max_iter", "exclude_central_bins",

@@ -15,6 +15,7 @@ trace generated with laser_fwhm = X hands an estimator a Lorentzian of FWHM X.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from typing import List, NamedTuple
 
@@ -256,40 +257,200 @@ def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
     return SpectrumTrace(grid, values, UNIT_LINEAR)
 
 
-def _flicker_frequency_noise(level: float, n: int, dt: float,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Frequency deviation (Hz) with a one-sided PSD of level/f.
+def _flicker_sigma(level: float, m: int, dt: float) -> np.ndarray:
+    """Fourier amplitudes sigma(f_k) of 1/f frequency noise on m samples.
 
     Spectral synthesis (Timmer & Koenig 1995, A&A 300, 707): Gaussian
-    Fourier amplitudes of variance level/f on a power-of-two length m >= n,
-    inverted and truncated to n samples so the series does not wrap around.
-    E|X_k|^2 = S(f_k) m / (2 dt) makes the one-sided periodogram S(f_k).
+    Fourier amplitudes of variance level/f; E|X_k|^2 = S(f_k) m / (2 dt)
+    makes the one-sided periodogram S(f_k).  sigma(0) = 0.
     """
-    m = 1 << (n - 1).bit_length()
-    f = np.fft.rfftfreq(m, dt)
-    sigma = np.zeros(f.size)
-    sigma[1:] = np.sqrt(level * m / (4.0 * dt * f[1:]))
-    re, im = rng.standard_normal(f.size), rng.standard_normal(f.size)
-    return np.fft.irfft(sigma * (re + 1j * im), m)[:n]
+    sigma = np.fft.rfftfreq(m, dt)
+    sigma[1:] *= 4.0 * dt
+    np.divide(level * m, sigma[1:], out=sigma[1:])
+    return np.sqrt(sigma, out=sigma)
 
 
-def _welch_density(x: np.ndarray, fs: float, nperseg: int) -> np.ndarray:
-    """One-sided Welch PSD of x over non-overlapping segments of nperseg.
+def _flicker_frequency(spec: np.ndarray, sigma: np.ndarray,
+                       m: int) -> np.ndarray:
+    """Frequency deviation (Hz) on m samples: the inverse real FFT of
+    sigma * spec, where spec holds the standard normal draws re + i im and
+    is scaled in place."""
+    spec.real *= sigma
+    spec.imag *= sigma
+    del sigma  # the last reference: freed before the transform's buffers
+    return np.fft.irfft(spec, m)
 
-    Each segment loses its mean and takes a periodic Hann window; the
-    scaling and the one-sided doubling (not of DC, nor of the Nyquist bin of
-    an even nperseg) are those of scipy.signal.welch with scaling="density".
-    len(x) must be a multiple of nperseg.
+
+def _flicker_phase(sigma: _Lane, spec: np.ndarray, m: int, n: int,
+                   dt: float) -> np.ndarray:
+    """Phase (rad) of the 1/f noise over n samples.  The synthesis runs on a
+    power-of-two length m >= n and is truncated to n so the series does not
+    wrap around; sigma is the lane computing _flicker_sigma."""
+    phase = _flicker_frequency(spec, sigma.result(), m)[:n]
+    np.cumsum(phase, out=phase)
+    phase *= 2.0 * math.pi
+    phase *= dt
+    return phase
+
+
+class _Lane(threading.Thread):
+    """fn(*args) on a second thread, started at once.  result() joins it and
+    returns fn's value, or raises fn's exception in the caller."""
+
+    def __init__(self, fn, *args):
+        super().__init__()
+        self._job, self._value, self._error = (fn, args), None, None
+        self.start()
+
+    def run(self):
+        fn, args = self._job
+        self._job = None
+        try:
+            self._value = fn(*args)
+        except BaseException as exc:  # re-raised in the caller by result()
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        value, self._value = self._value, None
+        return value
+
+
+def _in_two_lanes(fn) -> None:
+    """Run fn(1) on a second lane and fn(0) on the calling thread at once;
+    both have finished when this returns or raises."""
+    lane = _Lane(fn, 1)
+    try:
+        fn(0)
+    finally:
+        lane.join()
+    lane.result()
+
+
+def _noise_tracks(noise: NoiseModel, n: int, dt: float,
+                  rng: np.random.Generator):
+    """Total phase (rad) and intensity (None without RIN) over n samples.
+
+    The draws run on the calling thread in stream order: white FM, the
+    flicker real and imaginary parts, RIN.  A second lane computes the
+    flicker amplitudes during the white draw, and the flicker transform
+    while RIN is drawn and the white phase integrated.
     """
-    segments = x.reshape(-1, nperseg)
-    segments = segments - segments.mean(axis=1, keepdims=True)
-    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
+    lanes = []
+    try:
+        if noise.flicker_level > 0:
+            m = 1 << (n - 1).bit_length()
+            lanes.append(_Lane(_flicker_sigma, noise.flicker_level, m, dt))
+        # Wiener phase: increment variance pi * fwhm * dt gives the per-arm
+        # autocorrelation exp(-pi (fwhm/2) |tau|).
+        phase = rng.normal(0.0, math.sqrt(math.pi * noise.white_fm_fwhm * dt), n)
+        if lanes:
+            spec = np.empty(m // 2 + 1, complex)
+            spec.real = rng.standard_normal(spec.size)
+            spec.imag = rng.standard_normal(spec.size)
+            lanes.append(_Lane(_flicker_phase, lanes[0], spec, m, n, dt))
+            del spec
+        intensity = None
+        if noise.rin_sigma > 0:
+            intensity = rng.normal(0.0, noise.rin_sigma, n)
+            intensity += 1.0
+            np.maximum(intensity, 0.0, out=intensity)
+        np.cumsum(phase, out=phase)
+        if lanes:
+            phase += lanes[-1].result()
+    finally:
+        for lane in lanes:
+            lane.join()
+    return phase, intensity
+
+
+def _hann(nperseg: int) -> np.ndarray:
+    """Periodic Hann window."""
+    return 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
+
+
+def _periodogram_rows(segments: np.ndarray, window: np.ndarray,
+                      spectra: np.ndarray, out: np.ndarray) -> None:
+    """|rfft|^2 of each row of segments, after its mean is removed and the
+    window applied (both in place), into out; spectra is scratch space of
+    out's shape."""
+    segments -= segments.mean(axis=1, keepdims=True)
     segments *= window
-    spectra = np.fft.rfft(segments, axis=1)
-    psd = (spectra.real ** 2 + spectra.imag ** 2).mean(axis=0)
+    np.fft.rfft(segments, axis=1, out=spectra)
+    np.square(spectra.real, out=out)
+    np.square(spectra.imag, out=spectra.imag)
+    out += spectra.imag
+
+
+def _one_sided_density(power: np.ndarray, fs: float,
+                       window: np.ndarray) -> np.ndarray:
+    """One-sided Welch PSD from the (segments, bins) periodogram rows.
+
+    The scaling and the one-sided doubling (not of DC, nor of the Nyquist bin
+    of an even segment length) are those of scipy.signal.welch with
+    scaling="density".
+    """
+    psd = power.mean(axis=0)
     psd /= fs * np.sum(window ** 2)
-    psd[1:(nperseg + 1) // 2] *= 2.0
+    psd[1:(window.size + 1) // 2] *= 2.0
     return psd
+
+
+# Samples per beat-and-Welch chunk (whole segments, at least one): small
+# enough that a chunk's buffers stay in cache.
+_CHUNK_SAMPLES = 1 << 16
+
+
+def _beat_periodograms(params: DshiParams, phase: np.ndarray, intensity,
+                       delay_n: int, nperseg: int, segments: int, dt: float,
+                       window: np.ndarray) -> np.ndarray:
+    """(segments, bins) periodogram rows of the detected beat.
+
+    Arms sqrt(I) e^{i phi}: |direct|^2 + |delayed|^2 + 2 Re(conj(direct)
+    delayed e^{iwt}) = I_dir + I_del + 2 sqrt(I_dir I_del) cos(phi_del -
+    phi_dir + wt).  The beat is formed and transformed a chunk of whole
+    segments at a time; the two lanes take alternate chunks and write
+    disjoint rows, so the rows do not depend on which lane made them.
+    """
+    rows = max(1, _CHUNK_SAMPLES // nperseg)
+    n_chunks = -(-segments // rows)
+    power = np.empty((segments, nperseg // 2 + 1))
+    omega_dt = 2.0 * math.pi * params.eom_frequency * dt
+    half = 0.5 * params.optical_power
+
+    def lane(first):
+        ramp = np.arange(rows * nperseg, dtype=float)
+        buf, tmp = np.empty(ramp.size), np.empty(ramp.size)
+        spectra = np.empty(power[:rows].shape, complex)
+        for c in range(first, n_chunks, 2):
+            a, b = c * rows, min(c * rows + rows, segments)
+            lo, hi = a * nperseg, b * nperseg
+            beat, t = buf[:hi - lo], tmp[:hi - lo]
+            np.add(ramp[:hi - lo], lo, out=beat)
+            beat *= omega_dt
+            np.subtract(phase[lo:hi], phase[lo + delay_n:hi + delay_n], out=t)
+            beat += t
+            np.cos(beat, out=beat)
+            if intensity is None:
+                beat += 1.0
+                beat *= 2.0 * half
+            else:
+                direct = intensity[lo + delay_n:hi + delay_n]
+                delayed = intensity[lo:hi]
+                np.multiply(direct, delayed, out=t)
+                np.sqrt(t, out=t)
+                t *= 2.0 * half
+                beat *= t
+                np.add(direct, delayed, out=t)
+                t *= half
+                beat += t
+            _periodogram_rows(beat.reshape(b - a, nperseg), window,
+                              spectra[:b - a], power[a:b])
+
+    _in_two_lanes(lane)
+    return power
 
 
 def simulate_time_domain(params: DshiParams, noise: NoiseModel,
@@ -303,6 +464,14 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
     frequency; the detected power, a real cosine of the arms' phase
     difference, is Welch-averaged over non-overlapping Hann segments and
     halved to the two-sided density convention of analytic_psd.
+
+    The work runs in two lanes, the calling thread and one more thread
+    that ends before this returns.  The noise is drawn on the calling
+    thread in stream order (white FM, flicker, RIN) while the second lane
+    computes the flicker spectrum and its inverse FFT; the beat and its
+    periodograms are then split between the lanes a chunk of segments at a
+    time.  Every value is computed by the same operations in the same order
+    as on one thread, so a seeded run is bit-identical to a serial one.
     """
     fs = cfg.sample_rate
     if fs < 8.0 * params.eom_frequency:
@@ -320,33 +489,14 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
 
     nperseg = int(fs * cfg.duration) // cfg.segments
     n_total = nperseg * cfg.segments
-    n_field = n_total + delay_n
     dt = 1.0 / fs
 
     rng = np.random.default_rng(cfg.seed)
-    # Wiener phase: increment variance pi * fwhm * dt gives the per-arm
-    # autocorrelation exp(-pi (fwhm/2) |tau|).
-    phase = np.cumsum(
-        rng.normal(0.0, math.sqrt(math.pi * noise.white_fm_fwhm * dt), n_field)
-    )
-    if noise.flicker_level > 0:
-        nu = _flicker_frequency_noise(noise.flicker_level, n_field, dt, rng)
-        phase += 2.0 * math.pi * np.cumsum(nu) * dt
-
-    # Arms sqrt(I) e^{i phi}: |direct|^2 + |delayed|^2 + 2 Re(conj(direct) delayed
-    # e^{iwt}) = I_dir + I_del + 2 sqrt(I_dir I_del) cos(phi_del - phi_dir + wt).
-    beat = np.arange(n_total) * (2.0 * math.pi * params.eom_frequency * dt)
-    beat += phase[:n_total] - phase[delay_n:]
-    np.cos(beat, out=beat)
-    half = 0.5 * params.optical_power
-    if noise.rin_sigma > 0:
-        intensity = np.maximum(1.0 + rng.normal(0.0, noise.rin_sigma, n_field), 0.0)
-        beat *= 2.0 * half * np.sqrt(intensity[delay_n:] * intensity[:n_total])
-        beat += half * (intensity[delay_n:] + intensity[:n_total])
-    else:
-        beat = 2.0 * half * (beat + 1.0)
-
-    psd = _welch_density(beat, fs, nperseg)
+    phase, intensity = _noise_tracks(noise, n_total + delay_n, dt, rng)
+    window = _hann(nperseg)
+    power = _beat_periodograms(params, phase, intensity, delay_n, nperseg,
+                               cfg.segments, dt, window)
+    psd = _one_sided_density(power, fs, window)
     grid = FrequencyGrid(0.0, 1.0 / (nperseg * dt), psd.size)
     # Halve the one-sided Welch estimate: the analytic model is two-sided.
     return SpectrumTrace(grid, psd / 2.0, UNIT_LINEAR, rbw=fs / nperseg)

@@ -484,6 +484,19 @@ def solve_contrast(params: DshiParams, peak_order: int, trough_order: int,
     return math.sqrt(lo * hi), iterations
 
 
+def _require_extrema_on_grid(grid, params, peak_order, trough_order) -> None:
+    """Refuse, naming it, a predicted extremum that lies off the grid: the
+    contrast would otherwise be read from an extrapolated parabola."""
+    spacing = extrema_spacing(params)
+    for order, kind in ((peak_order, "peak"), (trough_order, "trough")):
+        position = params.eom_frequency + order * spacing
+        if not grid.covers(position):
+            raise DomainError(
+                f"the order-{order} {kind} at {position:.0f} Hz lies outside "
+                f"the grid [{grid.start:.0f}, {grid.stop:.0f}] Hz"
+            )
+
+
 def _quadratic_value_at(freqs, values, position):
     """Value at `position` from the parabola through the three nearest samples."""
     step = freqs[1] - freqs[0]
@@ -556,6 +569,7 @@ def measure_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     per-arm half width) sharpens the wing detrend used by the locator.
     """
     peak_order, trough_order = _check_orders(peak_order, trough_order)
+    _require_extrema_on_grid(trace.grid, params, peak_order, trough_order)
     values = trace.linear_values()
     freqs = trace.grid.points()
     x_p, x_t = _locate_extrema(freqs, values, trace.grid.step, params,
@@ -576,6 +590,7 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
         raise InvalidParameterError(
             f"servo band must be finite and >= 0, got {servo_band_hz}")
     peak_order, trough_order = _check_orders(peak_order, trough_order)
+    _require_extrema_on_grid(trace.grid, params, peak_order, trough_order)
     values = trace.linear_values()
     freqs = trace.grid.points()
     # One reading at the predicted positions gives both the linewidth and the

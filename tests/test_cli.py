@@ -114,6 +114,17 @@ class TestFit:
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "r_envelope.json", "r_voigt.json"]
 
+    def test_both_methods_write_nothing_when_one_fails(self, tmp_path):
+        # The Voigt estimate succeeds and the envelope one fails (exit 3):
+        # neither the overlay nor a report may be left behind.
+        trace = self.synth(tmp_path)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert run_cli("fit", "--input", str(trace), "--method", "both",
+                       "--fitted-trace", str(out_dir / "f.csv"),
+                       "--out", str(out_dir / "r.json")) == 3
+        assert not any(out_dir.iterdir())
+
     def test_nan_servo_band_is_usage_error(self, tmp_path):
         trace = self.synth(tmp_path, **{"--flicker-gaussian-hz": "0"})
         assert run_cli("fit", "--input", str(trace), "--method", "envelope",
@@ -299,6 +310,17 @@ print([main(argv) for argv in runs])
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0]"
+
+    def test_import_does_not_load_concurrent_futures(self):
+        # The oracle's second lane is a plain threading.Thread;
+        # concurrent.futures would add about 7 ms to every CLI call.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, beatnote.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_import_does_not_load_scipy_signal(self):
         # scipy.signal alone costs about a second of start-up per CLI call.

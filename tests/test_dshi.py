@@ -1,6 +1,7 @@
 """Analytic beat-note model, Monte-Carlo oracle, and servo bumps."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,10 +26,15 @@ from beatnote import (
     voigt_beat_note,
     width_at_level,
 )
+from beatnote import dshi
 from beatnote.dshi import (
+    UNIT_LINEAR,
     _bump_multiplier,
-    _flicker_frequency_noise,
-    _welch_density,
+    _flicker_frequency,
+    _flicker_sigma,
+    _hann,
+    _one_sided_density,
+    _periodogram_rows,
     _wing_and_envelope,
 )
 from beatnote.errors import (
@@ -47,6 +53,123 @@ def grid_about(center, half_span, step):
     return FrequencyGrid(center - n * step, step, 2 * n + 1)
 
 
+# The single-threaded oracle as it was before the two-lane split, kept
+# verbatim (only renamed) as the bit-identity reference.
+
+def serial_flicker_frequency_noise(level: float, n: int, dt: float,
+                                   rng: np.random.Generator) -> np.ndarray:
+    """Frequency deviation (Hz) with a one-sided PSD of level/f.
+
+    Spectral synthesis (Timmer & Koenig 1995, A&A 300, 707): Gaussian
+    Fourier amplitudes of variance level/f on a power-of-two length m >= n,
+    inverted and truncated to n samples so the series does not wrap around.
+    E|X_k|^2 = S(f_k) m / (2 dt) makes the one-sided periodogram S(f_k).
+    """
+    m = 1 << (n - 1).bit_length()
+    f = np.fft.rfftfreq(m, dt)
+    sigma = np.zeros(f.size)
+    sigma[1:] = np.sqrt(level * m / (4.0 * dt * f[1:]))
+    re, im = rng.standard_normal(f.size), rng.standard_normal(f.size)
+    return np.fft.irfft(sigma * (re + 1j * im), m)[:n]
+
+
+def serial_welch_density(x: np.ndarray, fs: float, nperseg: int) -> np.ndarray:
+    """One-sided Welch PSD of x over non-overlapping segments of nperseg.
+
+    Each segment loses its mean and takes a periodic Hann window; the
+    scaling and the one-sided doubling (not of DC, nor of the Nyquist bin of
+    an even nperseg) are those of scipy.signal.welch with scaling="density".
+    len(x) must be a multiple of nperseg.
+    """
+    segments = x.reshape(-1, nperseg)
+    segments = segments - segments.mean(axis=1, keepdims=True)
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
+    segments *= window
+    spectra = np.fft.rfft(segments, axis=1)
+    psd = (spectra.real ** 2 + spectra.imag ** 2).mean(axis=0)
+    psd /= fs * np.sum(window ** 2)
+    psd[1:(nperseg + 1) // 2] *= 2.0
+    return psd
+
+
+def serial_simulate_time_domain(params: DshiParams, noise: NoiseModel,
+                                cfg: SimConfig) -> SpectrumTrace:
+    """Monte-Carlo beat-note PSD from explicit time-domain phase noise.
+
+    Synthesizes one field's Wiener phase (per-arm autocorrelation
+    exp(-pi (fwhm/2) |tau|), so the two arms beat to a Lorentzian of FWHM
+    white_fm_fwhm), plus optional 1/f frequency and intensity noise.  One
+    copy is delayed by the fiber transit time and shifted by the EOM
+    frequency; the detected power, a real cosine of the arms' phase
+    difference, is Welch-averaged over non-overlapping Hann segments and
+    halved to the two-sided density convention of analytic_psd.
+    """
+    fs = cfg.sample_rate
+    if fs < 8.0 * params.eom_frequency:
+        raise ResolutionError(
+            f"sample rate {fs:g} Hz undersamples the beat; need >= 8 * f_eom"
+        )
+    t_d = params.delay
+    if cfg.duration < 50.0 * t_d:
+        raise ResolutionError(
+            f"duration {cfg.duration:g} s too short; need >= 50 * delay ({50 * t_d:g} s)"
+        )
+    delay_n = int(round(t_d * fs))
+    if delay_n < 1:
+        raise ResolutionError("delay shorter than one sample at this rate")
+
+    nperseg = int(fs * cfg.duration) // cfg.segments
+    n_total = nperseg * cfg.segments
+    n_field = n_total + delay_n
+    dt = 1.0 / fs
+
+    rng = np.random.default_rng(cfg.seed)
+    # Wiener phase: increment variance pi * fwhm * dt gives the per-arm
+    # autocorrelation exp(-pi (fwhm/2) |tau|).
+    phase = np.cumsum(
+        rng.normal(0.0, math.sqrt(math.pi * noise.white_fm_fwhm * dt), n_field)
+    )
+    if noise.flicker_level > 0:
+        nu = serial_flicker_frequency_noise(noise.flicker_level, n_field, dt, rng)
+        phase += 2.0 * math.pi * np.cumsum(nu) * dt
+
+    # Arms sqrt(I) e^{i phi}: |direct|^2 + |delayed|^2 + 2 Re(conj(direct) delayed
+    # e^{iwt}) = I_dir + I_del + 2 sqrt(I_dir I_del) cos(phi_del - phi_dir + wt).
+    beat = np.arange(n_total) * (2.0 * math.pi * params.eom_frequency * dt)
+    beat += phase[:n_total] - phase[delay_n:]
+    np.cos(beat, out=beat)
+    half = 0.5 * params.optical_power
+    if noise.rin_sigma > 0:
+        intensity = np.maximum(1.0 + rng.normal(0.0, noise.rin_sigma, n_field), 0.0)
+        beat *= 2.0 * half * np.sqrt(intensity[delay_n:] * intensity[:n_total])
+        beat += half * (intensity[delay_n:] + intensity[:n_total])
+    else:
+        beat = 2.0 * half * (beat + 1.0)
+
+    psd = serial_welch_density(beat, fs, nperseg)
+    grid = FrequencyGrid(0.0, 1.0 / (nperseg * dt), psd.size)
+    # Halve the one-sided Welch estimate: the analytic model is two-sided.
+    return SpectrumTrace(grid, psd / 2.0, UNIT_LINEAR, rbw=fs / nperseg)
+
+
+def flicker_frequency_noise(level, n, dt, rng):
+    """The package's 1/f synthesis on the draws of the serial reference."""
+    m = 1 << (n - 1).bit_length()
+    spec = np.empty(m // 2 + 1, complex)
+    spec.real = rng.standard_normal(spec.size)
+    spec.imag = rng.standard_normal(spec.size)
+    return _flicker_frequency(spec, _flicker_sigma(level, m, dt), m)[:n]
+
+
+def welch_density(x, fs, nperseg):
+    """The package's Welch rows and scaling over all of x at once."""
+    window = _hann(nperseg)
+    power = np.empty((x.size // nperseg, nperseg // 2 + 1))
+    _periodogram_rows(x.reshape(-1, nperseg).copy(), window,
+                      np.empty(power.shape, complex), power)
+    return _one_sided_density(power, fs, window)
+
+
 def reference_simulate_time_domain(params, noise, cfg):
     """Independent beat: the same draws in the same order as
     simulate_time_domain, but an explicit complex field sqrt(I) e^{i phi}
@@ -62,7 +185,7 @@ def reference_simulate_time_domain(params, noise, cfg):
     phase = np.cumsum(
         rng.normal(0.0, math.sqrt(math.pi * noise.white_fm_fwhm * dt), n_field))
     if noise.flicker_level > 0:
-        nu = _flicker_frequency_noise(noise.flicker_level, n_field, dt, rng)
+        nu = serial_flicker_frequency_noise(noise.flicker_level, n_field, dt, rng)
         phase += 2.0 * math.pi * np.cumsum(nu) * dt
     field = np.exp(1j * phase)
     if noise.rin_sigma > 0:
@@ -75,7 +198,7 @@ def reference_simulate_time_domain(params, noise, cfg):
     beat += 2.0 * half * np.real(
         np.conj(direct) * delayed
         * np.exp(1j * (2.0 * math.pi * params.eom_frequency) * t))
-    return _welch_density(beat, fs, nperseg) / 2.0
+    return serial_welch_density(beat, fs, nperseg) / 2.0
 
 
 class TestDshiParams:
@@ -309,7 +432,7 @@ class TestMonteCarlo:
         rng = np.random.default_rng(42)
         level = 1e4
         n, dt = 1_500_000, 5e-7
-        nu = _flicker_frequency_noise(level, n, dt, rng)
+        nu = flicker_frequency_noise(level, n, dt, rng)
         f, psd = welch(nu, fs=1.0 / dt, nperseg=1 << 15, noverlap=0)
         edges = 10.0 ** np.arange(1.7, 5.4, 0.3)
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -344,12 +467,51 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak / 512_000 < 72.0
 
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(white_fm_fwhm=320.0),
+        NoiseModel(white_fm_fwhm=320.0, rin_sigma=0.05),
+        NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4),
+        NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4, rin_sigma=0.05),
+    ], ids=["white_fm", "rin", "flicker", "flicker_rin"])
+    @pytest.mark.parametrize("segments, nperseg", [(17, 4095), (16, 20000)])
+    def test_bit_identical_to_serial(self, noise, segments, nperseg):
+        # Same draws, same operations in the same order: the two lanes must
+        # not move a single bit, with an odd segment count and length and a
+        # last chunk shorter than the others.
+        params = DshiParams(eom_frequency=1e6, laser_fwhm=320.0)
+        cfg = SimConfig(sample_rate=8e6, duration=segments * nperseg / 8e6,
+                        segments=segments, seed=5)
+        expected = serial_simulate_time_domain(params, noise, cfg)
+        trace = simulate_time_domain(params, noise, cfg)
+        assert trace.grid == expected.grid and trace.rbw == expected.rbw
+        assert np.array_equal(trace.values, expected.values)
+
+    def test_lanes_end_with_the_call(self, monkeypatch):
+        params = DshiParams(eom_frequency=1e6, laser_fwhm=320.0)
+        noise = NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4, rin_sigma=0.05)
+        cfg = SimConfig(sample_rate=8e6, duration=16 * 4096 / 8e6,
+                        segments=16, seed=1)
+        before = threading.active_count()
+        simulate_time_domain(params, noise, cfg)
+        assert threading.active_count() == before
+
+        class LaneFailure(Exception):
+            pass
+
+        def failing_transform(*args):
+            raise LaneFailure("flicker transform failed")
+
+        monkeypatch.setattr(dshi, "_flicker_frequency", failing_transform)
+        with pytest.raises(LaneFailure):
+            simulate_time_domain(params, noise, cfg)
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("nperseg", [4096, 4095])
     def test_welch_matches_scipy(self, nperseg):
         x = 3.0 + np.random.default_rng(5).standard_normal(16 * nperseg)
         _, expected = welch(x, fs=8e6, window="hann", nperseg=nperseg, noverlap=0,
                             detrend="constant", scaling="density")
-        psd = _welch_density(x, 8e6, nperseg)
+        psd = welch_density(x, 8e6, nperseg)
         assert np.max(np.abs(psd / expected - 1.0)) <= 1e-12
 
 

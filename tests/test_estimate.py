@@ -350,6 +350,17 @@ class TestEnvelopeContrast:
             measure_envelope_contrast(trace, params, 1, 2)
 
 
+    @pytest.mark.parametrize("estimator", [estimate_envelope_contrast,
+                                           measure_envelope_contrast])
+    def test_off_grid_extremum_is_named(self, estimator):
+        # The order-2 trough sits 40.8 kHz above the carrier, off a +-25 kHz
+        # grid; it used to be read from the extrapolated edge parabola.
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=100.0, fiber_length=5e3)
+        trace = analytic_psd(params, grid_about(7e6, 25e3, 10.0))
+        with pytest.raises(DomainError,
+                           match=r"order-2 trough at 7040844 Hz lies outside"):
+            estimator(trace, params, 1, 2)
+
 class TestEstimatorCrossChecks:
     def test_agreement_in_overlap_regime(self):
         # Where the delay is a sizable fraction of the coherence time both
