@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .dshi import (
     NoiseModel,
     ServoBumpModel,
     SimConfig,
-    analytic_psd,
     apply_rbw,
     extract_servo_bumps,
     inject_servo_bumps,
@@ -89,11 +87,10 @@ def _centered_grid(center: float, span: float, points: int) -> FrequencyGrid:
     return FrequencyGrid(center - span / 2.0, step, points)
 
 
-def _dshi_params(args, laser_fwhm: Optional[float] = None) -> DshiParams:
-    fwhm = args.linewidth_hz if laser_fwhm is None else laser_fwhm
+def _dshi_params(args, laser_fwhm: float) -> DshiParams:
     return DshiParams(
         eom_frequency=args.eom_mhz * 1e6,
-        laser_fwhm=fwhm,
+        laser_fwhm=laser_fwhm,
         fiber_length=args.fiber_km * 1e3,
         fiber_index=args.fiber_index,
         optical_power=args.power,
@@ -124,8 +121,15 @@ def _number_list(text: str, flag: str, positive: bool = False) -> list:
     return values
 
 
-def _echo_config(args, keys):
-    return {key: getattr(args, key) for key in keys if hasattr(args, key)}
+# Namespace entries that are not settings of a run: the dispatch, the config
+# file (its values are already in the flags), output paths and the timestamp.
+_NOT_ECHOED = frozenset({"command", "func", "config", "out", "out_curve",
+                         "fitted_trace", "timestamp"})
+
+
+def _run_config(args) -> dict:
+    """Every flag of the subcommand but the names in _NOT_ECHOED."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +145,10 @@ _SWEEPABLE = {
 
 
 def _one_trace(args) -> SpectrumTrace:
-    params = _dshi_params(args)
+    params = _dshi_params(args, args.linewidth_hz)
     if args.mode == "analytic":
         grid = _centered_grid(params.eom_frequency, args.span_hz, args.points)
-        if args.flicker_gaussian_hz > 0:
-            trace = voigt_beat_note(params, args.flicker_gaussian_hz, grid)
-        else:
-            trace = analytic_psd(params, grid)
+        trace = voigt_beat_note(params, args.flicker_gaussian_hz, grid)
     else:
         noise = NoiseModel(white_fm_fwhm=params.laser_fwhm,
                            flicker_level=args.flicker_level,
@@ -215,11 +216,7 @@ def cmd_fit(args) -> int:
     if args.fitted_trace and reports[0][0] == "voigt":
         write_trace(_fitted_profile(trace, reports[0][1]), args.fitted_trace)
 
-    config = _echo_config(args, [
-        "input", "method", "tol", "max_iter", "exclude_central_bins",
-        "peak_order", "trough_order", "servo_band_hz", "eom_mhz", "fiber_km",
-        "fiber_index", "power",
-    ])
+    config = _run_config(args)
     for name, est in reports:
         out = args.out
         if len(reports) > 1:
@@ -276,11 +273,7 @@ def _fit_sweep(args, x_name, y_name, pairs, exponent):
 
 def cmd_ionsim(args) -> int:
     noise = LaserNoise(fwhm=args.laser_fwhm_hz, rin_sigma=args.rin)
-    config = _echo_config(args, [
-        "mode", "rabi_hz", "pulse_ms", "laser_fwhm_hz", "rin", "shots",
-        "seed", "span_hz", "points", "t_max_ms", "t_points", "durations_ms",
-        "rabi_values_hz", "rabi_time_product", "free_exponent",
-    ])
+    config = _run_config(args)
 
     if args.mode == "spectrum":
         curve = _spectrum_once(args, noise, args.pulse_ms * 1e-3, args.rabi_hz)
@@ -356,8 +349,6 @@ def cmd_bumps(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_dshi_flags(parser):
-    parser.add_argument("--linewidth-hz", type=float, default=320.0,
-                        help="combined two-arm Lorentzian FWHM (default 320)")
     parser.add_argument("--fiber-km", type=float, default=5.0,
                         help="delay-fiber length in km (default 5)")
     parser.add_argument("--fiber-index", type=float, default=1.468,
@@ -381,6 +372,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="synthesize a beat-note trace")
+    sim.add_argument("--linewidth-hz", type=float, default=320.0,
+                     help="combined two-arm Lorentzian FWHM (default 320)")
     _add_dshi_flags(sim)
     sim.add_argument("--mode", choices=["analytic", "montecarlo"],
                      default="analytic")

@@ -242,8 +242,9 @@ def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
     carries the residue's integrated power and rides on the same
     wing-times-envelope pedestal as analytic_psd.
     """
-    if gaussian_fwhm < 0:
-        raise InvalidParameterError("gaussian_fwhm must be >= 0")
+    if not 0 <= gaussian_fwhm < math.inf:
+        raise InvalidParameterError(
+            f"gaussian_fwhm must be finite and >= 0, got {gaussian_fwhm}")
     if gaussian_fwhm == 0 or params.laser_fwhm == 0:
         return analytic_psd(params, grid)
     _require_carrier_coverage(params, grid)

@@ -36,9 +36,8 @@ from .lineshape import (
     GAUSSIAN_20DB_FACTOR,
     HALF_POWER_DB,
     LORENTZIAN_20DB_FACTOR,
-    VOIGT_WIDTH_CL,
-    VOIGT_WIDTH_CQ,
     SpectrumTrace,
+    _gaussian_from_measured_fwhm,
     _whole_number,
     voigt_fwhm_approx,
     voigt_width_numeric,
@@ -142,15 +141,14 @@ def fit_least_squares(
     ydata: Sequence[float],
     init: Sequence[float],
     bounds: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
-    jacobian: Optional[Callable[..., np.ndarray]] = None,
 ) -> FitResult:
     """Levenberg-Marquardt minimization of sum((y - model(x, *p))^2).
 
     The Jacobian comes from forward differences with step max(1e-6*|p|,
-    1e-12) unless `jacobian(x, *p)` is supplied.  Convergence: relative cost
-    decrease below 1e-10, gradient infinity-norm below 1e-12, or the cap of
-    200 iterations (which leaves converged=False).  `bounds` is an optional
-    (lower, upper) box; trial steps are clipped into it.
+    1e-12).  Convergence: relative cost decrease below 1e-10, gradient
+    infinity-norm below 1e-12, or the cap of 200 iterations (which leaves
+    converged=False).  `bounds` is an optional (lower, upper) box; trial
+    steps are clipped into it.
     """
     x = np.asarray(xdata, dtype=float)
     y = np.asarray(ydata, dtype=float)
@@ -173,8 +171,6 @@ def fit_least_squares(
         return y - model(x, *params)
 
     def jac(params, f_now):
-        if jacobian is not None:
-            return np.asarray(jacobian(x, *params), dtype=float)
         out = np.empty((y.size, n))
         for j in range(n):
             h = max(1e-6 * abs(params[j]), 1e-12)
@@ -203,12 +199,7 @@ def fit_least_squares(
             try:
                 step = np.linalg.solve(jtj + lam * damping, g)
             except np.linalg.LinAlgError:
-                if it == 0:
-                    raise InitializationError(
-                        "singular normal equations at the initial point"
-                    ) from None
-                lam *= 10.0
-                continue
+                step = np.full(n, np.nan)  # singular: refused below
             if not np.all(np.isfinite(step)):
                 if it == 0:
                     raise InitializationError(
@@ -279,30 +270,21 @@ class VoigtOptions:
             raise InvalidParameterError("invalid Voigt estimator options")
 
 
-def mask_central_bins(trace: SpectrumTrace, count: int,
-                      carrier_hz: Optional[float] = None) -> SpectrumTrace:
-    """Replace the `count` bins nearest the carrier by linear interpolation.
+def mask_central_bins(trace: SpectrumTrace, count: int) -> SpectrumTrace:
+    """Replace the `count` bins nearest the trace maximum by linear
+    interpolation.
 
     Removes the coherent-residue spike before width measurements; on a
     smooth peak the interpolation is a no-op to within the local curvature.
-    Without a carrier the bins nearest the trace maximum are masked; a
-    carrier must be finite and on the grid.
     """
     grid = trace.grid
-    if carrier_hz is not None:
-        if not math.isfinite(carrier_hz):
-            raise InvalidParameterError(f"carrier must be finite, got {carrier_hz}")
-        if not grid.covers(carrier_hz):
-            raise DomainError(
-                f"carrier {carrier_hz:g} Hz lies outside the grid "
-                f"[{grid.start:g}, {grid.stop:g}] Hz")
     count = _whole_number(count, "masked bin count")
     if count < 0:
         raise InvalidParameterError(f"masked bin count must be >= 0, got {count}")
     if count == 0:
         return trace.to_linear()
     values = trace.linear_values().copy()
-    center = grid.index_of(carrier_hz) if carrier_hz is not None else int(np.argmax(values))
+    center = int(np.argmax(values))
     lo = max(center - count // 2, 1)
     hi = min(lo + count - 1, grid.count - 2)
     lo = max(min(lo, hi), 1)
@@ -313,21 +295,8 @@ def mask_central_bins(trace: SpectrumTrace, count: int,
     return SpectrumTrace(grid, values, "linear", trace.rbw)
 
 
-def _gaussian_from_measured_fwhm(w3: float, lorentzian: float) -> Tuple[float, bool]:
-    """Invert the Voigt-width formula for the Gaussian part at fixed total
-    FWHM w3; returns (gaussian_fwhm, clamped) with clamped=True when the
-    Lorentzian alone already exceeds what w3 allows."""
-    rest = 2.0 * w3 - VOIGT_WIDTH_CL * lorentzian
-    if rest <= 0:
-        return 0.0, True
-    disc = rest * rest - VOIGT_WIDTH_CQ * lorentzian * lorentzian
-    if disc <= 0:
-        return 0.0, True
-    return 0.5 * math.sqrt(disc), False
-
-
-def estimate_voigt(trace: SpectrumTrace, opts: Optional[VoigtOptions] = None,
-                   carrier_hz: Optional[float] = None) -> LinewidthEstimate:
+def estimate_voigt(trace: SpectrumTrace,
+                   opts: Optional[VoigtOptions] = None) -> LinewidthEstimate:
     """Combined Lorentzian/Gaussian widths from the central beat-note peak.
 
     Measures the half-power and 20 dB widths, then bisects on the Lorentzian
@@ -340,7 +309,7 @@ def estimate_voigt(trace: SpectrumTrace, opts: Optional[VoigtOptions] = None,
     """
     if opts is None:
         opts = VoigtOptions()
-    work = mask_central_bins(trace, opts.exclude_central_bins, carrier_hz)
+    work = mask_central_bins(trace, opts.exclude_central_bins)
     tied = False
     try:
         w20 = width_at_level(work, 20.0)
@@ -484,17 +453,22 @@ def solve_contrast(params: DshiParams, peak_order: int, trough_order: int,
     return math.sqrt(lo * hi), iterations
 
 
-def _require_extrema_on_grid(grid, params, peak_order, trough_order) -> None:
-    """Refuse, naming it, a predicted extremum that lies off the grid: the
-    contrast would otherwise be read from an extrapolated parabola."""
+def _predicted_extrema(grid, params, peak_order, trough_order):
+    """Prologue of both envelope readers: the checked orders, the extrema
+    spacing, and the predicted peak and trough positions carrier + order *
+    spacing, the contrast model's convention.  A position off the grid is
+    refused, naming it: its contrast would otherwise be read from an
+    extrapolated parabola."""
+    orders = _check_orders(peak_order, trough_order)
     spacing = extrema_spacing(params)
-    for order, kind in ((peak_order, "peak"), (trough_order, "trough")):
-        position = params.eom_frequency + order * spacing
+    positions = tuple(params.eom_frequency + order * spacing for order in orders)
+    for order, kind, position in zip(orders, ("peak", "trough"), positions):
         if not grid.covers(position):
             raise DomainError(
                 f"the order-{order} {kind} at {position:.0f} Hz lies outside "
                 f"the grid [{grid.start:.0f}, {grid.stop:.0f}] Hz"
             )
+    return orders, spacing, positions
 
 
 def _quadratic_value_at(freqs, values, position):
@@ -535,47 +509,40 @@ def _locate_extremum(freqs, values, step, carrier, position, window, kind,
     return float(sub_f[idx] + np.clip(delta, -1.0, 1.0) * step)
 
 
-def _locate_extrema(freqs, values, step, params, peak_order, trough_order,
+def _locate_extrema(freqs, values, step, params, spacing, positions,
                     gamma) -> Tuple[float, float]:
-    """Peak then trough position, each searched within a quarter spacing."""
-    carrier = params.eom_frequency
-    spacing = extrema_spacing(params)
+    """Peak then trough position, each searched within a quarter spacing of
+    its predicted position."""
     return tuple(
-        _locate_extremum(freqs, values, step, carrier, carrier + order * spacing,
-                         spacing / 4.0, kind, gamma)
-        for order, kind in ((peak_order, "peak"), (trough_order, "trough")))
+        _locate_extremum(freqs, values, step, params.eom_frequency,
+                         position, spacing / 4.0, kind, gamma)
+        for position, kind in zip(positions, ("peak", "trough")))
 
 
-def _predicted_contrast(freqs, values, params, peak_order, trough_order) -> float:
+def _predicted_contrast(freqs, values, positions) -> float:
     """Contrast (dB) of the trace quadratically interpolated at the
     *predicted* extremum positions, the convention of the contrast model
     (which evaluates the spectrum exactly at multiples of the spacing)."""
-    spacing = extrema_spacing(params)
-    s_p = _quadratic_value_at(freqs, values,
-                              params.eom_frequency + peak_order * spacing)
-    s_t = _quadratic_value_at(freqs, values,
-                              params.eom_frequency + trough_order * spacing)
+    s_p, s_t = (_quadratic_value_at(freqs, values, x) for x in positions)
     if s_p <= 0 or s_t <= 0:
         raise ExtremumNotFoundError("non-positive PSD at a predicted extremum")
     return 10.0 * math.log10(s_p / s_t)
 
 
 def measure_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
-                              peak_order: int, trough_order: int,
-                              gamma_hint: float = 0.0):
+                              peak_order: int, trough_order: int):
     """Measured contrast between an adjacent envelope peak/trough pair.
 
-    Returns (contrast_db, peak_position, trough_position).  gamma_hint (the
-    per-arm half width) sharpens the wing detrend used by the locator.
+    Returns (contrast_db, peak_position, trough_position); the locator's
+    wing detrend assumes no linewidth.
     """
-    peak_order, trough_order = _check_orders(peak_order, trough_order)
-    _require_extrema_on_grid(trace.grid, params, peak_order, trough_order)
+    _, spacing, positions = _predicted_extrema(trace.grid, params,
+                                               peak_order, trough_order)
     values = trace.linear_values()
     freqs = trace.grid.points()
     x_p, x_t = _locate_extrema(freqs, values, trace.grid.step, params,
-                               peak_order, trough_order, gamma_hint)
-    ds = _predicted_contrast(freqs, values, params, peak_order, trough_order)
-    return ds, x_p, x_t
+                               spacing, positions, 0.0)
+    return _predicted_contrast(freqs, values, positions), x_p, x_t
 
 
 def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
@@ -589,21 +556,21 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     if not 0 <= servo_band_hz < math.inf:
         raise InvalidParameterError(
             f"servo band must be finite and >= 0, got {servo_band_hz}")
-    peak_order, trough_order = _check_orders(peak_order, trough_order)
-    _require_extrema_on_grid(trace.grid, params, peak_order, trough_order)
+    (peak_order, trough_order), spacing, positions = _predicted_extrema(
+        trace.grid, params, peak_order, trough_order)
     values = trace.linear_values()
     freqs = trace.grid.points()
     # One reading at the predicted positions gives both the linewidth and the
     # locator's wing-detrend hint.  An unsolvable contrast waits until both
     # extrema are validated, so a missing extremum is reported first.
-    ds = _predicted_contrast(freqs, values, params, peak_order, trough_order)
+    ds = _predicted_contrast(freqs, values, positions)
     unsolved = None
     try:
         fwhm, iterations = solve_contrast(params, peak_order, trough_order, ds)
     except NoSolutionError as exc:
         unsolved, fwhm = exc, 0.0
     x_p, x_t = _locate_extrema(freqs, values, trace.grid.step, params,
-                               peak_order, trough_order, fwhm / 2.0)
+                               spacing, positions, fwhm / 2.0)
     if unsolved is not None:
         raise unsolved
 
@@ -617,14 +584,13 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     return _make_estimate(fwhm, 0.0, METHOD_ENVELOPE, iterations, residual, flags)
 
 
-def estimate_direct_lorentzian(trace: SpectrumTrace,
-                               exclude_central_bins: int = 0) -> LinewidthEstimate:
+def estimate_direct_lorentzian(trace: SpectrumTrace) -> LinewidthEstimate:
     """Plain Lorentzian least-squares fit of the central peak.
 
     Adequate when the delay is much longer than the coherence time and the
     trace is a clean Lorentzian; no Gaussian component is extracted.
     """
-    work = mask_central_bins(trace, exclude_central_bins)
+    work = trace.to_linear()
     values = work.linear_values()
     freqs = work.grid.points()
     w3 = width_at_level(work, HALF_POWER_DB)

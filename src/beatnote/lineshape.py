@@ -205,6 +205,19 @@ def voigt_fwhm_approx(fwhm_lorentzian: float, fwhm_gaussian: float) -> float:
     )
 
 
+def _gaussian_from_measured_fwhm(w3: float, lorentzian: float) -> tuple[float, bool]:
+    """Invert voigt_fwhm_approx for the Gaussian part at fixed total FWHM
+    w3; returns (gaussian_fwhm, clamped) with clamped=True when the
+    Lorentzian alone already exceeds what w3 allows."""
+    rest = 2.0 * w3 - VOIGT_WIDTH_CL * lorentzian
+    if rest <= 0:
+        return 0.0, True
+    disc = rest * rest - VOIGT_WIDTH_CQ * lorentzian * lorentzian
+    if disc <= 0:
+        return 0.0, True
+    return 0.5 * math.sqrt(disc), False
+
+
 def _weideman_coefficients(n: int):
     """Scale L and the n coefficients (highest degree first) of Weideman's
     approximation w(z) = 2 p(Z) / (L - iz)**2 + 1 / (sqrt(pi) (L - iz)),
@@ -278,15 +291,12 @@ def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> Spectrum
     return SpectrumTrace(grid, values)
 
 
-def voigt_grid(params: LineshapeParams, extent_factor: float = 20.0) -> FrequencyGrid:
-    """Grid centered on the profile: +-extent_factor*(sum of widths) span,
-    40 samples across the Voigt FWHM."""
-    if not 0 < extent_factor < math.inf:
-        raise InvalidParameterError(
-            f"extent_factor must be finite and > 0, got {extent_factor}")
+def voigt_grid(params: LineshapeParams) -> FrequencyGrid:
+    """Grid centered on the profile: +-20*(sum of widths) span, 40 samples
+    across the Voigt FWHM."""
     fg, fl = params.fwhm_gaussian, params.fwhm_lorentzian
     step = voigt_fwhm_approx(fl, fg) / 40.0
-    half_count = int(math.ceil(extent_factor * (fg + fl) / step))
+    half_count = int(math.ceil(20.0 * (fg + fl) / step))
     return FrequencyGrid(params.center - half_count * step, step, 2 * half_count + 1)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from beatnote import (
     read_report,
     read_trace,
 )
-from beatnote.cli import main
+from beatnote.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -89,7 +90,6 @@ class TestFit:
         })
         report = tmp_path / "report.json"
         assert run_cli("fit", "--input", str(trace), "--method", "both",
-                       "--linewidth-hz", "0",
                        "--out", str(report)) == 0
         voigt = read_report(tmp_path / "report_voigt.json")["result"]
         env = read_report(tmp_path / "report_envelope.json")["result"]
@@ -100,7 +100,7 @@ class TestFit:
         trace = self.synth(tmp_path, **{"--flicker-gaussian-hz": "0"})
         report = tmp_path / "report.json"
         assert run_cli("fit", "--input", str(trace), "--method", "envelope",
-                       "--linewidth-hz", "0", "--out", str(report)) == 0
+                       "--out", str(report)) == 0
         doc = read_report(report)
         assert "servo-contaminated" in doc["result"]["flags"]
 
@@ -109,7 +109,6 @@ class TestFit:
         out_dir = tmp_path / "x.json.d"
         out_dir.mkdir()
         assert run_cli("fit", "--input", str(trace), "--method", "both",
-                       "--linewidth-hz", "0",
                        "--out", str(out_dir / "r.json")) == 0
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "r_envelope.json", "r_voigt.json"]
@@ -128,7 +127,7 @@ class TestFit:
     def test_nan_servo_band_is_usage_error(self, tmp_path):
         trace = self.synth(tmp_path, **{"--flicker-gaussian-hz": "0"})
         assert run_cli("fit", "--input", str(trace), "--method", "envelope",
-                       "--linewidth-hz", "0", "--servo-band-hz", "nan",
+                       "--servo-band-hz", "nan",
                        "--out", str(tmp_path / "r.json")) == 2
 
     def test_infinite_tol_is_usage_error(self, tmp_path):
@@ -260,12 +259,51 @@ class TestExitCodes:
         assert run_cli(*argv, *outputs[argv[0]]) == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("width", ["-5", "nan"])
+    def test_bad_flicker_gaussian_width_is_validation_error(self, tmp_path,
+                                                            width):
+        # Both used to exit 0 with the plain analytic trace.
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--mode", "analytic",
+                       "--flicker-gaussian-hz", width, "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_argparse_usage_error_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "beatnote.cli", "simulate", "--mode", "bogus"],
             capture_output=True,
         )
         assert proc.returncode == 2
+
+
+def subcommand_flags(command):
+    """The long flags of a subcommand, as namespace names, read from its
+    usage line."""
+    usage = build_parser()[1][command].format_usage()
+    return {f.replace("-", "_") for f in re.findall(r"--([a-z][a-z0-9-]*)", usage)}
+
+
+class TestReportConfig:
+    """A report's config holds every flag of its subcommand but the output
+    paths and --timestamp."""
+
+    NOT_ECHOED = {"out", "out_curve", "fitted_trace", "timestamp"}
+
+    def test_fit(self, tmp_path):
+        trace, report = tmp_path / "t.csv", tmp_path / "r.json"
+        assert run_cli("simulate", "--points", "4001", "--out", str(trace)) == 0
+        assert run_cli("fit", "--input", str(trace), "--method", "envelope",
+                       "--out", str(report)) == 0
+        assert set(read_report(report)["config"]) == (
+            subcommand_flags("fit") - self.NOT_ECHOED)
+
+    def test_ionsim(self, tmp_path):
+        curve, report = tmp_path / "c.csv", tmp_path / "r.json"
+        assert run_cli("ionsim", "--points", "11", "--shots", "5",
+                       "--out-curve", str(curve), "--out", str(report)) == 0
+        config = read_report(report)["config"]
+        assert set(config) == subcommand_flags("ionsim") - self.NOT_ECHOED
+        assert config["rabi_periods"] == 12.0
 
 
 class TestStartup:
@@ -296,7 +334,7 @@ runs = [
      "--flicker-gaussian-hz", "0", "--span-hz", "1000000",
      "--points", "10001", "--out", d + "/an.csv"],
     ["fit", "--input", d + "/an.csv", "--method", "both",
-     "--linewidth-hz", "0", "--fitted-trace", d + "/fit.csv",
+     "--fitted-trace", d + "/fit.csv",
      "--out", d + "/r.json"],
     ["ionsim", "--mode", "spectrum", "--rabi-hz", "125", "--pulse-ms", "4",
      "--laser-fwhm-hz", "156", "--shots", "5", "--out-curve", d + "/c.csv",
@@ -418,6 +456,17 @@ class TestConfigFile:
         out = tmp_path / "a.csv"
         assert run_cli("--config", str(cfg), "simulate", "--out", str(out)) == 4
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_config_linewidth_is_refused(self, tmp_path, capsys):
+        # fit reads no linewidth: the envelope model runs at zero width.
+        trace, out = tmp_path / "t.csv", tmp_path / "r.json"
+        assert run_cli("simulate", "--points", "4001", "--out", str(trace)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"linewidth_hz": 320.0}))
+        assert run_cli("--config", str(cfg), "fit", "--input", str(trace),
+                       "--out", str(out)) == 4
+        assert "linewidth_hz" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_config_key_subprocess(self, tmp_path):

@@ -582,6 +582,14 @@ class TestVoigtBeatNote:
         assert np.array_equal(voigt_beat_note(params, 0.0, grid).values,
                               analytic_psd(params, grid).values)
 
+    @pytest.mark.parametrize("gaussian", [math.nan, math.inf])
+    def test_non_finite_broadening_refused_at_zero_laser_width(self, gaussian):
+        # The zero-width shortcut used to return analytic_psd before the
+        # Gaussian width was checked.
+        params = DshiParams(**dict(P5KM, laser_fwhm=0.0))
+        with pytest.raises(InvalidParameterError):
+            voigt_beat_note(params, gaussian, grid_about(7e6, 50e3, 10.0))
+
     def test_peak_carries_spike_power(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
         grid = grid_about(7e6, 60e3, 10.0)

@@ -399,12 +399,6 @@ class TestVoigtNumeric:
         trace = eval_voigt_numeric(voigt_grid(params), params)
         assert np.allclose(trace.values, trace.values[::-1], rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0])
-    def test_grid_extent_must_be_finite_positive(self, extent):
-        params = LineshapeParams(0.0, fwhm_gaussian=50.0, fwhm_lorentzian=200.0)
-        with pytest.raises(InvalidParameterError):
-            voigt_grid(params, extent)
-
 
 class TestWidthAtLevel:
     def test_half_power_roundtrip_lorentzian(self):
