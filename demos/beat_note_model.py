@@ -15,7 +15,6 @@ from beatnote import (
     analytic_psd,
     extrema_spacing,
     measure_envelope_contrast,
-    predict_extrema,
     write_trace,
 )
 
@@ -38,8 +37,8 @@ print("\nsweep 2: fiber length sets the extrema spacing c/(2nL)")
 for length in (2.5e3, 5e3, 10e3):
     params = DshiParams(eom_frequency=7e6, laser_fwhm=100.0, fiber_length=length)
     spacing = extrema_spacing(params)
-    first = predict_extrema(params, 3)
-    kinds = ", ".join(f"{e.kind}@{(e.frequency - 7e6) / 1e3:.1f}kHz" for e in first)
+    kinds = ", ".join(f"{'peak' if j % 2 else 'trough'}@{j * spacing / 1e3:.1f}kHz"
+                      for j in range(1, 4))
     print(f"  L={length / 1e3:4.1f} km: spacing={spacing / 1e3:6.2f} kHz ({kinds})")
 
 print("\nsweep 3: power and carrier shifts leave the lineshape untouched")

@@ -27,7 +27,6 @@ from .dshi import (  # noqa: E402
     extract_servo_bumps,
     extrema_spacing,
     inject_servo_bumps,
-    predict_extrema,
     simulate_time_domain,
     voigt_beat_note,
 )
@@ -35,13 +34,10 @@ from .estimate import (  # noqa: E402
     FitResult,
     LinewidthEstimate,
     VoigtOptions,
-    estimate_direct_lorentzian,
     estimate_envelope_contrast,
     estimate_voigt,
     fit_least_squares,
-    halve_combined,
     measure_envelope_contrast,
-    model_contrast_db,
     solve_contrast,
 )
 from .ionsim import (  # noqa: E402
@@ -58,8 +54,6 @@ from .ionsim import (  # noqa: E402
 )
 from .io import (  # noqa: E402
     AnalysisReport,
-    dbm_to_linear,
-    linear_to_dbm,
     read_report,
     read_trace,
     write_report,

@@ -314,7 +314,7 @@ def cmd_ionsim(args) -> int:
         raise InvalidParameterError(f"unknown mode {args.mode!r}")
 
     report = AnalysisReport(
-        input={"path": "synthetic", "params": config},
+        input={"path": "synthetic"},
         method=method,
         payload=fit,
         config=config,

@@ -3,7 +3,7 @@
 Provides the analytic PSD of the beat note between a laser and its delayed,
 frequency-shifted copy (Lorentzian wing times coherence envelope plus a
 coherent residue at the carrier), a time-domain Monte-Carlo oracle for the
-same quantity, the positions of the coherence-envelope extrema, and
+same quantity, the spacing of the coherence-envelope extrema, and
 injection/extraction of servo bumps.
 
 Linewidth convention: DshiParams.laser_fwhm is the *combined two-arm*
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, fields
-from typing import List, NamedTuple
 
 import numpy as np
 
@@ -39,10 +38,8 @@ __all__ = [
     "NoiseModel",
     "ServoBumpModel",
     "SimConfig",
-    "Extremum",
     "analytic_psd",
     "voigt_beat_note",
-    "predict_extrema",
     "extrema_spacing",
     "simulate_time_domain",
     "inject_servo_bumps",
@@ -145,34 +142,9 @@ class SimConfig:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
 
-class Extremum(NamedTuple):
-    frequency: float
-    kind: str  # "peak" | "trough"
-    order: int
-
-
 def extrema_spacing(params: DshiParams) -> float:
     """Spacing of the coherence-envelope extrema: c / (2 n L)."""
     return SPEED_OF_LIGHT / (2.0 * params.fiber_index * params.fiber_length)
-
-
-def predict_extrema(params: DshiParams, max_order: int) -> List[Extremum]:
-    """Envelope extrema above the carrier, order j at f_eom + j*c/(2nL).
-
-    Odd orders sit where the delayed and direct arms interfere
-    constructively (peaks), even orders where they cancel (troughs).
-    """
-    max_order = _whole_number(max_order, "max_order")
-    if max_order < 1:
-        raise InvalidParameterError("max_order must be >= 1")
-    if not params.laser_fwhm > 0:
-        raise InvalidParameterError("extrema are undefined for zero linewidth")
-    spacing = extrema_spacing(params)
-    return [
-        Extremum(params.eom_frequency + j * spacing,
-                 "peak" if j % 2 else "trough", j)
-        for j in range(1, max_order + 1)
-    ]
 
 
 def _coherence_factor(params: DshiParams) -> float:

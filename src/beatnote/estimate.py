@@ -55,11 +55,8 @@ __all__ = [
     "lorentzian_peak_model",
     "estimate_voigt",
     "estimate_envelope_contrast",
-    "estimate_direct_lorentzian",
     "measure_envelope_contrast",
-    "model_contrast_db",
     "solve_contrast",
-    "halve_combined",
     "mask_central_bins",
 ]
 
@@ -69,7 +66,6 @@ FLAG_NON_CONVERGED = "non-converged"
 
 METHOD_VOIGT = "voigt-iterative"
 METHOD_ENVELOPE = "envelope-contrast"
-METHOD_DIRECT = "direct-lorentzian"
 
 
 @dataclass(frozen=True)
@@ -116,14 +112,6 @@ def _make_estimate(lorentzian, gaussian, method, iterations, residual,
         residual=residual,
         flags=frozenset(flags),
     )
-
-
-def halve_combined(combined_fwhm: float) -> float:
-    """Single-laser width from the combined two-arm width (identical arms)."""
-    if not 0 <= combined_fwhm < math.inf:
-        raise InvalidParameterError(
-            f"combined width must be finite and >= 0, got {combined_fwhm}")
-    return combined_fwhm / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +375,11 @@ def _check_orders(peak_order: int, trough_order: int) -> Tuple[int, int]:
     return peak_order, trough_order
 
 
-def model_contrast_db(params: DshiParams, peak_order: int, trough_order: int,
-                      laser_fwhm: Optional[float] = None) -> float:
-    """Analytic peak/trough contrast (dB) of the coherence envelope.
-
-    Evaluates the wing-times-envelope model at the two extremum positions;
-    laser_fwhm overrides params.laser_fwhm so the solver can scan candidates.
-    """
-    peak_order, trough_order = _check_orders(peak_order, trough_order)
-    fwhm = params.laser_fwhm if laser_fwhm is None else laser_fwhm
-    return _contrast_db(params, peak_order, trough_order, fwhm)
-
-
 def _contrast_db(params: DshiParams, peak_order: int, trough_order: int,
                  fwhm: float) -> float:
-    """model_contrast_db on orders already checked."""
+    """Analytic peak/trough contrast (dB) of the coherence envelope at
+    combined linewidth fwhm: the wing-times-envelope model evaluated at the
+    two extremum positions.  The orders must already be checked."""
     if not fwhm > 0:
         raise InvalidParameterError("contrast model needs a positive linewidth")
     gamma = fwhm / 2.0
@@ -582,23 +560,3 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
         _contrast_db(params, peak_order, trough_order, fwhm) - ds
     ) / max(abs(ds), 1e-12)
     return _make_estimate(fwhm, 0.0, METHOD_ENVELOPE, iterations, residual, flags)
-
-
-def estimate_direct_lorentzian(trace: SpectrumTrace) -> LinewidthEstimate:
-    """Plain Lorentzian least-squares fit of the central peak.
-
-    Adequate when the delay is much longer than the coherence time and the
-    trace is a clean Lorentzian; no Gaussian component is extracted.
-    """
-    work = trace.to_linear()
-    values = work.linear_values()
-    freqs = work.grid.points()
-    w3 = width_at_level(work, HALF_POWER_DB)
-    i_pk = int(np.argmax(values))
-    init = [freqs[i_pk], w3, float(values[i_pk]), float(np.min(values))]
-    result = fit_least_squares(lorentzian_peak_model, freqs, values, init)
-    fwhm = abs(float(result.parameters[1]))
-    residual = result.residual_norm / max(float(values[i_pk]), 1e-300)
-    flags = () if result.converged else (FLAG_NON_CONVERGED,)
-    return _make_estimate(fwhm, 0.0, METHOD_DIRECT, result.iterations,
-                          residual, flags)

@@ -1,4 +1,4 @@
-"""Trace and report file formats plus dBm/linear conversions.
+"""Trace and report file formats.
 
 Trace CSV schema: optional '#' comment lines carrying key=value metadata
 (unit, rbw_hz, instrument, grid_start_hz, grid_step_hz), then the header row
@@ -21,15 +21,13 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 
 from . import __version__ as _tool_version
-from .errors import DomainError, ParseError, SchemaError, TraceIOError
+from .errors import ParseError, SchemaError, TraceIOError
 from .estimate import FitResult, LinewidthEstimate
 from .lineshape import UNIT_DBM, UNIT_LINEAR, FrequencyGrid, SpectrumTrace
 
 __all__ = [
     "SCHEMA_VERSION",
     "AnalysisReport",
-    "dbm_to_linear",
-    "linear_to_dbm",
     "read_trace",
     "write_trace",
     "write_report",
@@ -45,21 +43,6 @@ _UNIT_ALIASES = {
     "dbm": UNIT_DBM,
     "dbm-per-rbw": UNIT_DBM,
 }
-
-
-def dbm_to_linear(value_dbm):
-    """Power in mW from dBm."""
-    out = 10.0 ** (np.asarray(value_dbm, dtype=float) / 10.0)
-    return float(out) if np.ndim(value_dbm) == 0 else out
-
-
-def linear_to_dbm(value_mw):
-    """dBm from power in mW; non-positive input is outside the log domain."""
-    arr = np.asarray(value_mw, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError("dBm is undefined for non-positive power")
-    out = 10.0 * np.log10(arr)
-    return out if np.ndim(value_mw) else float(out)
 
 
 def write_trace(trace: SpectrumTrace, path) -> None:

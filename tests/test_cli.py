@@ -304,6 +304,7 @@ class TestReportConfig:
         config = read_report(report)["config"]
         assert set(config) == subcommand_flags("ionsim") - self.NOT_ECHOED
         assert config["rabi_periods"] == 12.0
+        assert read_report(report)["input"] == {"path": "synthetic"}
 
 
 class TestStartup:

@@ -21,7 +21,6 @@ from beatnote import (
     extract_servo_bumps,
     extrema_spacing,
     inject_servo_bumps,
-    predict_extrema,
     simulate_time_domain,
     voigt_beat_note,
     width_at_level,
@@ -333,41 +332,15 @@ class TestAnalyticPsd:
         assert np.all(trace.values >= 0.0)
 
 
-class TestPredictExtrema:
+class TestExtremaSpacing:
     def test_spacing_value(self):
         params = DshiParams(**P5KM)
         assert extrema_spacing(params) == pytest.approx(20421.83, abs=0.5)
-        ext = predict_extrema(params, 4)
-        gaps = np.diff([e.frequency for e in ext])
-        assert np.allclose(gaps, extrema_spacing(params), rtol=1e-12)
-
-    def test_order_one_is_peak_at_one_spacing(self):
-        params = DshiParams(**P5KM)
-        first = predict_extrema(params, 1)[0]
-        assert first.kind == "peak"
-        assert first.order == 1
-        assert first.frequency == params.eom_frequency + extrema_spacing(params)
-
-    def test_alternating_kinds(self):
-        kinds = [e.kind for e in predict_extrema(DshiParams(**P5KM), 6)]
-        assert kinds == ["peak", "trough", "peak", "trough", "peak", "trough"]
 
     def test_doubling_length_halves_spacing(self):
         p1 = DshiParams(**P5KM)
         p2 = DshiParams(**{**P5KM, "fiber_length": 10e3})
         assert extrema_spacing(p2) == pytest.approx(extrema_spacing(p1) / 2.0, rel=1e-12)
-
-    def test_non_integral_order_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            predict_extrema(DshiParams(**P5KM), 2.5)
-        assert predict_extrema(DshiParams(**P5KM), 2.0) == \
-            predict_extrema(DshiParams(**P5KM), 2)
-
-    def test_preconditions(self):
-        with pytest.raises(InvalidParameterError):
-            predict_extrema(DshiParams(**P5KM), 0)
-        with pytest.raises(InvalidParameterError):
-            predict_extrema(DshiParams(**{**P5KM, "laser_fwhm": 0.0}), 2)
 
 
 class TestMonteCarlo:

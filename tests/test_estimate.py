@@ -11,17 +11,14 @@ from beatnote import (
     ServoBumpModel,
     SpectrumTrace,
     analytic_psd,
-    estimate_direct_lorentzian,
     estimate_envelope_contrast,
     estimate_voigt,
     eval_gaussian,
     extrema_spacing,
     eval_lorentzian,
     fit_least_squares,
-    halve_combined,
     inject_servo_bumps,
     measure_envelope_contrast,
-    model_contrast_db,
     read_trace,
     solve_contrast,
     voigt_beat_note,
@@ -41,6 +38,7 @@ from beatnote.estimate import (
     FLAG_SERVO_CONTAMINATED,
     VoigtOptions,
     _check_orders,
+    _contrast_db,
     _make_estimate,
     _quadratic_value_at,
     lorentzian_peak_model,
@@ -56,22 +54,6 @@ def grid_about(center, half_span, step):
 def beat_trace(fwhm=320.0, gaussian=640.0, step=10.0, half_span=60e3):
     params = DshiParams(eom_frequency=7e6, laser_fwhm=fwhm)
     return voigt_beat_note(params, gaussian, grid_about(7e6, half_span, step)), params
-
-
-class TestHalveCombined:
-    def test_values(self):
-        assert halve_combined(320.0) == 160.0
-        assert halve_combined(0.0) == 0.0
-        assert halve_combined(312.0) == 156.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            halve_combined(-1.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(InvalidParameterError):
-            halve_combined(bad)
 
 
 class TestFitLeastSquares:
@@ -231,7 +213,7 @@ class TestEnvelopeContrast:
 
     def test_contrast_monotone_decreasing_in_linewidth(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=1.0)
-        values = [model_contrast_db(params, 1, 2, fwhm)
+        values = [_contrast_db(params, 1, 2, fwhm)
                   for fwhm in (10.0, 100.0, 1000.0, 10000.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -284,8 +266,8 @@ class TestEnvelopeContrast:
     @pytest.mark.parametrize("call", [
         lambda trace, params, p, t: estimate_envelope_contrast(trace, params, p, t),
         lambda trace, params, p, t: measure_envelope_contrast(trace, params, p, t),
-        lambda trace, params, p, t: model_contrast_db(params, p, t),
-    ], ids=["estimate", "measure", "model"])
+        lambda trace, params, p, t: solve_contrast(params, p, t, 1.0),
+    ], ids=["estimate", "measure", "solve"])
     def test_non_integral_orders_refused(self, call, orders):
         # NaN raised a bare ValueError from round(), and 1.5 was refused as
         # "not adjacent".
@@ -357,15 +339,6 @@ class TestEstimatorCrossChecks:
             pass
 
 
-class TestDirectLorentzian:
-    def test_recovers_width(self):
-        grid = grid_about(0.0, 5e3, 2.0)
-        trace = SpectrumTrace(grid, eval_lorentzian(grid, 0.0, 400.0).values, "linear")
-        est = estimate_direct_lorentzian(trace)
-        assert est.lorentzian_fwhm == pytest.approx(400.0, rel=1e-3)
-        assert est.method == "direct-lorentzian"
-
-
 class TestPlainFloats:
     WIDTHS = ("lorentzian_fwhm", "gaussian_fwhm", "voigt_fwhm",
               "single_laser_fwhm", "residual")
@@ -387,11 +360,6 @@ class TestPlainFloats:
         params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
         trace = analytic_psd(params, grid_about(7e6, 80e3, 20.0))
         self.assert_plain(estimate_envelope_contrast(trace, params, 1, 2))
-
-    def test_direct(self):
-        grid = grid_about(0.0, 5e3, 2.0)
-        trace = SpectrumTrace(grid, eval_lorentzian(grid, 0.0, 400.0).values, "linear")
-        self.assert_plain(estimate_direct_lorentzian(trace))
 
 
 def _reference_locate_extremum(values, grid, carrier, position, window, kind,
@@ -445,7 +413,7 @@ def reference_estimate_envelope_contrast(trace, params, peak_order=1,
     if min(abs(x_p - carrier), abs(x_t - carrier)) < servo_band_hz:
         flags.add(FLAG_SERVO_CONTAMINATED)
     residual = abs(
-        model_contrast_db(params, peak_order, trough_order, fwhm) - ds
+        _contrast_db(params, peak_order, trough_order, fwhm) - ds
     ) / max(abs(ds), 1e-12)
     return _make_estimate(fwhm, 0.0, "envelope-contrast", iterations,
                           residual, flags)

@@ -1,4 +1,4 @@
-"""Trace/report file formats and unit conversions."""
+"""Trace and report file formats."""
 
 import json
 
@@ -10,16 +10,14 @@ from beatnote import (
     DshiParams,
     FrequencyGrid,
     SpectrumTrace,
-    dbm_to_linear,
     estimate_voigt,
-    linear_to_dbm,
     read_report,
     read_trace,
     voigt_beat_note,
     write_report,
     write_trace,
 )
-from beatnote.errors import DomainError, ParseError, SchemaError, TraceIOError
+from beatnote.errors import ParseError, SchemaError, TraceIOError
 
 
 def sample_trace(unit="linear"):
@@ -29,24 +27,6 @@ def sample_trace(unit="linear"):
     if unit == "dbm":
         values = 10.0 * np.log10(values)
     return SpectrumTrace(grid, values, unit, rbw=30.0)
-
-
-class TestUnitConversions:
-    def test_definitions(self):
-        assert dbm_to_linear(0.0) == 1.0
-        assert dbm_to_linear(-30.0) == pytest.approx(0.001, rel=1e-12)
-        assert linear_to_dbm(0.001) == pytest.approx(-30.0, abs=1e-12)
-
-    def test_roundtrip_exact_pair(self):
-        xs = np.linspace(-120.0, 30.0, 151)
-        back = linear_to_dbm(dbm_to_linear(xs))
-        assert np.max(np.abs(back - xs)) < 1e-12
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            linear_to_dbm(0.0)
-        with pytest.raises(DomainError):
-            linear_to_dbm(np.array([1.0, -2.0]))
 
 
 class TestTraceFiles:
