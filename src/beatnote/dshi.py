@@ -31,10 +31,7 @@ from .lineshape import (UNIT_DBM, UNIT_LINEAR, FrequencyGrid, LineshapeParams,
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "UNIT_LINEAR",
-    "UNIT_DBM",
     "DshiParams",
-    "SpectrumTrace",
     "NoiseModel",
     "ServoBumpModel",
     "SimConfig",
@@ -230,36 +227,66 @@ def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
     return SpectrumTrace(grid, values, UNIT_LINEAR)
 
 
-def _flicker_sigma(level: float, m: int, dt: float) -> np.ndarray:
-    """Fourier amplitudes sigma(f_k) of 1/f frequency noise on m samples.
+# Normals per keyed draw block.  Block k of stream s comes from
+# SeedSequence(seed, spawn_key=(s, k)), whoever draws it and whatever the
+# record length, so the draws do not depend on lanes or on their order.
+_DRAW_BLOCK = 1 << 18
+_WHITE, _FLICKER, _RIN = range(3)
+
+
+def _keyed_blocks(seed: int, stream: int, out: np.ndarray, first: int = 0,
+                  step: int = 1):
+    """Fill blocks first, first + step, ... of the float array out with
+    standard normals, each from its key, and yield (offset, block) as each
+    is drawn."""
+    for k in range(first, -(-out.size // _DRAW_BLOCK), step):
+        offset = k * _DRAW_BLOCK
+        block = out[offset:offset + _DRAW_BLOCK]
+        key = np.random.SeedSequence(seed, spawn_key=(stream, k))
+        np.random.default_rng(key).standard_normal(out=block)
+        yield offset, block
+
+
+def _flicker_sigma(level: float, m: int, lo: int, hi: int) -> np.ndarray:
+    """Fourier amplitudes sigma(f_j), j in [lo, hi), of 1/f frequency noise
+    on m samples.
 
     Spectral synthesis (Timmer & Koenig 1995, A&A 300, 707): Gaussian
-    Fourier amplitudes of variance level/f; E|X_k|^2 = S(f_k) m / (2 dt)
-    makes the one-sided periodogram S(f_k).  sigma(0) = 0.
+    Fourier amplitudes of variance level/f; E|X_j|^2 = S(f_j) m / (2 dt)
+    makes the one-sided periodogram S(f_j).  With f_j = j / (m dt) that is
+    sigma_j = (m / 2) sqrt(level / j) for each part; sigma_0 = 0.
     """
-    sigma = np.fft.rfftfreq(m, dt)
-    sigma[1:] *= 4.0 * dt
-    np.divide(level * m, sigma[1:], out=sigma[1:])
-    return np.sqrt(sigma, out=sigma)
+    sigma = np.arange(lo, hi, dtype=float)
+    np.divide(level, sigma, out=sigma, where=sigma > 0)
+    np.sqrt(sigma, out=sigma)
+    sigma *= 0.5 * m
+    return sigma
 
 
-def _flicker_frequency(spec: np.ndarray, sigma: np.ndarray,
-                       m: int) -> np.ndarray:
-    """Frequency deviation (Hz) on m samples: the inverse real FFT of
-    sigma * spec, where spec holds the standard normal draws re + i im and
-    is scaled in place."""
-    spec.real *= sigma
-    spec.imag *= sigma
-    del sigma  # the last reference: freed before the transform's buffers
-    return np.fft.irfft(spec, m)
+def _flicker_spectrum(level: float, m: int, seed: int) -> np.ndarray:
+    """The m // 2 + 1 Fourier amplitudes of 1/f frequency noise on m samples.
+
+    The complex array's float view (re, im interleaved) is stream _FLICKER;
+    two lanes draw alternate blocks and scale each by sigma as they go.
+    """
+    spec = np.empty(m // 2 + 1, complex)
+    parts = spec.view(float)
+
+    def lane(first):
+        for offset, block in _keyed_blocks(seed, _FLICKER, parts, first, 2):
+            lo = offset // 2
+            pairs = block.reshape(-1, 2)
+            pairs *= _flicker_sigma(level, m, lo, lo + pairs.shape[0])[:, None]
+
+    _in_two_lanes(lane)
+    return spec
 
 
-def _flicker_phase(sigma: _Lane, spec: np.ndarray, m: int, n: int,
-                   dt: float) -> np.ndarray:
-    """Phase (rad) of the 1/f noise over n samples.  The synthesis runs on a
-    power-of-two length m >= n and is truncated to n so the series does not
-    wrap around; sigma is the lane computing _flicker_sigma."""
-    phase = _flicker_frequency(spec, sigma.result(), m)[:n]
+def _flicker_phase(spec: np.ndarray, m: int, n: int, dt: float) -> np.ndarray:
+    """Phase (rad) over n samples of the 1/f noise whose spectrum is spec.
+    The inverse transform runs on the power-of-two length m >= n and is
+    truncated to n so the series does not wrap around."""
+    phase = np.fft.irfft(spec, m)[:n]
     np.cumsum(phase, out=phase)
     phase *= 2.0 * math.pi
     phase *= dt
@@ -302,39 +329,40 @@ def _in_two_lanes(fn) -> None:
     lane.result()
 
 
-def _noise_tracks(noise: NoiseModel, n: int, dt: float,
-                  rng: np.random.Generator):
+def _noise_tracks(noise: NoiseModel, n: int, dt: float, seed: int):
     """Total phase (rad) and intensity (None without RIN) over n samples.
 
-    The draws run on the calling thread in stream order: white FM, the
-    flicker real and imaginary parts, RIN.  A second lane computes the
-    flicker amplitudes during the white draw, and the flicker transform
-    while RIN is drawn and the white phase integrated.
+    Every draw is keyed by stream and block (_keyed_blocks): white FM,
+    the flicker spectrum and RIN.  With flicker, both lanes first draw the
+    spectrum; the second lane then inverts and integrates it while the
+    calling thread draws the white FM and RIN and integrates the white
+    phase.  Without flicker every draw is on the calling thread.
     """
-    lanes = []
+    lane = None
     try:
         if noise.flicker_level > 0:
             m = 1 << (n - 1).bit_length()
-            lanes.append(_Lane(_flicker_sigma, noise.flicker_level, m, dt))
+            spec = _flicker_spectrum(noise.flicker_level, m, seed)
+            lane = _Lane(_flicker_phase, spec, m, n, dt)
+            del spec
         # Wiener phase: increment variance pi * fwhm * dt gives the per-arm
         # autocorrelation exp(-pi (fwhm/2) |tau|).
-        phase = rng.normal(0.0, math.sqrt(math.pi * noise.white_fm_fwhm * dt), n)
-        if lanes:
-            spec = np.empty(m // 2 + 1, complex)
-            spec.real = rng.standard_normal(spec.size)
-            spec.imag = rng.standard_normal(spec.size)
-            lanes.append(_Lane(_flicker_phase, lanes[0], spec, m, n, dt))
-            del spec
+        step = math.sqrt(math.pi * noise.white_fm_fwhm * dt)
+        phase = np.empty(n)
+        for _, block in _keyed_blocks(seed, _WHITE, phase):
+            block *= step
         intensity = None
         if noise.rin_sigma > 0:
-            intensity = rng.normal(0.0, noise.rin_sigma, n)
-            intensity += 1.0
-            np.maximum(intensity, 0.0, out=intensity)
+            intensity = np.empty(n)
+            for _, block in _keyed_blocks(seed, _RIN, intensity):
+                block *= noise.rin_sigma
+                block += 1.0
+                np.maximum(block, 0.0, out=block)
         np.cumsum(phase, out=phase)
-        if lanes:
-            phase += lanes[-1].result()
+        if lane is not None:
+            phase += lane.result()
     finally:
-        for lane in lanes:
+        if lane is not None:
             lane.join()
     return phase, intensity
 
@@ -439,12 +467,14 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
     halved to the two-sided density convention of analytic_psd.
 
     The work runs in two lanes, the calling thread and one more thread
-    that ends before this returns.  The noise is drawn on the calling
-    thread in stream order (white FM, flicker, RIN) while the second lane
-    computes the flicker spectrum and its inverse FFT; the beat and its
-    periodograms are then split between the lanes a chunk of segments at a
-    time.  Every value is computed by the same operations in the same order
-    as on one thread, so a seeded run is bit-identical to a serial one.
+    that ends before this returns.  Every normal is keyed by what it is:
+    block k of stream s (0 white FM, 1 flicker spectrum, 2 RIN) is drawn
+    from SeedSequence(cfg.seed, spawn_key=(s, k)).  Both lanes draw the
+    flicker spectrum; the second lane then inverts it while the calling
+    thread draws the white FM and RIN; the beat and its periodograms are
+    split between the lanes a chunk of segments at a time.  No value
+    depends on which lane made it, so a seeded run is bit-identical to a
+    single-threaded one that draws each block from its key in order.
     """
     fs = cfg.sample_rate
     if fs < 8.0 * params.eom_frequency:
@@ -464,8 +494,7 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
     n_total = nperseg * cfg.segments
     dt = 1.0 / fs
 
-    rng = np.random.default_rng(cfg.seed)
-    phase, intensity = _noise_tracks(noise, n_total + delay_n, dt, rng)
+    phase, intensity = _noise_tracks(noise, n_total + delay_n, dt, cfg.seed)
     window = _hann(nperseg)
     power = _beat_periodograms(params, phase, intensity, delay_n, nperseg,
                                cfg.segments, dt, window)

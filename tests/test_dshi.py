@@ -29,8 +29,7 @@ from beatnote import dshi
 from beatnote.dshi import (
     UNIT_LINEAR,
     _bump_multiplier,
-    _flicker_frequency,
-    _flicker_sigma,
+    _flicker_spectrum,
     _hann,
     _one_sided_density,
     _periodogram_rows,
@@ -52,23 +51,41 @@ def grid_about(center, half_span, step):
     return FrequencyGrid(center - n * step, step, 2 * n + 1)
 
 
-# The single-threaded oracle as it was before the two-lane split, kept
-# verbatim (only renamed) as the bit-identity reference.
+# A single-threaded oracle that draws every noise block from its key in
+# order, as the bit-identity reference: block k of stream s (0 white FM,
+# 1 flicker spectrum, 2 RIN) is 2**18 standard normals from
+# SeedSequence(seed, spawn_key=(s, k)).
+
+KEY_BLOCK = 1 << 18
+
+
+def keyed_normals(seed: int, stream: int, size: int) -> np.ndarray:
+    """size standard normals of one stream, its blocks drawn in order."""
+    blocks = []
+    for k in range(-(-size // KEY_BLOCK)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(stream, k)))
+        blocks.append(rng.standard_normal(min(KEY_BLOCK, size - k * KEY_BLOCK)))
+    return np.concatenate(blocks)
+
 
 def serial_flicker_frequency_noise(level: float, n: int, dt: float,
-                                   rng: np.random.Generator) -> np.ndarray:
+                                   seed: int) -> np.ndarray:
     """Frequency deviation (Hz) with a one-sided PSD of level/f.
 
     Spectral synthesis (Timmer & Koenig 1995, A&A 300, 707): Gaussian
     Fourier amplitudes of variance level/f on a power-of-two length m >= n,
     inverted and truncated to n samples so the series does not wrap around.
-    E|X_k|^2 = S(f_k) m / (2 dt) makes the one-sided periodogram S(f_k).
+    E|X_k|^2 = S(f_k) m / (2 dt) makes the one-sided periodogram S(f_k); with
+    f_k = k / (m dt) each part has sigma_k = (m / 2) sqrt(level / k).  The
+    real and imaginary parts interleave in one keyed stream.
     """
     m = 1 << (n - 1).bit_length()
-    f = np.fft.rfftfreq(m, dt)
-    sigma = np.zeros(f.size)
-    sigma[1:] = np.sqrt(level * m / (4.0 * dt * f[1:]))
-    re, im = rng.standard_normal(f.size), rng.standard_normal(f.size)
+    k = np.arange(m // 2 + 1, dtype=float)
+    sigma = np.zeros(k.size)
+    sigma[1:] = np.sqrt(level / k[1:]) * (0.5 * m)
+    parts = keyed_normals(seed, 1, 2 * k.size)
+    re, im = parts[0::2], parts[1::2]
     return np.fft.irfft(sigma * (re + 1j * im), m)[:n]
 
 
@@ -122,14 +139,15 @@ def serial_simulate_time_domain(params: DshiParams, noise: NoiseModel,
     n_field = n_total + delay_n
     dt = 1.0 / fs
 
-    rng = np.random.default_rng(cfg.seed)
     # Wiener phase: increment variance pi * fwhm * dt gives the per-arm
     # autocorrelation exp(-pi (fwhm/2) |tau|).
     phase = np.cumsum(
-        rng.normal(0.0, math.sqrt(math.pi * noise.white_fm_fwhm * dt), n_field)
+        math.sqrt(math.pi * noise.white_fm_fwhm * dt)
+        * keyed_normals(cfg.seed, 0, n_field)
     )
     if noise.flicker_level > 0:
-        nu = serial_flicker_frequency_noise(noise.flicker_level, n_field, dt, rng)
+        nu = serial_flicker_frequency_noise(noise.flicker_level, n_field, dt,
+                                            cfg.seed)
         phase += 2.0 * math.pi * np.cumsum(nu) * dt
 
     # Arms sqrt(I) e^{i phi}: |direct|^2 + |delayed|^2 + 2 Re(conj(direct) delayed
@@ -139,7 +157,8 @@ def serial_simulate_time_domain(params: DshiParams, noise: NoiseModel,
     np.cos(beat, out=beat)
     half = 0.5 * params.optical_power
     if noise.rin_sigma > 0:
-        intensity = np.maximum(1.0 + rng.normal(0.0, noise.rin_sigma, n_field), 0.0)
+        intensity = np.maximum(
+            1.0 + noise.rin_sigma * keyed_normals(cfg.seed, 2, n_field), 0.0)
         beat *= 2.0 * half * np.sqrt(intensity[delay_n:] * intensity[:n_total])
         beat += half * (intensity[delay_n:] + intensity[:n_total])
     else:
@@ -151,13 +170,11 @@ def serial_simulate_time_domain(params: DshiParams, noise: NoiseModel,
     return SpectrumTrace(grid, psd / 2.0, UNIT_LINEAR, rbw=fs / nperseg)
 
 
-def flicker_frequency_noise(level, n, dt, rng):
-    """The package's 1/f synthesis on the draws of the serial reference."""
+def flicker_frequency_noise(level, n, dt, seed):
+    """The package's keyed 1/f synthesis: the spectrum both lanes draw,
+    inverted and truncated to n samples."""
     m = 1 << (n - 1).bit_length()
-    spec = np.empty(m // 2 + 1, complex)
-    spec.real = rng.standard_normal(spec.size)
-    spec.imag = rng.standard_normal(spec.size)
-    return _flicker_frequency(spec, _flicker_sigma(level, m, dt), m)[:n]
+    return np.fft.irfft(_flicker_spectrum(level, m, seed), m)[:n]
 
 
 def welch_density(x, fs, nperseg):
@@ -170,25 +187,25 @@ def welch_density(x, fs, nperseg):
 
 
 def reference_simulate_time_domain(params, noise, cfg):
-    """Independent beat: the same draws in the same order as
-    simulate_time_domain, but an explicit complex field sqrt(I) e^{i phi}
-    and the photocurrent |direct|^2 + |delayed|^2
-    + 2 Re(conj(direct) delayed e^{iwt}).  Returns the halved Welch density."""
+    """Independent beat: the same keyed draws as simulate_time_domain, but
+    an explicit complex field sqrt(I) e^{i phi} and the photocurrent
+    |direct|^2 + |delayed|^2 + 2 Re(conj(direct) delayed e^{iwt}).  Returns
+    the halved Welch density."""
     fs = cfg.sample_rate
     delay_n = int(round(params.delay * fs))
     nperseg = int(fs * cfg.duration) // cfg.segments
     n_total = nperseg * cfg.segments
     n_field = n_total + delay_n
     dt = 1.0 / fs
-    rng = np.random.default_rng(cfg.seed)
-    phase = np.cumsum(
-        rng.normal(0.0, math.sqrt(math.pi * noise.white_fm_fwhm * dt), n_field))
+    phase = np.cumsum(math.sqrt(math.pi * noise.white_fm_fwhm * dt)
+                      * keyed_normals(cfg.seed, 0, n_field))
     if noise.flicker_level > 0:
-        nu = serial_flicker_frequency_noise(noise.flicker_level, n_field, dt, rng)
+        nu = serial_flicker_frequency_noise(noise.flicker_level, n_field, dt,
+                                            cfg.seed)
         phase += 2.0 * math.pi * np.cumsum(nu) * dt
     field = np.exp(1j * phase)
     if noise.rin_sigma > 0:
-        intensity = 1.0 + rng.normal(0.0, noise.rin_sigma, n_field)
+        intensity = 1.0 + noise.rin_sigma * keyed_normals(cfg.seed, 2, n_field)
         field *= np.sqrt(np.maximum(intensity, 0.0))
     direct, delayed = field[delay_n:], field[:n_total]
     t = np.arange(n_total) * dt
@@ -402,10 +419,9 @@ class TestMonteCarlo:
             SimConfig(sample_rate=8e6, duration=0.1, segments=4)
 
     def test_flicker_noise_follows_one_over_f(self):
-        rng = np.random.default_rng(42)
         level = 1e4
         n, dt = 1_500_000, 5e-7
-        nu = flicker_frequency_noise(level, n, dt, rng)
+        nu = flicker_frequency_noise(level, n, dt, seed=42)
         f, psd = welch(nu, fs=1.0 / dt, nperseg=1 << 15, noverlap=0)
         edges = 10.0 ** np.arange(1.7, 5.4, 0.3)
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -459,6 +475,35 @@ class TestMonteCarlo:
         assert trace.grid == expected.grid and trace.rbw == expected.rbw
         assert np.array_equal(trace.values, expected.values)
 
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4),
+        NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4, rin_sigma=0.05),
+    ], ids=["flicker", "flicker_rin"])
+    def test_bit_identical_whatever_the_lane_order(self, monkeypatch, noise):
+        # 16 x 20000 samples put the flicker spectrum in three keyed blocks,
+        # so each lane draws at least one of them.
+        params = DshiParams(eom_frequency=1e6, laser_fwhm=320.0)
+        cfg = SimConfig(sample_rate=8e6, duration=16 * 20000 / 8e6,
+                        segments=16, seed=5)
+        expected = simulate_time_domain(params, noise, cfg)
+
+        def reversed_lanes(fn):
+            fn(1)
+            fn(0)
+
+        monkeypatch.setattr(dshi, "_in_two_lanes", reversed_lanes)
+        trace = simulate_time_domain(params, noise, cfg)
+        assert np.array_equal(trace.values, expected.values)
+
+    def test_white_phase_is_a_prefix_of_a_longer_record(self):
+        # Keys name the block, not the record length: a shorter track is
+        # the start of a longer one, across a block boundary.
+        noise, dt = NoiseModel(white_fm_fwhm=320.0), 1.0 / 8e6
+        n1, n2 = 300_001, 600_000
+        short, _ = dshi._noise_tracks(noise, n1, dt, 3)
+        long, _ = dshi._noise_tracks(noise, n2, dt, 3)
+        assert np.array_equal(long[:n1], short)
+
     def test_lanes_end_with_the_call(self, monkeypatch):
         params = DshiParams(eom_frequency=1e6, laser_fwhm=320.0)
         noise = NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4, rin_sigma=0.05)
@@ -474,7 +519,7 @@ class TestMonteCarlo:
         def failing_transform(*args):
             raise LaneFailure("flicker transform failed")
 
-        monkeypatch.setattr(dshi, "_flicker_frequency", failing_transform)
+        monkeypatch.setattr(dshi, "_flicker_phase", failing_transform)
         with pytest.raises(LaneFailure):
             simulate_time_domain(params, noise, cfg)
         assert threading.active_count() == before
