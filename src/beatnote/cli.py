@@ -189,16 +189,19 @@ def cmd_simulate(args) -> int:
 def _fitted_profile(trace: SpectrumTrace, estimate) -> SpectrumTrace:
     """Voigt overlay with the estimated widths, scaled to the trace peak."""
     params = LineshapeParams(
-        center=trace.grid.start + trace.grid.step * int(np.argmax(trace.linear_values())),
+        center=trace.grid.start + trace.grid.step * int(np.argmax(trace.values)),
         fwhm_gaussian=estimate.gaussian_fwhm,
         fwhm_lorentzian=estimate.lorentzian_fwhm,
     )
     profile = eval_voigt_numeric(trace.grid, params)
-    scale = trace.linear_values().max() / profile.values.max()
-    return SpectrumTrace(trace.grid, profile.values * scale, "linear", trace.rbw)
+    scale = trace.values.max() / profile.values.max()
+    return SpectrumTrace(trace.grid, profile.values * scale, trace.rbw)
 
 
 def cmd_fit(args) -> int:
+    if args.fitted_trace and args.method == "envelope":
+        raise InvalidParameterError(
+            "--fitted-trace needs the Voigt estimator (--method voigt or both)")
     trace = read_trace(args.input)
     opts = VoigtOptions(tol=args.tol, max_iter=args.max_iter,
                         exclude_central_bins=args.exclude_central_bins)
@@ -213,7 +216,7 @@ def cmd_fit(args) -> int:
             trace, params, peak_order=args.peak_order,
             trough_order=args.trough_order, servo_band_hz=args.servo_band_hz)
         reports.append(("envelope", est))
-    if args.fitted_trace and reports[0][0] == "voigt":
+    if args.fitted_trace:
         write_trace(_fitted_profile(trace, reports[0][1]), args.fitted_trace)
 
     config = _run_config(args)
@@ -413,7 +416,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     fit.add_argument("--trough-order", type=int, default=2)
     fit.add_argument("--servo-band-hz", type=float, default=100e3)
     fit.add_argument("--fitted-trace", type=str, default=None,
-                     help="write the fitted Voigt profile for overlays")
+                     help="write the fitted Voigt profile for overlays "
+                          "(--method voigt or both)")
     fit.add_argument("--timestamp", type=str, default=None)
     fit.add_argument("--out", type=str, required=True)
     fit.set_defaults(func=cmd_fit)

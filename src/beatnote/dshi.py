@@ -26,8 +26,8 @@ from .errors import (
     InvalidParameterError,
     ResolutionError,
 )
-from .lineshape import (UNIT_DBM, UNIT_LINEAR, FrequencyGrid, LineshapeParams,
-                        SpectrumTrace, _whole_number, eval_voigt_numeric)
+from .lineshape import (FrequencyGrid, LineshapeParams, SpectrumTrace,
+                        _whole_number, eval_voigt_numeric)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -185,7 +185,7 @@ def _require_carrier_coverage(params: DshiParams, grid: FrequencyGrid):
 
 
 def analytic_psd(params: DshiParams, grid: FrequencyGrid) -> SpectrumTrace:
-    """Analytic beat-note PSD on the given grid, in linear units.
+    """Analytic beat-note PSD on the given grid.
 
     The continuous part is the Lorentzian wing of the combined-linewidth beat
     modulated by the coherence envelope of the delay line; the coherent
@@ -197,7 +197,7 @@ def analytic_psd(params: DshiParams, grid: FrequencyGrid) -> SpectrumTrace:
     wing, envelope = _wing_and_envelope(params, x)
     values = wing * envelope
     values[grid.index_of(params.eom_frequency)] += _spike_power(params) / grid.step
-    return SpectrumTrace(grid, values, UNIT_LINEAR)
+    return SpectrumTrace(grid, values)
 
 
 def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
@@ -224,7 +224,7 @@ def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
         LineshapeParams(params.eom_frequency, gaussian_fwhm, params.laser_fwhm),
     )
     values = wing * envelope + _spike_power(params) * peak.values
-    return SpectrumTrace(grid, values, UNIT_LINEAR)
+    return SpectrumTrace(grid, values)
 
 
 # Normals per keyed draw block.  Block k of stream s comes from
@@ -501,7 +501,7 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
     psd = _one_sided_density(power, fs, window)
     grid = FrequencyGrid(0.0, 1.0 / (nperseg * dt), psd.size)
     # Halve the one-sided Welch estimate: the analytic model is two-sided.
-    return SpectrumTrace(grid, psd / 2.0, UNIT_LINEAR, rbw=fs / nperseg)
+    return SpectrumTrace(grid, psd / 2.0, rbw=fs / nperseg)
 
 
 def _bump_multiplier(bumps: ServoBumpModel, carrier: float,
@@ -520,13 +520,13 @@ def _bump_multiplier(bumps: ServoBumpModel, carrier: float,
 def _carrier_or_peak(trace: SpectrumTrace, carrier_hz) -> float:
     if carrier_hz is not None:
         return float(carrier_hz)
-    i = int(np.argmax(trace.linear_values()))
+    i = int(np.argmax(trace.values))
     return trace.grid.start + i * trace.grid.step
 
 
 def inject_servo_bumps(trace: SpectrumTrace, bumps: ServoBumpModel,
                        carrier_hz: float | None = None) -> SpectrumTrace:
-    """Multiply the linear trace by Gaussian bumps at +-offset from the carrier.
+    """Multiply the trace by Gaussian bumps at +-offset from the carrier.
 
     carrier_hz defaults to the trace's peak frequency.  Exact inverse of
     extract_servo_bumps against the unbumped trace.
@@ -536,35 +536,42 @@ def inject_servo_bumps(trace: SpectrumTrace, bumps: ServoBumpModel,
     if not (grid.covers(carrier + bumps.offset)
             and grid.covers(carrier - bumps.offset)):
         raise DomainError("bump offset falls outside the trace grid")
-    values = trace.linear_values() * _bump_multiplier(bumps, carrier, grid.points())
-    out = SpectrumTrace(grid, values, UNIT_LINEAR, trace.rbw)
-    return out.to_dbm() if trace.unit == UNIT_DBM else out
+    values = trace.values * _bump_multiplier(bumps, carrier, grid.points())
+    return SpectrumTrace(grid, values, trace.rbw)
 
 
 def extract_servo_bumps(measured: SpectrumTrace,
                         model: SpectrumTrace) -> SpectrumTrace:
-    """Pointwise linear-power ratio measured/model on a shared grid."""
+    """Pointwise power ratio measured/model on a shared grid."""
     if measured.grid != model.grid:
         raise GridMismatchError("measured and model traces use different grids")
-    denom = model.linear_values()
+    denom = model.values
     if np.any(denom <= 0):
         raise DomainError("model trace has non-positive bins; ratio undefined")
-    return SpectrumTrace(measured.grid, measured.linear_values() / denom,
-                         UNIT_LINEAR, measured.rbw)
+    return SpectrumTrace(measured.grid, measured.values / denom, measured.rbw)
 
 
 def apply_rbw(trace: SpectrumTrace, rbw: float) -> SpectrumTrace:
-    """Smooth the trace with a Gaussian of FWHM `rbw` (resolution bandwidth)."""
+    """Smooth the trace with a Gaussian of FWHM `rbw` (resolution bandwidth).
+
+    The kernel spans +-ceil(4 rbw / step) bins; one as wide as the trace is
+    refused.
+    """
     if not 0 < rbw < math.inf:
         raise InvalidParameterError(f"rbw must be finite and > 0, got {rbw}")
     step = trace.grid.step
-    m = max(1, int(math.ceil(4.0 * rbw / step)))
+    half_span = 4.0 * rbw / step
+    # ceil(half_span) >= count exactly when half_span > count - 1.
+    if not half_span <= trace.grid.count - 1:
+        raise InvalidParameterError(
+            f"rbw {rbw:g} Hz needs a kernel of +-{half_span:.4g} bins, wider "
+            f"than the {trace.grid.count}-point trace")
+    m = max(1, int(math.ceil(half_span)))
     offsets = step * np.arange(-m, m + 1)
     kernel = np.exp(-4.0 * math.log(2.0) * (offsets / rbw) ** 2)
     kernel /= kernel.sum()
-    values = trace.linear_values()
+    values = trace.values
     nfft = 1 << (values.size + kernel.size - 2).bit_length()
     full = np.fft.irfft(np.fft.rfft(values, nfft) * np.fft.rfft(kernel, nfft), nfft)
     values = np.maximum(full[m:m + values.size], 0.0)
-    out = SpectrumTrace(trace.grid, values, UNIT_LINEAR, rbw)
-    return out.to_dbm() if trace.unit == UNIT_DBM else out
+    return SpectrumTrace(trace.grid, values, rbw)

@@ -270,8 +270,8 @@ def mask_central_bins(trace: SpectrumTrace, count: int) -> SpectrumTrace:
     if count < 0:
         raise InvalidParameterError(f"masked bin count must be >= 0, got {count}")
     if count == 0:
-        return trace.to_linear()
-    values = trace.linear_values().copy()
+        return trace
+    values = trace.values.copy()
     center = int(np.argmax(values))
     lo = max(center - count // 2, 1)
     hi = min(lo + count - 1, grid.count - 2)
@@ -280,7 +280,7 @@ def mask_central_bins(trace: SpectrumTrace, count: int) -> SpectrumTrace:
     values[lo:hi + 1] = values[lo - 1] + (values[hi + 1] - values[lo - 1]) * (
         np.arange(1, hi - lo + 2) / span
     )
-    return SpectrumTrace(grid, values, "linear", trace.rbw)
+    return SpectrumTrace(grid, values, trace.rbw)
 
 
 def estimate_voigt(trace: SpectrumTrace,
@@ -516,7 +516,7 @@ def measure_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     """
     _, spacing, positions = _predicted_extrema(trace.grid, params,
                                                peak_order, trough_order)
-    values = trace.linear_values()
+    values = trace.values
     freqs = trace.grid.points()
     x_p, x_t = _locate_extrema(freqs, values, trace.grid.step, params,
                                spacing, positions, 0.0)
@@ -536,7 +536,7 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
             f"servo band must be finite and >= 0, got {servo_band_hz}")
     (peak_order, trough_order), spacing, positions = _predicted_extrema(
         trace.grid, params, peak_order, trough_order)
-    values = trace.linear_values()
+    values = trace.values
     freqs = trace.grid.points()
     # One reading at the predicted positions gives both the linewidth and the
     # locator's wing-detrend hint.  An unsolvable contrast waits until both

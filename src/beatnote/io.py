@@ -3,8 +3,11 @@
 Trace CSV schema: optional '#' comment lines carrying key=value metadata
 (unit, rbw_hz, instrument, grid_start_hz, grid_step_hz), then the header row
 ``frequency_hz,psd`` followed by two numeric columns.  Frequencies must be
-ascending and uniform.  Values are written with 17 significant digits so
-float64 roundtrips are lossless.
+ascending and uniform.  The unit is ``linear`` (power per Hz; the default,
+also spelled ``linear-power-per-hz``) or ``dbm`` (dBm per resolution
+bandwidth, also ``dbm-per-rbw``).  A dBm file is converted to linear power
+once, on reading; written files are always linear.  Values are written with
+17 significant digits so float64 roundtrips are lossless.
 
 Reports are JSON with sorted keys and an explicit schema_version; the
 timestamp field is optional and omitted by default so identical runs produce
@@ -21,9 +24,9 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 
 from . import __version__ as _tool_version
-from .errors import ParseError, SchemaError, TraceIOError
+from .errors import DomainError, ParseError, SchemaError, TraceIOError
 from .estimate import FitResult, LinewidthEstimate
-from .lineshape import UNIT_DBM, UNIT_LINEAR, FrequencyGrid, SpectrumTrace
+from .lineshape import FrequencyGrid, SpectrumTrace
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -37,19 +40,15 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _HEADER_ROW = "frequency_hz,psd"
-_UNIT_ALIASES = {
-    "linear": UNIT_LINEAR,
-    "linear-power-per-hz": UNIT_LINEAR,
-    "dbm": UNIT_DBM,
-    "dbm-per-rbw": UNIT_DBM,
-}
+_DBM_UNITS = ("dbm", "dbm-per-rbw")
+_UNITS = ("linear", "linear-power-per-hz") + _DBM_UNITS
 
 
 def write_trace(trace: SpectrumTrace, path) -> None:
-    """Write a trace in the CSV schema (17 significant digits)."""
+    """Write a trace in the CSV schema: unit linear, 17 significant digits."""
     grid = trace.grid
     lines = [
-        f"# unit={trace.unit}",
+        "# unit=linear",
         f"# rbw_hz={trace.rbw:.17g}",
         f"# grid_start_hz={grid.start:.17g}",
         f"# grid_step_hz={grid.step:.17g}",
@@ -82,7 +81,8 @@ def _meta_number(meta: Dict[str, str], key: str, default: float) -> float:
 def read_trace(path) -> SpectrumTrace:
     """Parse a trace CSV, rejecting non-monotone or non-uniform grids, rows
     holding a non-finite frequency or a NaN or +inf value, and numeric
-    metadata that is not a finite number."""
+    metadata that is not a finite number.  Values of a dBm file come back as
+    linear power 10**(v/10), so a -inf row reads as 0."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw_lines = fh.readlines()
@@ -139,11 +139,14 @@ def read_trace(path) -> SpectrumTrace:
     if np.max(np.abs(f - grid.points())) > 1e-6 * step:
         raise SchemaError("frequency grid is not uniform")
 
-    unit_token = meta.get("unit", UNIT_LINEAR).lower()
-    if unit_token not in _UNIT_ALIASES:
-        raise SchemaError(f"unknown unit {unit_token!r}")
+    unit = meta.get("unit", "linear").lower()
+    if unit not in _UNITS:
+        raise SchemaError(f"unknown unit {unit!r}")
+    values = np.asarray(values)
+    if unit in _DBM_UNITS:
+        values = 10.0 ** (values / 10.0)
     rbw = _meta_number(meta, "rbw_hz", 0.0)
-    return SpectrumTrace(grid, np.asarray(values), _UNIT_ALIASES[unit_token], rbw)
+    return SpectrumTrace(grid, values, rbw)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
 from .errors import (
@@ -29,8 +27,6 @@ __all__ = [
     "HALF_POWER_DB",
     "LORENTZIAN_20DB_FACTOR",
     "GAUSSIAN_20DB_FACTOR",
-    "UNIT_LINEAR",
-    "UNIT_DBM",
     "FrequencyGrid",
     "LineshapeParams",
     "SpectrumTrace",
@@ -55,10 +51,6 @@ GAUSSIAN_20DB_FACTOR = math.sqrt(math.log2(100.0))
 # Voigt-width approximation constants (accurate to ~0.02% over all mixing ratios).
 VOIGT_WIDTH_CL = 1.0692
 VOIGT_WIDTH_CQ = 0.866639
-
-UNIT_LINEAR = "linear"  # linear power per Hz
-UNIT_DBM = "dbm"        # dBm per resolution bandwidth
-
 
 def _whole_number(value, name: str) -> int:
     """`value` as an int; an integral float or numpy number passes, anything
@@ -124,14 +116,14 @@ class LineshapeParams:
 
 @dataclass(frozen=True)
 class SpectrumTrace:
-    """Spectral density samples on a uniform grid, in linear or dBm units.
+    """Linear power spectral density samples on a uniform grid.
 
-    NaN and +inf are refused; -inf is a legal dBm value (a zero-power bin).
+    Values must be finite and >= 0; `rbw` is the resolution bandwidth in Hz
+    (0 when unknown).  io.read_trace converts a file in logarithmic units.
     """
 
     grid: FrequencyGrid
     values: np.ndarray
-    unit: Literal["linear", "dbm"] = UNIT_LINEAR
     rbw: float = 0.0
 
     def __post_init__(self):
@@ -140,40 +132,19 @@ class SpectrumTrace:
             raise InvalidParameterError(
                 f"values shape {values.shape} does not match grid count {self.grid.count}"
             )
-        if self.unit not in (UNIT_LINEAR, UNIT_DBM):
-            raise InvalidParameterError(f"unknown unit {self.unit!r}")
-        if not np.all(values < np.inf):  # false for NaN and +inf alike
-            raise InvalidParameterError("trace values must not be NaN or +inf")
-        if self.unit == UNIT_LINEAR and np.any(values < 0):
-            raise InvalidParameterError("linear PSD values must be >= 0")
+        if not np.all((values >= 0) & (values < np.inf)):  # false for NaN
+            raise InvalidParameterError("trace values must be finite and >= 0")
         if not math.isfinite(self.rbw):
             raise InvalidParameterError(f"rbw must be finite, got {self.rbw}")
         object.__setattr__(self, "values", values)
 
     def linear_values(self) -> np.ndarray:
-        if self.unit == UNIT_LINEAR:
-            return self.values
-        return 10.0 ** (self.values / 10.0)
-
-    def dbm_values(self) -> np.ndarray:
-        if self.unit == UNIT_DBM:
-            return self.values
-        with np.errstate(divide="ignore"):
-            return 10.0 * np.log10(self.values)
-
-    def to_linear(self) -> "SpectrumTrace":
-        if self.unit == UNIT_LINEAR:
-            return self
-        return SpectrumTrace(self.grid, self.linear_values(), UNIT_LINEAR, self.rbw)
-
-    def to_dbm(self) -> "SpectrumTrace":
-        if self.unit == UNIT_DBM:
-            return self
-        return SpectrumTrace(self.grid, self.dbm_values(), UNIT_DBM, self.rbw)
+        """The values, which are always linear power density."""
+        return self.values
 
     def integral(self) -> float:
-        """Trapezoidal integral of the linear values over the grid."""
-        return float(np.trapezoid(self.linear_values(), dx=self.grid.step))
+        """Trapezoidal integral of the values over the grid."""
+        return float(np.trapezoid(self.values, dx=self.grid.step))
 
 
 def eval_gaussian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
@@ -390,7 +361,7 @@ def width_at_level(trace: SpectrumTrace, level_db: float,
     """
     if not level_db > 0:
         raise InvalidParameterError(f"level must be > 0 dB, got {level_db}")
-    values = trace.linear_values()
+    values = trace.values
     grid = trace.grid
     vmax = values.max()
     peaks = np.flatnonzero(values == vmax)

@@ -146,6 +146,14 @@ class TestFit:
         measured = read_trace(trace)
         assert fitted.values.max() == pytest.approx(measured.values.max(), rel=1e-9)
 
+    def test_fitted_profile_refused_for_envelope(self, tmp_path):
+        # Refused before the input is read: the input does not exist.
+        overlay, report = tmp_path / "overlay.csv", tmp_path / "report.json"
+        assert run_cli("fit", "--input", str(tmp_path / "missing.csv"),
+                       "--method", "envelope", "--fitted-trace", str(overlay),
+                       "--out", str(report)) == 2
+        assert not overlay.exists() and not report.exists()
+
 
 class TestIonsim:
     def test_spectrum_mode(self, tmp_path):
@@ -223,6 +231,11 @@ class TestExitCodes:
     def test_validation_error(self, tmp_path):
         assert run_cli("simulate", "--mode", "analytic", "--linewidth-hz", "-5",
                        "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_rbw_wider_than_trace_is_validation_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--rbw-hz", "1e9", "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_estimation_error(self, tmp_path):
         # A flat synthetic trace has no measurable widths.

@@ -27,7 +27,6 @@ from beatnote import (
 )
 from beatnote import dshi
 from beatnote.dshi import (
-    UNIT_LINEAR,
     _bump_multiplier,
     _flicker_spectrum,
     _hann,
@@ -167,7 +166,7 @@ def serial_simulate_time_domain(params: DshiParams, noise: NoiseModel,
     psd = serial_welch_density(beat, fs, nperseg)
     grid = FrequencyGrid(0.0, 1.0 / (nperseg * dt), psd.size)
     # Halve the one-sided Welch estimate: the analytic model is two-sided.
-    return SpectrumTrace(grid, psd / 2.0, UNIT_LINEAR, rbw=fs / nperseg)
+    return SpectrumTrace(grid, psd / 2.0, rbw=fs / nperseg)
 
 
 def flicker_frequency_noise(level, n, dt, seed):
@@ -279,17 +278,10 @@ class TestModelValidation:
 
 
 class TestSpectrumTrace:
-    def test_unit_conversion_involutive(self):
-        grid = FrequencyGrid(0.0, 1.0, 64)
-        rng = np.random.default_rng(0)
-        dbm = SpectrumTrace(grid, rng.uniform(-90, 10, 64), "dbm")
-        back = dbm.to_linear().to_dbm()
-        assert np.max(np.abs(back.values - dbm.values)) < 1e-9
-
     def test_linear_values_non_negative(self):
         grid = FrequencyGrid(0.0, 1.0, 4)
         with pytest.raises(InvalidParameterError):
-            SpectrumTrace(grid, np.array([1.0, -1.0, 0.0, 2.0]), "linear")
+            SpectrumTrace(grid, np.array([1.0, -1.0, 0.0, 2.0]))
 
 
 class TestAnalyticPsd:
@@ -568,8 +560,8 @@ class TestServoBumps:
     def test_noisy_ratio_unbiased(self):
         rng = np.random.default_rng(11)
         noisy_db = lambda: 10.0 ** (rng.normal(0.0, 0.1, self.grid.count) / 10.0)
-        measured = SpectrumTrace(self.grid, self.clean.values * noisy_db(), "linear")
-        model = SpectrumTrace(self.grid, self.clean.values * noisy_db(), "linear")
+        measured = SpectrumTrace(self.grid, self.clean.values * noisy_db())
+        model = SpectrumTrace(self.grid, self.clean.values * noisy_db())
         ratio_db = 10.0 * np.log10(extract_servo_bumps(measured, model).values)
         assert abs(np.mean(ratio_db)) < 0.02
         assert np.std(ratio_db) < 0.2
@@ -582,7 +574,7 @@ class TestServoBumps:
     def test_zero_model_bin_rejected(self):
         values = self.clean.values.copy()
         values[5] = 0.0
-        model = SpectrumTrace(self.grid, values, "linear")
+        model = SpectrumTrace(self.grid, values)
         with pytest.raises(DomainError):
             extract_servo_bumps(self.clean, model)
 
@@ -643,6 +635,16 @@ class TestApplyRbw:
         raw = analytic_psd(DshiParams(**P5KM), grid_about(7e6, 50e3, 10.0))
         with pytest.raises(InvalidParameterError):
             apply_rbw(raw, rbw)
+
+    def test_kernel_wider_than_trace_refused(self):
+        # 101 points of 10 Hz: the kernel half-width ceil(4 rbw / step) may
+        # reach 100 bins, not 101.
+        raw = analytic_psd(DshiParams(**P5KM), grid_about(7e6, 500.0, 10.0))
+        assert raw.grid.count == 101
+        assert apply_rbw(raw, 250.0).values.shape == (101,)
+        for rbw in (250.0 + 1e-9, 1e9, 1e308):
+            with pytest.raises(InvalidParameterError, match="wider than"):
+                apply_rbw(raw, rbw)
 
     def test_matches_fftconvolve(self):
         raw = analytic_psd(DshiParams(**P5KM), grid_about(7e6, 50e3, 10.0))

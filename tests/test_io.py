@@ -17,16 +17,14 @@ from beatnote import (
     write_report,
     write_trace,
 )
-from beatnote.errors import ParseError, SchemaError, TraceIOError
+from beatnote.errors import DomainError, ParseError, SchemaError, TraceIOError
 
 
-def sample_trace(unit="linear"):
+def sample_trace():
     grid = FrequencyGrid(6.95e6, 12.5, 801)
     rng = np.random.default_rng(7)
     values = rng.uniform(1e-9, 1e-3, 801)
-    if unit == "dbm":
-        values = 10.0 * np.log10(values)
-    return SpectrumTrace(grid, values, unit, rbw=30.0)
+    return SpectrumTrace(grid, values, rbw=30.0)
 
 
 class TestTraceFiles:
@@ -37,21 +35,28 @@ class TestTraceFiles:
         back = read_trace(path)
         assert np.array_equal(back.values, trace.values)
         assert np.array_equal(back.grid.points(), trace.grid.points())
-        assert back.unit == trace.unit
         assert back.rbw == trace.rbw
 
     def test_dbm_unit_preserved(self, tmp_path):
-        trace = sample_trace("dbm")
-        path = tmp_path / "trace.csv"
-        write_trace(trace, path)
-        assert read_trace(path).unit == "dbm"
+        # A dBm file is read as linear power and re-written as linear.
+        trace = sample_trace()
+        dbm = 10.0 * np.log10(trace.values)
+        rows = [f"{f:.17g},{v:.17g}" for f, v in zip(trace.grid.points(), dbm)]
+        path = tmp_path / "dbm.csv"
+        path.write_text("\n".join(["# unit=dbm-per-rbw", "# rbw_hz=30",
+                                   "frequency_hz,psd"] + rows) + "\n")
+        back = read_trace(path)
+        assert np.array_equal(back.values, 10.0 ** (dbm / 10.0))
+        assert back.rbw == 30.0
+        write_trace(back, tmp_path / "linear.csv")
+        assert (tmp_path / "linear.csv").read_text().startswith("# unit=linear\n")
 
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("frequency_hz,psd\n1,0.5\n2,0.25\n3,0.125\n")
         trace = read_trace(path)
         assert trace.grid.count == 3
-        assert trace.unit == "linear"
+        assert trace.values.tolist() == [0.5, 0.25, 0.125]
 
     def test_descending_frequency_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -87,7 +92,7 @@ class TestTraceFiles:
     def test_negative_inf_dbm_row_accepted(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("# unit=dbm\nfrequency_hz,psd\n1,-3\n2,-inf\n3,-3\n")
-        assert read_trace(path).values[1] == -np.inf
+        assert read_trace(path).values.tolist() == [10.0 ** -0.3, 0.0, 10.0 ** -0.3]
 
     @pytest.mark.parametrize("key", ["rbw_hz", "grid_start_hz", "grid_step_hz"])
     @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
@@ -171,3 +176,9 @@ class TestReports:
         text = (tmp_path / "r.json").read_text()
         doc = json.loads(text)
         assert list(doc.keys()) == sorted(doc.keys())
+
+    def test_unknown_payload_refused_without_a_file(self, tmp_path):
+        report = AnalysisReport(input={}, method="x", payload=object())
+        with pytest.raises(DomainError):
+            write_report(report, tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
