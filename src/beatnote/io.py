@@ -80,9 +80,11 @@ def _meta_number(meta: Dict[str, str], key: str, default: float) -> float:
 
 def read_trace(path) -> SpectrumTrace:
     """Parse a trace CSV, rejecting non-monotone or non-uniform grids, rows
-    holding a non-finite frequency or a NaN or +inf value, and numeric
-    metadata that is not a finite number.  Values of a dBm file come back as
-    linear power 10**(v/10), so a -inf row reads as 0."""
+    holding a non-finite frequency or a NaN or +inf value, numeric metadata
+    that is not a finite number, and values that are not a finite linear
+    power >= 0 (a negative linear value, or a dBm value whose power
+    overflows), naming the first such line.  Values of a dBm file come back
+    as linear power 10**(v/10), so a -inf row reads as 0."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw_lines = fh.readlines()
@@ -92,6 +94,7 @@ def read_trace(path) -> SpectrumTrace:
     meta: Dict[str, str] = {}
     freqs = []
     values = []
+    rows = []
     header_seen = False
     for lineno, line in enumerate(raw_lines, start=1):
         text = line.strip()
@@ -120,6 +123,7 @@ def read_trace(path) -> SpectrumTrace:
             raise SchemaError(f"line {lineno}: non-finite row {text!r}")
         freqs.append(freq)
         values.append(value)
+        rows.append(lineno)
 
     if not header_seen:
         raise ParseError("missing header row")
@@ -142,9 +146,17 @@ def read_trace(path) -> SpectrumTrace:
     unit = meta.get("unit", "linear").lower()
     if unit not in _UNITS:
         raise SchemaError(f"unknown unit {unit!r}")
-    values = np.asarray(values)
+    raw = np.asarray(values)
     if unit in _DBM_UNITS:
-        values = 10.0 ** (values / 10.0)
+        with np.errstate(over="ignore"):
+            values = 10.0 ** (raw / 10.0)
+    else:
+        values = raw
+    bad = np.flatnonzero(~((values >= 0.0) & (values < math.inf)))
+    if bad.size:
+        i = bad[0]
+        raise SchemaError(f"line {rows[i]}: value {raw[i]:g} (unit {unit}) is "
+                          "not a finite power density >= 0")
     rbw = _meta_number(meta, "rbw_hz", 0.0)
     return SpectrumTrace(grid, values, rbw)
 

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dshi import _in_two_lanes
 from .errors import (
     DomainError,
     InitializationError,
@@ -181,19 +182,21 @@ def expected_excitation(params: IonProbeParams, noise: LaserNoise,
 
 
 def _shot_noise_tables(seed: int, n_points: int, n_shots: int, n_steps: int,
-                       phase_step_sigma: float, rin_sigma: float):
+                       phase_step_sigma: float, rin_sigma: float, first: int = 0):
     """Per-point noise streams keyed by (seed, point).
 
-    Point ip draws from child ip of SeedSequence(seed): first its whole
-    (shots, steps) block of phase kicks, then its shots' Rabi scales.  Child
-    ip does not depend on how many points there are, so each point's noise,
-    and the averaged result, is independent of evaluation order or any
-    future parallel split over points; kicks are step-major (steps, points, shots).
+    The tables hold points first, ..., first + n_points - 1 of a scan.  Point
+    ip draws from SeedSequence(seed, spawn_key=(ip,)), which is child ip of
+    SeedSequence(seed).spawn(n): first its whole (shots, steps) block of
+    phase kicks, then its shots' Rabi scales.  A point's noise therefore
+    depends neither on how many points there are nor on which lane of
+    _evolve draws it; kicks are step-major (steps, points, shots).
     """
     kicks = np.zeros((n_steps, n_points, n_shots))
     scales = np.ones((n_points, n_shots))
-    for ip, child in enumerate(np.random.SeedSequence(seed).spawn(n_points)):
-        rng = np.random.default_rng(child)
+    for ip in range(n_points):
+        key = np.random.SeedSequence(seed, spawn_key=(first + ip,))
+        rng = np.random.default_rng(key)
         if phase_step_sigma > 0:
             kicks[:, ip] = rng.normal(0.0, phase_step_sigma, (n_shots, n_steps)).T
         if rin_sigma > 0:
@@ -217,6 +220,59 @@ def _step_plan(omega: float, deltas: np.ndarray, duration: float, fwhm: float,
     return n_steps, block, duration / n_steps
 
 
+def _propagate(deltas: np.ndarray, first: int, omega: float, dt: float,
+               n_steps: int, block: int, noise: LaserNoise, shots: int,
+               seed: int) -> np.ndarray:
+    """Mean excitation (records, points) of points first, ... of a scan,
+    recorded every `block` of the n_steps steps: one lane of _evolve.
+
+    A step at laser phase phi is U(phi) = P(phi) U0 P(phi)^dagger with
+    P = diag(1, e^{i phi}), so in the laser's frame a step is the kick
+    e <- e^{-i kick} e followed by the constant U0; the frame change leaves
+    |e|^2 as it is.  The step's products go into preallocated buffers, and
+    |e| is kept per record and shot, squared and averaged once at the end.
+    """
+    phase_sigma = math.sqrt(2.0 * math.pi * noise.fwhm * dt) if noise.fwhm > 0 else 0.0
+    kicks, scales = _shot_noise_tables(seed, deltas.size, shots, n_steps,
+                                       phase_sigma, noise.rin_sigma, first)
+    np.negative(kicks, out=kicks)
+
+    omega_s = omega * scales  # (points, shots)
+    delta_c = deltas[:, None]
+    norm = np.sqrt(omega_s * omega_s + delta_c * delta_c)
+    theta = math.pi * dt * norm
+    sin_ratio = np.where(norm > 0, np.sin(theta) / np.where(norm > 0, norm, 1.0), 0.0)
+    # U0 = cos(theta) I - i sin(theta) (v.sigma)/|v|, v = (omega_s, 0, -delta)
+    u_gg = np.cos(theta) + 1j * sin_ratio * delta_c
+    u_ee = np.conj(u_gg)
+    u_off = -1j * sin_ratio * omega_s
+
+    g = np.ones(omega_s.shape, dtype=complex)
+    e = np.zeros(omega_s.shape, dtype=complex)
+    g_next = np.empty(omega_s.shape, dtype=complex)
+    turn = np.empty(omega_s.shape, dtype=complex)  # the kick, then scratch
+    magnitude = np.empty((n_steps // block,) + omega_s.shape)
+
+    for step in range(n_steps):
+        np.cos(kicks[step], out=turn.real)
+        np.sin(kicks[step], out=turn.imag)
+        np.multiply(e, turn, out=e)
+        # g, e = u_gg g + u_off e, u_off g + u_ee e, each product with its
+        # operands in this order: swapped, a complex product can change bits.
+        np.multiply(u_gg, g, out=g_next)
+        np.multiply(u_off, e, out=turn)
+        np.add(g_next, turn, out=g_next)
+        np.multiply(u_off, g, out=turn)
+        np.multiply(u_ee, e, out=e)
+        np.add(turn, e, out=e)
+        g, g_next = g_next, g
+        if (step + 1) % block == 0:
+            np.abs(e, out=magnitude[(step + 1) // block - 1])
+
+    np.square(magnitude, out=magnitude)
+    return magnitude.mean(axis=2)
+
+
 def _evolve(deltas: np.ndarray, omega: float, duration: float,
             noise: LaserNoise, shots: int, seed: int,
             record_times: Optional[int] = None):
@@ -227,49 +283,36 @@ def _evolve(deltas: np.ndarray, omega: float, duration: float,
     excitation at `record_times` equally spaced times (resonant drive only
     uses deltas of length 1).
 
-    A step at laser phase phi is U(phi) = P(phi) U0 P(phi)^dagger with
-    P = diag(1, e^{i phi}), so in the laser's frame a step is the kick
-    e <- e^{-i kick} e followed by the constant U0; the frame change leaves
-    |e|^2 as it is.
+    The step plan is made once, for the whole scan.  The points then split
+    into two contiguous halves, each propagated with its own noise tables by
+    one lane of dshi._in_two_lanes; both lanes are joined before this
+    returns or raises.  A single point runs on the calling thread.
     """
     n_points = deltas.size
     n_steps, block, dt = _step_plan(omega, deltas, duration, noise.fwhm,
                                     record_times)
-
-    phase_sigma = math.sqrt(2.0 * math.pi * noise.fwhm * dt) if noise.fwhm > 0 else 0.0
-    kicks, scales = _shot_noise_tables(seed, n_points, shots, n_steps,
-                                       phase_sigma, noise.rin_sigma)
-    np.negative(kicks, out=kicks)
-
-    omega_s = omega * scales  # (n_points, shots)
-    delta_c = deltas[:, None]
-    norm = np.sqrt(omega_s * omega_s + delta_c * delta_c)
-    theta = math.pi * dt * norm
-    sin_ratio = np.where(norm > 0, np.sin(theta) / np.where(norm > 0, norm, 1.0), 0.0)
-    # U0 = cos(theta) I - i sin(theta) (v.sigma)/|v|, v = (omega_s, 0, -delta)
-    u_gg = np.cos(theta) + 1j * sin_ratio * delta_c
-    u_ee = np.conj(u_gg)
-    u_off = -1j * sin_ratio * omega_s
-
-    g = np.ones((n_points, shots), dtype=complex)
-    e = np.zeros((n_points, shots), dtype=complex)
-    turn = np.empty((n_points, shots), dtype=complex)
     recorded = np.empty((n_steps // block, n_points))
+    bounds = (0, (n_points + 1) // 2, n_points)
 
-    for step in range(n_steps):
-        np.cos(kicks[step], out=turn.real)
-        np.sin(kicks[step], out=turn.imag)
-        e *= turn
-        g, e = u_gg * g + u_off * e, u_off * g + u_ee * e
-        if (step + 1) % block == 0:
-            recorded[(step + 1) // block - 1] = np.mean(np.abs(e) ** 2, axis=1)
+    def lane(half):
+        lo, hi = bounds[half], bounds[half + 1]
+        recorded[:, lo:hi] = _propagate(deltas[lo:hi], lo, omega, dt, n_steps,
+                                        block, noise, shots, seed)
 
+    if n_points > 1:
+        _in_two_lanes(lane)
+    else:
+        lane(0)
     return recorded if record_times is not None else recorded[0]
 
 
 def simulate_carrier_spectrum(params: IonProbeParams,
                               noise: LaserNoise) -> ExcitationCurve:
-    """Excitation probability vs detuning for one probe-pulse setting."""
+    """Excitation probability vs detuning for one probe-pulse setting.
+
+    The detuning points are propagated in two lanes, split by point, each
+    with its point's own keyed noise (_evolve); both lanes are joined before
+    this returns, and the result does not depend on the split."""
     deltas = params.detuning_grid.points()
     fourier_halfwidth = 4.0 / params.pulse_duration
     if deltas[0] > -fourier_halfwidth or deltas[-1] < fourier_halfwidth:
@@ -336,6 +379,9 @@ def fit_damped_sine(curve: ExcitationCurve) -> FitResult:
     parameters (omega, tau, contrast, phase, offset)."""
     t = curve.abscissa
     y = curve.probability
+    if t.size < 2:
+        raise InsufficientDataError(
+            f"need at least 2 samples to fit a Rabi flop, got {t.size}")
     span = t[-1] - t[0]
     centered = y - np.mean(y)
     spectrum = np.abs(np.fft.rfft(centered))

@@ -257,6 +257,17 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(path), "--method", "voigt",
                        "--out", str(tmp_path / "r.json")) == 4
 
+    @pytest.mark.parametrize("unit, row", [("linear", "6000010.0,-1"),
+                                           ("dbm", "6000010.0,4000")])
+    def test_trace_value_without_finite_power_is_io_error(self, tmp_path, unit, row):
+        path = tmp_path / "t.csv"
+        rows = [f"{6e6 + i},1.0" for i in range(64)]
+        rows[10] = row
+        path.write_text("\n".join([f"# unit={unit}", "frequency_hz,psd"] + rows) + "\n")
+        assert run_cli("fit", "--input", str(path), "--method", "voigt",
+                       "--out", str(tmp_path / "r.json")) == 4
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ("ionsim", "--mode", "sweep-T", "--durations-ms", "1,abc"),
         ("ionsim", "--mode", "sweep-T", "--durations-ms", "0"),

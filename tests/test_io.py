@@ -1,6 +1,7 @@
 """Trace and report file formats."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ class TestTraceFiles:
         path = tmp_path / "t.csv"
         path.write_text("# unit=dbm\nfrequency_hz,psd\n1,-3\n2,-inf\n3,-3\n")
         assert read_trace(path).values.tolist() == [10.0 ** -0.3, 0.0, 10.0 ** -0.3]
+
+    @pytest.mark.parametrize("unit, row", [("linear", "2,-1"), ("linear", "2,-inf"),
+                                           ("dbm", "2,4000")])
+    def test_value_without_finite_power_reports_line(self, tmp_path, unit, row):
+        # A blank line before the bad row: the line named is the file's own.
+        path = tmp_path / "t.csv"
+        path.write_text(f"# unit={unit}\nfrequency_hz,psd\n1,1\n\n{row}\n3,-5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match="line 5"):
+                read_trace(path)
 
     @pytest.mark.parametrize("key", ["rbw_hz", "grid_start_hz", "grid_step_hz"])
     @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])

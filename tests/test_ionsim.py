@@ -1,6 +1,8 @@
 """Two-level spectroscopy simulator and its reductions."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from beatnote import (
     simulate_carrier_spectrum,
     simulate_rabi,
 )
+from beatnote import ionsim
 from beatnote.errors import (
     DomainError,
     InitializationError,
@@ -67,6 +70,45 @@ def reference_evolve(deltas, omega, duration, noise, shots, seed,
         g, e = u_gg * g + u_ge * e, u_eg * g + u_ee * e
         if (step + 1) % block == 0:
             recorded[(step + 1) // block - 1] = np.mean(np.abs(e) ** 2, axis=1)
+    return recorded if record_times is not None else recorded[0]
+
+
+def serial_evolve(deltas, omega, duration, noise, shots, seed,
+                  record_times=None):
+    """_evolve as it was on one lane: every point in one propagation loop on
+    the calling thread, the serial oracle of the two-lane split."""
+    n_points = deltas.size
+    n_steps, block, dt = _step_plan(omega, deltas, duration, noise.fwhm,
+                                    record_times)
+
+    phase_sigma = math.sqrt(2.0 * math.pi * noise.fwhm * dt) if noise.fwhm > 0 else 0.0
+    kicks, scales = _shot_noise_tables(seed, n_points, shots, n_steps,
+                                       phase_sigma, noise.rin_sigma)
+    np.negative(kicks, out=kicks)
+
+    omega_s = omega * scales  # (n_points, shots)
+    delta_c = deltas[:, None]
+    norm = np.sqrt(omega_s * omega_s + delta_c * delta_c)
+    theta = math.pi * dt * norm
+    sin_ratio = np.where(norm > 0, np.sin(theta) / np.where(norm > 0, norm, 1.0), 0.0)
+    # U0 = cos(theta) I - i sin(theta) (v.sigma)/|v|, v = (omega_s, 0, -delta)
+    u_gg = np.cos(theta) + 1j * sin_ratio * delta_c
+    u_ee = np.conj(u_gg)
+    u_off = -1j * sin_ratio * omega_s
+
+    g = np.ones((n_points, shots), dtype=complex)
+    e = np.zeros((n_points, shots), dtype=complex)
+    turn = np.empty((n_points, shots), dtype=complex)
+    recorded = np.empty((n_steps // block, n_points))
+
+    for step in range(n_steps):
+        np.cos(kicks[step], out=turn.real)
+        np.sin(kicks[step], out=turn.imag)
+        e *= turn
+        g, e = u_gg * g + u_off * e, u_off * g + u_ee * e
+        if (step + 1) % block == 0:
+            recorded[(step + 1) // block - 1] = np.mean(np.abs(e) ** 2, axis=1)
+
     return recorded if record_times is not None else recorded[0]
 
 
@@ -178,6 +220,82 @@ class TestReferencePropagator:
 
 SCAN_6A = (125.0, 4e-3, detuning_grid(1200.0, 81))
 README_FLOP = (40e3, 0.5e-3, 400)
+
+
+class TestTwoLanes:
+    @pytest.mark.parametrize("points", [1, 2, 3, 81])
+    @pytest.mark.parametrize("fwhm", [0.0, 156.0])
+    @pytest.mark.parametrize("rin", [0.0, 0.02])
+    def test_scan_bits_equal_serial(self, points, fwhm, rin):
+        args = (np.linspace(-1200.0, 1200.0, points), 125.0, 4e-3,
+                LaserNoise(fwhm=fwhm, rin_sigma=rin), 20, 7)
+        assert np.array_equal(_evolve(*args), serial_evolve(*args))
+
+    def test_flop_bits_equal_serial(self):
+        args = (np.zeros(1), 40e3, 3e-4, LaserNoise(fwhm=156.0, rin_sigma=0.01), 20, 4)
+        assert _step_plan(40e3, np.zeros(1), 3e-4, 156.0, 50)[1] > 1
+        assert np.array_equal(_evolve(*args, record_times=50),
+                              serial_evolve(*args, record_times=50))
+
+    @pytest.mark.parametrize("failing_lane", ["calling", "second"])
+    def test_lanes_end_with_the_call(self, monkeypatch, failing_lane):
+        args = (detuning_grid(1200.0, 81).points(), 125.0, 4e-3,
+                LaserNoise(fwhm=156.0), 20, 7)
+        before = threading.active_count()
+        _evolve(*args)
+        assert threading.active_count() == before
+
+        class LaneFailure(Exception):
+            pass
+
+        propagate = ionsim._propagate
+
+        def failing_propagate(deltas, first, *rest):
+            if (first == 0) == (failing_lane == "calling"):
+                raise LaneFailure("propagation failed")
+            return propagate(deltas, first, *rest)
+
+        monkeypatch.setattr(ionsim, "_propagate", failing_propagate)
+        with pytest.raises(LaneFailure):
+            _evolve(*args)
+        assert threading.active_count() == before
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn() runs, on any thread.  A
+    first, untraced call keeps numpy's one-off set-up out of the count."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The peak of a run against its noise table, 8 B per step x point x
+    shot: building the kick phasors for the whole table at once, rather
+    than step by step, costs about two more tables and fails here."""
+
+    def test_scan_peak_within_its_table(self):
+        omega, pulse, grid = SCAN_6A
+        params = IonProbeParams(omega, pulse, grid, shots_per_point=200, rng_seed=7)
+        noise = LaserNoise(fwhm=156.0)
+        n_steps = _step_plan(omega, grid.points(), pulse, noise.fwhm)[0]
+        assert n_steps == 61
+        table = 8 * n_steps * 81 * 200
+        peak = traced_peak(lambda: simulate_carrier_spectrum(params, noise))
+        assert peak <= 1.5 * table
+
+    def test_flop_peak_within_its_table(self):
+        rabi, t_max, t_points = README_FLOP
+        params = IonProbeParams(rabi, t_max, RESONANT_GRID, shots_per_point=200)
+        noise = LaserNoise(fwhm=156.0, rin_sigma=0.01)
+        n_steps = _step_plan(rabi, np.zeros(1), t_max, noise.fwhm, t_points)[0]
+        table = 8 * n_steps * 200
+        peak = traced_peak(lambda: simulate_rabi(params, noise, t_max, t_points))
+        assert peak <= 3.5 * table
 
 
 def flop_times(t_max, t_points):
@@ -315,6 +433,16 @@ class TestNoiseKeying:
         kicks_9, scales_9 = _shot_noise_tables(7, 9, 20, 30, 0.1, 0.01)
         assert np.array_equal(kicks_5, kicks_9[:, :5])
         assert np.array_equal(scales_5, scales_9[:5])
+
+    @pytest.mark.parametrize("a, b", [(0, 5), (5, 9), (3, 4)])
+    def test_point_range_is_a_slice_of_the_full_tables(self, a, b):
+        kicks, scales = _shot_noise_tables(7, 9, 20, 30, 0.1, 0.01)
+        part_kicks, part_scales = _shot_noise_tables(7, b - a, 20, 30, 0.1, 0.01, a)
+        assert np.array_equal(part_kicks, kicks[:, a:b])
+        assert np.array_equal(part_scales, scales[a:b])
+        # Point ip draws from child ip of SeedSequence(seed).spawn(n).
+        rng = np.random.default_rng(np.random.SeedSequence(7).spawn(9)[a])
+        assert np.array_equal(kicks[:, a], rng.normal(0.0, 0.1, (20, 30)).T)
 
     def test_points_draw_distinct_noise(self):
         kicks, scales = _shot_noise_tables(7, 2, 20, 30, 0.1, 0.01)
@@ -458,6 +586,10 @@ class TestFitDampedSine:
             return float(fit_damped_sine(curve).parameters[1])
 
         assert tau(0.008) > tau(0.016)
+
+    def test_one_point_refused(self):
+        with pytest.raises(InsufficientDataError):
+            fit_damped_sine(ExcitationCurve(np.array([1e-4]), np.array([0.5]), 1))
 
     def test_too_few_periods(self):
         t = np.linspace(0.0, 1e-4, 50)
