@@ -231,7 +231,7 @@ def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
 # SeedSequence(seed, spawn_key=(s, k)), whoever draws it and whatever the
 # record length, so the draws do not depend on lanes or on their order.
 _DRAW_BLOCK = 1 << 18
-_WHITE, _FLICKER, _RIN = range(3)
+_WHITE, _SPECTRUM, _RIN = range(3)
 
 
 def _keyed_blocks(seed: int, stream: int, out: np.ndarray, first: int = 0,
@@ -247,49 +247,60 @@ def _keyed_blocks(seed: int, stream: int, out: np.ndarray, first: int = 0,
         yield offset, block
 
 
-def _flicker_sigma(level: float, m: int, lo: int, hi: int) -> np.ndarray:
-    """Fourier amplitudes sigma(f_j), j in [lo, hi), of 1/f frequency noise
-    on m samples.
+def _fft_length(n: int) -> int:
+    """Smallest even 2^a 3^b 5^c >= n: a length pocketfft transforms fast,
+    never longer than the next power of two."""
+    bits = n.bit_length()
+    return min(2 * p << (-(-n // (2 * p)) - 1).bit_length()
+               for p in (3 ** b * 5 ** c for b in range(bits) for c in range(bits)))
 
-    Spectral synthesis (Timmer & Koenig 1995, A&A 300, 707): Gaussian
-    Fourier amplitudes of variance level/f; E|X_j|^2 = S(f_j) m / (2 dt)
-    makes the one-sided periodogram S(f_j).  With f_j = j / (m dt) that is
-    sigma_j = (m / 2) sqrt(level / j) for each part; sigma_0 = 0.
+
+def _phase_sigma(white_fm_fwhm: float, level: float, m: int, dt: float,
+                 lo: int, hi: int) -> np.ndarray:
+    """Fourier amplitudes sigma_j, j in [lo, hi), of the per-sample phase
+    increments of white FM W = white_fm_fwhm plus 1/f noise on m samples.
+
+    Spectral synthesis (Timmer & Koenig 1995, A&A 300, 707): a part of bin
+    0 < j < m/2 has the variance m pi W dt / 2 + (m pi dt)^2 level / j,
+    from E|X_j|^2 = S(f_j) m / (2 dt) with f_j = j / (m dt) and 2 pi dt
+    per Hz.  The real DC and Nyquist bins carry the whole white variance,
+    so a flat spectrum inverts to i.i.d. N(0, pi W dt) increments.
     """
-    sigma = np.arange(lo, hi, dtype=float)
-    np.divide(level, sigma, out=sigma, where=sigma > 0)
-    np.sqrt(sigma, out=sigma)
-    sigma *= 0.5 * m
-    return sigma
+    var = np.arange(lo, hi, dtype=float)
+    np.divide((m * math.pi * dt) ** 2 * level, var, out=var, where=var > 0)
+    white = 0.5 * m * math.pi * white_fm_fwhm * dt
+    var += white
+    var[[j - lo for j in (0, m // 2) if lo <= j < hi]] += white
+    np.sqrt(var, out=var)
+    return var
 
 
-def _flicker_spectrum(level: float, m: int, seed: int) -> np.ndarray:
-    """The m // 2 + 1 Fourier amplitudes of 1/f frequency noise on m samples.
-
-    The complex array's float view (re, im interleaved) is stream _FLICKER;
-    two lanes draw alternate blocks and scale each by sigma as they go.
-    """
+def _phase_spectrum(white_fm_fwhm: float, level: float, m: int, dt: float,
+                    seed: int) -> np.ndarray:
+    """The m // 2 + 1 Fourier amplitudes of the phase increments on m
+    samples.  The complex array's float view (re, im interleaved) is stream
+    _SPECTRUM; two lanes draw alternate blocks and scale each by
+    _phase_sigma as they go."""
     spec = np.empty(m // 2 + 1, complex)
     parts = spec.view(float)
 
     def lane(first):
-        for offset, block in _keyed_blocks(seed, _FLICKER, parts, first, 2):
+        for offset, block in _keyed_blocks(seed, _SPECTRUM, parts, first, 2):
             lo = offset // 2
             pairs = block.reshape(-1, 2)
-            pairs *= _flicker_sigma(level, m, lo, lo + pairs.shape[0])[:, None]
+            pairs *= _phase_sigma(white_fm_fwhm, level, m, dt, lo,
+                                  lo + pairs.shape[0])[:, None]
 
     _in_two_lanes(lane)
     return spec
 
 
-def _flicker_phase(spec: np.ndarray, m: int, n: int, dt: float) -> np.ndarray:
-    """Phase (rad) over n samples of the 1/f noise whose spectrum is spec.
-    The inverse transform runs on the power-of-two length m >= n and is
-    truncated to n so the series does not wrap around."""
+def _spectral_phase(spec: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Phase (rad) over n samples from the increment spectrum spec.  The
+    inverse transform runs on the length m >= n and is truncated to n so
+    the series does not wrap around."""
     phase = np.fft.irfft(spec, m)[:n]
     np.cumsum(phase, out=phase)
-    phase *= 2.0 * math.pi
-    phase *= dt
     return phase
 
 
@@ -332,39 +343,39 @@ def _in_two_lanes(fn) -> None:
 def _noise_tracks(noise: NoiseModel, n: int, dt: float, seed: int):
     """Total phase (rad) and intensity (None without RIN) over n samples.
 
-    Every draw is keyed by stream and block (_keyed_blocks): white FM,
-    the flicker spectrum and RIN.  With flicker, both lanes first draw the
-    spectrum; the second lane then inverts and integrates it while the
-    calling thread draws the white FM and RIN and integrates the white
-    phase.  Without flicker every draw is on the calling thread.
+    Every draw is keyed by stream and block (_keyed_blocks).  With flicker,
+    both lanes draw one spectrum of the phase increments, white FM and 1/f
+    on the length _fft_length(n); the second lane then inverts and
+    integrates it while the calling thread draws RIN.  Without flicker
+    both lanes draw alternate white-FM and RIN blocks.
     """
-    lane = None
-    try:
-        if noise.flicker_level > 0:
-            m = 1 << (n - 1).bit_length()
-            spec = _flicker_spectrum(noise.flicker_level, m, seed)
-            lane = _Lane(_flicker_phase, spec, m, n, dt)
-            del spec
-        # Wiener phase: increment variance pi * fwhm * dt gives the per-arm
-        # autocorrelation exp(-pi (fwhm/2) |tau|).
-        step = math.sqrt(math.pi * noise.white_fm_fwhm * dt)
-        phase = np.empty(n)
-        for _, block in _keyed_blocks(seed, _WHITE, phase):
-            block *= step
-        intensity = None
-        if noise.rin_sigma > 0:
-            intensity = np.empty(n)
-            for _, block in _keyed_blocks(seed, _RIN, intensity):
+    phase = None if noise.flicker_level > 0 else np.empty(n)
+    intensity = np.empty(n) if noise.rin_sigma > 0 else None
+    # Wiener phase: increment variance pi * fwhm * dt gives the per-arm
+    # autocorrelation exp(-pi (fwhm/2) |tau|).
+    step = math.sqrt(math.pi * noise.white_fm_fwhm * dt)
+
+    def draw(first, lanes=2):
+        if phase is not None:
+            for _, block in _keyed_blocks(seed, _WHITE, phase, first, lanes):
+                block *= step
+        if intensity is not None:
+            for _, block in _keyed_blocks(seed, _RIN, intensity, first, lanes):
                 block *= noise.rin_sigma
                 block += 1.0
                 np.maximum(block, 0.0, out=block)
-        np.cumsum(phase, out=phase)
-        if lane is not None:
-            phase += lane.result()
+
+    if phase is not None:
+        _in_two_lanes(draw)
+        return np.cumsum(phase, out=phase), intensity
+    m = _fft_length(n)
+    lane = _Lane(_spectral_phase, _phase_spectrum(
+        noise.white_fm_fwhm, noise.flicker_level, m, dt, seed), m, n)
+    try:
+        draw(0, 1)
     finally:
-        if lane is not None:
-            lane.join()
-    return phase, intensity
+        lane.join()
+    return lane.result(), intensity
 
 
 def _hann(nperseg: int) -> np.ndarray:
@@ -468,13 +479,13 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
 
     The work runs in two lanes, the calling thread and one more thread
     that ends before this returns.  Every normal is keyed by what it is:
-    block k of stream s (0 white FM, 1 flicker spectrum, 2 RIN) is drawn
-    from SeedSequence(cfg.seed, spawn_key=(s, k)).  Both lanes draw the
-    flicker spectrum; the second lane then inverts it while the calling
-    thread draws the white FM and RIN; the beat and its periodograms are
-    split between the lanes a chunk of segments at a time.  No value
-    depends on which lane made it, so a seeded run is bit-identical to a
-    single-threaded one that draws each block from its key in order.
+    block k of stream s (0 white FM, 1 phase-increment spectrum, 2 RIN) is
+    drawn from SeedSequence(cfg.seed, spawn_key=(s, k)); with flicker, the
+    white FM is drawn with the 1/f noise in that spectrum (_noise_tracks).
+    The beat and its periodograms are split between the lanes a chunk of
+    segments at a time.  No value depends on which lane made it, so a
+    seeded run is bit-identical to a single-threaded one that draws each
+    block from its key in order.
     """
     fs = cfg.sample_rate
     if fs < 8.0 * params.eom_frequency:

@@ -233,8 +233,11 @@ def _propagate(deltas: np.ndarray, first: int, omega: float, dt: float,
     |e| is kept per record and shot, squared and averaged once at the end.
     """
     phase_sigma = math.sqrt(2.0 * math.pi * noise.fwhm * dt) if noise.fwhm > 0 else 0.0
-    kicks, scales = _shot_noise_tables(seed, deltas.size, shots, n_steps,
-                                       phase_sigma, noise.rin_sigma, first)
+    # A noiseless laser kicks nothing: no kick table, and no turn per step.
+    kicked = phase_sigma > 0
+    kicks, scales = _shot_noise_tables(seed, deltas.size, shots,
+                                       n_steps if kicked else 0, phase_sigma,
+                                       noise.rin_sigma, first)
     np.negative(kicks, out=kicks)
 
     omega_s = omega * scales  # (points, shots)
@@ -254,9 +257,10 @@ def _propagate(deltas: np.ndarray, first: int, omega: float, dt: float,
     magnitude = np.empty((n_steps // block,) + omega_s.shape)
 
     for step in range(n_steps):
-        np.cos(kicks[step], out=turn.real)
-        np.sin(kicks[step], out=turn.imag)
-        np.multiply(e, turn, out=e)
+        if kicked:
+            np.cos(kicks[step], out=turn.real)
+            np.sin(kicks[step], out=turn.imag)
+            np.multiply(e, turn, out=e)
         # g, e = u_gg g + u_off e, u_off g + u_ee e, each product with its
         # operands in this order: swapped, a complex product can change bits.
         np.multiply(u_gg, g, out=g_next)

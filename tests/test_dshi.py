@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve, welch
+from scipy.stats import chi2
 
 from beatnote import (
     SPEED_OF_LIGHT,
@@ -28,10 +29,11 @@ from beatnote import (
 from beatnote import dshi
 from beatnote.dshi import (
     _bump_multiplier,
-    _flicker_spectrum,
+    _fft_length,
     _hann,
     _one_sided_density,
     _periodogram_rows,
+    _phase_spectrum,
     _wing_and_envelope,
 )
 from beatnote.errors import (
@@ -52,7 +54,7 @@ def grid_about(center, half_span, step):
 
 # A single-threaded oracle that draws every noise block from its key in
 # order, as the bit-identity reference: block k of stream s (0 white FM,
-# 1 flicker spectrum, 2 RIN) is 2**18 standard normals from
+# 1 phase-increment spectrum, 2 RIN) is 2**18 standard normals from
 # SeedSequence(seed, spawn_key=(s, k)).
 
 KEY_BLOCK = 1 << 18
@@ -68,24 +70,56 @@ def keyed_normals(seed: int, stream: int, size: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def serial_flicker_frequency_noise(level: float, n: int, dt: float,
-                                   seed: int) -> np.ndarray:
-    """Frequency deviation (Hz) with a one-sided PSD of level/f.
+def smooth_length(n: int) -> int:
+    """Smallest even 2^a 3^b 5^c >= n, by search."""
+    m = max(2, n + n % 2)
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 2
+
+
+def serial_phase_increments(white_fm_fwhm: float, level: float, n: int,
+                            dt: float, seed: int) -> np.ndarray:
+    """Phase increments (rad) of white FM plus 1/f frequency noise with a
+    one-sided PSD of level/f.
 
     Spectral synthesis (Timmer & Koenig 1995, A&A 300, 707): Gaussian
-    Fourier amplitudes of variance level/f on a power-of-two length m >= n,
+    Fourier amplitudes on the smallest even 5-smooth length m >= n,
     inverted and truncated to n samples so the series does not wrap around.
-    E|X_k|^2 = S(f_k) m / (2 dt) makes the one-sided periodogram S(f_k); with
-    f_k = k / (m dt) each part has sigma_k = (m / 2) sqrt(level / k).  The
-    real and imaginary parts interleave in one keyed stream.
+    E|X_k|^2 = S(f_k) m / (2 dt) makes the one-sided periodogram S(f_k);
+    with f_k = k / (m dt) and 2 pi dt rad per Hz, each part of bin
+    0 < k < m/2 has the variance m pi W dt / 2 + (m pi dt)^2 level / k.
+    DC and Nyquist, real bins, carry the whole white variance m pi W dt
+    (and DC no 1/f part).  The real and imaginary parts interleave in one
+    keyed stream.
     """
-    m = 1 << (n - 1).bit_length()
+    m = smooth_length(n)
     k = np.arange(m // 2 + 1, dtype=float)
-    sigma = np.zeros(k.size)
-    sigma[1:] = np.sqrt(level / k[1:]) * (0.5 * m)
+    var = np.zeros(k.size)
+    var[1:] = (m * math.pi * dt) ** 2 * level / k[1:]
+    white = 0.5 * m * math.pi * white_fm_fwhm * dt
+    var += white
+    var[[0, -1]] += white
     parts = keyed_normals(seed, 1, 2 * k.size)
     re, im = parts[0::2], parts[1::2]
-    return np.fft.irfft(sigma * (re + 1j * im), m)[:n]
+    return np.fft.irfft(np.sqrt(var) * (re + 1j * im), m)[:n]
+
+
+def serial_phase(noise: NoiseModel, n: int, dt: float, seed: int) -> np.ndarray:
+    """The phase (rad) over n samples: with flicker, the integrated
+    increments of one spectrum; without, the Wiener phase of white FM, whose
+    increment variance pi * fwhm * dt gives the per-arm autocorrelation
+    exp(-pi (fwhm/2) |tau|)."""
+    if noise.flicker_level > 0:
+        return np.cumsum(serial_phase_increments(
+            noise.white_fm_fwhm, noise.flicker_level, n, dt, seed))
+    return np.cumsum(math.sqrt(math.pi * noise.white_fm_fwhm * dt)
+                     * keyed_normals(seed, 0, n))
 
 
 def serial_welch_density(x: np.ndarray, fs: float, nperseg: int) -> np.ndarray:
@@ -138,16 +172,7 @@ def serial_simulate_time_domain(params: DshiParams, noise: NoiseModel,
     n_field = n_total + delay_n
     dt = 1.0 / fs
 
-    # Wiener phase: increment variance pi * fwhm * dt gives the per-arm
-    # autocorrelation exp(-pi (fwhm/2) |tau|).
-    phase = np.cumsum(
-        math.sqrt(math.pi * noise.white_fm_fwhm * dt)
-        * keyed_normals(cfg.seed, 0, n_field)
-    )
-    if noise.flicker_level > 0:
-        nu = serial_flicker_frequency_noise(noise.flicker_level, n_field, dt,
-                                            cfg.seed)
-        phase += 2.0 * math.pi * np.cumsum(nu) * dt
+    phase = serial_phase(noise, n_field, dt, cfg.seed)
 
     # Arms sqrt(I) e^{i phi}: |direct|^2 + |delayed|^2 + 2 Re(conj(direct) delayed
     # e^{iwt}) = I_dir + I_del + 2 sqrt(I_dir I_del) cos(phi_del - phi_dir + wt).
@@ -170,10 +195,12 @@ def serial_simulate_time_domain(params: DshiParams, noise: NoiseModel,
 
 
 def flicker_frequency_noise(level, n, dt, seed):
-    """The package's keyed 1/f synthesis: the spectrum both lanes draw,
-    inverted and truncated to n samples."""
-    m = 1 << (n - 1).bit_length()
-    return np.fft.irfft(_flicker_spectrum(level, m, seed), m)[:n]
+    """The package's keyed 1/f synthesis: the increment spectrum both lanes
+    draw, without white FM, inverted, truncated to n samples and read as a
+    frequency (Hz)."""
+    m = _fft_length(n)
+    increments = np.fft.irfft(_phase_spectrum(0.0, level, m, dt, seed), m)[:n]
+    return increments / (2.0 * math.pi * dt)
 
 
 def welch_density(x, fs, nperseg):
@@ -196,13 +223,7 @@ def reference_simulate_time_domain(params, noise, cfg):
     n_total = nperseg * cfg.segments
     n_field = n_total + delay_n
     dt = 1.0 / fs
-    phase = np.cumsum(math.sqrt(math.pi * noise.white_fm_fwhm * dt)
-                      * keyed_normals(cfg.seed, 0, n_field))
-    if noise.flicker_level > 0:
-        nu = serial_flicker_frequency_noise(noise.flicker_level, n_field, dt,
-                                            cfg.seed)
-        phase += 2.0 * math.pi * np.cumsum(nu) * dt
-    field = np.exp(1j * phase)
+    field = np.exp(1j * serial_phase(noise, n_field, dt, cfg.seed))
     if noise.rin_sigma > 0:
         intensity = 1.0 + noise.rin_sigma * keyed_normals(cfg.seed, 2, n_field)
         field *= np.sqrt(np.maximum(intensity, 0.0))
@@ -436,7 +457,7 @@ class TestMonteCarlo:
 
     def test_peak_memory_below_72_bytes_per_sample(self):
         # One complex array over all samples costs 16 B a sample; the real
-        # beat with flicker and RIN peaks near 57 B, a complex field above 100.
+        # beat with flicker and RIN peaks near 29 B, a complex field above 100.
         params = DshiParams(eom_frequency=1e6, laser_fwhm=320.0)
         noise = NoiseModel(white_fm_fwhm=320.0, flicker_level=1e3, rin_sigma=1e-3)
         cfg = SimConfig(sample_rate=8e6, duration=512_000 / 8e6, segments=16, seed=1)
@@ -511,7 +532,7 @@ class TestMonteCarlo:
         def failing_transform(*args):
             raise LaneFailure("flicker transform failed")
 
-        monkeypatch.setattr(dshi, "_flicker_phase", failing_transform)
+        monkeypatch.setattr(dshi, "_spectral_phase", failing_transform)
         with pytest.raises(LaneFailure):
             simulate_time_domain(params, noise, cfg)
         assert threading.active_count() == before
@@ -523,6 +544,30 @@ class TestMonteCarlo:
                             detrend="constant", scaling="density")
         psd = welch_density(x, 8e6, nperseg)
         assert np.max(np.abs(psd / expected - 1.0)) <= 1e-12
+
+
+class TestPhaseSpectrum:
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_flat_spectrum_gives_white_increments(self, monkeypatch, m):
+        # DC and Nyquist each carry 1/m of an increment's variance: half or
+        # double of either moves the variance by 1/(2m) or more and every
+        # lag's correlation by as much, far outside the bands below.  The
+        # lanes draw one block here, so they run in turn, without a thread.
+        monkeypatch.setattr(dshi, "_in_two_lanes", lambda fn: (fn(0), fn(1)))
+        dt, fwhm, seeds = 1e-6, 2e3, 8000
+        var = math.pi * fwhm * dt
+        x = np.array([np.fft.irfft(_phase_spectrum(fwhm, 1e-12, m, dt, seed), m)
+                      for seed in range(seeds)]) / math.sqrt(var)
+        lo, hi = chi2.ppf(1e-6, x.size), chi2.isf(1e-6, x.size)
+        assert lo < np.sum(x * x) < hi
+        for lag in (1, 2, 3):
+            pairs = x[:, :-lag] * x[:, lag:]
+            assert abs(np.mean(pairs)) < 4.0 / math.sqrt(pairs.size)
+
+    def test_fft_length_is_the_smallest_even_5_smooth_number(self):
+        assert [_fft_length(n) for n in range(1, 5001)] == [
+            smooth_length(n) for n in range(1, 5001)]
+        assert _fft_length(2_048_196) == smooth_length(2_048_196) == 2_073_600
 
 
 class TestServoBumps:
