@@ -3,6 +3,8 @@ interferometry, with a trapped-ion spectroscopy simulator for cross-checks."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .lineshape import (  # noqa: E402
     HALF_POWER_DB,
     FrequencyGrid,
@@ -12,7 +14,6 @@ from .lineshape import (  # noqa: E402
     eval_lorentzian,
     eval_voigt_numeric,
     voigt_fwhm_approx,
-    voigt_grid,
     voigt_width_numeric,
     width_at_level,
 )
@@ -48,7 +49,6 @@ from .ionsim import (  # noqa: E402
     fit_damped_sine,
     fit_inverse_power,
     fit_lorentzian_peak,
-    rabi_probability,
     simulate_carrier_spectrum,
     simulate_rabi,
 )
@@ -60,4 +60,6 @@ from .io import (  # noqa: E402
     write_trace,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Submodules are attributes, not exports: `import *` must not rebind `io`.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -297,8 +297,10 @@ def _phase_spectrum(white_fm_fwhm: float, level: float, m: int, dt: float,
 
 def _spectral_phase(spec: np.ndarray, m: int, n: int) -> np.ndarray:
     """Phase (rad) over n samples from the increment spectrum spec.  The
-    inverse transform runs on the length m >= n and is truncated to n so
-    the series does not wrap around."""
+    inverse transform runs on the length m >= n and is truncated to n.  The
+    increments are periodic over m, so the series does wrap around when n
+    is itself an even 5-smooth length (m = n); the phase structure function
+    at segment lags still matches its closed form there."""
     phase = np.fft.irfft(spec, m)[:n]
     np.cumsum(phase, out=phase)
     return phase

@@ -78,6 +78,14 @@ class FitResult:
     converged: bool
     iterations: int
 
+    def __post_init__(self):
+        # A NaN covariance is what a failed pinv leaves; it is kept.
+        finite = np.all(np.isfinite(self.parameters)) and math.isfinite(self.residual_norm)
+        if not finite or np.any(np.isinf(self.covariance)):
+            raise InvalidParameterError("fit parameters and residual must be finite")
+        object.__setattr__(self, "iterations",
+                           _whole_number(self.iterations, "iterations"))
+
 
 @dataclass(frozen=True)
 class LinewidthEstimate:
@@ -94,6 +102,11 @@ class LinewidthEstimate:
     flags: FrozenSet[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lorentzian_fwhm, self.gaussian_fwhm,
+                                       self.voigt_fwhm, self.residual))):
+            raise InvalidParameterError("widths and residual must be finite")
+        object.__setattr__(self, "iterations",
+                           _whole_number(self.iterations, "iterations"))
         if self.single_laser_fwhm * 2.0 != self.lorentzian_fwhm:
             raise InvalidParameterError(
                 "single_laser_fwhm must be exactly half the combined width"
@@ -146,13 +159,15 @@ def fit_least_squares(
         raise InsufficientDataError(
             f"{y.size} points cannot constrain {n} parameters"
         )
+    if not all(np.all(np.isfinite(a)) for a in (x, y, p)):
+        raise InvalidParameterError("xdata, ydata and init must be finite")
     if bounds is None:
         lo = np.full(n, -np.inf)
         hi = np.full(n, np.inf)
     else:
         lo = np.asarray(bounds[0], dtype=float)
         hi = np.asarray(bounds[1], dtype=float)
-        if np.any(p < lo) or np.any(p > hi):
+        if not np.all((lo <= p) & (p <= hi)):  # false for a NaN bound
             raise InvalidParameterError("initial values lie outside the bounds")
 
     def residuals(params):
@@ -315,7 +330,6 @@ def estimate_voigt(trace: SpectrumTrace,
     lo = w20 / 20.0
     hi = w20 / 2.0
     flags = {FLAG_GRID_LIMITED} if tied else set()
-    iterations = 0
 
     if model_w20(lo) >= w20:
         # Even the narrowest bracketed Lorentzian over-widens the wings: the
@@ -325,28 +339,23 @@ def estimate_voigt(trace: SpectrumTrace,
         residual = abs(GAUSSIAN_20DB_FACTOR * gaussian - w20) / w20
         return _make_estimate(0.0, gaussian, METHOD_VOIGT, 1, residual, flags)
 
-    mid = 0.5 * (lo + hi)
-    mismatch = math.inf
-    if model_w20(hi) <= w20:
-        mid = hi
-        flags.add(FLAG_NON_CONVERGED)
-        mismatch = (model_w20(hi) - w20) / w20
-    else:
-        # First probe at the exact 20 dB width of a pure Lorentzian; the
-        # bracket then shrinks around it by plain bisection.
-        first_guess = min(max(w20 / LORENTZIAN_20DB_FACTOR, lo), hi)
-        for iterations in range(1, opts.max_iter + 1):
-            mid = first_guess if iterations == 1 else 0.5 * (lo + hi)
-            width = model_w20(mid)
-            mismatch = (width - w20) / w20
-            if abs(mismatch) < opts.tol:
-                break
-            if width > w20:
-                hi = mid
-            else:
-                lo = mid
+    # The upper bracket always over-widens: a Voigt's 20 dB width is at
+    # least its Lorentzian's, sqrt(99) * w20 / 2 at hi.  The first probe is
+    # the exact 20 dB width of a pure Lorentzian; the bracket then shrinks
+    # around it by plain bisection.
+    first_guess = min(max(w20 / LORENTZIAN_20DB_FACTOR, lo), hi)
+    for iterations in range(1, opts.max_iter + 1):
+        mid = first_guess if iterations == 1 else 0.5 * (lo + hi)
+        width = model_w20(mid)
+        mismatch = (width - w20) / w20
+        if abs(mismatch) < opts.tol:
+            break
+        if width > w20:
+            hi = mid
         else:
-            flags.add(FLAG_NON_CONVERGED)
+            lo = mid
+    else:
+        flags.add(FLAG_NON_CONVERGED)
 
     gaussian, clamped = _gaussian_from_measured_fwhm(w3, mid)
     if clamped:

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__ as _tool_version
 from .errors import DomainError, ParseError, SchemaError, TraceIOError
 from .estimate import FitResult, LinewidthEstimate
-from .lineshape import FrequencyGrid, SpectrumTrace
+from .lineshape import FrequencyGrid, SpectrumTrace, _whole_number
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -176,6 +176,10 @@ class AnalysisReport:
     seed: Optional[int] = None
     tool_version: str = _tool_version
     timestamp: Optional[str] = None
+
+    def __post_init__(self):
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
 
 
 def _sanitize(obj):

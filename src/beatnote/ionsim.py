@@ -33,7 +33,6 @@ __all__ = [
     "IonProbeParams",
     "LaserNoise",
     "ExcitationCurve",
-    "rabi_probability",
     "expected_excitation",
     "simulate_carrier_spectrum",
     "simulate_rabi",
@@ -113,14 +112,6 @@ class ExcitationCurve:
         object.__setattr__(self, "abscissa", abscissa)
         object.__setattr__(self, "probability", np.clip(probability, 0.0, 1.0))
         object.__setattr__(self, "shot_count", shot_count)
-
-
-def rabi_probability(omega: float, delta, t):
-    """Closed-form noiseless excitation probability (oracle for the integrator)."""
-    delta = np.asarray(delta, dtype=float)
-    gen = np.sqrt(omega * omega + delta * delta)
-    weight = np.where(gen > 0, (omega / np.where(gen > 0, gen, 1.0)) ** 2, 1.0)
-    return weight * np.sin(math.pi * gen * t) ** 2
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
@@ -407,39 +398,31 @@ def fit_inverse_power(points: Sequence[Sequence[float]],
                       fixed_exponent: Optional[float] = None) -> FitResult:
     """Fit y = A / x^p to (x, y) pairs in log-log space.
 
-    With fixed_exponent, only A is free but the returned parameters are
-    still (A, p).  Raises DomainError on non-positive data.
+    log y = log A - p log x is linear, so one least-squares solve gives the
+    fit: the design matrix is [1, -log x], or [1] with fixed_exponent, whose
+    returned parameters are still (A, p).  The covariance of (A, p) is that
+    of the log-space solve, scaled by dA/d(log A) = A.  Raises DomainError on
+    data that is not finite and strictly positive.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise InvalidParameterError("need at least 3 (x, y) pairs")
-    if np.any(pts <= 0):
-        raise DomainError("inverse-power fit requires strictly positive data")
-    log_x = np.log(pts[:, 0])
-    log_y = np.log(pts[:, 1])
-
-    if fixed_exponent is None:
-        def model(lx, log_a, p):
-            return log_a - p * lx
-        slope = (log_y[-1] - log_y[0]) / (log_x[-1] - log_x[0])
-        init = [float(log_y[0] + slope * (0.0 - log_x[0])), -slope]
-        result = fit_least_squares(model, log_x, log_y, init)
-        log_a, p = result.parameters
-        amp = math.exp(log_a)
-        jac = np.array([[amp, 0.0], [0.0, 1.0]])
-        cov = jac @ result.covariance @ jac.T
-        parameters = np.array([amp, p])
-    else:
-        p = float(fixed_exponent)
-
-        def model(lx, log_a):
-            return log_a - p * lx
-        init = [float(np.mean(log_y + p * log_x))]
-        result = fit_least_squares(model, log_x, log_y, init)
-        amp = math.exp(result.parameters[0])
-        cov = np.zeros((2, 2))
-        cov[0, 0] = (amp ** 2) * result.covariance[0, 0]
-        parameters = np.array([amp, p])
-    return FitResult(parameters=parameters, covariance=0.5 * (cov + cov.T),
-                     residual_norm=result.residual_norm,
-                     converged=result.converged, iterations=result.iterations)
+    if not np.all((pts > 0) & (pts < math.inf)):
+        raise DomainError("inverse-power fit requires finite, strictly positive data")
+    if not (fixed_exponent is None or math.isfinite(fixed_exponent)):
+        raise InvalidParameterError(f"fixed exponent must be finite, got {fixed_exponent}")
+    log_x, log_y = np.log(pts).T
+    k = 2 if fixed_exponent is None else 1  # free parameters
+    p = 0.0 if k == 2 else float(fixed_exponent)
+    design = np.stack((np.ones_like(log_x), -log_x), axis=1)[:, :k]
+    coef, cost, rank, _ = np.linalg.lstsq(design, log_y + p * log_x)
+    if rank < k:
+        raise InsufficientDataError("the pairs need at least two distinct x")
+    amp = math.exp(coef[0])
+    gain = np.array([amp, 1.0])[:k]  # d(A, p) / d(log A, p)
+    cov = np.zeros((2, 2))
+    cov[:k, :k] = (cost[0] / (len(pts) - k) * np.linalg.pinv(design.T @ design)
+                   * np.outer(gain, gain))
+    return FitResult(parameters=np.array([amp, coef[1] if k == 2 else p]),
+                     covariance=0.5 * (cov + cov.T),
+                     residual_norm=math.sqrt(cost[0]), converged=True, iterations=1)

@@ -34,7 +34,6 @@ __all__ = [
     "eval_lorentzian",
     "eval_voigt_numeric",
     "voigt_fwhm_approx",
-    "voigt_grid",
     "voigt_width_numeric",
     "width_at_level",
 ]
@@ -149,8 +148,8 @@ class SpectrumTrace:
 
 def eval_gaussian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
     """Unit-integral Gaussian of the given FWHM centered at f0."""
-    if not fwhm > 0:
-        raise InvalidParameterError(f"gaussian fwhm must be > 0, got {fwhm}")
+    if not (math.isfinite(f0) and 0 < fwhm < math.inf):
+        raise InvalidParameterError(f"gaussian needs a finite f0 and fwhm > 0")
     x = grid.points() - f0
     peak = 2.0 * math.sqrt(math.log(2.0)) / (math.sqrt(math.pi) * fwhm)
     values = peak * np.exp(-4.0 * math.log(2.0) * (x / fwhm) ** 2)
@@ -159,8 +158,8 @@ def eval_gaussian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
 
 def eval_lorentzian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
     """Unit-integral Lorentzian of the given FWHM centered at f0."""
-    if not fwhm > 0:
-        raise InvalidParameterError(f"lorentzian fwhm must be > 0, got {fwhm}")
+    if not (math.isfinite(f0) and 0 < fwhm < math.inf):
+        raise InvalidParameterError(f"lorentzian needs a finite f0 and fwhm > 0")
     x = grid.points() - f0
     values = (fwhm / (2.0 * math.pi)) / (x * x + fwhm * fwhm / 4.0)
     return SpectrumTrace(grid, values)
@@ -168,8 +167,8 @@ def eval_lorentzian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrac
 
 def voigt_fwhm_approx(fwhm_lorentzian: float, fwhm_gaussian: float) -> float:
     """Closed-form Voigt FWHM from its Lorentzian and Gaussian components."""
-    if fwhm_lorentzian < 0 or fwhm_gaussian < 0:
-        raise InvalidParameterError("linewidths must be >= 0")
+    if not (0 <= fwhm_lorentzian < math.inf and 0 <= fwhm_gaussian < math.inf):
+        raise InvalidParameterError("linewidths must be finite and >= 0")
     return 0.5 * (
         VOIGT_WIDTH_CL * fwhm_lorentzian
         + math.sqrt(VOIGT_WIDTH_CQ * fwhm_lorentzian**2 + 4.0 * fwhm_gaussian**2)
@@ -262,15 +261,6 @@ def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> Spectrum
     return SpectrumTrace(grid, values)
 
 
-def voigt_grid(params: LineshapeParams) -> FrequencyGrid:
-    """Grid centered on the profile: +-20*(sum of widths) span, 40 samples
-    across the Voigt FWHM."""
-    fg, fl = params.fwhm_gaussian, params.fwhm_lorentzian
-    step = voigt_fwhm_approx(fl, fg) / 40.0
-    half_count = int(math.ceil(20.0 * (fg + fl) / step))
-    return FrequencyGrid(params.center - half_count * step, step, 2 * half_count + 1)
-
-
 # Beyond this gamma / (sigma sqrt 2) the Voigt width equals the Lorentzian's
 # to double precision (the relative difference falls as its inverse square).
 _LORENTZIAN_LIMIT = 1e8
@@ -359,8 +349,8 @@ def width_at_level(trace: SpectrumTrace, level_db: float,
     AmbiguousPeakError when several separated samples tie for the maximum
     (with allow_ties the lowest-frequency one wins).
     """
-    if not level_db > 0:
-        raise InvalidParameterError(f"level must be > 0 dB, got {level_db}")
+    if not 0 < level_db < math.inf:
+        raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
     values = trace.values
     grid = trace.grid
     vmax = values.max()

@@ -36,7 +36,6 @@ from beatnote import (
     fit_lorentzian_peak,
     inject_servo_bumps,
     measure_envelope_contrast,
-    rabi_probability,
     simulate_carrier_spectrum,
     simulate_time_domain,
     voigt_beat_note,
@@ -52,7 +51,8 @@ from beatnote.estimate import (
     mask_central_bins,
 )
 from beatnote.ionsim import damped_sine_model
-from beatnote.lineshape import LineshapeParams, voigt_grid
+from beatnote.lineshape import LineshapeParams
+from oracles import rabi_probability, voigt_grid
 
 pytestmark = pytest.mark.acceptance
 

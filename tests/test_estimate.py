@@ -36,6 +36,7 @@ from beatnote.errors import (
 )
 from beatnote.estimate import (
     FLAG_GRID_LIMITED,
+    FLAG_NON_CONVERGED,
     FLAG_SERVO_CONTAMINATED,
     VoigtOptions,
     _check_orders,
@@ -135,6 +136,25 @@ class TestEstimateVoigt:
         est = estimate_voigt(trace, VoigtOptions(exclude_central_bins=0))
         assert est.lorentzian_fwhm < 0.05 * est.gaussian_fwhm
         assert FLAG_GRID_LIMITED in est.flags
+
+    def test_tied_maxima_give_a_flagged_estimate(self):
+        # Two equal, separated maxima, as a quantised dBm file can hold: the
+        # lowest-frequency one is measured and the estimate is flagged, not
+        # refused with AmbiguousPeakError.
+        grid = FrequencyGrid(-200.0, 0.5, 801)
+        values = (eval_lorentzian(grid, -50.0, 4.0).values
+                  + eval_lorentzian(grid, 50.0, 4.0).values)
+        assert np.count_nonzero(values == values.max()) == 2
+        est = estimate_voigt(SpectrumTrace(grid, values),
+                             VoigtOptions(exclude_central_bins=0))
+        assert est.flags == {FLAG_GRID_LIMITED}
+        assert est.lorentzian_fwhm == pytest.approx(4.0, rel=0.05)
+
+    def test_iteration_cap_flags_non_converged(self):
+        trace, _ = beat_trace(320.0, 640.0)
+        est = estimate_voigt(trace, VoigtOptions(max_iter=1, tol=1e-12))
+        assert est.iterations == 1
+        assert est.flags == {FLAG_NON_CONVERGED}
 
     def test_voigt_width_dominates_components(self):
         trace, _ = beat_trace(320.0, 320.0)

@@ -16,7 +16,6 @@ from beatnote import (
     fit_damped_sine,
     fit_inverse_power,
     fit_lorentzian_peak,
-    rabi_probability,
     simulate_carrier_spectrum,
     simulate_rabi,
 )
@@ -34,6 +33,7 @@ from beatnote.ionsim import (
     _step_plan,
     damped_sine_model,
 )
+from oracles import rabi_probability
 
 RESONANT_GRID = FrequencyGrid(-1.0, 1.0, 3)
 
@@ -637,3 +637,15 @@ class TestFitInversePower:
     def test_non_positive_rejected(self):
         with pytest.raises(DomainError):
             fit_inverse_power([(1.0, 1.0), (2.0, -0.5), (3.0, 0.2)])
+
+    def test_one_linear_solve_matches_polyfit(self):
+        x = np.array([1.0, 2.0, 3.0, 5.0, 8.0])
+        y = 5.0 / x**2 * np.array([1.03, 0.98, 1.01, 0.97, 1.02])
+        fit = fit_inverse_power(np.column_stack((x, y)))
+        slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
+        assert fit.parameters == pytest.approx([math.exp(intercept), -slope], rel=1e-12)
+        assert (fit.converged, fit.iterations) == (True, 1)
+
+    def test_single_abscissa_refused(self):
+        with pytest.raises(InsufficientDataError):
+            fit_inverse_power([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)])

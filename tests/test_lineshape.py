@@ -16,7 +16,6 @@ from beatnote import (
     eval_lorentzian,
     eval_voigt_numeric,
     voigt_fwhm_approx,
-    voigt_grid,
     voigt_width_numeric,
     width_at_level,
 )
@@ -26,6 +25,7 @@ from beatnote.errors import (
     WidthUndefinedError,
 )
 from beatnote.lineshape import _faddeeva, _voigt_density
+from oracles import voigt_grid
 
 GAUSS_20DB = math.sqrt(math.log2(100.0))     # 2.577568
 LORENTZ_20DB = math.sqrt(99.0)               # 9.949874
