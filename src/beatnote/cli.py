@@ -1,17 +1,19 @@
 """Command-line front end: synthesize traces, estimate linewidths, run the
 ion-spectroscopy simulator, and extract servo bumps.
 
-Exit codes: 0 success, 2 flag/validation error, 3 estimation failure,
-4 I/O error.  Every run is deterministic for a fixed (flags, seed) pair; a
---config JSON file may supply any flag of the subcommand it is used with
-(underscores or dashes), with explicit flags taking precedence.  Any other
-config key exits 4.
+Exit codes, one per base class of beatnote.errors: 0 success, 3 estimation
+failure (EstimationError), 4 file error (FileError: a file that cannot be
+read or written, malformed content, or a non-ASCII byte in a trace, report
+or config), 2 any other BeatnoteError (a flag or validation error).  Every
+run is deterministic for a fixed (flags, seed) pair; a --config JSON file
+may supply any flag of the subcommand it is used with (underscores or
+dashes), with explicit flags taking precedence.  Any other config key exits
+4, and a config value outside a flag's choices exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -29,25 +31,15 @@ from .dshi import (
     simulate_time_domain,
     voigt_beat_note,
 )
-from .errors import (
-    AmbiguousPeakError,
-    BeatnoteError,
-    ExtremumNotFoundError,
-    InitializationError,
-    InsufficientDataError,
-    InvalidParameterError,
-    NoSolutionError,
-    ParseError,
-    SchemaError,
-    TraceIOError,
-    WidthUndefinedError,
-)
+from .errors import (BeatnoteError, EstimationError, FileError,
+                     InvalidParameterError, SchemaError)
 from .estimate import (
     VoigtOptions,
     estimate_envelope_contrast,
     estimate_voigt,
 )
 from .io import AnalysisReport, read_trace, write_report, write_trace
+from .io import _read_json, _write_text
 from .ionsim import (
     IonProbeParams,
     LaserNoise,
@@ -69,15 +61,9 @@ EXIT_USAGE = 2
 EXIT_ESTIMATION = 3
 EXIT_IO = 4
 
-_ESTIMATION_ERRORS = (
-    WidthUndefinedError,
-    AmbiguousPeakError,
-    ExtremumNotFoundError,
-    NoSolutionError,
-    InitializationError,
-    InsufficientDataError,
-)
-_IO_ERRORS = (TraceIOError, ParseError, SchemaError, OSError)
+_SIM_MODES = ("analytic", "montecarlo")
+_FIT_METHODS = ("voigt", "envelope", "both")
+_ION_MODES = ("spectrum", "rabi", "sweep-T", "sweep-omega")
 
 
 def _centered_grid(center: float, span: float, points: int) -> FrequencyGrid:
@@ -100,11 +86,16 @@ def _dshi_params(args, laser_fwhm: float) -> DshiParams:
 def _write_curve(path, x_name, y_name, x, y):
     lines = [f"{x_name},{y_name}"]
     lines.extend(f"{float(a):.17g},{float(b):.17g}" for a, b in zip(x, y))
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise TraceIOError(f"cannot write curve to {path}: {exc}") from exc
+    _write_text(path, "\n".join(lines) + "\n", "curve")
+
+
+def _choice(value, flag: str, choices):
+    """value, if it is one of `flag`'s choices.  argparse checks choices on
+    the command line only, not in the defaults a --config file sets."""
+    if value not in choices:
+        raise InvalidParameterError(
+            f"{flag} must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
 def _number_list(text: str, flag: str, positive: bool = False) -> list:
@@ -146,7 +137,7 @@ _SWEEPABLE = {
 
 def _one_trace(args) -> SpectrumTrace:
     params = _dshi_params(args, args.linewidth_hz)
-    if args.mode == "analytic":
+    if _choice(args.mode, "--mode", _SIM_MODES) == "analytic":
         grid = _centered_grid(params.eom_frequency, args.span_hz, args.points)
         trace = voigt_beat_note(params, args.flicker_gaussian_hz, grid)
     else:
@@ -166,7 +157,8 @@ def cmd_simulate(args) -> int:
     if args.sweep_param is not None:
         if not args.sweep_values:
             raise InvalidParameterError("--sweep-values required with --sweep-param")
-        attr = _SWEEPABLE[args.sweep_param]
+        attr = _SWEEPABLE[_choice(args.sweep_param, "--sweep-param",
+                                  sorted(_SWEEPABLE))]
         values = _number_list(args.sweep_values, "--sweep-values")
         for value in values:
             setattr(args, attr, value)
@@ -199,7 +191,8 @@ def _fitted_profile(trace: SpectrumTrace, estimate) -> SpectrumTrace:
 
 
 def cmd_fit(args) -> int:
-    if args.fitted_trace and args.method == "envelope":
+    method = _choice(args.method, "--method", _FIT_METHODS)
+    if args.fitted_trace and method == "envelope":
         raise InvalidParameterError(
             "--fitted-trace needs the Voigt estimator (--method voigt or both)")
     trace = read_trace(args.input)
@@ -208,9 +201,9 @@ def cmd_fit(args) -> int:
     # Every requested estimator runs before any file is written, so a
     # failure leaves no partial output.
     reports = []
-    if args.method in ("voigt", "both"):
+    if method in ("voigt", "both"):
         reports.append(("voigt", estimate_voigt(trace, opts)))
-    if args.method in ("envelope", "both"):
+    if method in ("envelope", "both"):
         params = _dshi_params(args, laser_fwhm=0.0)
         est = estimate_envelope_contrast(
             trace, params, peak_order=args.peak_order,
@@ -275,17 +268,18 @@ def _fit_sweep(args, x_name, y_name, pairs, exponent):
 
 
 def cmd_ionsim(args) -> int:
+    mode = _choice(args.mode, "--mode", _ION_MODES)
     noise = LaserNoise(fwhm=args.laser_fwhm_hz, rin_sigma=args.rin)
     config = _run_config(args)
 
-    if args.mode == "spectrum":
+    if mode == "spectrum":
         curve = _spectrum_once(args, noise, args.pulse_ms * 1e-3, args.rabi_hz)
         _write_curve(args.out_curve, "detuning_hz", "excitation_probability",
                      curve.abscissa, curve.probability)
         fit = fit_lorentzian_peak(curve)
         method = "ion-spectrum-lorentzian"
         print(f"fitted_fwhm_hz={fit.parameters[1]:.6g}")
-    elif args.mode == "rabi":
+    elif mode == "rabi":
         curve = _rabi_once(args, noise, args.rabi_hz, args.t_max_ms * 1e-3,
                            args.t_points)
         _write_curve(args.out_curve, "time_s", "excitation_probability",
@@ -293,7 +287,7 @@ def cmd_ionsim(args) -> int:
         fit = fit_damped_sine(curve)
         method = "ion-rabi-damped-sine"
         print(f"fitted_rabi_hz={fit.parameters[0]:.6g} tau_s={fit.parameters[1]:.6g}")
-    elif args.mode == "sweep-T":
+    elif mode == "sweep-T":
         durations = [v * 1e-3 for v in _number_list(
             args.durations_ms, "--durations-ms", positive=True)]
         pairs = []
@@ -303,7 +297,7 @@ def cmd_ionsim(args) -> int:
             pairs.append((pulse_s, float(fit_lorentzian_peak(curve).parameters[1])))
         fit = _fit_sweep(args, "pulse_duration_s", "fitted_fwhm_hz", pairs, 1.0)
         method = "ion-sweep-duration-inverse-power"
-    elif args.mode == "sweep-omega":
+    else:  # sweep-omega
         rabis = _number_list(args.rabi_values_hz, "--rabi-values-hz", positive=True)
         pairs = []
         for rabi in rabis:
@@ -313,8 +307,6 @@ def cmd_ionsim(args) -> int:
             pairs.append((rabi, float(fit_damped_sine(curve).parameters[1])))
         fit = _fit_sweep(args, "rabi_frequency_hz", "coherence_time_s", pairs, 2.0)
         method = "ion-sweep-rabi-inverse-power"
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidParameterError(f"unknown mode {args.mode!r}")
 
     report = AnalysisReport(
         input={"path": "synthetic"},
@@ -378,8 +370,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sim.add_argument("--linewidth-hz", type=float, default=320.0,
                      help="combined two-arm Lorentzian FWHM (default 320)")
     _add_dshi_flags(sim)
-    sim.add_argument("--mode", choices=["analytic", "montecarlo"],
-                     default="analytic")
+    sim.add_argument("--mode", choices=_SIM_MODES, default="analytic")
     sim.add_argument("--span-hz", type=float, default=200e3,
                      help="grid span centered on the carrier (analytic mode)")
     sim.add_argument("--points", type=int, default=8001)
@@ -407,8 +398,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     fit = sub.add_parser("fit", help="estimate linewidths from a trace")
     _add_dshi_flags(fit)
     fit.add_argument("--input", type=str, required=True)
-    fit.add_argument("--method", choices=["voigt", "envelope", "both"],
-                     default="voigt")
+    fit.add_argument("--method", choices=_FIT_METHODS, default="voigt")
     fit.add_argument("--tol", type=float, default=1e-3)
     fit.add_argument("--max-iter", type=int, default=60)
     fit.add_argument("--exclude-central-bins", type=int, default=3)
@@ -423,17 +413,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     fit.set_defaults(func=cmd_fit)
 
     ion = sub.add_parser("ionsim", help="trapped-ion spectroscopy simulator")
-    ion.add_argument("--mode", choices=["spectrum", "rabi", "sweep-T",
-                                        "sweep-omega"], default="spectrum")
+    ion.add_argument("--mode", choices=_ION_MODES, default="spectrum")
     ion.add_argument("--rabi-hz", type=float, default=250.0)
-    ion.add_argument("--pulse-ms", type=float, default=4.0)
+    ion.add_argument("--pulse-ms", type=float, default=2.0,
+                     help="default 2: a pi pulse at 250 Hz")
     ion.add_argument("--laser-fwhm-hz", type=float, default=156.0)
     ion.add_argument("--rin", type=float, default=0.0)
     ion.add_argument("--shots", type=int, default=200)
     ion.add_argument("--seed", type=int, default=0)
     ion.add_argument("--span-hz", type=float, default=None)
     ion.add_argument("--points", type=int, default=41)
-    ion.add_argument("--t-max-ms", type=float, default=0.5)
+    ion.add_argument("--t-max-ms", type=float, default=16.0,
+                     help="default 16: four Rabi periods at 250 Hz")
     ion.add_argument("--t-points", type=int, default=400)
     ion.add_argument("--durations-ms", type=str, default="1,2,4,8")
     ion.add_argument("--rabi-time-product", type=float, default=0.5,
@@ -462,13 +453,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def _read_config(path) -> dict:
     """Config JSON object with dashes in its keys turned into underscores."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            values = json.load(fh)
-    except OSError as exc:
-        raise TraceIOError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid config JSON: {exc}") from exc
+    values = _read_json(path, "config")
     if not isinstance(values, dict):
         raise SchemaError("config file must hold a JSON object")
     return {str(k).replace("-", "_"): v for k, v in values.items()}
@@ -492,10 +477,10 @@ def main(argv=None) -> int:
             commands[args.command].set_defaults(**values)
             args = parser.parse_args(argv)
         return args.func(args)
-    except _ESTIMATION_ERRORS as exc:
+    except EstimationError as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except _IO_ERRORS as exc:
+    except (FileError, OSError) as exc:  # OSError: a print to a closed pipe
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except BeatnoteError as exc:

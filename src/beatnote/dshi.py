@@ -306,40 +306,26 @@ def _spectral_phase(spec: np.ndarray, m: int, n: int) -> np.ndarray:
     return phase
 
 
-class _Lane(threading.Thread):
-    """fn(*args) on a second thread, started at once.  result() joins it and
-    returns fn's value, or raises fn's exception in the caller."""
-
-    def __init__(self, fn, *args):
-        super().__init__()
-        self._job, self._value, self._error = (fn, args), None, None
-        self.start()
-
-    def run(self):
-        fn, args = self._job
-        self._job = None
-        try:
-            self._value = fn(*args)
-        except BaseException as exc:  # re-raised in the caller by result()
-            self._error = exc
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        value, self._value = self._value, None
-        return value
-
-
 def _in_two_lanes(fn) -> None:
-    """Run fn(1) on a second lane and fn(0) on the calling thread at once;
-    both have finished when this returns or raises."""
-    lane = _Lane(fn, 1)
+    """Run fn(1) on a second thread and fn(0) on the calling thread at once;
+    both have finished when this returns or raises, and an exception of
+    fn(1) is raised here unless fn(0) raised first."""
+    errors = []
+
+    def run_second():
+        try:
+            fn(1)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    lane = threading.Thread(target=run_second)
+    lane.start()
     try:
         fn(0)
     finally:
         lane.join()
-    lane.result()
+    if errors:
+        raise errors[0]
 
 
 def _noise_tracks(noise: NoiseModel, n: int, dt: float, seed: int):
@@ -371,13 +357,17 @@ def _noise_tracks(noise: NoiseModel, n: int, dt: float, seed: int):
         _in_two_lanes(draw)
         return np.cumsum(phase, out=phase), intensity
     m = _fft_length(n)
-    lane = _Lane(_spectral_phase, _phase_spectrum(
-        noise.white_fm_fwhm, noise.flicker_level, m, dt, seed), m, n)
-    try:
-        draw(0, 1)
-    finally:
-        lane.join()
-    return lane.result(), intensity
+    spec = _phase_spectrum(noise.white_fm_fwhm, noise.flicker_level, m, dt, seed)
+    flicker = []
+
+    def lane(second):
+        if second:
+            flicker.append(_spectral_phase(spec, m, n))
+        else:
+            draw(0, 1)
+
+    _in_two_lanes(lane)
+    return flicker[0], intensity
 
 
 def _hann(nperseg: int) -> np.ndarray:

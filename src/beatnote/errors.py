@@ -1,8 +1,17 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.  The CLI exits 3 on an
+EstimationError, 4 on a FileError and 2 on any other BeatnoteError."""
 
 
 class BeatnoteError(Exception):
     """Base class for all package-specific errors."""
+
+
+class EstimationError(BeatnoteError):
+    """Valid input from which the requested quantity cannot be estimated."""
+
+
+class FileError(BeatnoteError):
+    """A file that cannot be read or written, or whose content is malformed."""
 
 
 class InvalidParameterError(BeatnoteError, ValueError):
@@ -21,36 +30,36 @@ class GridMismatchError(DomainError):
     """Two traces that must share a frequency grid do not."""
 
 
-class WidthUndefinedError(BeatnoteError):
+class WidthUndefinedError(EstimationError):
     """A requested level is not crossed on both sides of the peak."""
 
 
-class AmbiguousPeakError(BeatnoteError):
+class AmbiguousPeakError(EstimationError):
     """The trace has multiple global maxima of equal height."""
 
 
-class ExtremumNotFoundError(BeatnoteError):
+class ExtremumNotFoundError(EstimationError):
     """No coherence-envelope extremum near its predicted position."""
 
 
-class NoSolutionError(BeatnoteError):
+class NoSolutionError(EstimationError):
     """A measured contrast lies outside the attainable range of the model."""
 
 
-class InitializationError(BeatnoteError):
+class InitializationError(EstimationError):
     """A fit could not be started from the given data/initial values."""
 
 
-class InsufficientDataError(BeatnoteError):
+class InsufficientDataError(EstimationError):
     """Too little data to constrain the requested fit."""
 
 
-class TraceIOError(BeatnoteError):
+class TraceIOError(FileError):
     """Filesystem problem while reading or writing a trace/report."""
 
 
-class ParseError(BeatnoteError):
-    """Malformed content in a trace file."""
+class ParseError(FileError):
+    """Malformed content in a file: a trace, report or config."""
 
     def __init__(self, message, line_number=None):
         if line_number is not None:
@@ -59,5 +68,5 @@ class ParseError(BeatnoteError):
         self.line_number = line_number
 
 
-class SchemaError(BeatnoteError):
+class SchemaError(FileError):
     """Structurally parseable file violating the trace schema."""

@@ -44,6 +44,39 @@ _DBM_UNITS = ("dbm", "dbm-per-rbw")
 _UNITS = ("linear", "linear-power-per-hz") + _DBM_UNITS
 
 
+# Every file of the package is opened here: a filesystem failure becomes a
+# TraceIOError and a non-ASCII byte a ParseError, whatever the file holds.
+
+def _read_text(path, what: str) -> str:
+    """The ASCII text of a file, with newlines translated as in text mode."""
+    try:
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise TraceIOError(f"cannot read {what} from {path}: {exc}") from exc
+    if not text.isascii():
+        # surrogateescape holds byte b as the character U+DC00 + b.
+        i = next(i for i, c in enumerate(text) if not c.isascii())
+        raise ParseError(f"non-ASCII byte 0x{ord(text[i]) - 0xDC00:02x} in "
+                         f"{what} {path}", text.count("\n", 0, i) + 1)
+    return text
+
+
+def _write_text(path, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise TraceIOError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def _read_json(path, what: str):
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid {what} JSON in {path}: {exc}") from exc
+
+
 def write_trace(trace: SpectrumTrace, path) -> None:
     """Write a trace in the CSV schema: unit linear, 17 significant digits."""
     grid = trace.grid
@@ -58,11 +91,7 @@ def write_trace(trace: SpectrumTrace, path) -> None:
     lines.extend(
         f"{freqs[i]:.17g},{trace.values[i]:.17g}" for i in range(grid.count)
     )
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise TraceIOError(f"cannot write trace to {path}: {exc}") from exc
+    _write_text(path, "\n".join(lines) + "\n", "trace")
 
 
 def _meta_number(meta: Dict[str, str], key: str, default: float) -> float:
@@ -85,12 +114,7 @@ def read_trace(path) -> SpectrumTrace:
     power >= 0 (a negative linear value, or a dBm value whose power
     overflows), naming the first such line.  Values of a dBm file come back
     as linear power 10**(v/10), so a -inf row reads as 0."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw_lines = fh.readlines()
-    except OSError as exc:
-        raise TraceIOError(f"cannot read trace from {path}: {exc}") from exc
-
+    raw_lines = _read_text(path, "trace").split("\n")
     meta: Dict[str, str] = {}
     freqs = []
     values = []
@@ -240,20 +264,10 @@ def write_report(report: AnalysisReport, path) -> None:
     if report.timestamp is not None:
         doc["timestamp"] = report.timestamp
     doc.update(_payload_dict(report.payload))
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(_sanitize(doc), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise TraceIOError(f"cannot write report to {path}: {exc}") from exc
+    _write_text(path, json.dumps(_sanitize(doc), sort_keys=True, indent=2)
+                + "\n", "report")
 
 
 def read_report(path) -> Dict[str, Any]:
     """Load a report back as a plain dictionary."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise TraceIOError(f"cannot read report from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid report JSON in {path}: {exc}") from exc
+    return _read_json(path, "report")

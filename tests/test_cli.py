@@ -16,6 +16,7 @@ from beatnote import (
     read_report,
     read_trace,
 )
+from beatnote import cli, errors
 from beatnote.cli import build_parser, main
 
 
@@ -197,6 +198,14 @@ class TestIonsim:
         assert doc["fit"]["parameters"][1] == 2.0
         assert doc["fit"]["parameters"][0] > 0
 
+    @pytest.mark.parametrize("mode", ["spectrum", "rabi"])
+    def test_defaults_make_a_working_run(self, tmp_path, mode):
+        # A pi pulse at 250 Hz for the spectrum, four Rabi periods for rabi.
+        curve, report = tmp_path / "c.csv", tmp_path / "r.json"
+        assert run_cli("ionsim", "--mode", mode, "--seed", "3",
+                       "--out-curve", str(curve), "--out", str(report)) == 0
+        assert read_report(report)["fit"]["converged"]
+
 
 class TestBumps:
     def test_self_division_unity(self, tmp_path):
@@ -245,10 +254,6 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(path), "--method", "voigt",
                        "--out", str(tmp_path / "r.json")) == 3
 
-    def test_io_error(self, tmp_path):
-        assert run_cli("fit", "--input", str(tmp_path / "missing.csv"),
-                       "--out", str(tmp_path / "r.json")) == 4
-
     @pytest.mark.parametrize("bad", ["abc", "nan"])
     def test_bad_trace_metadata_is_io_error(self, tmp_path, bad):
         path = tmp_path / "t.csv"
@@ -291,6 +296,100 @@ class TestExitCodes:
         assert run_cli("simulate", "--mode", "analytic",
                        "--flicker-gaussian-hz", width, "--out", str(out)) == 2
         assert not out.exists()
+
+    # Each way a file fails, as a command line over the test's directory.
+    FILE_ERRORS = {
+        "missing_trace": "fit --input {d}/missing.csv --out {d}/r.json",
+        "missing_config": "--config {d}/missing.json simulate --out {d}/t.csv",
+        "invalid_json": "--config {d}/bad.json simulate --out {d}/t.csv",
+        "non_object_config": "--config {d}/list.json simulate --out {d}/t.csv",
+        "non_ascii_config": "--config {d}/mu.json simulate --out {d}/t.csv",
+        "non_ascii_trace": "fit --input {d}/mu.csv --out {d}/r.json",
+        "unwritable_trace": "simulate --points 101 --out {d}/no/t.csv",
+        "unwritable_report": "fit --input {d}/ok.csv --out {d}/no/r.json",
+        "unwritable_curve": "ionsim --points 11 --shots 5 "
+                            "--out-curve {d}/no/c.csv --out {d}/r.json",
+    }
+
+    @pytest.mark.parametrize("name", FILE_ERRORS)
+    def test_file_error_exits_4_and_writes_nothing(self, tmp_path, capsys,
+                                                   name):
+        ok = tmp_path / "ok.csv"
+        assert run_cli("simulate", "--points", "2001", "--out", str(ok)) == 0
+        (tmp_path / "bad.json").write_text('{"points": 101,}\n')
+        (tmp_path / "list.json").write_text('[["points", 101]]\n')
+        (tmp_path / "mu.json").write_bytes(b'{\n"instrument": "\xb5"}\n')
+        (tmp_path / "mu.csv").write_bytes(b"# instrument=\xc2\xb5-analyzer\n"
+                                          + ok.read_bytes())
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        argv = [a.format(d=tmp_path) for a in self.FILE_ERRORS[name].split()]
+        assert run_cli(*argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ")
+        named = {"non_ascii_config": "line 2: non-ASCII byte 0xb5",
+                 "non_ascii_trace": "line 1: non-ASCII byte 0xc2"}
+        assert named.get(name, "") in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    # Every error class of beatnote.errors, and the exit code the CLI gives it.
+    EXIT_CODES = {
+        "BeatnoteError": 2,
+        "InvalidParameterError": 2,
+        "ResolutionError": 2,
+        "DomainError": 2,
+        "GridMismatchError": 2,
+        "EstimationError": 3,
+        "WidthUndefinedError": 3,
+        "AmbiguousPeakError": 3,
+        "ExtremumNotFoundError": 3,
+        "NoSolutionError": 3,
+        "InitializationError": 3,
+        "InsufficientDataError": 3,
+        "FileError": 4,
+        "TraceIOError": 4,
+        "ParseError": 4,
+        "SchemaError": 4,
+    }
+
+    def test_every_error_class_has_its_exit_code(self, tmp_path, monkeypatch):
+        classes = {name: value for name, value in vars(errors).items()
+                   if isinstance(value, type)
+                   and issubclass(value, errors.BeatnoteError)}
+        assert set(classes) == set(self.EXIT_CODES)
+        for name, error in classes.items():
+            def raising(args, error=error):
+                raise error(f"raised {error.__name__}")
+
+            monkeypatch.setattr(cli, "cmd_simulate", raising)
+            assert run_cli("simulate", "--out", str(tmp_path / "t.csv")) == (
+                self.EXIT_CODES[name]), name
+
+    @pytest.mark.parametrize("config, argv", [
+        ({"mode": "bogus"}, ["simulate", "--out", "t.csv"]),
+        ({"sweep_param": "bogus", "sweep_values": "1,2"},
+         ["simulate", "--out-prefix", "t"]),
+        ({"method": "bogus"}, ["fit", "--input", "ok.csv", "--out", "r.json"]),
+        ({"method": "bogus"}, ["fit", "--input", "ok.csv", "--fitted-trace",
+                               "o.csv", "--out", "r.json"]),
+        ({"mode": "bogus"}, ["ionsim", "--out-curve", "c.csv", "--out", "r.json"]),
+    ], ids=["simulate_mode", "sweep_param", "fit_method",
+            "fit_method_fitted_trace", "ionsim_mode"])
+    def test_config_value_outside_choices_is_refused(self, tmp_path, capsys,
+                                                     monkeypatch, config, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", "--points", "2001", "--out", "ok.csv") == 0
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run_cli("--config", "cfg.json", *argv) == 2
+        err = capsys.readouterr().err
+        flag = "--" + next(iter(config)).replace("_", "-")
+        usage = build_parser()[1][argv[0]].format_usage()
+        choices = re.search(rf"{flag} {{([^}}]*)}}", usage).group(1)
+        assert err == (f"error: {flag} must be one of "
+                       f"{choices.replace(',', ', ')}, got 'bogus'\n")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_argparse_usage_error_subprocess(self):
         proc = subprocess.run(

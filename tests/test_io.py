@@ -120,6 +120,26 @@ class TestTraceFiles:
         with pytest.raises(TraceIOError):
             read_trace(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_lines_are_numbered_after_newline_translation(self, tmp_path,
+                                                          newline):
+        path = tmp_path / "t.csv"
+        rows = ["# unit=linear", "frequency_hz,psd", "1,1", "2,nan", "3,1"]
+        path.write_bytes(newline.join(rows).encode() + b"\n")
+        with pytest.raises(SchemaError, match="line 4"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, newline):
+        path = tmp_path / "t.csv"
+        rows = [b"# unit=linear", b"# instrument=\xc2\xb5-analyzer",
+                b"frequency_hz,psd", b"1,1", b"2,1"]
+        path.write_bytes(newline.join(rows) + newline)
+        with pytest.raises(ParseError, match="line 2: non-ASCII byte 0xc2") as err:
+            read_trace(path)
+        assert err.value.line_number == 2
+
     def test_single_row_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("frequency_hz,psd\n1,1\n")
@@ -188,6 +208,28 @@ class TestReports:
         text = (tmp_path / "r.json").read_text()
         doc = json.loads(text)
         assert list(doc.keys()) == sorted(doc.keys())
+
+    def test_bytes_are_sorted_indented_json_and_a_newline(self, tmp_path):
+        est = self.make_estimate()
+        write_report(AnalysisReport(input={}, method=est.method, payload=est,
+                                    seed=2), tmp_path / "r.json")
+        text = (tmp_path / "r.json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    def test_file_errors(self, tmp_path):
+        est = self.make_estimate()
+        report = AnalysisReport(input={}, method=est.method, payload=est)
+        with pytest.raises(TraceIOError, match="cannot write report"):
+            write_report(report, tmp_path)
+        with pytest.raises(TraceIOError, match="cannot read report"):
+            read_report(tmp_path / "nope.json")
+        path = tmp_path / "r.json"
+        path.write_text('{"a": 1,}\n')
+        with pytest.raises(ParseError, match="invalid report JSON"):
+            read_report(path)
+        path.write_bytes(b'{\n  "instrument": "\xb5-analyzer"\n}\n')
+        with pytest.raises(ParseError, match="line 2: non-ASCII byte 0xb5"):
+            read_report(path)
 
     def test_unknown_payload_refused_without_a_file(self, tmp_path):
         report = AnalysisReport(input={}, method="x", payload=object())
