@@ -19,36 +19,14 @@ import sys
 
 import numpy as np
 
+# Every subcommand reads or writes through io, which loads lineshape.  The
+# other modules are imported by the functions that call them, so a process
+# compiles only what its subcommand runs.
 from . import __version__
-from .dshi import (
-    DshiParams,
-    NoiseModel,
-    ServoBumpModel,
-    SimConfig,
-    apply_rbw,
-    extract_servo_bumps,
-    inject_servo_bumps,
-    simulate_time_domain,
-    voigt_beat_note,
-)
 from .errors import (BeatnoteError, EstimationError, FileError,
                      InvalidParameterError, SchemaError)
-from .estimate import (
-    VoigtOptions,
-    estimate_envelope_contrast,
-    estimate_voigt,
-)
 from .io import AnalysisReport, read_trace, write_report, write_trace
-from .io import _read_json, _write_text
-from .ionsim import (
-    IonProbeParams,
-    LaserNoise,
-    fit_damped_sine,
-    fit_inverse_power,
-    fit_lorentzian_peak,
-    simulate_carrier_spectrum,
-    simulate_rabi,
-)
+from .io import _read_json, _write_rows
 from .lineshape import (
     FrequencyGrid,
     LineshapeParams,
@@ -73,7 +51,9 @@ def _centered_grid(center: float, span: float, points: int) -> FrequencyGrid:
     return FrequencyGrid(center - span / 2.0, step, points)
 
 
-def _dshi_params(args, laser_fwhm: float) -> DshiParams:
+def _dshi_params(args, laser_fwhm: float):
+    from .dshi import DshiParams
+
     return DshiParams(
         eom_frequency=args.eom_mhz * 1e6,
         laser_fwhm=laser_fwhm,
@@ -81,12 +61,6 @@ def _dshi_params(args, laser_fwhm: float) -> DshiParams:
         fiber_index=args.fiber_index,
         optical_power=args.power,
     )
-
-
-def _write_curve(path, x_name, y_name, x, y):
-    lines = [f"{x_name},{y_name}"]
-    lines.extend(f"{float(a):.17g},{float(b):.17g}" for a, b in zip(x, y))
-    _write_text(path, "\n".join(lines) + "\n", "curve")
 
 
 def _choice(value, flag: str, choices):
@@ -136,6 +110,9 @@ _SWEEPABLE = {
 
 
 def _one_trace(args) -> SpectrumTrace:
+    from .dshi import (NoiseModel, SimConfig, apply_rbw, simulate_time_domain,
+                       voigt_beat_note)
+
     params = _dshi_params(args, args.linewidth_hz)
     if _choice(args.mode, "--mode", _SIM_MODES) == "analytic":
         grid = _centered_grid(params.eom_frequency, args.span_hz, args.points)
@@ -159,12 +136,17 @@ def cmd_simulate(args) -> int:
             raise InvalidParameterError("--sweep-values required with --sweep-param")
         attr = _SWEEPABLE[_choice(args.sweep_param, "--sweep-param",
                                   sorted(_SWEEPABLE))]
-        values = _number_list(args.sweep_values, "--sweep-values")
-        for value in values:
-            setattr(args, attr, value)
-            trace = _one_trace(args)
+        outs = {}  # file name -> sweep value
+        for value in _number_list(args.sweep_values, "--sweep-values"):
             out = f"{args.out_prefix}_{args.sweep_param}_{value:g}.csv"
-            write_trace(trace, out)
+            if out in outs:
+                raise InvalidParameterError(
+                    f"--sweep-values {outs[out]!r} and {value!r} would both "
+                    f"write {out}")
+            outs[out] = value
+        for out, value in outs.items():
+            setattr(args, attr, value)
+            write_trace(_one_trace(args), out)
             print(out)
         return EXIT_OK
     if args.out is None:
@@ -191,6 +173,9 @@ def _fitted_profile(trace: SpectrumTrace, estimate) -> SpectrumTrace:
 
 
 def cmd_fit(args) -> int:
+    from .estimate import (VoigtOptions, estimate_envelope_contrast,
+                           estimate_voigt)
+
     method = _choice(args.method, "--method", _FIT_METHODS)
     if args.fitted_trace and method == "envelope":
         raise InvalidParameterError(
@@ -245,6 +230,8 @@ def _ion_grid(args, pulse_s, rabi_hz) -> FrequencyGrid:
 
 
 def _spectrum_once(args, noise, pulse_s, rabi_hz):
+    from .ionsim import IonProbeParams, simulate_carrier_spectrum
+
     grid = _ion_grid(args, pulse_s, rabi_hz)
     params = IonProbeParams(rabi_hz, pulse_s, grid, shots_per_point=args.shots,
                             rng_seed=args.seed)
@@ -253,37 +240,43 @@ def _spectrum_once(args, noise, pulse_s, rabi_hz):
 
 def _rabi_once(args, noise, rabi_hz, t_max_s, t_points):
     """Resonant Rabi flop; the probe's detuning grid is unused on resonance."""
+    from .ionsim import IonProbeParams, simulate_rabi
+
     params = IonProbeParams(rabi_hz, t_max_s, FrequencyGrid(-1.0, 1.0, 3),
                             shots_per_point=args.shots, rng_seed=args.seed)
     return simulate_rabi(params, noise, t_max_s, t_points)
 
 
-def _fit_sweep(args, x_name, y_name, pairs, exponent):
+def _fit_sweep(args, header, pairs, exponent):
     """Write the sweep curve and fit it with an inverse power law."""
-    _write_curve(args.out_curve, x_name, y_name,
-                 [p[0] for p in pairs], [p[1] for p in pairs])
+    from .ionsim import fit_inverse_power
+
+    _write_rows(args.out_curve, (header,), [p[0] for p in pairs],
+                [p[1] for p in pairs], "curve")
     fit = fit_inverse_power(pairs, None if args.free_exponent else exponent)
     print(f"exponent={fit.parameters[1]:.4g} amplitude={fit.parameters[0]:.6g}")
     return fit
 
 
 def cmd_ionsim(args) -> int:
+    from .ionsim import LaserNoise, fit_damped_sine, fit_lorentzian_peak
+
     mode = _choice(args.mode, "--mode", _ION_MODES)
     noise = LaserNoise(fwhm=args.laser_fwhm_hz, rin_sigma=args.rin)
     config = _run_config(args)
 
     if mode == "spectrum":
         curve = _spectrum_once(args, noise, args.pulse_ms * 1e-3, args.rabi_hz)
-        _write_curve(args.out_curve, "detuning_hz", "excitation_probability",
-                     curve.abscissa, curve.probability)
+        _write_rows(args.out_curve, ("detuning_hz,excitation_probability",),
+                    curve.abscissa, curve.probability, "curve")
         fit = fit_lorentzian_peak(curve)
         method = "ion-spectrum-lorentzian"
         print(f"fitted_fwhm_hz={fit.parameters[1]:.6g}")
     elif mode == "rabi":
         curve = _rabi_once(args, noise, args.rabi_hz, args.t_max_ms * 1e-3,
                            args.t_points)
-        _write_curve(args.out_curve, "time_s", "excitation_probability",
-                     curve.abscissa, curve.probability)
+        _write_rows(args.out_curve, ("time_s,excitation_probability",),
+                    curve.abscissa, curve.probability, "curve")
         fit = fit_damped_sine(curve)
         method = "ion-rabi-damped-sine"
         print(f"fitted_rabi_hz={fit.parameters[0]:.6g} tau_s={fit.parameters[1]:.6g}")
@@ -295,7 +288,7 @@ def cmd_ionsim(args) -> int:
             curve = _spectrum_once(args, noise, pulse_s,
                                    args.rabi_time_product / pulse_s)
             pairs.append((pulse_s, float(fit_lorentzian_peak(curve).parameters[1])))
-        fit = _fit_sweep(args, "pulse_duration_s", "fitted_fwhm_hz", pairs, 1.0)
+        fit = _fit_sweep(args, "pulse_duration_s,fitted_fwhm_hz", pairs, 1.0)
         method = "ion-sweep-duration-inverse-power"
     else:  # sweep-omega
         rabis = _number_list(args.rabi_values_hz, "--rabi-values-hz", positive=True)
@@ -305,7 +298,7 @@ def cmd_ionsim(args) -> int:
             curve = _rabi_once(args, noise, rabi, t_max,
                                max(args.t_points, int(20 * rabi * t_max) + 1))
             pairs.append((rabi, float(fit_damped_sine(curve).parameters[1])))
-        fit = _fit_sweep(args, "rabi_frequency_hz", "coherence_time_s", pairs, 2.0)
+        fit = _fit_sweep(args, "rabi_frequency_hz,coherence_time_s", pairs, 2.0)
         method = "ion-sweep-rabi-inverse-power"
 
     report = AnalysisReport(
@@ -326,6 +319,8 @@ def cmd_ionsim(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bumps(args) -> int:
+    from .dshi import ServoBumpModel, extract_servo_bumps, inject_servo_bumps
+
     measured = read_trace(args.measured)
     model = read_trace(args.model)
     if args.inject_height_db is not None:

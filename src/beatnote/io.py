@@ -19,14 +19,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 
 from . import __version__ as _tool_version
 from .errors import DomainError, ParseError, SchemaError, TraceIOError
-from .estimate import FitResult, LinewidthEstimate
 from .lineshape import FrequencyGrid, SpectrumTrace, _whole_number
+
+if TYPE_CHECKING:  # at run time, imported where a report is written
+    from .estimate import FitResult, LinewidthEstimate
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -77,21 +80,25 @@ def _read_json(path, what: str):
         raise ParseError(f"invalid {what} JSON in {path}: {exc}") from exc
 
 
+def _write_rows(path, head, x, y, what: str) -> None:
+    """Write the `head` lines, then one row "x,y" per point.  Every number is
+    written as a float64 with 17 significant digits, so it roundtrips."""
+    rows = map("{:.17g},{:.17g}".format, np.asarray(x, dtype=float).tolist(),
+               np.asarray(y, dtype=float).tolist())
+    _write_text(path, "\n".join(chain(head, rows)) + "\n", what)
+
+
 def write_trace(trace: SpectrumTrace, path) -> None:
     """Write a trace in the CSV schema: unit linear, 17 significant digits."""
     grid = trace.grid
-    lines = [
+    head = (
         "# unit=linear",
         f"# rbw_hz={trace.rbw:.17g}",
         f"# grid_start_hz={grid.start:.17g}",
         f"# grid_step_hz={grid.step:.17g}",
         _HEADER_ROW,
-    ]
-    freqs = grid.points()
-    lines.extend(
-        f"{freqs[i]:.17g},{trace.values[i]:.17g}" for i in range(grid.count)
     )
-    _write_text(path, "\n".join(lines) + "\n", "trace")
+    _write_rows(path, head, grid.points(), trace.values, "trace")
 
 
 def _meta_number(meta: Dict[str, str], key: str, default: float) -> float:
@@ -107,6 +114,38 @@ def _meta_number(meta: Dict[str, str], key: str, default: float) -> float:
     return value
 
 
+def _check_row(lineno: int, text: str) -> None:
+    """Raise the error of a bad data row; a good row passes."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ParseError(f"expected 2 columns, got {len(parts)}", lineno)
+    try:
+        freq, value = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ParseError(f"non-numeric row {text!r}", lineno) from None
+    if not math.isfinite(freq) or not value < math.inf:
+        raise SchemaError(f"line {lineno}: non-finite row {text!r}")
+
+
+def _columns(rows, data):
+    """The frequency and value columns of the data rows (their line numbers
+    and stripped texts), all cells converted in one pass.  A bad row sends
+    the rows through _check_row in file order, so the first one is named."""
+    # Two cells a row: the joined cells then alternate frequency, value.
+    if set(map(str.count, data, repeat(","))) == {1}:
+        try:
+            cells = np.array(list(map(float, ",".join(data).split(","))))
+        except ValueError:
+            pass
+        else:
+            freqs, values = cells.reshape(-1, 2).T.copy()
+            if np.isfinite(freqs).all() and (values < math.inf).all():
+                return freqs, values
+    for lineno, text in zip(rows, data):
+        _check_row(lineno, text)
+    return np.empty(0), np.empty(0)  # reached only with no data rows
+
+
 def read_trace(path) -> SpectrumTrace:
     """Parse a trace CSV, rejecting non-monotone or non-uniform grids, rows
     holding a non-finite frequency or a NaN or +inf value, numeric metadata
@@ -114,13 +153,11 @@ def read_trace(path) -> SpectrumTrace:
     power >= 0 (a negative linear value, or a dBm value whose power
     overflows), naming the first such line.  Values of a dBm file come back
     as linear power 10**(v/10), so a -inf row reads as 0."""
-    raw_lines = _read_text(path, "trace").split("\n")
     meta: Dict[str, str] = {}
-    freqs = []
-    values = []
-    rows = []
+    rows = []  # line number of each data row
+    data = []  # its stripped text
     header_seen = False
-    for lineno, line in enumerate(raw_lines, start=1):
+    for lineno, line in enumerate(_read_text(path, "trace").split("\n"), start=1):
         text = line.strip()
         if not text:
             continue
@@ -129,32 +166,21 @@ def read_trace(path) -> SpectrumTrace:
             if "=" in body:
                 key, _, val = body.partition("=")
                 meta[key.strip()] = val.strip()
-            continue
-        if not header_seen:
-            if text != _HEADER_ROW:
-                raise ParseError(f"expected header {_HEADER_ROW!r}, got {text!r}",
-                                 lineno)
+        elif header_seen:
+            rows.append(lineno)
+            data.append(text)
+        elif text == _HEADER_ROW:
             header_seen = True
-            continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 columns, got {len(parts)}", lineno)
-        try:
-            freq, value = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"non-numeric row {text!r}", lineno) from None
-        if not math.isfinite(freq) or not value < math.inf:
-            raise SchemaError(f"line {lineno}: non-finite row {text!r}")
-        freqs.append(freq)
-        values.append(value)
-        rows.append(lineno)
+        else:
+            raise ParseError(f"expected header {_HEADER_ROW!r}, got {text!r}",
+                             lineno)
 
+    f, raw = _columns(rows, data)
     if not header_seen:
         raise ParseError("missing header row")
-    if len(freqs) < 2:
-        raise SchemaError(f"trace needs >= 2 rows, found {len(freqs)}")
+    if len(f) < 2:
+        raise SchemaError(f"trace needs >= 2 rows, found {len(f)}")
 
-    f = np.asarray(freqs)
     if np.any(np.diff(f) <= 0):
         raise SchemaError("frequencies must be strictly ascending")
     step = (f[-1] - f[0]) / (len(f) - 1)
@@ -170,7 +196,6 @@ def read_trace(path) -> SpectrumTrace:
     unit = meta.get("unit", "linear").lower()
     if unit not in _UNITS:
         raise SchemaError(f"unknown unit {unit!r}")
-    raw = np.asarray(values)
     if unit in _DBM_UNITS:
         with np.errstate(over="ignore"):
             values = 10.0 ** (raw / 10.0)
@@ -226,6 +251,8 @@ def _sanitize(obj):
 
 
 def _payload_dict(payload) -> Dict[str, Any]:
+    from .estimate import FitResult, LinewidthEstimate
+
     if isinstance(payload, LinewidthEstimate):
         return {
             "result": {

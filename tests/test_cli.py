@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+from fnmatch import fnmatch
 
 import numpy as np
 import pytest
@@ -60,6 +61,18 @@ class TestSimulate:
         assert run_cli(*args, "--out", str(a)) == 0
         assert run_cli(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_refuses_values_that_share_a_file_name(self, tmp_path, capsys):
+        # Both values print as 1e+06 under {:g}: the second trace would
+        # overwrite the first.
+        assert run_cli("simulate", "--sweep-param", "linewidth-hz",
+                       "--sweep-values", "1000000,1000001",
+                       "--out-prefix", str(tmp_path / "sw")) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "1000000.0 and 1000001.0" in err
+        assert "sw_linewidth-hz_1e+06.csv" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFit:
@@ -197,6 +210,26 @@ class TestIonsim:
         doc = read_report(report)
         assert doc["fit"]["parameters"][1] == 2.0
         assert doc["fit"]["parameters"][0] > 0
+
+    @staticmethod
+    def per_element_curve(header, x, y):
+        """The curve text of the former CLI writer, one float() per element."""
+        lines = [header]
+        lines.extend(f"{float(a):.17g},{float(b):.17g}" for a, b in zip(x, y))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "spectrum", "--shots", "7", "--points", "21"],
+        ["--mode", "sweep-T", "--durations-ms", "1,2,4", "--shots", "3",
+         "--points", "15"],
+    ], ids=["spectrum", "sweep-T"])
+    def test_curve_bytes_match_per_element_formatter(self, tmp_path, argv):
+        curve, report = tmp_path / "c.csv", tmp_path / "r.json"
+        assert run_cli("ionsim", *argv, "--out-curve", str(curve),
+                       "--out", str(report)) == 0
+        header, *rows = curve.read_text().splitlines()
+        x, y = zip(*(map(float, row.split(",")) for row in rows))
+        assert curve.read_text() == self.per_element_curve(header, x, y)
 
     @pytest.mark.parametrize("mode", ["spectrum", "rabi"])
     def test_defaults_make_a_working_run(self, tmp_path, mode):
@@ -431,17 +464,48 @@ class TestReportConfig:
 
 
 class TestStartup:
-    def test_import_does_not_load_scipy(self):
-        # The Voigt profile is numpy only; scipy.special alone cost about
-        # 0.3 s of start-up per CLI call.
+    # Patterns of modules no process below may load.  The Voigt profile,
+    # the exact ion mean and the fits are numpy only: scipy.special alone
+    # cost about 0.3 s of start-up per CLI call and scipy.signal about a
+    # second.  The oracle's second lane is a plain threading.Thread;
+    # concurrent.futures would add about 7 ms to every CLI call.
+    NEVER = ("scipy", "scipy.*", "concurrent.futures")
+    # What each process runs, a statement or a CLI argv ("{d}" is the
+    # test's directory), and the patterns it must also keep out: each
+    # subcommand compiles only the modules it runs.
+    ROWS = {
+        "import-beatnote": ("import beatnote", ("beatnote.*",)),
+        "import-cli": ("import beatnote.cli", ()),
+        "simulate": (["simulate", "--mode", "montecarlo", "--eom-mhz", "1",
+                      "--linewidth-hz", "5000", "--duration-s", "0.01",
+                      "--segments", "16", "--seed", "1", "--out", "{d}/mc.csv"],
+                     ("beatnote.estimate", "beatnote.ionsim")),
+        "fit": (["fit", "--input", "{d}/an.csv", "--method", "both",
+                 "--fitted-trace", "{d}/fit.csv", "--out", "{d}/r.json"],
+                ("beatnote.ionsim", "numpy.random")),
+        "ionsim": (["ionsim", "--shots", "5", "--points", "11",
+                    "--out-curve", "{d}/c.csv", "--out", "{d}/ion.json"], ()),
+        "bumps": (["bumps", "--measured", "{d}/an.csv", "--model",
+                   "{d}/an.csv", "--out", "{d}/ratio.csv"], ()),
+    }
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_process_loads_only_what_it_runs(self, tmp_path, row):
+        run, kept_out = self.ROWS[row]
+        if isinstance(run, list):
+            assert run_cli("simulate", "--mode", "analytic", "--linewidth-hz",
+                           "50000", "--span-hz", "1000000", "--points", "2001",
+                           "--out", str(tmp_path / "an.csv")) == 0
+            argv = [arg.format(d=tmp_path) for arg in run]
+            run = f"from beatnote.cli import main\nassert main({argv!r}) == 0"
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, beatnote.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))"],
-            capture_output=True, text=True, check=True,
-        )
-        assert proc.stdout.strip() == "[]"
+             f"import json, sys\n{run}\nprint(json.dumps(sorted(sys.modules)))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        patterns = self.NEVER + kept_out
+        assert [m for m in loaded if any(fnmatch(m, p) for p in patterns)] == []
 
     def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
         # A None entry in sys.modules makes any scipy import raise.
@@ -472,38 +536,6 @@ print([main(argv) for argv in runs])
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0]"
-
-    def test_import_does_not_load_concurrent_futures(self):
-        # The oracle's second lane is a plain threading.Thread;
-        # concurrent.futures would add about 7 ms to every CLI call.
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, beatnote.cli; "
-             "print('concurrent.futures' in sys.modules)"],
-            capture_output=True, text=True, check=True,
-        )
-        assert proc.stdout.strip() == "False"
-
-    def test_import_does_not_load_scipy_signal(self):
-        # scipy.signal alone costs about a second of start-up per CLI call.
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, beatnote.cli; print('scipy.signal' in sys.modules)"],
-            capture_output=True, text=True, check=True,
-        )
-        assert proc.stdout.strip() == "False"
-
-    def test_import_does_not_load_scipy_linalg_or_optimize(self):
-        # The exact ion mean and the fits are numpy only; either module
-        # would add to every CLI call's start-up.
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, beatnote.cli; "
-             "print([m for m in ('scipy.linalg', 'scipy.optimize') "
-             "if m in sys.modules])"],
-            capture_output=True, text=True, check=True,
-        )
-        assert proc.stdout.strip() == "[]"
 
 
 class TestConfigFile:

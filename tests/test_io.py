@@ -1,10 +1,13 @@
 """Trace and report file formats."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from beatnote import (
     AnalysisReport,
@@ -236,3 +239,116 @@ class TestReports:
         with pytest.raises(DomainError):
             write_report(report, tmp_path / "r.json")
         assert not (tmp_path / "r.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# Properties of trace files
+# ---------------------------------------------------------------------------
+
+def per_element_trace_text(trace):
+    """The trace text of the former writer, one numpy scalar per format."""
+    grid = trace.grid
+    lines = ["# unit=linear", f"# rbw_hz={trace.rbw:.17g}",
+             f"# grid_start_hz={grid.start:.17g}",
+             f"# grid_step_hz={grid.step:.17g}", "frequency_hz,psd"]
+    freqs = grid.points()
+    lines.extend(f"{freqs[i]:.17g},{trace.values[i]:.17g}"
+                 for i in range(grid.count))
+    return "\n".join(lines) + "\n"
+
+
+def line_by_line_row_error(text):
+    """The error of the first bad data row of a trace text, found as the
+    former reader did, one row at a time; None when every row is good."""
+    header_seen = False
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        row = line.strip()
+        if not row or row.startswith("#"):
+            continue
+        if not header_seen:  # the texts below hold a valid header
+            header_seen = True
+            continue
+        parts = row.split(",")
+        if len(parts) != 2:
+            return ParseError(f"expected 2 columns, got {len(parts)}", lineno)
+        try:
+            freq, value = float(parts[0]), float(parts[1])
+        except ValueError:
+            return ParseError(f"non-numeric row {row!r}", lineno)
+        if not math.isfinite(freq) or not value < math.inf:
+            return SchemaError(f"line {lineno}: non-finite row {row!r}")
+    return None
+
+
+@st.composite
+def traces(draw):
+    """A linear trace of any finite float64 values >= 0."""
+    values = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                           min_size=2, max_size=40))
+    grid = FrequencyGrid(float(draw(st.integers(-10**6, 10**6))),
+                         draw(st.floats(0.5, 1e4)), len(values))
+    return SpectrumTrace(grid, np.array(values), draw(st.floats(0.0, 1e6)))
+
+
+# How a corruption rewrites a row's two cells (frequency, value).
+CORRUPTIONS = {
+    "three-columns": lambda f, v: (f, v, v),
+    "one-column": lambda f, v: (f,),
+    "non-numeric-frequency": lambda f, v: (f + "x", v),
+    "non-numeric-value": lambda f, v: (f, "psd"),
+    "nan-frequency": lambda f, v: ("nan", v),
+    "nan-value": lambda f, v: (f, "NaN"),
+    "inf-frequency": lambda f, v: ("inf", v),
+    "inf-value": lambda f, v: (f, "+inf"),
+}
+HEAD_LINES = 5  # four metadata comments and the header row
+
+
+@st.composite
+def corrupted_trace_texts(draw):
+    """The text of a written trace with one to three rows corrupted, and
+    blank or comment lines put between the rows."""
+    lines = per_element_trace_text(draw(traces())).split("\n")
+    rows = len(lines) - HEAD_LINES - 1
+    bad = draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                  st.sampled_from(sorted(CORRUPTIONS))),
+                        min_size=1, max_size=3, unique_by=lambda c: c[0]))
+    for row, kind in bad:
+        i = HEAD_LINES + row
+        lines[i] = ",".join(CORRUPTIONS[kind](*lines[i].split(",")))
+    inserts = draw(st.lists(st.tuples(st.integers(HEAD_LINES, len(lines) - 1),
+                                      st.sampled_from(["", "   ", "# note=1"])),
+                            max_size=3))
+    for i, extra in sorted(inserts, reverse=True):
+        lines.insert(i, extra)
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("trace-properties")
+
+
+class TestTraceProperties:
+    @given(trace=traces())
+    def test_roundtrip_is_bit_exact_and_bytes_match_per_element_writer(
+            self, trace_dir, trace):
+        path = trace_dir / "t.csv"
+        write_trace(trace, path)
+        assert path.read_text() == per_element_trace_text(trace)
+        back = read_trace(path)
+        assert back.values.tobytes() == trace.values.tobytes()
+        assert back.rbw == trace.rbw
+
+    @given(text=corrupted_trace_texts())
+    @example(text="# unit=linear\nfrequency_hz,psd\n1,1\n2,inf\n3,abc\n4,1\n")
+    @example(text="frequency_hz,psd\n1,1\n\n# x=1\n2,1,1\n3,nan\n")
+    def test_bad_row_is_named_as_by_line_by_line_reader(self, trace_dir, text):
+        path = trace_dir / "bad.csv"
+        path.write_text(text)
+        expected = line_by_line_row_error(text)
+        assert expected is not None
+        with pytest.raises(type(expected)) as raised:
+            read_trace(path)
+        assert type(raised.value) is type(expected)
+        assert str(raised.value) == str(expected)

@@ -9,6 +9,7 @@ table of exemptions names the argument and the value, with its reason.
 """
 
 import ast
+import importlib
 import math
 import pathlib
 import warnings
@@ -41,6 +42,8 @@ from beatnote.errors import BeatnoteError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CALLERS = ("src/beatnote/*.py", "demos/*.py", "perfbench/*.py")
+SUBMODULES = ("beatnote.lineshape", "beatnote.dshi", "beatnote.estimate",
+              "beatnote.ionsim", "beatnote.io")
 
 # Public only so that tests can check the package against them.
 ORACLES = {
@@ -89,6 +92,29 @@ def test_all_holds_no_module():
     exec("import io\nfrom beatnote import *", namespace)
     assert namespace["io"].StringIO
     assert len(beatnote.__all__) == 44
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from beatnote import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == beatnote.__all__
+    assert len(namespace) - 1 == 44
+
+
+@pytest.mark.parametrize("name", beatnote.__all__)
+def test_public_name_is_its_home_modules_object(name):
+    # Names load on first access; each must be the object of the one
+    # submodule whose __all__ lists it.
+    homes = [module for module in map(importlib.import_module, SUBMODULES)
+             if name in module.__all__]
+    assert len(homes) == 1
+    assert getattr(beatnote, name) is getattr(homes[0], name)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'voigt_fwhm'"):
+        beatnote.voigt_fwhm  # noqa: B018
+    assert not hasattr(beatnote, "lineshape_params")
 
 
 # ---------------------------------------------------------------------------
