@@ -507,6 +507,30 @@ class TestStartup:
         patterns = self.NEVER + kept_out
         assert [m for m in loaded if any(fnmatch(m, p) for p in patterns)] == []
 
+    @staticmethod
+    def loaded_by_import_cli(names):
+        """Those of ``names`` in sys.modules after ``import beatnote.cli``."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, beatnote.cli; "
+             f"print([m for m in {tuple(names)!r} if m in sys.modules])"],
+            capture_output=True, text=True, check=True,
+        )
+        return proc.stdout.strip()
+
+    def test_import_does_not_load_scipy(self):
+        assert self.loaded_by_import_cli(["scipy", "scipy.special"]) == "[]"
+
+    def test_import_does_not_load_concurrent_futures(self):
+        assert self.loaded_by_import_cli(["concurrent.futures"]) == "[]"
+
+    def test_import_does_not_load_scipy_signal(self):
+        assert self.loaded_by_import_cli(["scipy.signal"]) == "[]"
+
+    def test_import_does_not_load_scipy_linalg_or_optimize(self):
+        assert self.loaded_by_import_cli(
+            ["scipy.linalg", "scipy.optimize"]) == "[]"
+
     def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
         # A None entry in sys.modules makes any scipy import raise.
         script = f"""
