@@ -5,10 +5,11 @@ Exit codes, one per base class of beatnote.errors: 0 success, 3 estimation
 failure (EstimationError), 4 file error (FileError: a file that cannot be
 read or written, malformed content, or a non-ASCII byte in a trace, report
 or config), 2 any other BeatnoteError (a flag or validation error).  Every
-run is deterministic for a fixed (flags, seed) pair; a --config JSON file
+run is deterministic for a fixed (flags, seed) pair.  A --config JSON file
 may supply any flag of the subcommand it is used with (underscores or
-dashes), with explicit flags taking precedence.  Any other config key exits
-4, and a config value outside a flag's choices exits 2.
+dashes); each entry is parsed as the flag it names, and explicit flags take
+precedence.  Any other key, or a null, list or object value, exits 4; a
+value the flag refuses exits 2.
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ EXIT_USAGE = 2
 EXIT_ESTIMATION = 3
 EXIT_IO = 4
 
-_SIM_MODES = ("analytic", "montecarlo")
-_FIT_METHODS = ("voigt", "envelope", "both")
-_ION_MODES = ("spectrum", "rabi", "sweep-T", "sweep-omega")
-
-
 def _centered_grid(center: float, span: float, points: int) -> FrequencyGrid:
     if points < 3 or span <= 0:
         raise InvalidParameterError("grid needs span > 0 and at least 3 points")
@@ -63,15 +59,6 @@ def _dshi_params(args, laser_fwhm: float):
     )
 
 
-def _choice(value, flag: str, choices):
-    """value, if it is one of `flag`'s choices.  argparse checks choices on
-    the command line only, not in the defaults a --config file sets."""
-    if value not in choices:
-        raise InvalidParameterError(
-            f"{flag} must be one of {', '.join(choices)}, got {value!r}")
-    return value
-
-
 def _number_list(text: str, flag: str, positive: bool = False) -> list:
     """The comma-separated numbers of `flag`; with `positive`, each must also
     be finite and > 0."""
@@ -84,6 +71,22 @@ def _number_list(text: str, flag: str, positive: bool = False) -> list:
         raise InvalidParameterError(
             f"{flag} values must be finite and > 0, got {text!r}")
     return values
+
+
+def _non_negative(text: str) -> float:
+    """argparse type of a flag that must be finite and >= 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type of a flag that must be finite and > 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
 
 
 # Namespace entries that are not settings of a run: the dispatch, the config
@@ -101,20 +104,12 @@ def _run_config(args) -> dict:
 # simulate
 # ---------------------------------------------------------------------------
 
-_SWEEPABLE = {
-    "linewidth-hz": "linewidth_hz",
-    "power": "power",
-    "eom-mhz": "eom_mhz",
-    "fiber-km": "fiber_km",
-}
-
-
 def _one_trace(args) -> SpectrumTrace:
     from .dshi import (NoiseModel, SimConfig, apply_rbw, simulate_time_domain,
                        voigt_beat_note)
 
     params = _dshi_params(args, args.linewidth_hz)
-    if _choice(args.mode, "--mode", _SIM_MODES) == "analytic":
+    if args.mode == "analytic":
         grid = _centered_grid(params.eom_frequency, args.span_hz, args.points)
         trace = voigt_beat_note(params, args.flicker_gaussian_hz, grid)
     else:
@@ -134,8 +129,7 @@ def cmd_simulate(args) -> int:
     if args.sweep_param is not None:
         if not args.sweep_values:
             raise InvalidParameterError("--sweep-values required with --sweep-param")
-        attr = _SWEEPABLE[_choice(args.sweep_param, "--sweep-param",
-                                  sorted(_SWEEPABLE))]
+        attr = args.sweep_param.replace("-", "_")
         outs = {}  # file name -> sweep value
         for value in _number_list(args.sweep_values, "--sweep-values"):
             out = f"{args.out_prefix}_{args.sweep_param}_{value:g}.csv"
@@ -176,8 +170,7 @@ def cmd_fit(args) -> int:
     from .estimate import (VoigtOptions, estimate_envelope_contrast,
                            estimate_voigt)
 
-    method = _choice(args.method, "--method", _FIT_METHODS)
-    if args.fitted_trace and method == "envelope":
+    if args.fitted_trace and args.method == "envelope":
         raise InvalidParameterError(
             "--fitted-trace needs the Voigt estimator (--method voigt or both)")
     trace = read_trace(args.input)
@@ -186,9 +179,9 @@ def cmd_fit(args) -> int:
     # Every requested estimator runs before any file is written, so a
     # failure leaves no partial output.
     reports = []
-    if method in ("voigt", "both"):
+    if args.method in ("voigt", "both"):
         reports.append(("voigt", estimate_voigt(trace, opts)))
-    if method in ("envelope", "both"):
+    if args.method in ("envelope", "both"):
         params = _dshi_params(args, laser_fwhm=0.0)
         est = estimate_envelope_contrast(
             trace, params, peak_order=args.peak_order,
@@ -261,18 +254,17 @@ def _fit_sweep(args, header, pairs, exponent):
 def cmd_ionsim(args) -> int:
     from .ionsim import LaserNoise, fit_damped_sine, fit_lorentzian_peak
 
-    mode = _choice(args.mode, "--mode", _ION_MODES)
     noise = LaserNoise(fwhm=args.laser_fwhm_hz, rin_sigma=args.rin)
     config = _run_config(args)
 
-    if mode == "spectrum":
+    if args.mode == "spectrum":
         curve = _spectrum_once(args, noise, args.pulse_ms * 1e-3, args.rabi_hz)
         _write_rows(args.out_curve, ("detuning_hz,excitation_probability",),
                     curve.abscissa, curve.probability, "curve")
         fit = fit_lorentzian_peak(curve)
         method = "ion-spectrum-lorentzian"
         print(f"fitted_fwhm_hz={fit.parameters[1]:.6g}")
-    elif mode == "rabi":
+    elif args.mode == "rabi":
         curve = _rabi_once(args, noise, args.rabi_hz, args.t_max_ms * 1e-3,
                            args.t_points)
         _write_rows(args.out_curve, ("time_s,excitation_probability",),
@@ -280,7 +272,7 @@ def cmd_ionsim(args) -> int:
         fit = fit_damped_sine(curve)
         method = "ion-rabi-damped-sine"
         print(f"fitted_rabi_hz={fit.parameters[0]:.6g} tau_s={fit.parameters[1]:.6g}")
-    elif mode == "sweep-T":
+    elif args.mode == "sweep-T":
         durations = [v * 1e-3 for v in _number_list(
             args.durations_ms, "--durations-ms", positive=True)]
         pairs = []
@@ -365,24 +357,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sim.add_argument("--linewidth-hz", type=float, default=320.0,
                      help="combined two-arm Lorentzian FWHM (default 320)")
     _add_dshi_flags(sim)
-    sim.add_argument("--mode", choices=_SIM_MODES, default="analytic")
+    sim.add_argument("--mode", choices=("analytic", "montecarlo"),
+                     default="analytic")
     sim.add_argument("--span-hz", type=float, default=200e3,
                      help="grid span centered on the carrier (analytic mode)")
     sim.add_argument("--points", type=int, default=8001)
     sim.add_argument("--flicker-gaussian-hz", type=float, default=0.0,
                      help="Gaussian broadening of the coherent residue")
-    sim.add_argument("--rbw-hz", type=float, default=0.0,
-                     help="post-hoc Gaussian resolution bandwidth")
+    sim.add_argument("--rbw-hz", type=_non_negative, default=0.0,
+                     help="post-hoc Gaussian resolution bandwidth (0: none)")
     sim.add_argument("--flicker-level", type=float, default=0.0,
                      help="1/f frequency-noise level, Hz^2/Hz at 1 Hz (MC mode)")
     sim.add_argument("--rin", type=float, default=0.0,
                      help="fractional RMS intensity noise (MC mode)")
-    sim.add_argument("--sample-rate-hz", type=float, default=None,
+    sim.add_argument("--sample-rate-hz", type=_positive, default=None,
                      help="MC sample rate (default 8 * f_eom)")
     sim.add_argument("--duration-s", type=float, default=0.25)
     sim.add_argument("--segments", type=int, default=64)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--sweep-param", choices=sorted(_SWEEPABLE), default=None)
+    sim.add_argument("--sweep-param", default=None,
+                     choices=("eom-mhz", "fiber-km", "linewidth-hz", "power"))
     sim.add_argument("--sweep-values", type=str, default=None,
                      help="comma-separated values for --sweep-param")
     sim.add_argument("--out", type=str, default=None)
@@ -393,7 +387,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     fit = sub.add_parser("fit", help="estimate linewidths from a trace")
     _add_dshi_flags(fit)
     fit.add_argument("--input", type=str, required=True)
-    fit.add_argument("--method", choices=_FIT_METHODS, default="voigt")
+    fit.add_argument("--method", choices=("voigt", "envelope", "both"),
+                     default="voigt")
     fit.add_argument("--tol", type=float, default=1e-3)
     fit.add_argument("--max-iter", type=int, default=60)
     fit.add_argument("--exclude-central-bins", type=int, default=3)
@@ -408,9 +403,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     fit.set_defaults(func=cmd_fit)
 
     ion = sub.add_parser("ionsim", help="trapped-ion spectroscopy simulator")
-    ion.add_argument("--mode", choices=_ION_MODES, default="spectrum")
+    ion.add_argument("--mode", default="spectrum",
+                     choices=("spectrum", "rabi", "sweep-T", "sweep-omega"))
     ion.add_argument("--rabi-hz", type=float, default=250.0)
-    ion.add_argument("--pulse-ms", type=float, default=2.0,
+    ion.add_argument("--pulse-ms", type=_positive, default=2.0,
                      help="default 2: a pi pulse at 250 Hz")
     ion.add_argument("--laser-fwhm-hz", type=float, default=156.0)
     ion.add_argument("--rin", type=float, default=0.0)
@@ -446,12 +442,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _read_config(path) -> dict:
-    """Config JSON object with dashes in its keys turned into underscores."""
-    values = _read_json(path, "config")
-    if not isinstance(values, dict):
+def _config_flags(path, args) -> tuple[list, list]:
+    """The keys of the --config JSON object at `path`, dashes turned into
+    underscores, and its entries as the flags they name."""
+    entries = _read_json(path, "config")
+    if not isinstance(entries, dict):
         raise SchemaError("config file must hold a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in values.items()}
+    entries = {key.replace("-", "_"): value for key, value in entries.items()}
+    accepted = vars(args).keys() - {"command", "func", "config"}
+    unknown = sorted(entries.keys() - accepted)
+    if unknown:
+        raise SchemaError(f"config keys not accepted by {args.command}: "
+                          + ", ".join(unknown))
+    flags = []
+    for key, value in entries.items():
+        flag = "--" + key.replace("_", "-")
+        if value is None or isinstance(value, (list, dict)):
+            raise SchemaError(f"config key {key} must hold a number or a string")
+        if isinstance(value, bool) and not isinstance(getattr(args, key), bool):
+            raise InvalidParameterError(
+                f"{flag} takes a value, not {str(value).lower()}")
+        if value is not False:  # a switch: true sets it, false leaves it off
+            flags.append(flag if value is True else f"{flag}={value}")
+    return list(entries), flags
 
 
 def main(argv=None) -> int:
@@ -460,16 +473,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            # Config values become the subcommand's defaults, so explicit
-            # flags still win and string values still pass through `type`.
-            values = _read_config(args.config)
-            accepted = vars(args).keys() - {"command", "func", "config"}
-            unknown = sorted(values.keys() - accepted)
-            if unknown:
-                raise SchemaError(
-                    f"config keys not accepted by {args.command}: "
-                    + ", ".join(unknown))
-            commands[args.command].set_defaults(**values)
+            # The config's flags are parsed after the user's own, and their
+            # values become the subcommand's defaults, so explicit flags win.
+            keys, flags = _config_flags(args.config, args)
+            parsed = vars(parser.parse_args(argv + flags))
+            commands[args.command].set_defaults(**{k: parsed[k] for k in keys})
             args = parser.parse_args(argv)
         return args.func(args)
     except EstimationError as exc:

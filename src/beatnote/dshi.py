@@ -27,7 +27,7 @@ from .errors import (
     ResolutionError,
 )
 from .lineshape import (FrequencyGrid, LineshapeParams, SpectrumTrace,
-                        _whole_number, eval_voigt_numeric)
+                        _delta_width, _whole_number, eval_voigt_numeric)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -190,14 +190,9 @@ def analytic_psd(params: DshiParams, grid: FrequencyGrid) -> SpectrumTrace:
     The continuous part is the Lorentzian wing of the combined-linewidth beat
     modulated by the coherence envelope of the delay line; the coherent
     residue is deposited as integrated power into the single bin containing
-    the carrier.
+    the carrier.  This is voigt_beat_note with no broadening.
     """
-    _require_carrier_coverage(params, grid)
-    x = grid.points() - params.eom_frequency
-    wing, envelope = _wing_and_envelope(params, x)
-    values = wing * envelope
-    values[grid.index_of(params.eom_frequency)] += _spike_power(params) / grid.step
-    return SpectrumTrace(grid, values)
+    return voigt_beat_note(params, 0.0, grid)
 
 
 def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
@@ -207,23 +202,27 @@ def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
     Flicker noise accumulated over the delay smears the carrier residue into
     a finite line; this model gives that line the measured-beat-note shape: a
     Voigt profile whose Lorentzian part is the combined white-noise linewidth
-    and whose Gaussian part is the supplied flicker broadening.  The peak
-    carries the residue's integrated power and rides on the same
-    wing-times-envelope pedestal as analytic_psd.
+    and whose Gaussian part is the supplied flicker broadening (a Gaussian
+    at zero linewidth).  The peak carries the residue's integrated power and
+    rides on the same wing-times-envelope pedestal as analytic_psd.  With no
+    broadening, or a Gaussian alone that the grid cannot resolve, the
+    residue stays in the carrier bin.
     """
     if not 0 <= gaussian_fwhm < math.inf:
         raise InvalidParameterError(
             f"gaussian_fwhm must be finite and >= 0, got {gaussian_fwhm}")
-    if gaussian_fwhm == 0 or params.laser_fwhm == 0:
-        return analytic_psd(params, grid)
     _require_carrier_coverage(params, grid)
     x = grid.points() - params.eom_frequency
     wing, envelope = _wing_and_envelope(params, x)
-    peak = eval_voigt_numeric(
-        grid,
-        LineshapeParams(params.eom_frequency, gaussian_fwhm, params.laser_fwhm),
-    )
-    values = wing * envelope + _spike_power(params) * peak.values
+    values = wing * envelope
+    if gaussian_fwhm == 0 or (params.laser_fwhm == 0
+                              and gaussian_fwhm < _delta_width(grid)):
+        values[grid.index_of(params.eom_frequency)] += (
+            _spike_power(params) / grid.step)
+    else:
+        peak = eval_voigt_numeric(grid, LineshapeParams(
+            params.eom_frequency, gaussian_fwhm, params.laser_fwhm))
+        values += _spike_power(params) * peak.values
     return SpectrumTrace(grid, values)
 
 

@@ -229,10 +229,8 @@ def fit_least_squares(
         if converged:
             break
 
-    dof = max(y.size - n, 1)
-    scale = cost / dof if y.size > n else 0.0
     try:
-        cov = scale * np.linalg.pinv(J.T @ J)
+        cov = cost / (y.size - n) * np.linalg.pinv(J.T @ J)
     except np.linalg.LinAlgError:
         cov = np.full((n, n), np.nan)
     cov = 0.5 * (cov + cov.T)
@@ -341,9 +339,9 @@ def estimate_voigt(trace: SpectrumTrace,
 
     # The upper bracket always over-widens: a Voigt's 20 dB width is at
     # least its Lorentzian's, sqrt(99) * w20 / 2 at hi.  The first probe is
-    # the exact 20 dB width of a pure Lorentzian; the bracket then shrinks
-    # around it by plain bisection.
-    first_guess = min(max(w20 / LORENTZIAN_20DB_FACTOR, lo), hi)
+    # the exact 20 dB width of a pure Lorentzian, inside the bracket since
+    # 2 < sqrt(99) < 20; the bracket then shrinks around it by plain bisection.
+    first_guess = w20 / LORENTZIAN_20DB_FACTOR
     for iterations in range(1, opts.max_iter + 1):
         mid = first_guess if iterations == 1 else 0.5 * (lo + hi)
         width = model_w20(mid)
@@ -370,7 +368,7 @@ def estimate_voigt(trace: SpectrumTrace,
 
 def _check_orders(peak_order: int, trough_order: int) -> Tuple[int, int]:
     """The two orders as ints, refused unless whole, >= 1, adjacent, and a
-    peak (odd) then a trough (even)."""
+    peak (odd) then a trough (so even)."""
     peak_order = _whole_number(peak_order, "peak order")
     trough_order = _whole_number(trough_order, "trough order")
     if peak_order < 1 or trough_order < 1:
@@ -379,8 +377,6 @@ def _check_orders(peak_order: int, trough_order: int) -> Tuple[int, int]:
         raise InvalidParameterError("peak and trough orders must be adjacent")
     if peak_order % 2 == 0:
         raise InvalidParameterError(f"order {peak_order} is a trough, not a peak")
-    if trough_order % 2 == 1:
-        raise InvalidParameterError(f"order {trough_order} is a peak, not a trough")
     return peak_order, trough_order
 
 
@@ -388,9 +384,8 @@ def _contrast_db(params: DshiParams, peak_order: int, trough_order: int,
                  fwhm: float) -> float:
     """Analytic peak/trough contrast (dB) of the coherence envelope at
     combined linewidth fwhm: the wing-times-envelope model evaluated at the
-    two extremum positions.  The orders must already be checked."""
-    if not fwhm > 0:
-        raise InvalidParameterError("contrast model needs a positive linewidth")
+    two extremum positions.  The orders must already be checked and fwhm
+    must be > 0."""
     gamma = fwhm / 2.0
     spacing = extrema_spacing(params)
     coh = math.exp(-2.0 * math.pi * params.delay * gamma)
@@ -492,8 +487,9 @@ def _locate_extremum(freqs, values, step, carrier, position, window, kind,
         )
     qs = detrended[idx - 1:idx + 2]
     denom = qs[0] - 2.0 * qs[1] + qs[2]
+    # |delta| <= 1/2: qs[1] is the extreme of the three.
     delta = 0.5 * (qs[0] - qs[2]) / denom if denom != 0 else 0.0
-    return float(sub_f[idx] + np.clip(delta, -1.0, 1.0) * step)
+    return float(sub_f[idx] + delta * step)
 
 
 def _locate_extrema(freqs, values, step, params, spacing, positions,

@@ -239,6 +239,11 @@ def _voigt_density(x: np.ndarray, params: LineshapeParams) -> np.ndarray:
     return w.real * (_INV_SQRT_PI / s)
 
 
+def _delta_width(grid: FrequencyGrid) -> float:
+    """Widths below this are a delta on `grid`: a hundredth of its step."""
+    return grid.step / 100.0
+
+
 def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> SpectrumTrace:
     """Voigt profile sampled on the grid, renormalized to unit trapezoidal
     integral.
@@ -249,15 +254,14 @@ def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> Spectrum
     returned directly.
     """
     fg, fl, f0 = params.fwhm_gaussian, params.fwhm_lorentzian, params.center
-    step = grid.step
-    if fg < step / 100.0:
+    if fg < _delta_width(grid):
         if fl <= 0:
             raise InvalidParameterError("both linewidths are degenerate on this grid")
         return eval_lorentzian(grid, f0, fl)
-    if fl < step / 100.0:
+    if fl < _delta_width(grid):
         return eval_gaussian(grid, f0, fg)
     values = _voigt_density(grid.points() - f0, params)
-    values /= np.trapezoid(values, dx=step)
+    values /= np.trapezoid(values, dx=grid.step)
     return SpectrumTrace(grid, values)
 
 
@@ -328,15 +332,14 @@ def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
 
 
 def _interpolated_peak(values: np.ndarray, i: int) -> float:
-    """Parabolic refinement of the peak height through its three samples."""
-    if 0 < i < len(values) - 1:
-        a, b, c = values[i - 1], values[i], values[i + 1]
-        denom = a - 2.0 * b + c
-        if denom < 0:
-            delta = 0.5 * (a - c) / denom
-            if abs(delta) <= 1.0:
-                return b - 0.25 * (a - c) * delta
-    return float(values[i])
+    """Parabolic refinement of the height of the maximum at interior index
+    `i` through its three samples."""
+    a, b, c = values[i - 1], values[i], values[i + 1]
+    denom = a - 2.0 * b + c
+    if denom < 0:
+        delta = 0.5 * (a - c) / denom  # |delta| <= 1/2 at a maximum
+        return b - 0.25 * (a - c) * delta
+    return float(b)
 
 
 def width_at_level(trace: SpectrumTrace, level_db: float,

@@ -1,8 +1,9 @@
 """Closed forms and grids the tests hold the package to.
 
-Neither is part of the package: `rabi_probability` is the noiseless limit of
-`beatnote.expected_excitation`, and `voigt_grid` is the grid on which the
-Voigt width solvers are compared.
+None is part of the package: `rabi_probability` is the noiseless limit of
+`beatnote.expected_excitation`, `voigt_grid` is the grid on which the Voigt
+width solvers are compared, and `grid_about` is the symmetric grid most
+spectrum tests sample on.
 """
 
 import math
@@ -27,3 +28,10 @@ def voigt_grid(params: LineshapeParams) -> FrequencyGrid:
     step = voigt_fwhm_approx(fl, fg) / 40.0
     half_count = int(math.ceil(20.0 * (fg + fl) / step))
     return FrequencyGrid(params.center - half_count * step, step, 2 * half_count + 1)
+
+
+def grid_about(center, half_span, step):
+    """Grid of the given step with a point at `center`, reaching as far out
+    to either side as whole steps within `half_span` allow."""
+    n = int(half_span / step)
+    return FrequencyGrid(center - n * step, step, 2 * n + 1)

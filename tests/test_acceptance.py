@@ -21,7 +21,6 @@ import pytest
 from beatnote import (
     DshiParams,
     ExcitationCurve,
-    FrequencyGrid,
     IonProbeParams,
     LaserNoise,
     NoiseModel,
@@ -52,14 +51,9 @@ from beatnote.estimate import (
 )
 from beatnote.ionsim import damped_sine_model
 from beatnote.lineshape import LineshapeParams
-from oracles import rabi_probability, voigt_grid
+from oracles import grid_about, rabi_probability, voigt_grid
 
 pytestmark = pytest.mark.acceptance
-
-
-def grid_about(center, half_span, step):
-    n = int(half_span / step)
-    return FrequencyGrid(center - n * step, step, 2 * n + 1)
 
 
 def report(criterion, ok, detail):

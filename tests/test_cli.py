@@ -25,6 +25,14 @@ def run_cli(*args):
     return main(list(args))
 
 
+def exit_code(*args):
+    """The exit code of a run, returned by main or raised by argparse."""
+    try:
+        return run_cli(*args)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestSimulate:
     def test_analytic_trace_peaked_at_carrier(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -330,6 +338,31 @@ class TestExitCodes:
                        "--flicker-gaussian-hz", width, "--out", str(out)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("ionsim", "--pulse-ms", "0"),
+        ("ionsim", "--pulse-ms", "nan"),
+        ("simulate", "--rbw-hz", "nan"),
+        ("simulate", "--rbw-hz", "-1"),
+        ("simulate", "--mode", "montecarlo", "--sample-rate-hz", "0"),
+    ], ids=["zero_pulse", "nan_pulse", "nan_rbw", "negative_rbw",
+            "zero_sample_rate"])
+    def test_flag_outside_its_range_is_refused(self, tmp_path, capsys, argv):
+        # The zero pulse divided by zero, the NaN pulse was refused without
+        # naming its flag, and the others ran without smoothing or at 8 f_eom.
+        outputs = {"ionsim": ("--out-curve", str(tmp_path / "c.csv"),
+                              "--out", str(tmp_path / "r.json")),
+                   "simulate": ("--out", str(tmp_path / "t.csv"))}
+        assert exit_code(*argv, *outputs[argv[0]]) == 2
+        assert f"argument {argv[-2]}: must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_zero_rbw_is_no_smoothing(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("simulate", "--points", "2001", "--out", str(a)) == 0
+        assert run_cli("simulate", "--points", "2001", "--rbw-hz", "0",
+                       "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     # Each way a file fails, as a command line over the test's directory.
     FILE_ERRORS = {
         "missing_trace": "fit --input {d}/missing.csv --out {d}/r.json",
@@ -415,13 +448,15 @@ class TestExitCodes:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         before = sorted(tmp_path.iterdir())
         capsys.readouterr()
-        assert run_cli("--config", "cfg.json", *argv) == 2
-        err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", "cfg.json", *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
         flag = "--" + next(iter(config)).replace("_", "-")
         usage = build_parser()[1][argv[0]].format_usage()
         choices = re.search(rf"{flag} {{([^}}]*)}}", usage).group(1)
-        assert err == (f"error: {flag} must be one of "
-                       f"{choices.replace(',', ', ')}, got 'bogus'\n")
+        assert f"argument {flag}: invalid choice: " in err and "bogus" in err
+        assert all(choice in err for choice in choices.split(","))
         assert sorted(tmp_path.iterdir()) == before
 
     def test_argparse_usage_error_subprocess(self):
@@ -622,6 +657,64 @@ class TestConfigFile:
             tmp_path, "bumps", ["--measured", str(trace), "--model", str(trace)],
             "inject_height_db", "--inject-height-db", 6.0, ["out.csv"])
         assert a == b
+
+    @pytest.mark.parametrize("config, code, named", [
+        ({"span_hz": None}, 4, "span_hz"),
+        ({"linewidth_hz": [1, 2]}, 4, "linewidth_hz"),
+        ({"duration_s": {"a": 1}}, 4, "duration_s"),
+        ({"fiber_km": True}, 2, "--fiber-km"),
+        ({"fiber_km": False}, 2, "--fiber-km"),
+        ({"seed": -1.5}, 2, "--seed"),
+        ({"points": 2001.5}, 2, "--points"),
+        ({"mode": "bogus"}, 2, "--mode"),
+    ], ids=["null", "list", "object", "true_for_a_number", "false_for_a_number",
+            "fractional_seed", "fractional_points", "outside_choices"])
+    def test_config_value_is_parsed_as_its_flag(self, tmp_path, capsys, config,
+                                                 code, named):
+        # true ran a 1 km line, -1.5 was accepted as a seed, and the first
+        # three ended in a traceback.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert exit_code("--config", str(cfg), "simulate",
+                         "--out", str(tmp_path / "t.csv")) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_sweep_config_matches_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep_param": "power", "sweep_values": 3}))
+        assert run_cli("--config", str(cfg), "simulate", "--points", "2001",
+                       "--out-prefix", str(tmp_path / "c")) == 0
+        assert run_cli("simulate", "--points", "2001", "--sweep-param", "power",
+                       "--sweep-values", "3",
+                       "--out-prefix", str(tmp_path / "f")) == 0
+        assert (tmp_path / "c_power_3.csv").read_bytes() == (
+            tmp_path / "f_power_3.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "ionsim", "bumps"])
+    def test_config_restating_the_defaults_changes_nothing(self, tmp_path,
+                                                           command):
+        trace = tmp_path / "t.csv"
+        assert run_cli("simulate", "--points", "4001", "--out", str(trace)) == 0
+        inputs = {"fit": ["--input", str(trace)],
+                  "bumps": ["--measured", str(trace), "--model", str(trace)]}
+        outputs = ["out-curve", "out"] if command == "ionsim" else ["out"]
+        parser = build_parser()[1][command]
+        defaults = {dest: parser.get_default(dest)
+                    for dest in subcommand_flags(command)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {k: v for k, v in defaults.items() if v is not None}))
+        written = []
+        for name, pre in (("n", []), ("c", ["--config", str(cfg)])):
+            paths = [tmp_path / f"{name}-{o}" for o in outputs]
+            out_flags = [x for o, p in zip(outputs, paths)
+                         for x in (f"--{o}", str(p))]
+            assert run_cli(*pre, command, *inputs.get(command, []),
+                           *out_flags) == 0
+            written.append([p.read_bytes() for p in paths])
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("key", [
         "linewdith_hz",  # misspelt

@@ -43,13 +43,9 @@ from beatnote.errors import (
     ResolutionError,
 )
 from beatnote.estimate import mask_central_bins
+from oracles import grid_about
 
 P5KM = dict(eom_frequency=7e6, laser_fwhm=100.0, fiber_length=5e3, fiber_index=1.468)
-
-
-def grid_about(center, half_span, step):
-    n = int(half_span / step)
-    return FrequencyGrid(center - n * step, step, 2 * n + 1)
 
 
 # A single-threaded oracle that draws every noise block from its key in
@@ -431,6 +427,14 @@ class TestMonteCarlo:
         with pytest.raises(InvalidParameterError):
             SimConfig(sample_rate=8e6, duration=0.1, segments=4)
 
+    def test_delay_shorter_than_one_sample_refused(self):
+        # 1 m of fiber delays the copy by 4.9 ns, 0.04 samples at 8 MS/s.
+        params = DshiParams(eom_frequency=1e6, laser_fwhm=100.0,
+                            fiber_length=1.0)
+        with pytest.raises(ResolutionError, match="shorter than one sample"):
+            simulate_time_domain(params, NoiseModel(100.0),
+                                 SimConfig(sample_rate=8e6, duration=2e-3))
+
     def test_flicker_noise_follows_one_over_f(self):
         level = 1e4
         n, dt = 1_500_000, 5e-7
@@ -644,6 +648,23 @@ class TestVoigtBeatNote:
         params = DshiParams(**dict(P5KM, laser_fwhm=0.0))
         with pytest.raises(InvalidParameterError):
             voigt_beat_note(params, gaussian, grid_about(7e6, 50e3, 10.0))
+
+    def test_zero_laser_width_spreads_residue_as_gaussian(self):
+        # The residue used to stay in the carrier bin, dropping the width.
+        params = DshiParams(**dict(P5KM, laser_fwhm=0.0))
+        grid = grid_about(7e6, 50e3, 10.0)
+        trace = voigt_beat_note(params, 640.0, grid)
+        assert width_at_level(trace, 10.0 * math.log10(2.0)) == pytest.approx(
+            640.0, rel=1e-3)
+        assert trace.integral() == pytest.approx(
+            analytic_psd(params, grid).integral(), rel=1e-12)
+
+    def test_unresolved_gaussian_at_zero_laser_width_stays_in_carrier_bin(self):
+        # 0.05 Hz is under a hundredth of the 10 Hz step: a delta on this grid.
+        params = DshiParams(**dict(P5KM, laser_fwhm=0.0))
+        grid = grid_about(7e6, 50e3, 10.0)
+        assert np.array_equal(voigt_beat_note(params, 0.05, grid).values,
+                              analytic_psd(params, grid).values)
 
     def test_peak_carries_spike_power(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)

@@ -46,11 +46,7 @@ from beatnote.estimate import (
     lorentzian_peak_model,
     mask_central_bins,
 )
-
-
-def grid_about(center, half_span, step):
-    n = int(half_span / step)
-    return FrequencyGrid(center - n * step, step, 2 * n + 1)
+from oracles import grid_about
 
 
 def beat_trace(fwhm=320.0, gaussian=640.0, step=10.0, half_span=60e3):
@@ -258,6 +254,17 @@ class TestEnvelopeContrast:
         params = DshiParams(eom_frequency=7e6, laser_fwhm=1.0)
         with pytest.raises(NoSolutionError):
             solve_contrast(params, 1, 2, 0.001)
+
+    def test_contrast_above_the_model_maximum_has_no_solution(self):
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=1.0)
+        top = _contrast_db(params, 1, 2, 0.1)  # the lower bracket's contrast
+        with pytest.raises(NoSolutionError, match="exceeds the model maximum"):
+            solve_contrast(params, 1, 2, top + 1.0)
+
+    def test_order_below_one_refused(self):
+        # Order 0 is the carrier, not an envelope extremum.
+        with pytest.raises(InvalidParameterError, match=">= 1"):
+            solve_contrast(DshiParams(7e6, 300.0), 0, 1, 3.0)
 
     @pytest.mark.parametrize("contrast_db", [math.nan, math.inf, -math.inf])
     def test_non_finite_contrast_rejected(self, contrast_db):

@@ -149,6 +149,30 @@ class TestTraceFiles:
         with pytest.raises(SchemaError):
             read_trace(path)
 
+    @pytest.mark.parametrize("text, error, match", [
+        ("# unit=furlongs\nfrequency_hz,psd\n1,1\n2,1\n", SchemaError,
+         "unknown unit 'furlongs'"),
+        ("# unit=linear\nfreq,psd\n1,1\n2,1\n", ParseError,
+         "line 2: expected header"),
+        ("# unit=linear\n# rbw_hz=1\n", ParseError, "missing header row"),
+        ("# unit=linear\nfrequency_hz,psd\n", SchemaError, "found 0"),
+    ], ids=["unknown_unit", "wrong_header", "comments_only", "no_rows"])
+    def test_malformed_file_refused(self, tmp_path, text, error, match):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=match):
+            read_trace(path)
+
+    @pytest.mark.parametrize("meta", ["# grid_start_hz=5\n# grid_step_hz=1\n",
+                                      "# grid_start_hz=1\n# grid_step_hz=2\n"],
+                             ids=["start", "step"])
+    def test_grid_metadata_that_disagrees_with_the_rows_gives_way(self, tmp_path,
+                                                                 meta):
+        path = tmp_path / "t.csv"
+        path.write_text(meta + "frequency_hz,psd\n1,1\n2,1\n3,1\n")
+        grid = read_trace(path).grid
+        assert (grid.start, grid.step, grid.count) == (1.0, 1.0, 3)
+
     def test_write_is_byte_deterministic(self, tmp_path):
         trace = sample_trace()
         write_trace(trace, tmp_path / "a.csv")

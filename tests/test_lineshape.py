@@ -419,6 +419,12 @@ class TestWidthAtLevel:
         with pytest.raises(WidthUndefinedError):
             width_at_level(trace, 40.0)
 
+    def test_level_not_crossed_on_the_high_frequency_side(self):
+        grid = FrequencyGrid(0.0, 1.0, 6)
+        trace = SpectrumTrace(grid, np.array([0.0, 1.0, 5.0, 4.0, 4.0, 4.0]))
+        with pytest.raises(WidthUndefinedError, match="high-frequency side"):
+            width_at_level(trace, HALF_POWER_DB)
+
     def test_peak_on_edge(self):
         grid = FrequencyGrid(0.0, 1.0, 101)
         trace = SpectrumTrace(grid, np.exp(-np.linspace(0, 5, 101)))
