@@ -41,8 +41,7 @@ EXIT_ESTIMATION = 3
 EXIT_IO = 4
 
 def _centered_grid(center: float, span: float, points: int) -> FrequencyGrid:
-    if points < 3 or span <= 0:
-        raise InvalidParameterError("grid needs span > 0 and at least 3 points")
+    """`points` (>= 3) samples over `span` (> 0) centred on `center`."""
     step = span / (points - 1)
     return FrequencyGrid(center - span / 2.0, step, points)
 
@@ -86,6 +85,14 @@ def _positive(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _grid_points(text: str) -> int:
+    """argparse type of a grid's point count: an integer >= 3."""
+    value = int(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"must be >= 3, got {text!r}")
     return value
 
 
@@ -359,9 +366,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_dshi_flags(sim)
     sim.add_argument("--mode", choices=("analytic", "montecarlo"),
                      default="analytic")
-    sim.add_argument("--span-hz", type=float, default=200e3,
+    sim.add_argument("--span-hz", type=_positive, default=200e3,
                      help="grid span centered on the carrier (analytic mode)")
-    sim.add_argument("--points", type=int, default=8001)
+    sim.add_argument("--points", type=_grid_points, default=8001)
     sim.add_argument("--flicker-gaussian-hz", type=float, default=0.0,
                      help="Gaussian broadening of the coherent residue")
     sim.add_argument("--rbw-hz", type=_non_negative, default=0.0,
@@ -412,8 +419,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     ion.add_argument("--rin", type=float, default=0.0)
     ion.add_argument("--shots", type=int, default=200)
     ion.add_argument("--seed", type=int, default=0)
-    ion.add_argument("--span-hz", type=float, default=None)
-    ion.add_argument("--points", type=int, default=41)
+    ion.add_argument("--span-hz", type=_positive, default=None)
+    ion.add_argument("--points", type=_grid_points, default=41)
     ion.add_argument("--t-max-ms", type=float, default=16.0,
                      help="default 16: four Rabi periods at 250 Hz")
     ion.add_argument("--t-points", type=int, default=400)

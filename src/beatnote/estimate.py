@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dshi import DshiParams, extrema_spacing
 from .errors import (
     AmbiguousPeakError,
     DomainError,
@@ -38,11 +37,15 @@ from .lineshape import (
     LORENTZIAN_20DB_FACTOR,
     SpectrumTrace,
     _gaussian_from_measured_fwhm,
+    _voigt_width_side,
     _whole_number,
     voigt_fwhm_approx,
     voigt_width_numeric,
     width_at_level,
 )
+
+if TYPE_CHECKING:  # at run time, dshi is imported by the envelope estimator
+    from .dshi import DshiParams
 
 __all__ = [
     "FLAG_SERVO_CONTAMINATED",
@@ -296,6 +299,13 @@ def mask_central_bins(trace: SpectrumTrace, count: int) -> SpectrumTrace:
     return SpectrumTrace(grid, values, trace.rbw)
 
 
+# A density comparison decides a step only when the model width lies beyond
+# the band w20 * (1 +- tol) by this much, relative to the larger of the
+# band's edge and w20: far above the solve's 1e-12 stop and its rounding, so
+# every decision is the one a full solve would give.
+_SIDE_MARGIN = 1e-9
+
+
 def estimate_voigt(trace: SpectrumTrace,
                    opts: Optional[VoigtOptions] = None) -> LinewidthEstimate:
     """Combined Lorentzian/Gaussian widths from the central beat-note peak.
@@ -304,6 +314,10 @@ def estimate_voigt(trace: SpectrumTrace,
     width over [W20/20, W20/2]: at each step the Gaussian width is chosen so
     the constructed Voigt keeps the measured half-power width, and the
     candidate is scored by how well its 20 dB width matches the measured one.
+    Each step, and the grid-limited check at W20/20, is decided by one
+    density comparison per edge of the band W20 * (1 +- tol); the 20 dB
+    width is solved for only when it may lie inside the band or next to an
+    edge, and once at the final step for the residual.
     The initial guess W20/sqrt(99) is the exact 20 dB width of a pure
     Lorentzian.  A bisection pinned at the lower bracket returns a zero
     Lorentzian width with the grid-limited flag.
@@ -325,11 +339,20 @@ def estimate_voigt(trace: SpectrumTrace,
         gaussian, _ = _gaussian_from_measured_fwhm(w3, lorentzian)
         return voigt_width_numeric(lorentzian, gaussian, 20.0)
 
+    def side(lorentzian: float, tol: float) -> int:
+        """1 or -1 when the model's 20 dB width lies above or below the
+        band w20 * (1 +- tol) by more than _SIDE_MARGIN, else 0."""
+        gaussian, _ = _gaussian_from_measured_fwhm(w3, lorentzian)
+        return _voigt_width_side(lorentzian, gaussian, 20.0,
+                                 w20 * (1.0 - tol - _SIDE_MARGIN),
+                                 w20 * (1.0 + tol) * (1.0 + _SIDE_MARGIN))
+
     lo = w20 / 20.0
     hi = w20 / 2.0
     flags = {FLAG_GRID_LIMITED} if tied else set()
 
-    if model_w20(lo) >= w20:
+    lo_side = side(lo, 0.0)
+    if lo_side > 0 or (lo_side == 0 and model_w20(lo) >= w20):
         # Even the narrowest bracketed Lorentzian over-widens the wings: the
         # trace is effectively pure Gaussian at this resolution.
         flags.add(FLAG_GRID_LIMITED)
@@ -344,16 +367,22 @@ def estimate_voigt(trace: SpectrumTrace,
     first_guess = w20 / LORENTZIAN_20DB_FACTOR
     for iterations in range(1, opts.max_iter + 1):
         mid = first_guess if iterations == 1 else 0.5 * (lo + hi)
-        width = model_w20(mid)
-        mismatch = (width - w20) / w20
-        if abs(mismatch) < opts.tol:
-            break
-        if width > w20:
+        step_side = side(mid, opts.tol)
+        width = None
+        if step_side == 0:
+            width = model_w20(mid)
+            mismatch = (width - w20) / w20
+            if abs(mismatch) < opts.tol:
+                break
+            step_side = 1 if width > w20 else -1
+        if step_side > 0:
             hi = mid
         else:
             lo = mid
     else:
         flags.add(FLAG_NON_CONVERGED)
+    if width is None:  # the last step was decided without a solve
+        mismatch = (model_w20(mid) - w20) / w20
 
     gaussian, clamped = _gaussian_from_measured_fwhm(w3, mid)
     if clamped:
@@ -380,20 +409,28 @@ def _check_orders(peak_order: int, trough_order: int) -> Tuple[int, int]:
     return peak_order, trough_order
 
 
-def _contrast_db(params: DshiParams, peak_order: int, trough_order: int,
-                 fwhm: float) -> float:
-    """Analytic peak/trough contrast (dB) of the coherence envelope at
-    combined linewidth fwhm: the wing-times-envelope model evaluated at the
-    two extremum positions.  The orders must already be checked and fwhm
-    must be > 0."""
-    gamma = fwhm / 2.0
+def _contrast_model(params: DshiParams, peak_order: int,
+                    trough_order: int) -> Callable[[float], float]:
+    """Analytic peak/trough contrast (dB) of the coherence envelope as a
+    function of the combined linewidth fwhm > 0: the wing-times-envelope
+    model evaluated at the two extremum positions.  The spacing, delay and
+    extremum offsets are computed once here.  The orders must already be
+    checked."""
+    from .dshi import extrema_spacing
+
     spacing = extrema_spacing(params)
-    coh = math.exp(-2.0 * math.pi * params.delay * gamma)
+    delay = params.delay
     x_p = peak_order * spacing
     x_t = trough_order * spacing
-    ratio = ((gamma * gamma + x_t * x_t) / (gamma * gamma + x_p * x_p)) \
-        * ((1.0 + coh) / (1.0 - coh))
-    return 10.0 * math.log10(ratio)
+
+    def contrast_db(fwhm: float) -> float:
+        gamma = fwhm / 2.0
+        coh = math.exp(-2.0 * math.pi * delay * gamma)
+        ratio = ((gamma * gamma + x_t * x_t) / (gamma * gamma + x_p * x_p)) \
+            * ((1.0 + coh) / (1.0 - coh))
+        return 10.0 * math.log10(ratio)
+
+    return contrast_db
 
 
 _CONTRAST_BRACKET_HZ = (0.1, 1e6)
@@ -410,9 +447,10 @@ def solve_contrast(params: DshiParams, peak_order: int, trough_order: int,
     if not math.isfinite(contrast_db):
         raise InvalidParameterError(f"contrast must be finite, got {contrast_db}")
     peak_order, trough_order = _check_orders(peak_order, trough_order)
+    model = _contrast_model(params, peak_order, trough_order)
     lo, hi = _CONTRAST_BRACKET_HZ
-    ds_lo = _contrast_db(params, peak_order, trough_order, lo)
-    ds_hi = _contrast_db(params, peak_order, trough_order, hi)
+    ds_lo = model(lo)
+    ds_hi = model(hi)
     if contrast_db > ds_lo:
         raise NoSolutionError(
             f"contrast {contrast_db:.3f} dB exceeds the model maximum "
@@ -426,7 +464,7 @@ def solve_contrast(params: DshiParams, peak_order: int, trough_order: int,
     iterations = 0
     for iterations in range(1, 200):
         mid = math.sqrt(lo * hi)
-        if _contrast_db(params, peak_order, trough_order, mid) > contrast_db:
+        if model(mid) > contrast_db:
             lo = mid
         else:
             hi = mid
@@ -441,6 +479,8 @@ def _predicted_extrema(grid, params, peak_order, trough_order):
     spacing, the contrast model's convention.  A position off the grid is
     refused, naming it: its contrast would otherwise be read from an
     extrapolated parabola."""
+    from .dshi import extrema_spacing
+
     orders = _check_orders(peak_order, trough_order)
     spacing = extrema_spacing(params)
     positions = tuple(params.eom_frequency + order * spacing for order in orders)
@@ -562,6 +602,6 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     if min(abs(x_p - carrier), abs(x_t - carrier)) < servo_band_hz:
         flags.add(FLAG_SERVO_CONTAMINATED)
     residual = abs(
-        _contrast_db(params, peak_order, trough_order, fwhm) - ds
+        _contrast_model(params, peak_order, trough_order)(fwhm) - ds
     ) / max(abs(ds), 1e-12)
     return _make_estimate(fwhm, 0.0, METHOD_ENVELOPE, iterations, residual, flags)

@@ -16,7 +16,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -74,6 +73,8 @@ def _write_text(path, text: str, what: str) -> None:
 
 
 def _read_json(path, what: str):
+    import json  # here and in write_report: simulate runs without JSON
+
     try:
         return json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
@@ -280,6 +281,8 @@ def _payload_dict(payload) -> Dict[str, Any]:
 
 def write_report(report: AnalysisReport, path) -> None:
     """Serialize a report as sorted-key JSON (diff-stable)."""
+    import json
+
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": report.tool_version,

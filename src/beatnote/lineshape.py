@@ -270,6 +270,38 @@ def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> Spectrum
 _LORENTZIAN_LIMIT = 1e8
 
 
+def _voigt_level(fwhm_lorentzian: float, fwhm_gaussian: float,
+                 level_db: float):
+    """Set-up of a Voigt width at `level_db` below the peak, shared by
+    voigt_width_numeric and _voigt_width_side.
+
+    Validates the input.  A pure shape, or a Gaussian part too small to move
+    the Lorentzian width, gives the closed-form full width as a float.
+    Otherwise the widths are scaled by the larger one, so every finite input
+    stays finite, and the result is (fl, fg, s, scale, y, target, pure_l,
+    pure_g): the scaled widths, sigma sqrt 2 of the scaled Gaussian, the
+    scale, y = gamma / (sigma sqrt 2), the level Re w(iy) * 10**(-level_db/10)
+    and the widths per FWHM of a pure Lorentzian and Gaussian at the level.
+    """
+    if not 0 < level_db < math.inf:
+        raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
+    LineshapeParams(0.0, fwhm_gaussian, fwhm_lorentzian)  # validates the widths
+    fwhm_lorentzian, fwhm_gaussian = float(fwhm_lorentzian), float(fwhm_gaussian)
+    ratio = 10.0 ** (level_db / 10.0)
+    pure_l = math.sqrt(ratio - 1.0)   # width per FWHM of a Lorentzian
+    pure_g = math.sqrt(math.log2(ratio))  # same for a Gaussian
+    if fwhm_lorentzian == 0:
+        return fwhm_gaussian * pure_g
+    scale = max(fwhm_lorentzian, fwhm_gaussian)
+    fl, fg = fwhm_lorentzian / scale, fwhm_gaussian / scale
+    s = fg * _SIGMA_ROOT2_PER_FWHM
+    if not 0.5 * fl <= _LORENTZIAN_LIMIT * s:
+        return fwhm_lorentzian * pure_l
+    y = 0.5 * fl / s
+    target = _faddeeva(complex(0.0, y)).real / ratio
+    return fl, fg, s, scale, y, target, pure_l, pure_g
+
+
 def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
                         level_db: float = HALF_POWER_DB) -> float:
     """Full width of the exact Voigt profile at `level_db` below its peak.
@@ -283,23 +315,10 @@ def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
     not halve the last step, or rests on a slope lost to rounding bisects
     instead.  The stop is a step or bracket within 1e-12 relative.
     """
-    if not 0 < level_db < math.inf:
-        raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
-    LineshapeParams(0.0, fwhm_gaussian, fwhm_lorentzian)  # validates the widths
-    fwhm_lorentzian, fwhm_gaussian = float(fwhm_lorentzian), float(fwhm_gaussian)
-    ratio = 10.0 ** (level_db / 10.0)
-    pure_l = math.sqrt(ratio - 1.0)   # width per FWHM of a Lorentzian
-    pure_g = math.sqrt(math.log2(ratio))  # same for a Gaussian
-    if fwhm_lorentzian == 0:
-        return fwhm_gaussian * pure_g
-    # Scaled by the larger width, every finite input stays finite below.
-    scale = max(fwhm_lorentzian, fwhm_gaussian)
-    fl, fg = fwhm_lorentzian / scale, fwhm_gaussian / scale
-    s = fg * _SIGMA_ROOT2_PER_FWHM
-    if not 0.5 * fl <= _LORENTZIAN_LIMIT * s:
-        return fwhm_lorentzian * pure_l
-    y = 0.5 * fl / s
-    target = _faddeeva(complex(0.0, y)).real / ratio
+    level = _voigt_level(fwhm_lorentzian, fwhm_gaussian, level_db)
+    if isinstance(level, float):
+        return level
+    fl, fg, s, scale, y, target, pure_l, pure_g = level
     lo, hi = 0.0, (fl + fg) / s
     while _faddeeva(complex(hi, y)).real > target:
         lo, hi = hi, 2.0 * hi
@@ -329,6 +348,31 @@ def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
             return (lo + hi) * s * scale  # full width: twice the midpoint
         u = 0.5 * (lo + hi)
         last_step = hi - lo
+
+
+def _voigt_width_side(fwhm_lorentzian: float, fwhm_gaussian: float,
+                      level_db: float, below: float, above: float) -> int:
+    """1 when the Voigt's full width at `level_db` exceeds `above`, -1 when
+    it falls short of `below`, 0 when it may lie between them.
+
+    The profile falls monotonically away from its centre, so the width
+    exceeds an edge exactly when the density at the edge's half width lies
+    above the level: one Faddeeva evaluation for the level and at most one
+    per edge decide what a full voigt_width_numeric solve would.  An edge at
+    or below 0 is never above the width.  A closed-form width is compared
+    directly.  Callers that must agree with a solve's rounded result widen
+    the edges by a margin far above its 1e-12 stop.
+    """
+    level = _voigt_level(fwhm_lorentzian, fwhm_gaussian, level_db)
+    if isinstance(level, float):
+        return 1 if level > above else -1 if level < below else 0
+    _, _, s, scale, y, target, _, _ = level
+    per_width = 0.5 / (s * scale)  # u per Hz of full width
+    if _faddeeva(complex(above * per_width, y)).real > target:
+        return 1
+    if below > 0 and _faddeeva(complex(below * per_width, y)).real < target:
+        return -1
+    return 0
 
 
 def _interpolated_peak(values: np.ndarray, i: int) -> float:

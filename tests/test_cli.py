@@ -344,17 +344,33 @@ class TestExitCodes:
         ("simulate", "--rbw-hz", "nan"),
         ("simulate", "--rbw-hz", "-1"),
         ("simulate", "--mode", "montecarlo", "--sample-rate-hz", "0"),
+        ("simulate", "--span-hz", "nan"),
+        ("ionsim", "--span-hz", "inf"),
+        ("simulate", "--span-hz", "0"),
     ], ids=["zero_pulse", "nan_pulse", "nan_rbw", "negative_rbw",
-            "zero_sample_rate"])
+            "zero_sample_rate", "nan_span", "inf_ion_span", "zero_span"])
     def test_flag_outside_its_range_is_refused(self, tmp_path, capsys, argv):
-        # The zero pulse divided by zero, the NaN pulse was refused without
-        # naming its flag, and the others ran without smoothing or at 8 f_eom.
-        outputs = {"ionsim": ("--out-curve", str(tmp_path / "c.csv"),
-                              "--out", str(tmp_path / "r.json")),
-                   "simulate": ("--out", str(tmp_path / "t.csv"))}
-        assert exit_code(*argv, *outputs[argv[0]]) == 2
+        # The zero pulse divided by zero, the NaN pulse and the spans were
+        # refused without naming their flag, and the others ran without
+        # smoothing or at 8 f_eom.
+        assert exit_code(*argv, *self.outputs(argv[0], tmp_path)) == 2
         assert f"argument {argv[-2]}: must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "ionsim"])
+    def test_grid_of_two_points_is_refused(self, tmp_path, capsys, command):
+        # The grid refused it before, without naming the flag.
+        argv = (command, "--points", "2", *self.outputs(command, tmp_path))
+        assert exit_code(*argv) == 2
+        assert "argument --points: must be >= 3" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @staticmethod
+    def outputs(command, tmp_path):
+        """The output flags `command` requires, into `tmp_path`."""
+        return {"ionsim": ("--out-curve", str(tmp_path / "c.csv"),
+                           "--out", str(tmp_path / "r.json")),
+                "simulate": ("--out", str(tmp_path / "t.csv"))}[command]
 
     def test_zero_rbw_is_no_smoothing(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -514,10 +530,13 @@ class TestStartup:
         "simulate": (["simulate", "--mode", "montecarlo", "--eom-mhz", "1",
                       "--linewidth-hz", "5000", "--duration-s", "0.01",
                       "--segments", "16", "--seed", "1", "--out", "{d}/mc.csv"],
-                     ("beatnote.estimate", "beatnote.ionsim")),
-        "fit": (["fit", "--input", "{d}/an.csv", "--method", "both",
+                     ("beatnote.estimate", "beatnote.ionsim", "json")),
+        "fit": (["fit", "--input", "{d}/an.csv", "--method", "voigt",
                  "--fitted-trace", "{d}/fit.csv", "--out", "{d}/r.json"],
-                ("beatnote.ionsim", "numpy.random")),
+                ("beatnote.ionsim", "beatnote.dshi", "numpy.random")),
+        "fit-both": (["fit", "--input", "{d}/an.csv", "--method", "both",
+                      "--fitted-trace", "{d}/fit.csv", "--out", "{d}/r.json"],
+                     ("beatnote.ionsim", "numpy.random")),
         "ionsim": (["ionsim", "--shots", "5", "--points", "11",
                     "--out-curve", "{d}/c.csv", "--out", "{d}/ion.json"], ()),
         "bumps": (["bumps", "--measured", "{d}/an.csv", "--model",
@@ -533,9 +552,11 @@ class TestStartup:
                            "--out", str(tmp_path / "an.csv")) == 0
             argv = [arg.format(d=tmp_path) for arg in run]
             run = f"from beatnote.cli import main\nassert main({argv!r}) == 0"
+        # The module list is taken before json is imported to print it.
         proc = subprocess.run(
             [sys.executable, "-c",
-             f"import json, sys\n{run}\nprint(json.dumps(sorted(sys.modules)))"],
+             f"import sys\n{run}\nloaded = sorted(sys.modules)\n"
+             f"import json\nprint(json.dumps(loaded))"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])

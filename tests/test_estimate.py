@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beatnote import (
     DshiParams,
@@ -24,7 +27,10 @@ from beatnote import (
     solve_contrast,
     voigt_beat_note,
 )
+import beatnote.estimate as estimate_module
+import beatnote.lineshape as lineshape
 from beatnote.errors import (
+    AmbiguousPeakError,
     DomainError,
     ExtremumNotFoundError,
     InitializationError,
@@ -38,13 +44,23 @@ from beatnote.estimate import (
     FLAG_GRID_LIMITED,
     FLAG_NON_CONVERGED,
     FLAG_SERVO_CONTAMINATED,
+    METHOD_VOIGT,
+    LinewidthEstimate,
     VoigtOptions,
     _check_orders,
-    _contrast_db,
+    _contrast_model,
     _make_estimate,
     _quadratic_value_at,
     lorentzian_peak_model,
     mask_central_bins,
+)
+from beatnote.lineshape import (
+    GAUSSIAN_20DB_FACTOR,
+    HALF_POWER_DB,
+    LORENTZIAN_20DB_FACTOR,
+    _gaussian_from_measured_fwhm,
+    voigt_width_numeric,
+    width_at_level,
 )
 from oracles import grid_about
 
@@ -230,8 +246,8 @@ class TestEnvelopeContrast:
 
     def test_contrast_monotone_decreasing_in_linewidth(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=1.0)
-        values = [_contrast_db(params, 1, 2, fwhm)
-                  for fwhm in (10.0, 100.0, 1000.0, 10000.0)]
+        contrast_db = _contrast_model(params, 1, 2)
+        values = [contrast_db(fwhm) for fwhm in (10.0, 100.0, 1000.0, 10000.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_servo_flag_within_band(self):
@@ -257,7 +273,7 @@ class TestEnvelopeContrast:
 
     def test_contrast_above_the_model_maximum_has_no_solution(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=1.0)
-        top = _contrast_db(params, 1, 2, 0.1)  # the lower bracket's contrast
+        top = _contrast_model(params, 1, 2)(0.1)  # the lower bracket's contrast
         with pytest.raises(NoSolutionError, match="exceeds the model maximum"):
             solve_contrast(params, 1, 2, top + 1.0)
 
@@ -455,7 +471,7 @@ def reference_estimate_envelope_contrast(trace, params, peak_order=1,
     if min(abs(x_p - carrier), abs(x_t - carrier)) < servo_band_hz:
         flags.add(FLAG_SERVO_CONTAMINATED)
     residual = abs(
-        _contrast_db(params, peak_order, trough_order, fwhm) - ds
+        _contrast_model(params, peak_order, trough_order)(fwhm) - ds
     ) / max(abs(ds), 1e-12)
     return _make_estimate(fwhm, 0.0, "envelope-contrast", iterations,
                           residual, flags)
@@ -529,3 +545,165 @@ class TestEnvelopeSinglePass:
         assert outcomes["analytic deep dip"] == "NoSolutionError"
         assert outcomes["analytic 320 Hz"].lorentzian_fwhm == pytest.approx(
             320.0, rel=1e-6)
+
+
+# The parent's estimate_voigt, verbatim but for its name: a full solve of the
+# model's 20 dB width at every bisection step and at the grid-limited check.
+def reference_estimate_voigt(trace: SpectrumTrace,
+                             opts: Optional[VoigtOptions] = None) -> LinewidthEstimate:
+    """Combined Lorentzian/Gaussian widths from the central beat-note peak.
+
+    Measures the half-power and 20 dB widths, then bisects on the Lorentzian
+    width over [W20/20, W20/2]: at each step the Gaussian width is chosen so
+    the constructed Voigt keeps the measured half-power width, and the
+    candidate is scored by how well its 20 dB width matches the measured one.
+    The initial guess W20/sqrt(99) is the exact 20 dB width of a pure
+    Lorentzian.  A bisection pinned at the lower bracket returns a zero
+    Lorentzian width with the grid-limited flag.
+    """
+    if opts is None:
+        opts = VoigtOptions()
+    work = mask_central_bins(trace, opts.exclude_central_bins)
+    tied = False
+    try:
+        w20 = width_at_level(work, 20.0)
+        w3 = width_at_level(work, HALF_POWER_DB)
+    except AmbiguousPeakError:
+        # Equal-height peaks: the lowest-frequency one wins, flagged.
+        tied = True
+        w20 = width_at_level(work, 20.0, allow_ties=True)
+        w3 = width_at_level(work, HALF_POWER_DB, allow_ties=True)
+
+    def model_w20(lorentzian: float) -> float:
+        gaussian, _ = _gaussian_from_measured_fwhm(w3, lorentzian)
+        return voigt_width_numeric(lorentzian, gaussian, 20.0)
+
+    lo = w20 / 20.0
+    hi = w20 / 2.0
+    flags = {FLAG_GRID_LIMITED} if tied else set()
+
+    if model_w20(lo) >= w20:
+        # Even the narrowest bracketed Lorentzian over-widens the wings: the
+        # trace is effectively pure Gaussian at this resolution.
+        flags.add(FLAG_GRID_LIMITED)
+        gaussian, _ = _gaussian_from_measured_fwhm(w3, 0.0)
+        residual = abs(GAUSSIAN_20DB_FACTOR * gaussian - w20) / w20
+        return _make_estimate(0.0, gaussian, METHOD_VOIGT, 1, residual, flags)
+
+    # The upper bracket always over-widens: a Voigt's 20 dB width is at
+    # least its Lorentzian's, sqrt(99) * w20 / 2 at hi.  The first probe is
+    # the exact 20 dB width of a pure Lorentzian, inside the bracket since
+    # 2 < sqrt(99) < 20; the bracket then shrinks around it by plain bisection.
+    first_guess = w20 / LORENTZIAN_20DB_FACTOR
+    for iterations in range(1, opts.max_iter + 1):
+        mid = first_guess if iterations == 1 else 0.5 * (lo + hi)
+        width = model_w20(mid)
+        mismatch = (width - w20) / w20
+        if abs(mismatch) < opts.tol:
+            break
+        if width > w20:
+            hi = mid
+        else:
+            lo = mid
+    else:
+        flags.add(FLAG_NON_CONVERGED)
+
+    gaussian, clamped = _gaussian_from_measured_fwhm(w3, mid)
+    if clamped:
+        flags.add(FLAG_GRID_LIMITED)
+    return _make_estimate(mid, gaussian, METHOD_VOIGT, iterations,
+                          abs(mismatch), flags)
+
+
+def _voigt_outcome(estimator, trace, opts):
+    try:
+        return estimator(trace, opts)
+    except (WidthUndefinedError, DomainError) as exc:
+        return type(exc).__name__
+
+
+def _nudged(value, ulps):
+    """`value` moved by `ulps` units in the last place."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+@st.composite
+def voigt_cases(draw):
+    """A trace and options for estimate_voigt: a DSHI beat note with random
+    Lorentzian and Gaussian widths, with or without servo bumps, two tied
+    Lorentzian peaks, or a pure Gaussian (the grid-limited check's side);
+    tol either one of three fixed values or the first probe's own mismatch
+    moved by a few ulps, which puts a band edge on the width the first step
+    finds."""
+    kind = draw(st.sampled_from(["beat", "bumped", "tied", "gaussian"]))
+    width = draw(st.floats(2.0, 20.0))
+    grid = FrequencyGrid(-200.0, 0.5, 801)
+    if kind == "tied":
+        values = (eval_lorentzian(grid, -50.0, width).values
+                  + eval_lorentzian(grid, 50.0, width).values)
+        trace = SpectrumTrace(grid, values)
+    elif kind == "gaussian":
+        trace = eval_gaussian(grid, 0.0, width)
+    else:
+        lorentzian = draw(st.floats(50.0, 3000.0))
+        gaussian = lorentzian * draw(st.floats(0.05, 4.0))
+        step = (lorentzian + gaussian) / draw(st.floats(4.0, 40.0))
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=lorentzian,
+                            fiber_length=draw(st.floats(1e3, 6e3)))
+        trace = voigt_beat_note(params, gaussian,
+                                grid_about(7e6, 12.0 * (lorentzian + gaussian), step))
+        if kind == "bumped":
+            bump = ServoBumpModel(offset=draw(st.floats(2.0, 8.0)) * lorentzian,
+                                  width=draw(st.floats(0.5, 3.0)) * lorentzian,
+                                  height_db=draw(st.floats(3.0, 15.0)))
+            trace = inject_servo_bumps(trace, bump, carrier_hz=7e6)
+    max_iter = draw(st.sampled_from([1, 2, 3, 60]))
+    excluded = draw(st.sampled_from([0, 3]))
+    tol = draw(st.sampled_from([1e-6, 1e-3, 0.1, "edge"]))
+    if tol == "edge":
+        first = _voigt_outcome(reference_estimate_voigt, trace, VoigtOptions(
+            tol=1e-300, max_iter=1, exclude_central_bins=excluded))
+        mismatch = getattr(first, "residual", 0.0)
+        tol = _nudged(mismatch, draw(st.integers(-2, 2))) if mismatch > 0 else 1e-3
+    return trace, VoigtOptions(tol=tol, max_iter=max_iter,
+                               exclude_central_bins=excluded)
+
+
+class TestVoigtStepsDecidedByDensity:
+    """Each bisection step compares the model's density at the band edges
+    instead of solving for its 20 dB width; the estimates are the full-solve
+    reference's, bit for bit."""
+
+    @given(case=voigt_cases())
+    @settings(max_examples=150)
+    def test_equals_full_solve_reference(self, case):
+        trace, opts = case
+        assert _voigt_outcome(estimate_voigt, trace, opts) \
+            == _voigt_outcome(reference_estimate_voigt, trace, opts)
+
+    def test_one_solve_and_three_evaluations_per_decided_step(self, monkeypatch):
+        # The README trace: 9 steps, each once a full solve of ~10 Faddeeva
+        # evaluations.  Now each step, and the grid-limited check, costs the
+        # level Re w(iy) and one evaluation per band edge at most.
+        trace, _ = beat_trace(320.0, 640.0)
+        evaluations, solves = [], []
+        faddeeva = lineshape._faddeeva
+        solve = estimate_module.voigt_width_numeric
+        monkeypatch.setattr(lineshape, "_faddeeva",
+                            lambda z: evaluations.append(z) or faddeeva(z))
+
+        def counted_solve(*args):
+            before = len(evaluations)
+            width = solve(*args)
+            solves.append(len(evaluations) - before)
+            return width
+
+        monkeypatch.setattr(estimate_module, "voigt_width_numeric", counted_solve)
+        est = estimate_voigt(trace)
+        assert est.iterations == 9
+        assert len(solves) == 1
+        assert len(evaluations) - solves[0] <= 3 * (est.iterations + 1)
+        assert est == reference_estimate_voigt(trace)
