@@ -314,13 +314,14 @@ def estimate_voigt(trace: SpectrumTrace,
     width over [W20/20, W20/2]: at each step the Gaussian width is chosen so
     the constructed Voigt keeps the measured half-power width, and the
     candidate is scored by how well its 20 dB width matches the measured one.
+    The initial guess W20/sqrt(99) is the exact 20 dB width of a pure
+    Lorentzian.  A bisection pinned at the lower bracket returns a zero
+    Lorentzian width with the grid-limited flag.
+
     Each step, and the grid-limited check at W20/20, is decided by one
     density comparison per edge of the band W20 * (1 +- tol); the 20 dB
     width is solved for only when it may lie inside the band or next to an
     edge, and once at the final step for the residual.
-    The initial guess W20/sqrt(99) is the exact 20 dB width of a pure
-    Lorentzian.  A bisection pinned at the lower bracket returns a zero
-    Lorentzian width with the grid-limited flag.
     """
     if opts is None:
         opts = VoigtOptions()
