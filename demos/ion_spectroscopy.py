@@ -7,9 +7,11 @@ from a damped-sine fit.
 """
 
 from beatnote import (
+    ExcitationCurve,
     FrequencyGrid,
     IonProbeParams,
     LaserNoise,
+    expected_excitation,
     fit_damped_sine,
     fit_inverse_power,
     fit_lorentzian_peak,
@@ -43,13 +45,15 @@ for pulse_ms in (1.0, 2.0, 4.0, 8.0, 16.0):
 print("  long pulses pin the floor set by the laser itself "
       f"(>= {0.8 * LASER.fwhm:.0f} Hz here)")
 
+# Without laser noise the line is the exact profile; a scan of it would add
+# the shots' projection noise, so fit the profile itself.
 noiseless = []
 for pulse, _ in pairs:
     params = IonProbeParams(rabi_frequency=0.5 / pulse, pulse_duration=pulse,
-                            detuning_grid=detuning_grid(5.0 / pulse),
-                            shots_per_point=1)
-    curve = simulate_carrier_spectrum(params, LaserNoise())
-    noiseless.append((pulse, float(fit_lorentzian_peak(curve).parameters[1])))
+                            detuning_grid=detuning_grid(5.0 / pulse))
+    profile = ExcitationCurve(params.detuning_grid.points(),
+                              expected_excitation(params, LaserNoise()), 1)
+    noiseless.append((pulse, float(fit_lorentzian_peak(profile).parameters[1])))
 exponent = float(fit_inverse_power(noiseless).parameters[1])
 print(f"\nzero-noise sweep: width ~ 1/T^p with p = {exponent:.3f}")
 

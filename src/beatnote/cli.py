@@ -72,9 +72,18 @@ def _number_list(text: str, flag: str, positive: bool = False) -> list:
     return values
 
 
+def _parsed(convert, text: str, expected: str):
+    """convert(text), or an argparse error naming the `expected` value, as
+    argparse would otherwise name the type function."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}") from None
+
+
 def _non_negative(text: str) -> float:
     """argparse type of a flag that must be finite and >= 0."""
-    value = float(text)
+    value = _parsed(float, text, "a number")
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return value
@@ -82,7 +91,7 @@ def _non_negative(text: str) -> float:
 
 def _positive(text: str) -> float:
     """argparse type of a flag that must be finite and > 0."""
-    value = float(text)
+    value = _parsed(float, text, "a number")
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
     return value
@@ -90,7 +99,7 @@ def _positive(text: str) -> float:
 
 def _grid_points(text: str) -> int:
     """argparse type of a grid's point count: an integer >= 3."""
-    value = int(text)
+    value = _parsed(int, text, "an integer")
     if value < 3:
         raise argparse.ArgumentTypeError(f"must be >= 3, got {text!r}")
     return value

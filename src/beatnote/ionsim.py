@@ -1,7 +1,9 @@
 """Two-level quadrupole spectroscopy of a single trapped ion.
 
-Monte-Carlo integration of the Schrodinger equation for a qubit driven by a
-laser with Wiener phase noise and per-shot intensity spread, plus the fits
+A qubit driven by a laser with Wiener phase noise and per-shot intensity
+spread, read out as in the experiment: each shot is a 0 or a 1, so the count
+at a scan point or record time is Binomial(shots, p), with p the exact
+noise-averaged excitation from the optical Bloch equations.  Plus the fits
 used to reduce the resulting spectra and Rabi flops to numbers.
 
 Rabi-frequency convention: omega is in Hz with a resonant pi-pulse at
@@ -12,13 +14,13 @@ the generalized flopping probability is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dshi import _in_two_lanes
 from .errors import (
     DomainError,
     InitializationError,
@@ -42,11 +44,13 @@ __all__ = [
     "damped_sine_model",
 ]
 
-# Integration steps per generalized Rabi period, or per 1/(4 fwhm) when that
-# is shorter.  The propagator is exact for a piecewise-constant Hamiltonian,
-# so the steps only resolve the phase noise: the shot mean of the discrete
-# kicks differs from the exact Bloch mean (expected_excitation) by a bias
-# falling as dt^2, below 1e-4 on the acceptance scans and flop at 12.5.
+# Steps per generalized Rabi period, or per 1/(4 fwhm) when that is shorter,
+# of the shot-by-shot propagator in tests/oracles.py, the independent check
+# of expected_excitation; perfbench/workloads.py reads it too.  Each step is
+# exact for a piecewise-constant Hamiltonian, so the steps only resolve the
+# phase noise: the shot mean of the discrete kicks differs from the exact
+# Bloch mean by a bias falling as dt^2, below 1e-4 on the acceptance scans
+# and flop at 12.5.
 _STEPS_PER_PERIOD = 12.5
 # Gauss-Hermite nodes of the exact mean's average over the per-shot Rabi scale.
 _RIN_NODES = 32
@@ -91,7 +95,8 @@ class LaserNoise:
 
 @dataclass(frozen=True)
 class ExcitationCurve:
-    """Shot-averaged excited-state probability vs detuning or time."""
+    """Excited-state probability vs detuning or time: at each point, the
+    fraction of its shot_count shots read as excited."""
 
     abscissa: np.ndarray
     probability: np.ndarray
@@ -130,9 +135,40 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return result
 
 
+@functools.cache
+def _rin_nodes():
+    """The _RIN_NODES Gauss-Hermite nodes and their weights, normalised to
+    sum 1, made once per process (about 0.8 ms) and read-only, since every
+    caller shares them."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(_RIN_NODES)
+    weights = weights / np.sum(weights)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _bloch_rates(omega: float, deltas: np.ndarray, noise: LaserNoise):
+    """Rate matrices A (Omega nodes, deltas, 3, 3) of the mean Bloch vector,
+    and the weights of the Gauss-Hermite nodes over the per-shot Rabi scale
+    (one node of weight 1 without rin_sigma)."""
+    if noise.rin_sigma > 0:
+        nodes, weights = _rin_nodes()
+        omegas = omega * (1.0 + noise.rin_sigma * nodes)
+    else:
+        omegas, weights = np.array([omega]), np.ones(1)
+    rate = np.zeros((omegas.size, deltas.size, 3, 3))
+    rate[..., 0, 0] = rate[..., 1, 1] = -math.pi * noise.fwhm
+    rate[..., 1, 0] = 2.0 * math.pi * deltas
+    rate[..., 0, 1] = -rate[..., 1, 0]
+    rate[..., 2, 1] = 2.0 * math.pi * omegas[:, None]
+    rate[..., 1, 2] = -rate[..., 2, 1]
+    return rate, weights
+
+
 def expected_excitation(params: IonProbeParams, noise: LaserNoise,
                         times=None) -> np.ndarray:
-    """Exact shot mean of the simulator, from the optical Bloch equations.
+    """Exact excitation probability of one shot, averaged over the laser
+    noise, from the optical Bloch equations.
 
     Wiener phase noise of FWHM f is exactly Lindblad dephasing of the qubit
     coherence at gamma2 = pi*f, so the mean Bloch vector obeys
@@ -143,9 +179,9 @@ def expected_excitation(params: IonProbeParams, noise: LaserNoise,
     a Gauss-Hermite average over Omega.
 
     Without `times`, returns P after params.pulse_duration at each point of
-    params.detuning_grid, the mean simulate_carrier_spectrum samples.  With
-    `times`, returns P of the resonant drive at those times, the mean
-    simulate_rabi samples at its record times.
+    params.detuning_grid, the p of simulate_carrier_spectrum's binomial
+    draws.  With `times`, returns P of the resonant drive at those times, the
+    p of simulate_rabi's draws at its record times.
     """
     if times is None:
         deltas = params.detuning_grid.points()
@@ -155,159 +191,28 @@ def expected_excitation(params: IonProbeParams, noise: LaserNoise,
         t = np.asarray(times, dtype=float)
         if t.ndim != 1 or not np.all(np.isfinite(t) & (t >= 0)):
             raise InvalidParameterError("times must be a 1-D array of finite values >= 0")
-    if noise.rin_sigma > 0:
-        nodes, weights = np.polynomial.hermite_e.hermegauss(_RIN_NODES)
-        omegas = params.rabi_frequency * (1.0 + noise.rin_sigma * nodes)
-        weights = weights / np.sum(weights)
-    else:
-        omegas, weights = np.array([params.rabi_frequency]), np.ones(1)
-    rate = np.zeros((omegas.size, deltas.size, 3, 3))
-    rate[..., 0, 0] = rate[..., 1, 1] = -math.pi * noise.fwhm
-    rate[..., 1, 0] = 2.0 * math.pi * deltas
-    rate[..., 0, 1] = -rate[..., 1, 0]
-    rate[..., 2, 1] = 2.0 * math.pi * omegas[:, None]
-    rate[..., 1, 2] = -rate[..., 2, 1]
+    rate, weights = _bloch_rates(params.rabi_frequency, deltas, noise)
     w = -_expm(rate[:, :, None] * t[:, None, None])[..., 2, 2]  # (Omega, delta, t)
     prob = 0.5 * (1.0 + np.tensordot(weights, w, axes=1))
     return prob[:, 0] if times is None else prob[0]
 
 
-def _shot_noise_tables(seed: int, n_points: int, n_shots: int, n_steps: int,
-                       phase_step_sigma: float, rin_sigma: float, first: int = 0):
-    """Per-point noise streams keyed by (seed, point).
-
-    The tables hold points first, ..., first + n_points - 1 of a scan.  Point
-    ip draws from SeedSequence(seed, spawn_key=(ip,)), which is child ip of
-    SeedSequence(seed).spawn(n): first its whole (shots, steps) block of
-    phase kicks, then its shots' Rabi scales.  A point's noise therefore
-    depends neither on how many points there are nor on which lane of
-    _evolve draws it; kicks are step-major (steps, points, shots).
-    """
-    kicks = np.zeros((n_steps, n_points, n_shots))
-    scales = np.ones((n_points, n_shots))
-    for ip in range(n_points):
-        key = np.random.SeedSequence(seed, spawn_key=(first + ip,))
-        rng = np.random.default_rng(key)
-        if phase_step_sigma > 0:
-            kicks[:, ip] = rng.normal(0.0, phase_step_sigma, (n_shots, n_steps)).T
-        if rin_sigma > 0:
-            scales[ip] = 1.0 + rng.normal(0.0, rin_sigma, n_shots)
-    return kicks, scales
-
-
-def _step_plan(omega: float, deltas: np.ndarray, duration: float, fwhm: float,
-               record_times: Optional[int] = None):
-    """(n_steps, block, dt) of the propagator: _STEPS_PER_PERIOD steps per
-    generalized Rabi period or per 1/(4 fwhm), whichever is shorter; at
-    least 32 steps for one pulse, or `block` whole steps per record."""
-    rate = _STEPS_PER_PERIOD * max(
-        math.hypot(omega, float(np.max(np.abs(deltas)))), 4.0 * fwhm)
-    if record_times is None:
-        n_steps = max(int(math.ceil(duration * rate)), 32)
-        block = n_steps
-    else:
-        block = max(int(math.ceil(duration * rate / record_times)), 1)
-        n_steps = block * record_times
-    return n_steps, block, duration / n_steps
-
-
-def _propagate(deltas: np.ndarray, first: int, omega: float, dt: float,
-               n_steps: int, block: int, noise: LaserNoise, shots: int,
-               seed: int) -> np.ndarray:
-    """Mean excitation (records, points) of points first, ... of a scan,
-    recorded every `block` of the n_steps steps: one lane of _evolve.
-
-    A step at laser phase phi is U(phi) = P(phi) U0 P(phi)^dagger with
-    P = diag(1, e^{i phi}), so in the laser's frame a step is the kick
-    e <- e^{-i kick} e followed by the constant U0; the frame change leaves
-    |e|^2 as it is.  The step's products go into preallocated buffers, and
-    |e| is kept per record and shot, squared and averaged once at the end.
-    """
-    phase_sigma = math.sqrt(2.0 * math.pi * noise.fwhm * dt) if noise.fwhm > 0 else 0.0
-    # A noiseless laser kicks nothing: no kick table, and no turn per step.
-    kicked = phase_sigma > 0
-    kicks, scales = _shot_noise_tables(seed, deltas.size, shots,
-                                       n_steps if kicked else 0, phase_sigma,
-                                       noise.rin_sigma, first)
-    np.negative(kicks, out=kicks)
-
-    omega_s = omega * scales  # (points, shots)
-    delta_c = deltas[:, None]
-    norm = np.sqrt(omega_s * omega_s + delta_c * delta_c)
-    theta = math.pi * dt * norm
-    sin_ratio = np.where(norm > 0, np.sin(theta) / np.where(norm > 0, norm, 1.0), 0.0)
-    # U0 = cos(theta) I - i sin(theta) (v.sigma)/|v|, v = (omega_s, 0, -delta)
-    u_gg = np.cos(theta) + 1j * sin_ratio * delta_c
-    u_ee = np.conj(u_gg)
-    u_off = -1j * sin_ratio * omega_s
-
-    g = np.ones(omega_s.shape, dtype=complex)
-    e = np.zeros(omega_s.shape, dtype=complex)
-    g_next = np.empty(omega_s.shape, dtype=complex)
-    turn = np.empty(omega_s.shape, dtype=complex)  # the kick, then scratch
-    magnitude = np.empty((n_steps // block,) + omega_s.shape)
-
-    for step in range(n_steps):
-        if kicked:
-            np.cos(kicks[step], out=turn.real)
-            np.sin(kicks[step], out=turn.imag)
-            np.multiply(e, turn, out=e)
-        # g, e = u_gg g + u_off e, u_off g + u_ee e, each product with its
-        # operands in this order: swapped, a complex product can change bits.
-        np.multiply(u_gg, g, out=g_next)
-        np.multiply(u_off, e, out=turn)
-        np.add(g_next, turn, out=g_next)
-        np.multiply(u_off, g, out=turn)
-        np.multiply(u_ee, e, out=e)
-        np.add(turn, e, out=e)
-        g, g_next = g_next, g
-        if (step + 1) % block == 0:
-            np.abs(e, out=magnitude[(step + 1) // block - 1])
-
-    np.square(magnitude, out=magnitude)
-    return magnitude.mean(axis=2)
-
-
-def _evolve(deltas: np.ndarray, omega: float, duration: float,
-            noise: LaserNoise, shots: int, seed: int,
-            record_times: Optional[int] = None):
-    """Piecewise-constant-Hamiltonian evolution from the ground state.
-
-    deltas has shape (n_points,).  Without record_times, returns the mean
-    excitation after `duration` per detuning; with it, returns the mean
-    excitation at `record_times` equally spaced times (resonant drive only
-    uses deltas of length 1).
-
-    The step plan is made once, for the whole scan.  The points then split
-    into two contiguous halves, each propagated with its own noise tables by
-    one lane of dshi._in_two_lanes; both lanes are joined before this
-    returns or raises.  A single point runs on the calling thread.
-    """
-    n_points = deltas.size
-    n_steps, block, dt = _step_plan(omega, deltas, duration, noise.fwhm,
-                                    record_times)
-    recorded = np.empty((n_steps // block, n_points))
-    bounds = (0, (n_points + 1) // 2, n_points)
-
-    def lane(half):
-        lo, hi = bounds[half], bounds[half + 1]
-        recorded[:, lo:hi] = _propagate(deltas[lo:hi], lo, omega, dt, n_steps,
-                                        block, noise, shots, seed)
-
-    if n_points > 1:
-        _in_two_lanes(lane)
-    else:
-        lane(0)
-    return recorded if record_times is not None else recorded[0]
+def _read_out(mean: np.ndarray, params: IonProbeParams) -> np.ndarray:
+    """Fraction of params.shots_per_point shots read as excited at each
+    point: one Binomial(shots, p) count per point of the exact mean p, all
+    drawn in point order from np.random.default_rng(params.rng_seed)."""
+    rng = np.random.default_rng(params.rng_seed)
+    shots = params.shots_per_point
+    return rng.binomial(shots, np.clip(mean, 0.0, 1.0)) / shots
 
 
 def simulate_carrier_spectrum(params: IonProbeParams,
                               noise: LaserNoise) -> ExcitationCurve:
     """Excitation probability vs detuning for one probe-pulse setting.
 
-    The detuning points are propagated in two lanes, split by point, each
-    with its point's own keyed noise (_evolve); both lanes are joined before
-    this returns, and the result does not depend on the split."""
+    Each point reads params.shots_per_point independent shots, each a 0 or
+    a 1, so its count is exactly Binomial(shots, p) on the exact mean p of
+    expected_excitation; the curve holds count/shots at each detuning."""
     deltas = params.detuning_grid.points()
     fourier_halfwidth = 4.0 / params.pulse_duration
     if deltas[0] > -fourier_halfwidth or deltas[-1] < fourier_halfwidth:
@@ -315,14 +220,35 @@ def simulate_carrier_spectrum(params: IonProbeParams,
             f"detuning grid must span at least +-{fourier_halfwidth:.1f} Hz "
             "(four Fourier widths of the pulse)"
         )
-    prob = _evolve(deltas, params.rabi_frequency, params.pulse_duration,
-                   noise, params.shots_per_point, params.rng_seed)
+    prob = _read_out(expected_excitation(params, noise), params)
     return ExcitationCurve(deltas, prob, params.shots_per_point)
+
+
+def _flop_mean(params: IonProbeParams, noise: LaserNoise, t_max: float,
+               t_points: int) -> np.ndarray:
+    """Exact mean of the resonant flop at t_max*k/t_points, k = 1..t_points:
+    the Bloch vector stepped by one exp(A dt) per Rabi node, dt =
+    t_max/t_points.  Equals expected_excitation(params, noise, times) at
+    those times to rounding, with one matrix exponential per node instead
+    of one per time and node."""
+    rate, weights = _bloch_rates(params.rabi_frequency, np.zeros(1), noise)
+    step = _expm(rate[:, 0] * (t_max / t_points))  # (Omega, 3, 3)
+    bloch = np.zeros((weights.size, 3, 1))
+    bloch[:, 2] = -1.0
+    w = np.empty((t_points, weights.size))
+    for k in range(t_points):
+        bloch = step @ bloch
+        w[k] = bloch[:, 2, 0]
+    return 0.5 * (1.0 + w @ weights)
 
 
 def simulate_rabi(params: IonProbeParams, noise: LaserNoise, t_max: float,
                   t_points: int) -> ExcitationCurve:
-    """Resonant excitation probability vs pulse length (Rabi flopping)."""
+    """Resonant excitation probability vs pulse length (Rabi flopping).
+
+    Records at t_max*k/t_points, k = 1..t_points; each record time reads its
+    own params.shots_per_point shots, a Binomial(shots, p) count on the
+    exact mean p of the flop at that time."""
     if not 0 < t_max < math.inf:
         raise InvalidParameterError("t_max must be finite and > 0")
     t_points = _whole_number(t_points, "t_points")
@@ -332,11 +258,9 @@ def simulate_rabi(params: IonProbeParams, noise: LaserNoise, t_max: float,
             f"{t_points} samples under-resolve {periods:.1f} Rabi periods; "
             "need >= 20 per period"
         )
-    recorded = _evolve(np.zeros(1), params.rabi_frequency, t_max, noise,
-                       params.shots_per_point, params.rng_seed,
-                       record_times=t_points)
+    prob = _read_out(_flop_mean(params, noise, t_max, t_points), params)
     times = t_max * np.arange(1, t_points + 1) / t_points
-    return ExcitationCurve(times, recorded[:, 0], params.shots_per_point)
+    return ExcitationCurve(times, prob, params.shots_per_point)
 
 
 # ---------------------------------------------------------------------------

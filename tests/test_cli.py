@@ -365,6 +365,19 @@ class TestExitCodes:
         assert "argument --points: must be >= 3" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, named", [
+        (("ionsim", "--points", "2.5"), "--points: must be an integer, got '2.5'"),
+        (("ionsim", "--pulse-ms", "abc"), "--pulse-ms: must be a number, got 'abc'"),
+        (("simulate", "--rbw-hz", "abc"), "--rbw-hz: must be a number, got 'abc'"),
+    ], ids=["fractional_points", "word_pulse", "word_rbw"])
+    def test_flag_that_does_not_parse_names_its_value(self, tmp_path, capsys,
+                                                      argv, named):
+        # argparse named the type function: "invalid _grid_points value".
+        assert exit_code(*argv, *self.outputs(argv[0], tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert named in err and "invalid" not in err
+        assert not any(tmp_path.iterdir())
+
     @staticmethod
     def outputs(command, tmp_path):
         """The output flags `command` requires, into `tmp_path`."""
@@ -527,6 +540,7 @@ class TestStartup:
     ROWS = {
         "import-beatnote": ("import beatnote", ("beatnote.*",)),
         "import-cli": ("import beatnote.cli", ()),
+        "import-ionsim": ("import beatnote.ionsim", ("beatnote.dshi",)),
         "simulate": (["simulate", "--mode", "montecarlo", "--eom-mhz", "1",
                       "--linewidth-hz", "5000", "--duration-s", "0.01",
                       "--segments", "16", "--seed", "1", "--out", "{d}/mc.csv"],

@@ -1,7 +1,6 @@
 """Two-level spectroscopy simulator and its reductions."""
 
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -19,7 +18,6 @@ from beatnote import (
     simulate_carrier_spectrum,
     simulate_rabi,
 )
-from beatnote import ionsim
 from beatnote.errors import (
     DomainError,
     InitializationError,
@@ -27,29 +25,25 @@ from beatnote.errors import (
     InvalidParameterError,
     ResolutionError,
 )
-from beatnote.ionsim import (
-    _evolve,
-    _shot_noise_tables,
-    _step_plan,
-    damped_sine_model,
-)
-from oracles import rabi_probability
+from beatnote.ionsim import _flop_mean, damped_sine_model
+from oracles import evolve, propagate, rabi_probability, shot_noise_tables, step_plan
 
 RESONANT_GRID = FrequencyGrid(-1.0, 1.0, 3)
 
 
 def reference_evolve(deltas, omega, duration, noise, shots, seed,
                      record_times=None):
-    """Independent propagator: the same step plan and noise tables as
-    _evolve, but the laser phase accumulated step by step and every factor
-    of the step matrix rebuilt each step from drive = omega_s e^{i phase}."""
+    """Independent propagator: the same step plan and noise tables as the
+    oracle's evolve, but the laser phase accumulated step by step and every
+    factor of the step matrix rebuilt each step from drive = omega_s
+    e^{i phase}."""
     n_points = deltas.size
-    n_steps, block, dt = _step_plan(omega, deltas, duration, noise.fwhm,
-                                    record_times)
+    n_steps, block, dt = step_plan(omega, deltas, duration, noise.fwhm,
+                                   record_times)
     n_blocks = n_steps // block
     phase_sigma = math.sqrt(2.0 * math.pi * noise.fwhm * dt) if noise.fwhm > 0 else 0.0
-    kicks, scales = _shot_noise_tables(seed, n_points, shots, n_steps,
-                                       phase_sigma, noise.rin_sigma)
+    kicks, scales = shot_noise_tables(seed, n_points, shots, n_steps,
+                                      phase_sigma, noise.rin_sigma)
     omega_s = omega * scales
     delta_c = deltas[:, None]
     norm = np.sqrt(omega_s * omega_s + delta_c * delta_c)
@@ -75,15 +69,16 @@ def reference_evolve(deltas, omega, duration, noise, shots, seed,
 
 def serial_evolve(deltas, omega, duration, noise, shots, seed,
                   record_times=None):
-    """_evolve as it was on one lane: every point in one propagation loop on
-    the calling thread, the serial oracle of the two-lane split."""
+    """The oracle's evolve with plain products instead of its preallocated
+    buffers: every point in one propagation loop, the serial reference of a
+    scan propagated in point ranges."""
     n_points = deltas.size
-    n_steps, block, dt = _step_plan(omega, deltas, duration, noise.fwhm,
-                                    record_times)
+    n_steps, block, dt = step_plan(omega, deltas, duration, noise.fwhm,
+                                   record_times)
 
     phase_sigma = math.sqrt(2.0 * math.pi * noise.fwhm * dt) if noise.fwhm > 0 else 0.0
-    kicks, scales = _shot_noise_tables(seed, n_points, shots, n_steps,
-                                       phase_sigma, noise.rin_sigma)
+    kicks, scales = shot_noise_tables(seed, n_points, shots, n_steps,
+                                      phase_sigma, noise.rin_sigma)
     np.negative(kicks, out=kicks)
 
     omega_s = omega * scales  # (n_points, shots)
@@ -116,7 +111,7 @@ PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def discrete_kick_mean(deltas, omega, duration, noise, record_times=None):
-    """Exact shot mean of _evolve's discrete kicks, (D R)^N on the Bloch
+    """Exact shot mean of the oracle's discrete kicks, (D R)^N on the Bloch
     vector from the ground state (0, 0, 1), with P = (1 - z)/2.
 
     R is one constant step U0 = exp(-i pi dt (omega sx - delta sz)) as a
@@ -124,8 +119,8 @@ def discrete_kick_mean(deltas, omega, duration, noise, record_times=None):
     vector about z by a normal angle of variance 2 pi fwhm dt, whose mean is
     D = diag(c, c, 1) with c = exp(-pi fwhm dt).  RIN is averaged with a
     dense Gauss-Hermite rule."""
-    n_steps, block, dt = _step_plan(omega, deltas, duration, noise.fwhm,
-                                    record_times)
+    n_steps, block, dt = step_plan(omega, deltas, duration, noise.fwhm,
+                                   record_times)
     if noise.rin_sigma > 0:
         nodes, weights = np.polynomial.hermite_e.hermegauss(64)
         weights = weights / np.sum(weights)
@@ -183,9 +178,10 @@ class TestNoiselessOracle:
         # pi-pulse at T = 1/(2 Omega): on-resonance transfer is complete and
         # the profile is Omega^2/(Omega^2+d^2) sin^2(pi sqrt(Omega^2+d^2) T).
         for omega, pulse in [(250.0, 2e-3), (250.0, 4e-3), (1000.0, 0.5e-3)]:
-            curve = spectrum(omega, pulse, points=101)
-            oracle = rabi_probability(omega, curve.abscissa, pulse)
-            assert np.max(np.abs(curve.probability - oracle)) < 1e-4
+            deltas = detuning_grid(max(5.0 / pulse, 3.0 * omega), 101).points()
+            integrated = evolve(deltas, omega, pulse, LaserNoise(), 1, 0)
+            oracle = rabi_probability(omega, deltas, pulse)
+            assert np.max(np.abs(integrated - oracle)) < 1e-4
 
     def test_pi_pulse_resonant_unity(self):
         curve = spectrum(250.0, 2e-3, points=101)
@@ -199,22 +195,21 @@ class TestNoiselessOracle:
         assert np.all(curve.probability[outer] < 0.01)
 
     def test_rabi_flopping_sin_squared(self):
-        params = IonProbeParams(rabi_frequency=40e3, pulse_duration=1.0,
-                                detuning_grid=RESONANT_GRID)
-        curve = simulate_rabi(params, LaserNoise(), t_max=3e-4, t_points=300)
-        oracle = np.sin(math.pi * 40e3 * curve.abscissa) ** 2
-        assert np.max(np.abs(curve.probability - oracle)) < 1e-6
+        flop = evolve(np.zeros(1), 40e3, 3e-4, LaserNoise(), 1, 0,
+                      record_times=300)[:, 0]
+        oracle = np.sin(math.pi * 40e3 * flop_times(3e-4, 300)) ** 2
+        assert np.max(np.abs(flop - oracle)) < 1e-6
 
 
 class TestReferencePropagator:
     def test_carrier_scan_matches_reference(self):
         args = (detuning_grid(1200.0, 81).points(), 125.0, 4e-3,
                 LaserNoise(fwhm=156.0), 20, 7)
-        assert np.max(np.abs(_evolve(*args) - reference_evolve(*args))) <= 1e-12
+        assert np.max(np.abs(evolve(*args) - reference_evolve(*args))) <= 1e-12
 
     def test_rabi_flop_with_rin_matches_reference(self):
         args = (np.zeros(1), 40e3, 3e-4, LaserNoise(rin_sigma=0.02), 20, 4)
-        flop = _evolve(*args, record_times=300)
+        flop = evolve(*args, record_times=300)
         assert np.max(np.abs(flop - reference_evolve(*args, record_times=300))) <= 1e-12
 
 
@@ -223,42 +218,30 @@ README_FLOP = (40e3, 0.5e-3, 400)
 
 
 class TestTwoLanes:
+    """A scan propagated as two point ranges, each drawing only its own
+    points' keyed noise, gives the bits of one serial loop over all points."""
+
+    @staticmethod
+    def in_two_ranges(deltas, omega, duration, noise, shots, seed):
+        n_steps, block, dt = step_plan(omega, deltas, duration, noise.fwhm)
+        split = (deltas.size + 1) // 2
+        return np.concatenate([
+            propagate(deltas[lo:hi], lo, omega, dt, n_steps, block, noise, shots, seed)
+            for lo, hi in ((0, split), (split, deltas.size))], axis=1)[0]
+
     @pytest.mark.parametrize("points", [1, 2, 3, 81])
     @pytest.mark.parametrize("fwhm", [0.0, 156.0])
     @pytest.mark.parametrize("rin", [0.0, 0.02])
     def test_scan_bits_equal_serial(self, points, fwhm, rin):
         args = (np.linspace(-1200.0, 1200.0, points), 125.0, 4e-3,
                 LaserNoise(fwhm=fwhm, rin_sigma=rin), 20, 7)
-        assert np.array_equal(_evolve(*args), serial_evolve(*args))
+        assert np.array_equal(self.in_two_ranges(*args), serial_evolve(*args))
 
     def test_flop_bits_equal_serial(self):
         args = (np.zeros(1), 40e3, 3e-4, LaserNoise(fwhm=156.0, rin_sigma=0.01), 20, 4)
-        assert _step_plan(40e3, np.zeros(1), 3e-4, 156.0, 50)[1] > 1
-        assert np.array_equal(_evolve(*args, record_times=50),
+        assert step_plan(40e3, np.zeros(1), 3e-4, 156.0, 50)[1] > 1
+        assert np.array_equal(evolve(*args, record_times=50),
                               serial_evolve(*args, record_times=50))
-
-    @pytest.mark.parametrize("failing_lane", ["calling", "second"])
-    def test_lanes_end_with_the_call(self, monkeypatch, failing_lane):
-        args = (detuning_grid(1200.0, 81).points(), 125.0, 4e-3,
-                LaserNoise(fwhm=156.0), 20, 7)
-        before = threading.active_count()
-        _evolve(*args)
-        assert threading.active_count() == before
-
-        class LaneFailure(Exception):
-            pass
-
-        propagate = ionsim._propagate
-
-        def failing_propagate(deltas, first, *rest):
-            if (first == 0) == (failing_lane == "calling"):
-                raise LaneFailure("propagation failed")
-            return propagate(deltas, first, *rest)
-
-        monkeypatch.setattr(ionsim, "_propagate", failing_propagate)
-        with pytest.raises(LaneFailure):
-            _evolve(*args)
-        assert threading.active_count() == before
 
 
 def traced_peak(fn):
@@ -274,15 +257,15 @@ def traced_peak(fn):
 
 
 class TestMemory:
-    """The peak of a run against its noise table, 8 B per step x point x
-    shot: building the kick phasors for the whole table at once, rather
-    than step by step, costs about two more tables and fails here."""
+    """The peak of a run against the noise table that a shot-by-shot run of
+    it fills (oracles.step_plan), 8 B per step x point x shot: the exact
+    mean and its draws stay within the bounds that propagator met."""
 
     def test_scan_peak_within_its_table(self):
         omega, pulse, grid = SCAN_6A
         params = IonProbeParams(omega, pulse, grid, shots_per_point=200, rng_seed=7)
         noise = LaserNoise(fwhm=156.0)
-        n_steps = _step_plan(omega, grid.points(), pulse, noise.fwhm)[0]
+        n_steps = step_plan(omega, grid.points(), pulse, noise.fwhm)[0]
         assert n_steps == 61
         table = 8 * n_steps * 81 * 200
         peak = traced_peak(lambda: simulate_carrier_spectrum(params, noise))
@@ -292,7 +275,7 @@ class TestMemory:
         rabi, t_max, t_points = README_FLOP
         params = IonProbeParams(rabi, t_max, RESONANT_GRID, shots_per_point=200)
         noise = LaserNoise(fwhm=156.0, rin_sigma=0.01)
-        n_steps = _step_plan(rabi, np.zeros(1), t_max, noise.fwhm, t_points)[0]
+        n_steps = step_plan(rabi, np.zeros(1), t_max, noise.fwhm, t_points)[0]
         table = 8 * n_steps * 200
         peak = traced_peak(lambda: simulate_rabi(params, noise, t_max, t_points))
         assert peak <= 3.5 * table
@@ -395,6 +378,70 @@ class TestExactMean:
         assert np.argmax(exact) == np.argmin(np.abs(grid.points()))
 
 
+class TestReadout:
+    """Each point reads its shots as 0s and 1s: its count is Binomial(shots,
+    p) on the exact mean p, drawn from one generator per curve."""
+
+    SHOTS = 200
+
+    @staticmethod
+    def chi2_band(n):
+        """Two-sided 1 % band of chi^2 with n degrees of freedom."""
+        from scipy.stats import chi2
+        return chi2.ppf(0.005, n), chi2.ppf(0.995, n)
+
+    def assert_binomial(self, curves, means):
+        """Sum of z^2 of the counts against Binomial(SHOTS, mean) inside the
+        chi^2 band of its point count."""
+        counts = self.SHOTS * np.array(curves)
+        means = np.array(means)
+        z = (counts - self.SHOTS * means) / np.sqrt(self.SHOTS * means * (1.0 - means))
+        low, high = self.chi2_band(z.size)
+        assert low <= float(np.sum(z * z)) <= high
+
+    def test_scan_counts_are_binomial_on_the_exact_mean(self):
+        omega, pulse, grid = SCAN_6A
+        noise = LaserNoise(fwhm=156.0)
+        picked = [40, 44, 48, 52]  # resonance to 360 Hz out, p from 0.68 to 0.14
+        curves, means = [], []
+        for seed in range(20):
+            params = IonProbeParams(omega, pulse, grid, self.SHOTS, seed)
+            curves.append(simulate_carrier_spectrum(params, noise).probability[picked])
+            means.append(expected_excitation(params, noise)[picked])
+        self.assert_binomial(curves, means)
+
+    def test_flop_counts_are_binomial_on_the_exact_mean(self):
+        rabi, t_max, t_points = README_FLOP
+        noise = LaserNoise(fwhm=156.0, rin_sigma=0.01)
+        picked = [2, 5, 10, 399]  # p of 0.21, 0.65, 0.97 and 0.30
+        times = flop_times(t_max, t_points)[picked]
+        curves, means = [], []
+        for seed in range(20):
+            params = IonProbeParams(rabi, t_max, RESONANT_GRID, self.SHOTS, seed)
+            curve = simulate_rabi(params, noise, t_max, t_points)
+            curves.append(curve.probability[picked])
+            means.append(expected_excitation(params, noise, times))
+        self.assert_binomial(curves, means)
+
+    def test_scan_draws_from_one_generator_in_point_order(self):
+        omega, pulse, grid = SCAN_6A
+        params = IonProbeParams(omega, pulse, grid, self.SHOTS, 7)
+        noise = LaserNoise(fwhm=156.0)
+        counts = np.random.default_rng(7).binomial(
+            self.SHOTS, expected_excitation(params, noise))
+        assert np.array_equal(simulate_carrier_spectrum(params, noise).probability,
+                              counts / self.SHOTS)
+
+    @pytest.mark.parametrize("noise", [
+        LaserNoise(), LaserNoise(fwhm=156.0, rin_sigma=0.01)], ids=["noiseless", "noisy"])
+    def test_stepped_flop_mean_matches_expected_excitation(self, noise):
+        rabi, t_max, t_points = README_FLOP
+        params = IonProbeParams(rabi, t_max, RESONANT_GRID)
+        stepped = _flop_mean(params, noise, t_max, t_points)
+        exact = expected_excitation(params, noise, flop_times(t_max, t_points))
+        assert np.max(np.abs(stepped - exact)) <= 1e-12
+
+
 class TestProbabilityBounds:
     def test_bounded_with_noise(self):
         curve = spectrum(250.0, 4e-3, fwhm=500.0, rin=0.1, shots=40, seed=2)
@@ -429,15 +476,15 @@ class TestProbabilityBounds:
 
 class TestNoiseKeying:
     def test_point_noise_independent_of_point_count(self):
-        kicks_5, scales_5 = _shot_noise_tables(7, 5, 20, 30, 0.1, 0.01)
-        kicks_9, scales_9 = _shot_noise_tables(7, 9, 20, 30, 0.1, 0.01)
+        kicks_5, scales_5 = shot_noise_tables(7, 5, 20, 30, 0.1, 0.01)
+        kicks_9, scales_9 = shot_noise_tables(7, 9, 20, 30, 0.1, 0.01)
         assert np.array_equal(kicks_5, kicks_9[:, :5])
         assert np.array_equal(scales_5, scales_9[:5])
 
     @pytest.mark.parametrize("a, b", [(0, 5), (5, 9), (3, 4)])
     def test_point_range_is_a_slice_of_the_full_tables(self, a, b):
-        kicks, scales = _shot_noise_tables(7, 9, 20, 30, 0.1, 0.01)
-        part_kicks, part_scales = _shot_noise_tables(7, b - a, 20, 30, 0.1, 0.01, a)
+        kicks, scales = shot_noise_tables(7, 9, 20, 30, 0.1, 0.01)
+        part_kicks, part_scales = shot_noise_tables(7, b - a, 20, 30, 0.1, 0.01, a)
         assert np.array_equal(part_kicks, kicks[:, a:b])
         assert np.array_equal(part_scales, scales[a:b])
         # Point ip draws from child ip of SeedSequence(seed).spawn(n).
@@ -445,7 +492,7 @@ class TestNoiseKeying:
         assert np.array_equal(kicks[:, a], rng.normal(0.0, 0.1, (20, 30)).T)
 
     def test_points_draw_distinct_noise(self):
-        kicks, scales = _shot_noise_tables(7, 2, 20, 30, 0.1, 0.01)
+        kicks, scales = shot_noise_tables(7, 2, 20, 30, 0.1, 0.01)
         assert not np.array_equal(kicks[:, 0], kicks[:, 1])
         assert not np.array_equal(scales[0], scales[1])
 
@@ -529,8 +576,9 @@ class TestSpectrumTrends:
     def test_peak_desaturation_below_half_area(self):
         peaks = []
         for omega in (100.0, 62.5, 31.25):  # Omega*T < 1/2 at T = 4 ms
-            curve = spectrum(omega, 4e-3, points=81)
-            peaks.append(curve.probability.max())
+            grid = detuning_grid(max(5.0 / 4e-3, 3.0 * omega), 81)
+            mean = expected_excitation(IonProbeParams(omega, 4e-3, grid), LaserNoise())
+            peaks.append(mean.max())
         assert all(p < 1.0 for p in peaks)
         assert peaks[0] > peaks[1] > peaks[2]
 
