@@ -277,8 +277,10 @@ def test_criterion_6b_fourier_limited_sweep_exponent():
         omega = 0.5 / pulse
         grid = grid_about(0.0, 5.0 / pulse, 10.0 / pulse / 80.0)
         params = IonProbeParams(rabi_frequency=omega, pulse_duration=pulse,
-                                detuning_grid=grid, shots_per_point=1)
-        curve = simulate_carrier_spectrum(params, LaserNoise())
+                                detuning_grid=grid)
+        # the noiseless profile itself: one shot per point reads a 0 or a 1
+        curve = ExcitationCurve(grid.points(),
+                                expected_excitation(params, LaserNoise()), 1)
         pairs.append((pulse, float(fit_lorentzian_peak(curve).parameters[1])))
     exponent = float(fit_inverse_power(pairs).parameters[1])
     elapsed = time.perf_counter() - start

@@ -201,9 +201,11 @@ class TestIonsim:
         assert doc["fit"]["parameters"][0] == pytest.approx(40e3, rel=0.01)
 
     def test_sweep_duration_inverse_power(self, tmp_path):
+        # enough shots that each fitted width follows the profile, not the
+        # 0-or-1 draws of a single shot per point
         curve, report = tmp_path / "c.csv", tmp_path / "r.json"
         assert run_cli("ionsim", "--mode", "sweep-T", "--laser-fwhm-hz", "0",
-                       "--durations-ms", "1,2,4,8", "--shots", "1",
+                       "--durations-ms", "1,2,4,8", "--shots", "1000",
                        "--free-exponent", "--out-curve", str(curve),
                        "--out", str(report)) == 0
         doc = read_report(report)

@@ -173,6 +173,14 @@ def spectrum(omega, pulse, fwhm=0.0, rin=0.0, shots=1, seed=0, half_span=None,
     return simulate_carrier_spectrum(params, LaserNoise(fwhm=fwhm, rin_sigma=rin))
 
 
+def noiseless_profile(omega, pulse, points=81):
+    """The exact noiseless excitation on spectrum()'s default grid, as a
+    curve: the profile one shot per point only samples as 0s and 1s."""
+    grid = detuning_grid(max(5.0 / pulse, 3.0 * omega), points)
+    mean = expected_excitation(IonProbeParams(omega, pulse, grid), LaserNoise())
+    return ExcitationCurve(grid.points(), mean, 1)
+
+
 class TestNoiselessOracle:
     def test_integrator_matches_closed_form(self):
         # pi-pulse at T = 1/(2 Omega): on-resonance transfer is complete and
@@ -559,7 +567,7 @@ class TestSpectrumTrends:
         # Fixed small pulse area: fitted width strictly decreases with T.
         widths = []
         for pulse in (1e-3, 2e-3, 4e-3):
-            curve = spectrum(0.5 / pulse, pulse, points=81)
+            curve = noiseless_profile(0.5 / pulse, pulse)
             widths.append(float(fit_lorentzian_peak(curve).parameters[1]))
         assert widths[0] > widths[1] > widths[2]
 
@@ -576,9 +584,7 @@ class TestSpectrumTrends:
     def test_peak_desaturation_below_half_area(self):
         peaks = []
         for omega in (100.0, 62.5, 31.25):  # Omega*T < 1/2 at T = 4 ms
-            grid = detuning_grid(max(5.0 / 4e-3, 3.0 * omega), 81)
-            mean = expected_excitation(IonProbeParams(omega, 4e-3, grid), LaserNoise())
-            peaks.append(mean.max())
+            peaks.append(noiseless_profile(omega, 4e-3).probability.max())
         assert all(p < 1.0 for p in peaks)
         assert peaks[0] > peaks[1] > peaks[2]
 
@@ -662,7 +668,7 @@ class TestFitInversePower:
     def test_fourier_limited_sweep_exponent_near_one(self):
         pairs = []
         for pulse in (1e-3, 2e-3, 4e-3, 8e-3, 16e-3):
-            curve = spectrum(0.5 / pulse, pulse, points=81)
+            curve = noiseless_profile(0.5 / pulse, pulse)
             pairs.append((pulse, float(fit_lorentzian_peak(curve).parameters[1])))
         fit = fit_inverse_power(pairs)
         assert 0.9 <= fit.parameters[1] <= 1.1
