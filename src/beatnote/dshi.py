@@ -137,6 +137,11 @@ class SimConfig:
             raise InvalidParameterError("need at least 16 averaging segments")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+        samples = self.sample_rate * self.duration
+        if samples < 2 * self.segments:
+            raise InvalidParameterError(
+                f"{int(samples)} samples (sample_rate * duration) leave fewer "
+                f"than 2 per segment across {self.segments} segments")
 
 
 def extrema_spacing(params: DshiParams) -> float:

@@ -45,12 +45,12 @@ __all__ = [
 ]
 
 # Steps per generalized Rabi period, or per 1/(4 fwhm) when that is shorter,
-# of the shot-by-shot propagator in tests/oracles.py, the independent check
-# of expected_excitation; perfbench/workloads.py reads it too.  Each step is
-# exact for a piecewise-constant Hamiltonian, so the steps only resolve the
-# phase noise: the shot mean of the discrete kicks differs from the exact
-# Bloch mean by a bias falling as dt^2, below 1e-4 on the acceptance scans
-# and flop at 12.5.
+# of the shot-by-shot propagator in tests/oracles.py, whose shot means the
+# tests hold to expected_excitation inside the shot-noise chi^2 bound;
+# perfbench/workloads.py reads it too.  Each step is exact for a
+# piecewise-constant Hamiltonian, so the steps only resolve the phase noise:
+# the exact mean of the discrete kicks differs from expected_excitation by a
+# bias falling as dt^2, within 2e-4 on the acceptance scans and flop at 12.5.
 _STEPS_PER_PERIOD = 12.5
 # Gauss-Hermite nodes of the exact mean's average over the per-shot Rabi scale.
 _RIN_NODES = 32
@@ -95,8 +95,9 @@ class LaserNoise:
 
 @dataclass(frozen=True)
 class ExcitationCurve:
-    """Excited-state probability vs detuning or time: at each point, the
-    fraction of its shot_count shots read as excited."""
+    """Excited-state probability vs detuning or time, on a strictly
+    ascending 1-D abscissa: at each point, the fraction of its shot_count
+    shots read as excited."""
 
     abscissa: np.ndarray
     probability: np.ndarray
@@ -105,8 +106,9 @@ class ExcitationCurve:
     def __post_init__(self):
         abscissa = np.asarray(self.abscissa, dtype=float)
         probability = np.asarray(self.probability, dtype=float)
-        if abscissa.shape != probability.shape:
-            raise InvalidParameterError("abscissa and probability shapes differ")
+        if abscissa.ndim != 1 or abscissa.shape != probability.shape:
+            raise InvalidParameterError(
+                "abscissa and probability must be 1-D arrays of one length")
         if not (np.all(np.isfinite(abscissa)) and np.all(np.isfinite(probability))):
             raise InvalidParameterError("abscissa and probability must be finite")
         shot_count = _whole_number(self.shot_count, "shot_count")
@@ -114,6 +116,8 @@ class ExcitationCurve:
             raise InvalidParameterError("shot_count must be >= 1")
         if np.any(probability < -1e-12) or np.any(probability > 1.0 + 1e-12):
             raise InvalidParameterError("probabilities must lie in [0, 1]")
+        if np.any(abscissa[1:] <= abscissa[:-1]):
+            raise InvalidParameterError("abscissa must be strictly ascending")
         object.__setattr__(self, "abscissa", abscissa)
         object.__setattr__(self, "probability", np.clip(probability, 0.0, 1.0))
         object.__setattr__(self, "shot_count", shot_count)
@@ -271,6 +275,9 @@ def fit_lorentzian_peak(curve: ExcitationCurve) -> FitResult:
     """Lorentzian fit of a spectrum: parameters (center, fwhm, amplitude, offset)."""
     x = curve.abscissa
     y = curve.probability
+    if x.size < 5:
+        raise InsufficientDataError(
+            f"need at least 5 points to fit a Lorentzian peak, got {x.size}")
     offset0 = float(np.median(np.concatenate((y[:3], y[-3:]))))
     i_pk = int(np.argmax(y))
     amp0 = float(y[i_pk] - offset0)

@@ -289,6 +289,16 @@ class TestExitCodes:
         assert run_cli("simulate", "--rbw-hz", "1e9", "--out", str(out)) == 2
         assert not out.exists()
 
+    def test_segments_of_fewer_than_two_samples_is_validation_error(self, tmp_path,
+                                                                   capsys):
+        # 400 000 segments of 320 000 samples ended in a ZeroDivisionError.
+        out = tmp_path / "t.csv"
+        assert run_cli("simulate", "--mode", "montecarlo", "--eom-mhz", "1",
+                       "--duration-s", "0.04", "--segments", "400000",
+                       "--out", str(out)) == 2
+        assert "320000 samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_estimation_error(self, tmp_path):
         # A flat synthetic trace has no measurable widths.
         path = tmp_path / "flat.csv"

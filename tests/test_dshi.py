@@ -288,6 +288,16 @@ class TestModelValidation:
         with pytest.raises(InvalidParameterError):
             SimConfig(sample_rate=8e6, duration=0.1, seed=seed)
 
+    @pytest.mark.parametrize("segments", [400_000, 200_000])
+    def test_sim_config_refuses_segments_of_fewer_than_two_samples(self, segments):
+        # 0.04 s at 8 MS/s is 320 000 samples: 400 000 segments divided by
+        # zero, and 200 000 left one sample each, which the grid refused
+        # without naming the cause.
+        with pytest.raises(InvalidParameterError,
+                           match=f"320000 samples .* {segments} segments"):
+            SimConfig(sample_rate=8e6, duration=0.04, segments=segments)
+        assert SimConfig(sample_rate=8e6, duration=0.04, segments=160_000)
+
     def test_sim_config_integral_floats_become_int(self):
         cfg = SimConfig(sample_rate=8e6, duration=0.1, segments=32.0, seed=np.int64(3))
         assert (cfg.segments, cfg.seed) == (32, 3)

@@ -1,5 +1,6 @@
 """The package's public surface: every name has a caller outside the tests,
-and every public class and callable refuses a bad number.
+every helper of tests/oracles.py has a test that reads it, and every public
+class and callable refuses a bad number.
 
 The refusal table holds one valid call for each public class and callable.
 Each numeric argument of that call is replaced in turn by NaN, +inf and
@@ -85,6 +86,14 @@ def test_every_public_name_has_a_caller():
     used = set().union(*map(_references, files))
     assert set(ORACLES) <= set(beatnote.__all__)
     assert sorted(set(beatnote.__all__) - used - set(ORACLES)) == []
+
+
+def test_every_oracle_has_a_test():
+    # A helper of tests/oracles.py that no test module reads checks nothing.
+    oracles = ROOT / "tests" / "oracles.py"
+    defined = set().union(*map(_defined, ast.parse(oracles.read_text()).body))
+    used = set().union(*map(_references, (ROOT / "tests").glob("test_*.py")))
+    assert sorted(defined - used) == []
 
 
 def test_all_holds_no_module():
