@@ -137,6 +137,7 @@ def _make_estimate(lorentzian, gaussian, method, iterations, residual,
 _LM_MAX_ITER = 200
 _LM_COST_TOL = 1e-10
 _LM_GRAD_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 def fit_least_squares(
@@ -148,16 +149,24 @@ def fit_least_squares(
 ) -> FitResult:
     """Levenberg-Marquardt minimization of sum((y - model(x, *p))^2).
 
-    The Jacobian comes from forward differences with step max(1e-6*|p|,
-    1e-12).  Convergence: relative cost decrease below 1e-10, gradient
-    infinity-norm below 1e-12, or the cap of 200 iterations (which leaves
-    converged=False).  `bounds` is an optional (lower, upper) box; trial
-    steps are clipped into it.
+    xdata and ydata are 1-D arrays of one length, init is 1-D, each bound
+    has init's length, and model(xdata, *p) returns an array of ydata's
+    shape; anything else raises InvalidParameterError.  The Jacobian comes
+    from forward differences with step max(1e-6*|p|, 1e-12).  Convergence:
+    relative cost decrease below 1e-10, gradient infinity-norm below 1e-12,
+    or the cap of 200 iterations (which leaves converged=False).  `bounds`
+    is an optional (lower, upper) box; trial steps are clipped into it.
     """
     x = np.asarray(xdata, dtype=float)
     y = np.asarray(ydata, dtype=float)
     p = np.array(init, dtype=float)
     n = p.size
+    if y.ndim != 1 or x.shape != y.shape:
+        raise InvalidParameterError(
+            f"xdata and ydata must be 1-D arrays of one length, got shapes "
+            f"{x.shape} and {y.shape}")
+    if p.ndim != 1:
+        raise InvalidParameterError(f"init must be 1-D, got shape {p.shape}")
     if y.size < n + 1:
         raise InsufficientDataError(
             f"{y.size} points cannot constrain {n} parameters"
@@ -170,22 +179,29 @@ def fit_least_squares(
     else:
         lo = np.asarray(bounds[0], dtype=float)
         hi = np.asarray(bounds[1], dtype=float)
+        if lo.shape != p.shape or hi.shape != p.shape:
+            raise InvalidParameterError(
+                f"bounds must each hold {n} values, got shapes {lo.shape} and {hi.shape}")
         if not np.all((lo <= p) & (p <= hi)):  # false for a NaN bound
             raise InvalidParameterError("initial values lie outside the bounds")
 
-    def residuals(params):
-        return y - model(x, *params)
-
     def jac(params, f_now):
+        # (m, n) in C order: the layout sets the summation order of J.T @ J,
+        # and so the last bits of every fit.
         out = np.empty((y.size, n))
-        for j in range(n):
-            h = max(1e-6 * abs(params[j]), 1e-12)
-            shifted = params.copy()
-            shifted[j] += h
+        values = params.tolist()
+        for j, value in enumerate(values):
+            h = max(1e-6 * abs(value), 1e-12)
+            shifted = values.copy()
+            shifted[j] = value + h
             out[:, j] = (model(x, *shifted) - f_now) / h
         return out
 
-    r = residuals(p)
+    f_now = model(x, *p.tolist())
+    if np.shape(f_now) != y.shape:
+        raise InvalidParameterError(
+            f"model returned shape {np.shape(f_now)}, ydata has shape {y.shape}")
+    r = y - f_now
     cost = float(r @ r)
     lam = 1e-3
     converged = False
@@ -195,29 +211,29 @@ def fit_least_squares(
     for it in range(_LM_MAX_ITER):
         iterations = it + 1
         g = J.T @ r
-        if np.max(np.abs(g)) < _LM_GRAD_TOL:
+        if np.abs(g).max() < _LM_GRAD_TOL:
             converged = True
             break
         jtj = J.T @ J
-        damping = np.diag(np.diag(jtj))
+        jtj_diag = np.diag(jtj)
         accepted = False
         for _ in range(30):
             try:
-                step = np.linalg.solve(jtj + lam * damping, g)
+                step = np.linalg.solve(jtj + np.diag(lam * jtj_diag), g)
             except np.linalg.LinAlgError:
                 step = np.full(n, np.nan)  # singular: refused below
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 if it == 0:
                     raise InitializationError(
                         "singular normal equations at the initial point"
                     )
                 lam *= 10.0
                 continue
-            p_try = np.clip(p + step, lo, hi)
-            r_try = residuals(p_try)
+            p_try = np.minimum(np.maximum(p + step, lo), hi)
+            r_try = y - model(x, *p_try.tolist())
             cost_try = float(r_try @ r_try)
             if cost_try < cost:
-                rel_drop = (cost - cost_try) / max(cost, np.finfo(float).tiny)
+                rel_drop = (cost - cost_try) / max(cost, _TINY)
                 p, r, cost = p_try, r_try, cost_try
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True

@@ -230,20 +230,29 @@ def simulate_carrier_spectrum(params: IonProbeParams,
 
 def _flop_mean(params: IonProbeParams, noise: LaserNoise, t_max: float,
                t_points: int) -> np.ndarray:
-    """Exact mean of the resonant flop at t_max*k/t_points, k = 1..t_points:
-    the Bloch vector stepped by one exp(A dt) per Rabi node, dt =
-    t_max/t_points.  Equals expected_excitation(params, noise, times) at
-    those times to rounding, with one matrix exponential per node instead
-    of one per time and node."""
+    """Exact mean of the resonant flop at t_max*k/t_points, k = 1..t_points.
+
+    With S = exp(A dt) per Rabi node, dt = t_max/t_points, and the start
+    w = -1, P(k dt) = (1 - S^k[2, 2])/2.  Row 2 of S^k is built by doubling:
+    with rows k = 1..L filled, rows[:, :L] @ S^L fills k = L+1..2L (cut at
+    t_points), then S^L is squared, so ceil(log2 t_points) batched products
+    replace one product per record time.  Equals expected_excitation(params,
+    noise, times) at those times to rounding, with one matrix exponential
+    per node instead of one per time and node."""
     rate, weights = _bloch_rates(params.rabi_frequency, np.zeros(1), noise)
-    step = _expm(rate[:, 0] * (t_max / t_points))  # (Omega, 3, 3)
-    bloch = np.zeros((weights.size, 3, 1))
-    bloch[:, 2] = -1.0
-    w = np.empty((t_points, weights.size))
-    for k in range(t_points):
-        bloch = step @ bloch
-        w[k] = bloch[:, 2, 0]
-    return 0.5 * (1.0 + w @ weights)
+    power = _expm(rate[:, 0] * (t_max / t_points))  # S^L, (Omega, 3, 3)
+    # (Omega, k, 3) keeps each node's rows contiguous for the batched
+    # products; preallocated, since growing it by concatenation costs more
+    # than the products themselves.
+    rows = np.empty((weights.size, t_points, 3))
+    rows[:, 0] = power[:, 2]
+    filled = 1  # L
+    while filled < t_points:
+        todo = min(filled, t_points - filled)
+        np.matmul(rows[:, :todo], power, out=rows[:, filled:filled + todo])
+        filled += todo
+        power = power @ power
+    return 0.5 * (1.0 - weights @ rows[:, :, 2])
 
 
 def simulate_rabi(params: IonProbeParams, noise: LaserNoise, t_max: float,
@@ -302,13 +311,20 @@ def damped_sine_model(t, omega, tau, contrast, phase, offset):
 
 def fit_damped_sine(curve: ExcitationCurve) -> FitResult:
     """Decaying-oscillation fit of a Rabi flop:
-    parameters (omega, tau, contrast, phase, offset)."""
+    parameters (omega, tau, contrast, phase, offset).
+
+    The start frequency is the FFT peak of the curve, so its times must be
+    uniformly spaced (to 1e-6 of the mean step); uneven times raise
+    InvalidParameterError."""
     t = curve.abscissa
     y = curve.probability
     if t.size < 2:
         raise InsufficientDataError(
             f"need at least 2 samples to fit a Rabi flop, got {t.size}")
     span = t[-1] - t[0]
+    if np.ptp(np.diff(t)) > 1e-6 * span / (t.size - 1):
+        raise InvalidParameterError(
+            "a Rabi flop fit needs uniformly spaced times (its start value is an FFT)")
     centered = y - np.mean(y)
     spectrum = np.abs(np.fft.rfft(centered))
     freqs = np.fft.rfftfreq(len(t), d=(t[1] - t[0]))

@@ -125,6 +125,25 @@ class TestFitLeastSquares:
             fit_least_squares(lambda x, a: a * x, [1, 2, 3], [1, 2, 3], [5.0],
                               bounds=([0.0], [1.0]))
 
+    @pytest.mark.parametrize("case", ["xdata_length", "bounds_length", "init_2d",
+                                      "model_shape"])
+    def test_mismatched_shapes_refused(self, case):
+        x = np.linspace(-300.0, 300.0, 21)
+        y = lorentzian_peak_model(x, 0.0, 100.0, 1.0, 0.0)
+        init = [5.0, 120.0, 0.9, 0.01]
+        model, bounds = lorentzian_peak_model, None
+        if case == "xdata_length":
+            x = x[:20]
+        elif case == "bounds_length":
+            bounds = ([-300.0, 1.0], [300.0, 600.0])
+        elif case == "init_2d":
+            init = [init[:2], init[2:]]
+        else:
+            def model(x, *p):  # 3 values for 21 points
+                return lorentzian_peak_model(x[:3], *p)
+        with pytest.raises(InvalidParameterError):
+            fit_least_squares(model, x, y, init, bounds)
+
 
 class TestEstimateVoigt:
     def test_paper_configuration_roundtrip(self):

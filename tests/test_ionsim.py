@@ -344,10 +344,23 @@ class TestReadout:
         assert np.array_equal(simulate_carrier_spectrum(params, noise).probability,
                               counts / self.SHOTS)
 
-    @pytest.mark.parametrize("noise", [
-        LaserNoise(), LaserNoise(fwhm=156.0, rin_sigma=0.01)], ids=["noiseless", "noisy"])
-    def test_stepped_flop_mean_matches_expected_excitation(self, noise):
+    def test_flop_draws_from_one_generator_in_time_order(self):
         rabi, t_max, t_points = README_FLOP
+        params = IonProbeParams(rabi, t_max, RESONANT_GRID, self.SHOTS, 7)
+        noise = LaserNoise(fwhm=156.0, rin_sigma=0.01)
+        counts = np.random.default_rng(7).binomial(
+            self.SHOTS, expected_excitation(params, noise, flop_times(t_max, t_points)))
+        assert np.array_equal(simulate_rabi(params, noise, t_max, t_points).probability,
+                              counts / self.SHOTS)
+
+    # 2^k - 1, 2^k and 2^k + 1 points end the doubling inside, at and just
+    # past a block of the last product; 400 is the README flop.
+    @pytest.mark.parametrize("t_points", [1, 2, 3, 255, 256, 257, 400, 1000])
+    @pytest.mark.parametrize("noise", [
+        LaserNoise(), LaserNoise(fwhm=156.0), LaserNoise(fwhm=156.0, rin_sigma=0.01)],
+        ids=["noiseless", "white", "noisy"])
+    def test_stepped_flop_mean_matches_expected_excitation(self, noise, t_points):
+        rabi, t_max, _ = README_FLOP
         params = IonProbeParams(rabi, t_max, RESONANT_GRID)
         stepped = _flop_mean(params, noise, t_max, t_points)
         exact = expected_excitation(params, noise, flop_times(t_max, t_points))
@@ -542,6 +555,16 @@ class TestFitDampedSine:
         t = np.linspace(0.0, 1e-4, 50)
         y = damped_sine_model(t, 10e3, 1.0, 1.0, 0.0, 0.5)  # one period
         with pytest.raises(InsufficientDataError):
+            fit_damped_sine(ExcitationCurve(t, y, 1))
+
+    def test_uneven_times_refused(self):
+        # The FFT start value assumes even spacing: with one gap stretched
+        # from 1 to 2.5 units it starts the fit off the true frequency, and
+        # the fit settles on zero contrast without an error.
+        t = np.arange(1.0, 11.0)
+        t[5:] += 1.5
+        y = damped_sine_model(t, 0.4, 100.0, 1.0, 0.0, 0.5)
+        with pytest.raises(InvalidParameterError, match="uniformly spaced"):
             fit_damped_sine(ExcitationCurve(t, y, 1))
 
 
