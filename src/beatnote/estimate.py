@@ -146,13 +146,17 @@ def fit_least_squares(
     ydata: Sequence[float],
     init: Sequence[float],
     bounds: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
+    jacobian: Optional[Callable[..., np.ndarray]] = None,
 ) -> FitResult:
     """Levenberg-Marquardt minimization of sum((y - model(x, *p))^2).
 
     xdata and ydata are 1-D arrays of one length, init is 1-D, each bound
     has init's length, and model(xdata, *p) returns an array of ydata's
-    shape; anything else raises InvalidParameterError.  The Jacobian comes
-    from forward differences with step max(1e-6*|p|, 1e-12).  Convergence:
+    shape; anything else raises InvalidParameterError.  jacobian(xdata, *p),
+    if given, returns d model / d p as an (m, n) array, m points by n
+    parameters; any other shape raises InvalidParameterError.  Without it
+    the Jacobian comes from forward differences with step
+    max(1e-6*|p|, 1e-12), which cost n model calls.  Convergence:
     relative cost decrease below 1e-10, gradient infinity-norm below 1e-12,
     or the cap of 200 iterations (which leaves converged=False).  `bounds`
     is an optional (lower, upper) box; trial steps are clipped into it.
@@ -185,17 +189,19 @@ def fit_least_squares(
         if not np.all((lo <= p) & (p <= hi)):  # false for a NaN bound
             raise InvalidParameterError("initial values lie outside the bounds")
 
-    def jac(params, f_now):
-        # (m, n) in C order: the layout sets the summation order of J.T @ J,
-        # and so the last bits of every fit.
-        out = np.empty((y.size, n))
-        values = params.tolist()
-        for j, value in enumerate(values):
-            h = max(1e-6 * abs(value), 1e-12)
-            shifted = values.copy()
-            shifted[j] = value + h
-            out[:, j] = (model(x, *shifted) - f_now) / h
-        return out
+    if jacobian is None:
+        def jacobian(x, *values):
+            # Called only at the current p, so y - r is the model there.
+            # (m, n) in C order: the layout sets the summation order of
+            # J.T @ J, and so the last bits of every fit.
+            f_now = y - r
+            out = np.empty((y.size, n))
+            for j, value in enumerate(values):
+                h = max(1e-6 * abs(value), 1e-12)
+                shifted = list(values)
+                shifted[j] = value + h
+                out[:, j] = (model(x, *shifted) - f_now) / h
+            return out
 
     f_now = model(x, *p.tolist())
     if np.shape(f_now) != y.shape:
@@ -206,7 +212,10 @@ def fit_least_squares(
     lam = 1e-3
     converged = False
     iterations = 0
-    J = jac(p, y - r)
+    J = jacobian(x, *p.tolist())
+    if np.shape(J) != (y.size, n):
+        raise InvalidParameterError(
+            f"jacobian returned shape {np.shape(J)}, expected {(y.size, n)}")
 
     for it in range(_LM_MAX_ITER):
         iterations = it + 1
@@ -244,7 +253,7 @@ def fit_least_squares(
         if not accepted:
             converged = True  # no descent direction left: stationary point
             break
-        J = jac(p, y - r)
+        J = jacobian(x, *p.tolist())
         if converged:
             break
 
@@ -266,6 +275,20 @@ def lorentzian_peak_model(x, center, fwhm, amplitude, offset):
     """amplitude * (fwhm/2)^2 / ((x-center)^2 + (fwhm/2)^2) + offset."""
     half = fwhm / 2.0
     return amplitude * half * half / ((x - center) ** 2 + half * half) + offset
+
+
+def _lorentzian_peak_jacobian(x, center, fwhm, amplitude, offset):
+    """d lorentzian_peak_model / d (center, fwhm, amplitude, offset), (m, 4)."""
+    half = fwhm / 2.0
+    d = x - center
+    inv = 1.0 / (d * d + half * half)
+    profile = half * half * inv
+    out = np.empty((x.size, 4))
+    out[:, 0] = 2.0 * amplitude * profile * d * inv
+    out[:, 1] = amplitude * half * d * d * inv * inv
+    out[:, 2] = profile
+    out[:, 3] = 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------

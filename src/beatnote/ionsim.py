@@ -28,7 +28,12 @@ from .errors import (
     InvalidParameterError,
     ResolutionError,
 )
-from .estimate import FitResult, fit_least_squares, lorentzian_peak_model
+from .estimate import (
+    FitResult,
+    _lorentzian_peak_jacobian,
+    fit_least_squares,
+    lorentzian_peak_model,
+)
 from .lineshape import FrequencyGrid, _whole_number
 
 __all__ = [
@@ -293,13 +298,14 @@ def fit_lorentzian_peak(curve: ExcitationCurve) -> FitResult:
     spread = float(np.max(y) - np.min(y))
     if spread <= 0 or amp0 <= 0.05 * max(spread, 1e-12) or amp0 <= 1e-9:
         raise InitializationError("no resolvable peak to fit")
-    step = x[1] - x[0]
+    step = float(np.median(np.diff(x)))  # one wide gap must not set the scale
     above = np.count_nonzero(y > offset0 + 0.5 * amp0)
     fwhm0 = max(above, 2) * step
     span = x[-1] - x[0]
     bounds = ([x[0], step / 10.0, 0.0, -1.0], [x[-1], 10.0 * span, 2.0, 1.0])
     return fit_least_squares(lorentzian_peak_model, x, y,
-                             [x[i_pk], fwhm0, amp0, offset0], bounds)
+                             [x[i_pk], fwhm0, amp0, offset0], bounds,
+                             jacobian=_lorentzian_peak_jacobian)
 
 
 def damped_sine_model(t, omega, tau, contrast, phase, offset):
@@ -307,6 +313,21 @@ def damped_sine_model(t, omega, tau, contrast, phase, offset):
     return offset - 0.5 * contrast * np.exp(-t / tau) * np.cos(
         2.0 * math.pi * omega * t + phase
     )
+
+
+def _damped_sine_jacobian(t, omega, tau, contrast, phase, offset):
+    """d damped_sine_model / d (omega, tau, contrast, phase, offset), (m, 5)."""
+    decay = np.exp(-t / tau)
+    angle = 2.0 * math.pi * omega * t + phase
+    in_phase = decay * np.cos(angle)
+    quadrature = 0.5 * contrast * decay * np.sin(angle)
+    out = np.empty((t.size, 5))
+    out[:, 0] = 2.0 * math.pi * t * quadrature
+    out[:, 1] = -0.5 * contrast / (tau * tau) * t * in_phase
+    out[:, 2] = -0.5 * in_phase
+    out[:, 3] = quadrature
+    out[:, 4] = 1.0
+    return out
 
 
 def fit_damped_sine(curve: ExcitationCurve) -> FitResult:
@@ -338,7 +359,8 @@ def fit_damped_sine(curve: ExcitationCurve) -> FitResult:
             0.0, float(np.mean(y))]
     bounds = ([freqs[1] / 2.0, span / 100.0, 0.0, -math.pi, -1.0],
               [float(freqs[-1]), 100.0 * span, 2.0, math.pi, 2.0])
-    return fit_least_squares(damped_sine_model, t, y, init, bounds)
+    return fit_least_squares(damped_sine_model, t, y, init, bounds,
+                             jacobian=_damped_sine_jacobian)
 
 
 def fit_inverse_power(points: Sequence[Sequence[float]],

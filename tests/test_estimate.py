@@ -126,23 +126,26 @@ class TestFitLeastSquares:
                               bounds=([0.0], [1.0]))
 
     @pytest.mark.parametrize("case", ["xdata_length", "bounds_length", "init_2d",
-                                      "model_shape"])
+                                      "model_shape", "jacobian_shape"])
     def test_mismatched_shapes_refused(self, case):
         x = np.linspace(-300.0, 300.0, 21)
         y = lorentzian_peak_model(x, 0.0, 100.0, 1.0, 0.0)
         init = [5.0, 120.0, 0.9, 0.01]
-        model, bounds = lorentzian_peak_model, None
+        model, bounds, jacobian = lorentzian_peak_model, None, None
         if case == "xdata_length":
             x = x[:20]
         elif case == "bounds_length":
             bounds = ([-300.0, 1.0], [300.0, 600.0])
         elif case == "init_2d":
             init = [init[:2], init[2:]]
-        else:
+        elif case == "model_shape":
             def model(x, *p):  # 3 values for 21 points
                 return lorentzian_peak_model(x[:3], *p)
+        else:
+            def jacobian(x, *p):  # (n, m), not (m, n)
+                return np.ones((len(p), x.size))
         with pytest.raises(InvalidParameterError):
-            fit_least_squares(model, x, y, init, bounds)
+            fit_least_squares(model, x, y, init, bounds, jacobian=jacobian)
 
 
 class TestEstimateVoigt:

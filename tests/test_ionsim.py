@@ -1,5 +1,6 @@
 """Two-level spectroscopy simulator and its reductions."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,7 +26,9 @@ from beatnote.errors import (
     InvalidParameterError,
     ResolutionError,
 )
-from beatnote.ionsim import _flop_mean, damped_sine_model
+from beatnote import ionsim
+from beatnote.estimate import _lorentzian_peak_jacobian, lorentzian_peak_model
+from beatnote.ionsim import _damped_sine_jacobian, _flop_mean, damped_sine_model
 from oracles import evolve, rabi_probability, step_plan
 
 RESONANT_GRID = FrequencyGrid(-1.0, 1.0, 3)
@@ -490,7 +493,6 @@ class TestSpectrumTrends:
 
 class TestFitLorentzianPeak:
     def test_noiseless_recovery(self):
-        from beatnote.estimate import lorentzian_peak_model
         x = np.linspace(-20e3, 20e3, 161)
         y = lorentzian_peak_model(x, 0.0, 5400.0, 0.8, 0.02)
         fit = fit_lorentzian_peak(ExcitationCurve(x, y, 1))
@@ -500,6 +502,15 @@ class TestFitLorentzianPeak:
         x = np.linspace(-1e3, 1e3, 51)
         with pytest.raises(InitializationError):
             fit_lorentzian_peak(ExcitationCurve(x, np.full(51, 0.3), 1))
+
+    def test_one_wide_first_gap_fits(self):
+        # The width's start value and lower bound came from the first gap
+        # alone, so this scan was refused: "initial values lie outside the
+        # bounds", of an init the caller never gave.
+        x = np.concatenate(([-5000.0], np.arange(-300.0, 301.0, 10.0)))
+        y = lorentzian_peak_model(x, 0.0, 150.0, 0.8, 0.02)
+        fit = fit_lorentzian_peak(ExcitationCurve(x, y, 1))
+        assert fit.parameters[1] == pytest.approx(150.0, rel=1e-4)
 
     @pytest.mark.parametrize("points", [0, 1, 4])
     def test_fewer_than_five_points_refused(self, points):
@@ -566,6 +577,75 @@ class TestFitDampedSine:
         y = damped_sine_model(t, 0.4, 100.0, 1.0, 0.0, 0.5)
         with pytest.raises(InvalidParameterError, match="uniformly spaced"):
             fit_damped_sine(ExcitationCurve(t, y, 1))
+
+
+# The perfbench ion-scan op: its carrier scan and its Rabi flop.
+BENCH_SCAN = (IonProbeParams(125.0, 4e-3, FrequencyGrid(-1200.0, 30.0, 81), 200),
+              LaserNoise(fwhm=156.0))
+BENCH_FLOP = (IonProbeParams(40e3, 0.5e-3, RESONANT_GRID, 200),
+              LaserNoise(fwhm=156.0, rin_sigma=0.01))
+
+
+class TestExactJacobians:
+    """The ion fits pass fit_least_squares an exact Jacobian."""
+
+    # model, Jacobian, abscissa with x = center or t = 0 added, bounds
+    # (those the fits set on the benchmark scan and flop)
+    CASES = {
+        "lorentzian": (lorentzian_peak_model, _lorentzian_peak_jacobian,
+                       lambda p: np.sort(np.append(BENCH_SCAN[0].detuning_grid.points(),
+                                                   p[0])),
+                       ([-1200.0, 3.0, 0.0, -1.0], [1200.0, 24e3, 2.0, 1.0])),
+        "damped_sine": (damped_sine_model, _damped_sine_jacobian,
+                        lambda p: np.linspace(0.0, 0.5e-3, 401),
+                        ([1e3, 5e-6, 0.0, -math.pi, -1.0],
+                         [400e3, 5e-2, 2.0, math.pi, 2.0])),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_central_differences(self, name):
+        model, jacobian, abscissa, (lo, hi) = self.CASES[name]
+        lo, hi = np.array(lo), np.array(hi)
+        for seed in range(20):
+            p = np.random.default_rng(seed).uniform(lo, hi)
+            x = abscissa(p)
+            exact = jacobian(x, *p)
+            assert exact.shape == (x.size, p.size)
+            for j in range(p.size):
+                h = 1e-6 * max(abs(p[j]), 1e-3 * (hi[j] - lo[j]))
+                up, down = p.copy(), p.copy()
+                up[j] += h
+                down[j] -= h
+                central = (model(x, *up) - model(x, *down)) / (2.0 * h)
+                scale = np.abs(central).max()
+                assert np.abs(exact[:, j] - central).max() <= 1e-6 * scale, (seed, j)
+
+    def test_fits_agree_with_forward_difference_fits(self, monkeypatch):
+        # Same init and bounds, with and without the exact Jacobian: the LM
+        # stop at a 1e-10 relative cost drop leaves a little slack, far below
+        # each parameter's sigma.
+        real = ionsim.fit_least_squares
+        pairs = []
+
+        def both(model, x, y, init, bounds, jacobian):
+            pairs.append((real(model, x, y, init, bounds, jacobian=jacobian),
+                          real(model, x, y, init, bounds)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(ionsim, "fit_least_squares", both)
+        for seed in range(20):
+            scan, noise = BENCH_SCAN
+            fit_lorentzian_peak(simulate_carrier_spectrum(
+                dataclasses.replace(scan, rng_seed=seed), noise))
+            flop, noise = BENCH_FLOP
+            fit_damped_sine(simulate_rabi(
+                dataclasses.replace(flop, rng_seed=seed), noise, 0.5e-3, 400))
+        assert len(pairs) == 40
+        for exact, plain in pairs:
+            assert exact.converged and plain.converged
+            sigma = np.sqrt(np.minimum(np.diag(exact.covariance),
+                                       np.diag(plain.covariance)))
+            assert np.all(np.abs(exact.parameters - plain.parameters) <= 0.01 * sigma)
 
 
 class TestFitInversePower:
