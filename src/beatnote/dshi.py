@@ -526,7 +526,10 @@ def _bump_multiplier(bumps: ServoBumpModel, carrier: float,
 
 def _carrier_or_peak(trace: SpectrumTrace, carrier_hz) -> float:
     if carrier_hz is not None:
-        return float(carrier_hz)
+        carrier = float(carrier_hz)
+        if not math.isfinite(carrier):
+            raise InvalidParameterError(f"carrier must be finite, got {carrier_hz}")
+        return carrier
     i = int(np.argmax(trace.values))
     return trace.grid.start + i * trace.grid.step
 

@@ -37,11 +37,12 @@ from .lineshape import (
     LORENTZIAN_20DB_FACTOR,
     SpectrumTrace,
     _gaussian_from_measured_fwhm,
+    _peak_index,
     _voigt_width_side,
     _whole_number,
+    _width_about,
     voigt_fwhm_approx,
     voigt_width_numeric,
-    width_at_level,
 )
 
 if TYPE_CHECKING:  # at run time, dshi is imported by the envelope estimator
@@ -313,29 +314,46 @@ class VoigtOptions:
             raise InvalidParameterError("invalid Voigt estimator options")
 
 
+def _masked_values(values: np.ndarray, count) -> np.ndarray:
+    """A copy of `values` with the `count` bins nearest their maximum
+    replaced by linear interpolation; `values` itself when count is 0.  A
+    count that is negative, or would leave no interior bin unmasked (at
+    least len(values) - 2), raises InvalidParameterError."""
+    count = _whole_number(count, "masked bin count")
+    if count < 0:
+        raise InvalidParameterError(f"masked bin count must be >= 0, got {count}")
+    if count == 0:
+        return values
+    n = len(values)
+    if count >= n - 2:
+        raise InvalidParameterError(
+            f"masked bin count {count} must be below {n - 2} on a {n}-bin "
+            f"trace: it would mask every interior bin")
+    values = values.copy()
+    center = int(np.argmax(values))
+    lo = max(center - count // 2, 1)
+    hi = min(lo + count - 1, n - 2)
+    lo = max(min(lo, hi), 1)
+    span = hi - lo + 2
+    values[lo:hi + 1] = values[lo - 1] + (values[hi + 1] - values[lo - 1]) * (
+        np.arange(1, hi - lo + 2) / span
+    )
+    return values
+
+
 def mask_central_bins(trace: SpectrumTrace, count: int) -> SpectrumTrace:
     """Replace the `count` bins nearest the trace maximum by linear
     interpolation.
 
     Removes the coherent-residue spike before width measurements; on a
     smooth peak the interpolation is a no-op to within the local curvature.
+    A count of at least grid.count - 2, which would mask every interior
+    bin, raises InvalidParameterError.
     """
-    grid = trace.grid
-    count = _whole_number(count, "masked bin count")
-    if count < 0:
-        raise InvalidParameterError(f"masked bin count must be >= 0, got {count}")
-    if count == 0:
+    values = _masked_values(trace.values, count)
+    if values is trace.values:  # nothing masked
         return trace
-    values = trace.values.copy()
-    center = int(np.argmax(values))
-    lo = max(center - count // 2, 1)
-    hi = min(lo + count - 1, grid.count - 2)
-    lo = max(min(lo, hi), 1)
-    span = hi - lo + 2
-    values[lo:hi + 1] = values[lo - 1] + (values[hi + 1] - values[lo - 1]) * (
-        np.arange(1, hi - lo + 2) / span
-    )
-    return SpectrumTrace(grid, values, trace.rbw)
+    return SpectrumTrace(trace.grid, values, trace.rbw)
 
 
 # A density comparison decides a step only when the model width lies beyond
@@ -357,23 +375,24 @@ def estimate_voigt(trace: SpectrumTrace,
     Lorentzian.  A bisection pinned at the lower bracket returns a zero
     Lorentzian width with the grid-limited flag.
 
-    Each step, and the grid-limited check at W20/20, is decided by one
-    density comparison per edge of the band W20 * (1 +- tol); the 20 dB
-    width is solved for only when it may lie inside the band or next to an
-    edge, and once at the final step for the residual.
+    Both widths are width_at_level's, read about one peak search of the
+    masked values.  Each step, and the grid-limited check at W20/20, is
+    decided by one density comparison per edge of the band W20 * (1 +- tol);
+    the 20 dB width is solved for only when it may lie inside the band or
+    next to an edge, and once at the final step for the residual.
     """
     if opts is None:
         opts = VoigtOptions()
-    work = mask_central_bins(trace, opts.exclude_central_bins)
+    values = _masked_values(trace.values, opts.exclude_central_bins)
     tied = False
     try:
-        w20 = width_at_level(work, 20.0)
-        w3 = width_at_level(work, HALF_POWER_DB)
+        ipk = _peak_index(values, allow_ties=False)
     except AmbiguousPeakError:
         # Equal-height peaks: the lowest-frequency one wins, flagged.
         tied = True
-        w20 = width_at_level(work, 20.0, allow_ties=True)
-        w3 = width_at_level(work, HALF_POWER_DB, allow_ties=True)
+        ipk = _peak_index(values, allow_ties=True)
+    w20 = _width_about(values, trace.grid, ipk, 20.0)
+    w3 = _width_about(values, trace.grid, ipk, HALF_POWER_DB)
 
     def model_w20(lorentzian: float) -> float:
         gaussian, _ = _gaussian_from_measured_fwhm(w3, lorentzian)
@@ -533,17 +552,20 @@ def _predicted_extrema(grid, params, peak_order, trough_order):
     return orders, spacing, positions
 
 
-def _quadratic_value_at(freqs, values, position):
-    """Value at `position` from the parabola through the three nearest samples."""
-    step = freqs[1] - freqs[0]
-    idx = int(np.clip(round((position - freqs[0]) / step), 1, len(freqs) - 2))
-    delta = (position - freqs[idx]) / step
+def _quadratic_value_at(grid, values, position):
+    """Value at `position` from the parabola through the three nearest
+    samples.  Grid points are start + step * i, as grid.points() rounds
+    them, and the spacing is the difference of the first two."""
+    start = grid.start
+    step = (start + grid.step) - start
+    idx = min(max(round((position - start) / step), 1), grid.count - 2)
+    delta = (position - (start + grid.step * idx)) / step
     vs = values[idx - 1:idx + 2]
     return float(vs[1] + 0.5 * (vs[2] - vs[0]) * delta
                  + 0.5 * (vs[2] - 2.0 * vs[1] + vs[0]) * delta * delta)
 
 
-def _locate_extremum(freqs, values, step, carrier, position, window, kind,
+def _locate_extremum(grid, values, carrier, position, window, kind,
                      gamma) -> float:
     """Validated position of one envelope extremum near its prediction.
 
@@ -551,15 +573,23 @@ def _locate_extremum(freqs, values, step, carrier, position, window, kind,
     v*((f-carrier)^2 + gamma^2), whose extrema track the envelope's: on the
     raw trace the 1/x^2 wing falloff swallows low-order peaks outright.  The
     position is the parabolic vertex of the detrended samples.
+
+    Only the bins whose index lies within window / step of the prediction,
+    plus one on each side for rounding, are formed as start + step * i and
+    tested; the test picks the bins a full frequency array would.
     """
-    mask = np.abs(freqs - position) <= window
+    start, step = grid.start, grid.step
+    i0 = max(math.ceil((position - window - start) / step) - 1, 0)
+    i1 = min(math.floor((position + window - start) / step) + 2, grid.count)
+    near_f = start + step * np.arange(i0, i1)
+    mask = np.abs(near_f - position) <= window
     if np.count_nonzero(mask) < 5:
         raise ExtremumNotFoundError(
             f"grid too coarse: fewer than 5 samples within {window:.0f} Hz of "
             f"the predicted extremum at {position:.0f} Hz"
         )
-    sub_f = freqs[mask]
-    detrended = values[mask] * ((sub_f - carrier) ** 2 + gamma * gamma)
+    sub_f = near_f[mask]
+    detrended = values[i0:i1][mask] * ((sub_f - carrier) ** 2 + gamma * gamma)
     idx = int(np.argmax(detrended) if kind == "peak" else np.argmin(detrended))
     if idx == 0 or idx == len(detrended) - 1:
         raise ExtremumNotFoundError(
@@ -572,21 +602,21 @@ def _locate_extremum(freqs, values, step, carrier, position, window, kind,
     return float(sub_f[idx] + delta * step)
 
 
-def _locate_extrema(freqs, values, step, params, spacing, positions,
+def _locate_extrema(grid, values, params, spacing, positions,
                     gamma) -> Tuple[float, float]:
     """Peak then trough position, each searched within a quarter spacing of
     its predicted position."""
     return tuple(
-        _locate_extremum(freqs, values, step, params.eom_frequency,
+        _locate_extremum(grid, values, params.eom_frequency,
                          position, spacing / 4.0, kind, gamma)
         for position, kind in zip(positions, ("peak", "trough")))
 
 
-def _predicted_contrast(freqs, values, positions) -> float:
+def _predicted_contrast(grid, values, positions) -> float:
     """Contrast (dB) of the trace quadratically interpolated at the
     *predicted* extremum positions, the convention of the contrast model
     (which evaluates the spectrum exactly at multiples of the spacing)."""
-    s_p, s_t = (_quadratic_value_at(freqs, values, x) for x in positions)
+    s_p, s_t = (_quadratic_value_at(grid, values, x) for x in positions)
     if s_p <= 0 or s_t <= 0:
         raise ExtremumNotFoundError("non-positive PSD at a predicted extremum")
     return 10.0 * math.log10(s_p / s_t)
@@ -601,11 +631,9 @@ def measure_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     """
     _, spacing, positions = _predicted_extrema(trace.grid, params,
                                                peak_order, trough_order)
-    values = trace.values
-    freqs = trace.grid.points()
-    x_p, x_t = _locate_extrema(freqs, values, trace.grid.step, params,
-                               spacing, positions, 0.0)
-    return _predicted_contrast(freqs, values, positions), x_p, x_t
+    grid, values = trace.grid, trace.values
+    x_p, x_t = _locate_extrema(grid, values, params, spacing, positions, 0.0)
+    return _predicted_contrast(grid, values, positions), x_p, x_t
 
 
 def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
@@ -621,19 +649,18 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
             f"servo band must be finite and >= 0, got {servo_band_hz}")
     (peak_order, trough_order), spacing, positions = _predicted_extrema(
         trace.grid, params, peak_order, trough_order)
-    values = trace.values
-    freqs = trace.grid.points()
+    grid, values = trace.grid, trace.values
     # One reading at the predicted positions gives both the linewidth and the
     # locator's wing-detrend hint.  An unsolvable contrast waits until both
     # extrema are validated, so a missing extremum is reported first.
-    ds = _predicted_contrast(freqs, values, positions)
+    ds = _predicted_contrast(grid, values, positions)
     unsolved = None
     try:
         fwhm, iterations = solve_contrast(params, peak_order, trough_order, ds)
     except NoSolutionError as exc:
         unsolved, fwhm = exc, 0.0
-    x_p, x_t = _locate_extrema(freqs, values, trace.grid.step, params,
-                               spacing, positions, fwhm / 2.0)
+    x_p, x_t = _locate_extrema(grid, values, params, spacing, positions,
+                               fwhm / 2.0)
     if unsolved is not None:
         raise unsolved
 

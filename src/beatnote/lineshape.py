@@ -88,7 +88,10 @@ class FrequencyGrid:
         return self.start + self.step * np.arange(self.count)
 
     def index_of(self, frequency: float) -> int:
-        """Index of the grid point nearest to `frequency`."""
+        """Index of the grid point nearest to `frequency`, which must be
+        finite."""
+        if not math.isfinite(frequency):
+            raise InvalidParameterError(f"frequency must be finite, got {frequency}")
         return int(round((frequency - self.start) / self.step))
 
     def covers(self, frequency: float) -> bool:
@@ -386,6 +389,79 @@ def _interpolated_peak(values: np.ndarray, i: int) -> float:
     return float(b)
 
 
+# Bins searched next to the peak for a level crossing; each further block
+# searched outward is twice as long, so a crossing k bins out costs O(k).
+_FIRST_BLOCK = 64
+
+
+def _peak_index(values: np.ndarray, allow_ties: bool) -> int:
+    """Index of the interior maximum that widths are measured about.
+
+    Raises AmbiguousPeakError when several separated samples tie for the
+    maximum (with allow_ties the lowest-index one wins) and
+    WidthUndefinedError when the maximum sits on a grid edge.
+    """
+    peaks = np.flatnonzero(values == values.max())
+    # The tied indices are ascending, so they are adjacent exactly when they
+    # span as many bins as there are ties.
+    if peaks[-1] - peaks[0] >= len(peaks) and not allow_ties:
+        raise AmbiguousPeakError(
+            f"{len(peaks)} samples tie for the maximum; peak is ambiguous"
+        )
+    ipk = int(peaks[0])
+    if ipk == 0 or ipk == len(values) - 1:
+        raise WidthUndefinedError("global maximum sits on a grid edge")
+    return ipk
+
+
+def _nearest_below(values: np.ndarray, ipk: int, threshold: float,
+                   outward: int):
+    """Index of the sample nearest `ipk` on the side `outward` (-1 below it,
+    1 above it) whose value is below `threshold`, or None."""
+    size = _FIRST_BLOCK
+    if outward < 0:
+        near = ipk
+        while near > 0:
+            far = max(near - size, 0)
+            below = np.flatnonzero(values[far:near] < threshold)
+            if len(below):
+                return far + int(below[-1])
+            near, size = far, 2 * size
+    else:
+        near = ipk + 1
+        while near < len(values):
+            far = min(near + size, len(values))
+            below = np.flatnonzero(values[near:far] < threshold)
+            if len(below):
+                return near + int(below[0])
+            near, size = far, 2 * size
+    return None
+
+
+def _width_about(values: np.ndarray, grid: FrequencyGrid, ipk: int,
+                 level_db: float) -> float:
+    """Full width at `level_db` below the interior maximum at `ipk`, between
+    the two crossings nearest it, each interpolated linearly."""
+    threshold = _interpolated_peak(values, ipk) * 10.0 ** (-level_db / 10.0)
+    i = _nearest_below(values, ipk, threshold, -1)
+    if i is None:
+        raise WidthUndefinedError(
+            f"{level_db:g} dB level not crossed on the low-frequency side"
+        )
+    f_left = grid.start + grid.step * (
+        i + (threshold - values[i]) / (values[i + 1] - values[i])
+    )
+    j = _nearest_below(values, ipk, threshold, 1)
+    if j is None:
+        raise WidthUndefinedError(
+            f"{level_db:g} dB level not crossed on the high-frequency side"
+        )
+    f_right = grid.start + grid.step * (
+        j - (threshold - values[j]) / (values[j - 1] - values[j])
+    )
+    return float(f_right - f_left)
+
+
 def width_at_level(trace: SpectrumTrace, level_db: float,
                    allow_ties: bool = False) -> float:
     """Full width of the trace's peak at `level_db` (power dB) below the peak.
@@ -395,40 +471,12 @@ def width_at_level(trace: SpectrumTrace, level_db: float,
     not crossed inside the grid (or the peak sits on a grid edge) and
     AmbiguousPeakError when several separated samples tie for the maximum
     (with allow_ties the lowest-frequency one wins).
+
+    Finding the peak reads every bin; each crossing is then searched outward
+    from the peak in blocks of 64, 128, 256, ... bins, so it costs the
+    distance to the crossing, not the trace length.
     """
     if not 0 < level_db < math.inf:
         raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
-    values = trace.values
-    grid = trace.grid
-    vmax = values.max()
-    peaks = np.flatnonzero(values == vmax)
-    if len(peaks) > 1 and np.any(np.diff(peaks) > 1) and not allow_ties:
-        raise AmbiguousPeakError(
-            f"{len(peaks)} samples tie for the maximum; peak is ambiguous"
-        )
-    ipk = int(peaks[0])
-    if ipk == 0 or ipk == grid.count - 1:
-        raise WidthUndefinedError("global maximum sits on a grid edge")
-
-    threshold = _interpolated_peak(values, ipk) * 10.0 ** (-level_db / 10.0)
-
-    below_left = np.flatnonzero(values[:ipk] < threshold)
-    if len(below_left) == 0:
-        raise WidthUndefinedError(
-            f"{level_db:g} dB level not crossed on the low-frequency side"
-        )
-    i = int(below_left[-1])
-    f_left = grid.start + grid.step * (
-        i + (threshold - values[i]) / (values[i + 1] - values[i])
-    )
-
-    below_right = np.flatnonzero(values[ipk + 1:] < threshold)
-    if len(below_right) == 0:
-        raise WidthUndefinedError(
-            f"{level_db:g} dB level not crossed on the high-frequency side"
-        )
-    j = ipk + 1 + int(below_right[0])
-    f_right = grid.start + grid.step * (
-        j - (threshold - values[j]) / (values[j - 1] - values[j])
-    )
-    return float(f_right - f_left)
+    ipk = _peak_index(trace.values, allow_ties)
+    return _width_about(trace.values, trace.grid, ipk, level_db)

@@ -152,6 +152,17 @@ class TestFit:
                        "--servo-band-hz", "nan",
                        "--out", str(tmp_path / "r.json")) == 2
 
+    @pytest.mark.parametrize("count", ["9999", "20000"])
+    def test_oversized_central_mask_is_usage_error(self, tmp_path, capsys, count):
+        # 9 999 of 10 001 bins would mask every interior bin; the estimator
+        # used to read that as a peak on the grid edge (exit 3).
+        trace = self.synth(tmp_path, **{"--points": "10001"})
+        assert run_cli("fit", "--input", str(trace), "--method", "voigt",
+                       "--exclude-central-bins", count,
+                       "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert f"masked bin count {count}" in err and "10001-bin" in err
+
     def test_infinite_tol_is_usage_error(self, tmp_path):
         # Unchecked, tol=inf stops the bisection at its first probe.
         trace = self.synth(tmp_path)

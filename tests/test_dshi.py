@@ -643,6 +643,13 @@ class TestServoBumps:
                 self.clean, ServoBumpModel(offset=200e3, width=1e3, height_db=3.0),
                 carrier_hz=7e6)
 
+    @pytest.mark.parametrize("carrier", [math.nan, math.inf, -math.inf])
+    def test_non_finite_carrier_rejected(self, carrier):
+        # Not a bump off the grid: the carrier itself is no frequency.
+        with pytest.raises(InvalidParameterError,
+                           match=f"carrier must be finite, got {carrier}"):
+            inject_servo_bumps(self.clean, self.bump, carrier_hz=carrier)
+
 
 class TestVoigtBeatNote:
     def test_zero_broadening_falls_back_to_analytic(self):

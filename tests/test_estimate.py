@@ -49,6 +49,7 @@ from beatnote.estimate import (
     VoigtOptions,
     _check_orders,
     _contrast_model,
+    _locate_extremum,
     _make_estimate,
     _quadratic_value_at,
     lorentzian_peak_model,
@@ -59,6 +60,7 @@ from beatnote.lineshape import (
     HALF_POWER_DB,
     LORENTZIAN_20DB_FACTOR,
     _gaussian_from_measured_fwhm,
+    _interpolated_peak,
     voigt_width_numeric,
     width_at_level,
 )
@@ -442,6 +444,96 @@ class TestPlainFloats:
         self.assert_plain(estimate_envelope_contrast(trace, params, 1, 2))
 
 
+# The full-pass readers that the estimators replaced, verbatim but for their
+# names: every bin of the trace is read, and the frequencies come from
+# grid.points().
+def reference_width_at_level(trace: SpectrumTrace, level_db: float,
+                             allow_ties: bool = False) -> float:
+    """Full width of the trace's peak at `level_db` (power dB) below the peak.
+
+    The two crossings nearest the peak are located by linear interpolation
+    between adjacent samples.  Raises WidthUndefinedError when the level is
+    not crossed inside the grid (or the peak sits on a grid edge) and
+    AmbiguousPeakError when several separated samples tie for the maximum
+    (with allow_ties the lowest-frequency one wins).
+    """
+    if not 0 < level_db < math.inf:
+        raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
+    values = trace.values
+    grid = trace.grid
+    vmax = values.max()
+    peaks = np.flatnonzero(values == vmax)
+    if len(peaks) > 1 and np.any(np.diff(peaks) > 1) and not allow_ties:
+        raise AmbiguousPeakError(
+            f"{len(peaks)} samples tie for the maximum; peak is ambiguous"
+        )
+    ipk = int(peaks[0])
+    if ipk == 0 or ipk == grid.count - 1:
+        raise WidthUndefinedError("global maximum sits on a grid edge")
+
+    threshold = _interpolated_peak(values, ipk) * 10.0 ** (-level_db / 10.0)
+
+    below_left = np.flatnonzero(values[:ipk] < threshold)
+    if len(below_left) == 0:
+        raise WidthUndefinedError(
+            f"{level_db:g} dB level not crossed on the low-frequency side"
+        )
+    i = int(below_left[-1])
+    f_left = grid.start + grid.step * (
+        i + (threshold - values[i]) / (values[i + 1] - values[i])
+    )
+
+    below_right = np.flatnonzero(values[ipk + 1:] < threshold)
+    if len(below_right) == 0:
+        raise WidthUndefinedError(
+            f"{level_db:g} dB level not crossed on the high-frequency side"
+        )
+    j = ipk + 1 + int(below_right[0])
+    f_right = grid.start + grid.step * (
+        j - (threshold - values[j]) / (values[j - 1] - values[j])
+    )
+    return float(f_right - f_left)
+
+
+def reference_quadratic_value_at(freqs, values, position):
+    """Value at `position` from the parabola through the three nearest samples."""
+    step = freqs[1] - freqs[0]
+    idx = int(np.clip(round((position - freqs[0]) / step), 1, len(freqs) - 2))
+    delta = (position - freqs[idx]) / step
+    vs = values[idx - 1:idx + 2]
+    return float(vs[1] + 0.5 * (vs[2] - vs[0]) * delta
+                 + 0.5 * (vs[2] - 2.0 * vs[1] + vs[0]) * delta * delta)
+
+
+def reference_locate_extremum(freqs, values, step, carrier, position, window,
+                              kind, gamma) -> float:
+    """Validated position of one envelope extremum near its prediction.
+
+    The existence search runs on the wing-detrended series
+    v*((f-carrier)^2 + gamma^2), whose extrema track the envelope's: on the
+    raw trace the 1/x^2 wing falloff swallows low-order peaks outright.  The
+    position is the parabolic vertex of the detrended samples.
+    """
+    mask = np.abs(freqs - position) <= window
+    if np.count_nonzero(mask) < 5:
+        raise ExtremumNotFoundError(
+            f"grid too coarse: fewer than 5 samples within {window:.0f} Hz of "
+            f"the predicted extremum at {position:.0f} Hz"
+        )
+    sub_f = freqs[mask]
+    detrended = values[mask] * ((sub_f - carrier) ** 2 + gamma * gamma)
+    idx = int(np.argmax(detrended) if kind == "peak" else np.argmin(detrended))
+    if idx == 0 or idx == len(detrended) - 1:
+        raise ExtremumNotFoundError(
+            f"no {kind} inside the search window around {position:.0f} Hz"
+        )
+    qs = detrended[idx - 1:idx + 2]
+    denom = qs[0] - 2.0 * qs[1] + qs[2]
+    # |delta| <= 1/2: qs[1] is the extreme of the three.
+    delta = 0.5 * (qs[0] - qs[2]) / denom if denom != 0 else 0.0
+    return float(sub_f[idx] + delta * step)
+
+
 def _reference_locate_extremum(values, grid, carrier, position, window, kind,
                                gamma):
     freqs = grid.points()
@@ -457,7 +549,7 @@ def _reference_locate_extremum(values, grid, carrier, position, window, kind,
     denom = qs[0] - 2.0 * qs[1] + qs[2]
     delta = 0.5 * (qs[0] - qs[2]) / denom if denom != 0 else 0.0
     refined = float(sub_f[idx] + np.clip(delta, -1.0, 1.0) * grid.step)
-    return refined, _quadratic_value_at(freqs, values, position)
+    return refined, reference_quadratic_value_at(freqs, values, position)
 
 
 def reference_estimate_envelope_contrast(trace, params, peak_order=1,
@@ -470,8 +562,10 @@ def reference_estimate_envelope_contrast(trace, params, peak_order=1,
     spacing = extrema_spacing(params)
     hint = 0.0
     try:
-        s_p = _quadratic_value_at(freqs, values, carrier + peak_order * spacing)
-        s_t = _quadratic_value_at(freqs, values, carrier + trough_order * spacing)
+        s_p = reference_quadratic_value_at(freqs, values,
+                                           carrier + peak_order * spacing)
+        s_t = reference_quadratic_value_at(freqs, values,
+                                           carrier + trough_order * spacing)
         if s_p <= 0 or s_t <= 0:
             raise ExtremumNotFoundError("non-positive PSD at a predicted extremum")
         ds0 = 10.0 * math.log10(s_p / s_t)
@@ -588,13 +682,13 @@ def reference_estimate_voigt(trace: SpectrumTrace,
     work = mask_central_bins(trace, opts.exclude_central_bins)
     tied = False
     try:
-        w20 = width_at_level(work, 20.0)
-        w3 = width_at_level(work, HALF_POWER_DB)
+        w20 = reference_width_at_level(work, 20.0)
+        w3 = reference_width_at_level(work, HALF_POWER_DB)
     except AmbiguousPeakError:
         # Equal-height peaks: the lowest-frequency one wins, flagged.
         tied = True
-        w20 = width_at_level(work, 20.0, allow_ties=True)
-        w3 = width_at_level(work, HALF_POWER_DB, allow_ties=True)
+        w20 = reference_width_at_level(work, 20.0, allow_ties=True)
+        w3 = reference_width_at_level(work, HALF_POWER_DB, allow_ties=True)
 
     def model_w20(lorentzian: float) -> float:
         gaussian, _ = _gaussian_from_measured_fwhm(w3, lorentzian)
@@ -729,3 +823,185 @@ class TestVoigtStepsDecidedByDensity:
         assert len(solves) == 1
         assert len(evaluations) - solves[0] <= 3 * (est.iterations + 1)
         assert est == reference_estimate_voigt(trace)
+
+
+def _result_or_raised(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Distances from the peak where the outward search's blocks of 64, 128, 256
+# and 512 bins meet, and one bin either side of each.
+_BLOCK_EDGES = [1, 2, 63, 64, 65, 66, 191, 192, 193, 194, 447, 448, 449, 450]
+
+
+@st.composite
+def width_cases(draw):
+    """A trace, a level and allow_ties for width_at_level.  Bins lie either
+    high, in [0.2, 0.9], or low, in [0, 0.01], about a unit peak; the
+    nearest low bin on each side is placed at a block edge, inside the first
+    block, on a grid edge, anywhere, or nowhere, and farther bins are mixed.
+    The peak sits inside the grid, on index 1 or n-2 included, and may tie
+    with an adjacent or a separated sample (on a grid edge too) or head a
+    plateau."""
+    n = draw(st.integers(3, 1100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ipk = draw(st.sampled_from([1, n - 2]) | st.integers(1, n - 2))
+    values = rng.uniform(0.2, 0.9, n)
+    far_low = rng.random(n) < draw(st.sampled_from([0.0, 0.02, 0.5]))
+    values[far_low] = rng.uniform(0.0, 0.01, np.count_nonzero(far_low))
+    for outward, room in ((-1, ipk), (1, n - 1 - ipk)):
+        where = draw(st.sampled_from(["block edge", "any", "grid edge", "none"]))
+        if where == "none" or room == 0:
+            distance = room + 1
+        elif where == "grid edge":
+            distance = room
+        elif where == "any":
+            distance = draw(st.integers(1, room))
+        else:
+            distance = min(draw(st.sampled_from(_BLOCK_EDGES)), room)
+        near = np.arange(ipk + outward, ipk + outward * distance, outward)
+        values[near] = rng.uniform(0.2, 0.9, len(near))
+        if distance <= room:
+            values[ipk + outward * distance] = rng.uniform(0.0, 0.01)
+    values[ipk] = 1.0
+    tie = draw(st.sampled_from(["none", "adjacent", "separated", "plateau"]))
+    if tie == "adjacent":
+        values[min(ipk + 1, n - 1)] = 1.0
+    elif tie == "separated":
+        values[draw(st.integers(0, n - 1))] = 1.0
+    elif tie == "plateau":
+        values[ipk:ipk + draw(st.integers(2, 70))] = 1.0
+    grid = FrequencyGrid(draw(st.sampled_from([0.0, -1234.5, 7e6 + 1.0 / 3.0])),
+                         draw(st.sampled_from([10.0, 0.5, 1.0 / 3.0])), n)
+    # 20 dB and below, the level parts the low bins from the high ones or,
+    # near 3 dB, falls among the high ones.
+    level = draw(st.sampled_from([20.0, HALF_POWER_DB, 10.0])
+                 | st.floats(0.01, 19.0))
+    return SpectrumTrace(grid, values), level, draw(st.booleans())
+
+
+@st.composite
+def extremum_cases(draw):
+    """Grid, values and a search for the envelope readers.  The position
+    and the window's edges sit on or a few ulps off grid points and half
+    steps, so the bins at the window's edges are decided by rounding;
+    windows reach past either grid edge.  The values are noise, one smooth
+    bump, or noise with the extremum forced next to a window edge, where a
+    bin more or less moves it."""
+    count = draw(st.integers(5, 400))
+    grid = FrequencyGrid(
+        draw(st.sampled_from([0.0, -0.0, -1234.5, 7e6, 7e6 + 1.0 / 3.0, 1e9])),
+        draw(st.sampled_from([10.0, 0.1, 1.0 / 3.0, 37.5, 1e-3, 2.0 ** -7])),
+        count)
+    ulps = st.integers(-2, 2)
+    k = draw(st.sampled_from([0, 1, 2, count - 3, count - 2, count - 1])
+             | st.integers(0, count - 1))
+    frac = draw(st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-0.5, 0.5))
+    position = _nudged(grid.start + grid.step * (k + frac), draw(ulps))
+    reach = draw(st.sampled_from([2, 3, 4, k, count - 1 - k])
+                 | st.integers(2, count + 2))
+    # A window of whole and part steps, or the gap from the position to a
+    # grid point as the readers round it, so that point sits on its edge.
+    edge = draw(st.sampled_from(["steps", "low point", "high point"]))
+    if edge == "steps":
+        window = grid.step * (reach + draw(st.sampled_from([0.0, 0.5])
+                                           | st.floats(0.0, 1.0)))
+    elif edge == "low point":
+        window = position - (grid.start + grid.step * (k - reach))
+    else:
+        window = (grid.start + grid.step * (k + reach)) - position
+    window = max(_nudged(window, draw(ulps)), 0.0)
+    kind = draw(st.sampled_from(["peak", "trough"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0.5, 1.0, count)
+    shape = draw(st.sampled_from(["noise", "bump", "edge extremum"]))
+    if shape == "bump":  # an interior extremum or none
+        values = np.exp(-((np.arange(count) - draw(st.integers(-5, count + 5)))
+                          / draw(st.floats(1.0, 50.0))) ** 2)
+    elif shape == "edge extremum":
+        at = k + draw(st.sampled_from([-1, 1])) * (reach + draw(st.integers(-1, 1)))
+        values[min(max(at, 0), count - 1)] = 1e9 if kind == "peak" else 0.0
+    carrier = draw(st.sampled_from([grid.start, position,
+                                    grid.start - 1e3 * grid.step]))
+    gamma = draw(st.sampled_from([0.0, grid.step, 100.0 * grid.step]))
+    return grid, values, carrier, position, window, kind, gamma
+
+
+class TestReadersMatchFullPass:
+    """The estimators read only the bins near what they measure; every
+    width, extremum and quadratic reading is the full-pass reader's, bit
+    for bit, or the same exception with the same message."""
+
+    @given(case=width_cases())
+    @settings(max_examples=600)
+    def test_width_at_level(self, case):
+        trace, level, allow_ties = case
+        assert _result_or_raised(width_at_level, trace, level, allow_ties) \
+            == _result_or_raised(reference_width_at_level, trace, level, allow_ties)
+
+    @given(case=extremum_cases())
+    @settings(max_examples=600)
+    def test_locate_extremum_and_quadratic_value(self, case):
+        grid, values, carrier, position, window, kind, gamma = case
+        freqs = grid.points()
+        assert _result_or_raised(_locate_extremum, grid, values, carrier,
+                                 position, window, kind, gamma) \
+            == _result_or_raised(reference_locate_extremum, freqs, values,
+                                 grid.step, carrier, position, window, kind, gamma)
+        assert _result_or_raised(_quadratic_value_at, grid, values, position) \
+            == _result_or_raised(reference_quadratic_value_at, freqs, values,
+                                 position)
+
+
+class TestFarBinsUnread:
+    @pytest.mark.parametrize("bumped", [False, True])
+    def test_padding_the_high_wing_changes_no_estimate(self, bumped):
+        # Bins appended above the trace lie below both width levels and
+        # outside both envelope windows, and move neither the grid start nor
+        # any index: both estimates stay equal.
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0,
+                            fiber_length=4e3)
+        grid = grid_about(7e6, 64e3, 10.0)
+        trace = voigt_beat_note(params, 640.0, grid)
+        if bumped:
+            trace = inject_servo_bumps(trace, ServoBumpModel(
+                offset=50e3, width=15e3, height_db=12.0), carrier_hz=7e6)
+        clean = analytic_psd(params, grid)
+        padded_grid = FrequencyGrid(grid.start, grid.step, 3 * grid.count)
+
+        def padded(t):
+            wing = t.values[-1] * np.linspace(1.0, 0.5, padded_grid.count - grid.count)
+            return SpectrumTrace(padded_grid, np.concatenate([t.values, wing]))
+
+        assert padded(trace).values.max() == trace.values.max()
+        assert estimate_voigt(padded(trace)) == estimate_voigt(trace)
+        assert estimate_envelope_contrast(padded(clean), params) \
+            == estimate_envelope_contrast(clean, params)
+        assert measure_envelope_contrast(padded(clean), params, 1, 2) \
+            == measure_envelope_contrast(clean, params, 1, 2)
+
+
+class TestOversizedMask:
+    GRID = FrequencyGrid(-5.0, 1.0, 11)
+
+    @pytest.mark.parametrize("count", [9, 10, 20000])
+    def test_refused_naming_count_and_bins(self, count):
+        # 9 of 11 bins is every interior bin; the estimator used to report
+        # it as a peak on the grid edge.
+        trace = eval_lorentzian(self.GRID, 0.0, 3.0)
+        message = f"masked bin count {count} must be below 9 on a 11-bin trace"
+        with pytest.raises(InvalidParameterError, match=message):
+            mask_central_bins(trace, count)
+        with pytest.raises(InvalidParameterError, match=message):
+            estimate_voigt(trace, VoigtOptions(exclude_central_bins=count))
+
+    def test_largest_count_masks(self):
+        trace = eval_lorentzian(self.GRID, 0.0, 3.0)
+        masked = mask_central_bins(trace, 8)
+        assert masked.values[0] == trace.values[0]
+        assert masked.values[-1] == trace.values[-1]
+        assert not np.array_equal(masked.values, trace.values)

@@ -173,6 +173,12 @@ class TestFrequencyGrid:
         assert grid.index_of(100.0) == 0
         assert grid.index_of(150.9) == 25
 
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf])
+    def test_index_of_non_finite_refused(self, frequency):
+        with pytest.raises(InvalidParameterError,
+                           match=f"frequency must be finite, got {frequency}"):
+            FrequencyGrid(100.0, 2.0, 51).index_of(frequency)
+
 
 class TestGaussian:
     def test_peak_value(self):
