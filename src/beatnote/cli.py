@@ -190,8 +190,7 @@ def cmd_fit(args) -> int:
         raise InvalidParameterError(
             "--fitted-trace needs the Voigt estimator (--method voigt or both)")
     trace = read_trace(args.input)
-    opts = VoigtOptions(tol=args.tol, max_iter=args.max_iter,
-                        exclude_central_bins=args.exclude_central_bins)
+    opts = VoigtOptions(exclude_central_bins=args.exclude_central_bins)
     # Every requested estimator runs before any file is written, so a
     # failure leaves no partial output.
     reports = []
@@ -405,8 +404,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     fit.add_argument("--input", type=str, required=True)
     fit.add_argument("--method", choices=("voigt", "envelope", "both"),
                      default="voigt")
-    fit.add_argument("--tol", type=float, default=1e-3)
-    fit.add_argument("--max-iter", type=int, default=60)
     fit.add_argument("--exclude-central-bins", type=int, default=3)
     fit.add_argument("--peak-order", type=int, default=1)
     fit.add_argument("--trough-order", type=int, default=2)

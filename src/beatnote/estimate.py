@@ -3,9 +3,11 @@
 Two complementary estimators extract the combined beat-note linewidth from a
 spectrum trace:
 
-* estimate_voigt: iterative scheme matching the 20 dB width of a constructed
-  Voigt profile to the measured one, with the Gaussian part pinned by the
-  measured half-power width at every step.  Uses only the central peak.
+* estimate_voigt: inverts the ratio of the measured 20 dB and half-power
+  widths of the central peak, which fixes the Voigt's shape, against a
+  table of exact Voigt widths built once per process; the half-power width
+  then fixes the scale.  Ratios beyond either pure shape give that shape,
+  flagged grid-limited.  Uses only the central peak.
 * estimate_envelope_contrast: reads the dB contrast between an adjacent
   peak/trough pair of the coherence envelope and inverts the analytic
   contrast model.  Sensitive to anything that distorts the extrema.
@@ -36,13 +38,11 @@ from .lineshape import (
     HALF_POWER_DB,
     LORENTZIAN_20DB_FACTOR,
     SpectrumTrace,
-    _gaussian_from_measured_fwhm,
     _peak_index,
-    _voigt_width_side,
+    _voigt_shape,
     _whole_number,
     _width_about,
     voigt_fwhm_approx,
-    voigt_width_numeric,
 )
 
 if TYPE_CHECKING:  # at run time, dshi is imported by the envelope estimator
@@ -51,7 +51,6 @@ if TYPE_CHECKING:  # at run time, dshi is imported by the envelope estimator
 __all__ = [
     "FLAG_SERVO_CONTAMINATED",
     "FLAG_GRID_LIMITED",
-    "FLAG_NON_CONVERGED",
     "FitResult",
     "LinewidthEstimate",
     "VoigtOptions",
@@ -66,7 +65,6 @@ __all__ = [
 
 FLAG_SERVO_CONTAMINATED = "servo-contaminated"
 FLAG_GRID_LIMITED = "grid-limited"
-FLAG_NON_CONVERGED = "non-converged"
 
 METHOD_VOIGT = "voigt-iterative"
 METHOD_ENVELOPE = "envelope-contrast"
@@ -293,32 +291,29 @@ def _lorentzian_peak_jacobian(x, center, fwhm, amplitude, offset):
 
 
 # ---------------------------------------------------------------------------
-# Iterative Voigt estimator
+# Voigt estimator
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class VoigtOptions:
     """Knobs for estimate_voigt."""
 
-    tol: float = 1e-3
-    max_iter: int = 60
     exclude_central_bins: int = 3
 
     def __post_init__(self):
-        for name in ("max_iter", "exclude_central_bins"):
-            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
-        if not 0 < self.tol < math.inf:
-            raise InvalidParameterError(
-                f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iter < 1 or self.exclude_central_bins < 0:
+        object.__setattr__(self, "exclude_central_bins", _whole_number(
+            self.exclude_central_bins, "exclude_central_bins"))
+        if self.exclude_central_bins < 0:
             raise InvalidParameterError("invalid Voigt estimator options")
 
 
 def _masked_values(values: np.ndarray, count) -> np.ndarray:
     """A copy of `values` with the `count` bins nearest their maximum
-    replaced by linear interpolation; `values` itself when count is 0.  A
-    count that is negative, or would leave no interior bin unmasked (at
-    least len(values) - 2), raises InvalidParameterError."""
+    replaced by linear interpolation; `values` itself when count is 0.  The
+    masked bins are centred on the maximum where the grid allows, and
+    shifted inward next to an edge.  A count that is negative, or would
+    leave no interior bin unmasked (at least len(values) - 2), raises
+    InvalidParameterError."""
     count = _whole_number(count, "masked bin count")
     if count < 0:
         raise InvalidParameterError(f"masked bin count must be >= 0, got {count}")
@@ -331,9 +326,8 @@ def _masked_values(values: np.ndarray, count) -> np.ndarray:
             f"trace: it would mask every interior bin")
     values = values.copy()
     center = int(np.argmax(values))
-    lo = max(center - count // 2, 1)
-    hi = min(lo + count - 1, n - 2)
-    lo = max(min(lo, hi), 1)
+    hi = min(max(center - count // 2, 1) + count - 1, n - 2)
+    lo = hi - count + 1
     span = hi - lo + 2
     values[lo:hi + 1] = values[lo - 1] + (values[hi + 1] - values[lo - 1]) * (
         np.arange(1, hi - lo + 2) / span
@@ -356,98 +350,58 @@ def mask_central_bins(trace: SpectrumTrace, count: int) -> SpectrumTrace:
     return SpectrumTrace(trace.grid, values, trace.rbw)
 
 
-# A density comparison decides a step only when the model width lies beyond
-# the band w20 * (1 +- tol) by this much, relative to the larger of the
-# band's edge and w20: far above the solve's 1e-12 stop and its rounding, so
-# every decision is the one a full solve would give.
-_SIDE_MARGIN = 1e-9
-
-
 def estimate_voigt(trace: SpectrumTrace,
                    opts: Optional[VoigtOptions] = None) -> LinewidthEstimate:
     """Combined Lorentzian/Gaussian widths from the central beat-note peak.
 
-    Measures the half-power and 20 dB widths, then bisects on the Lorentzian
-    width over [W20/20, W20/2]: at each step the Gaussian width is chosen so
-    the constructed Voigt keeps the measured half-power width, and the
-    candidate is scored by how well its 20 dB width matches the measured one.
-    The initial guess W20/sqrt(99) is the exact 20 dB width of a pure
-    Lorentzian.  A bisection pinned at the lower bracket returns a zero
-    Lorentzian width with the grid-limited flag.
+    Measures the half-power width w3 and the 20 dB width w20 (width_at_level's,
+    about one peak search of the masked values).  Their ratio q = w20 / w3
+    fixes the Voigt's shape: it rises strictly from sqrt(log2(100)) for a
+    pure Gaussian to sqrt(99) for a pure Lorentzian.  So one inversion of q
+    gives the shape, and w3 then the scale.  Three paths:
 
-    Both widths are width_at_level's, read about one peak search of the
-    masked values.  Each step, and the grid-limited check at W20/20, is
-    decided by one density comparison per edge of the band W20 * (1 +- tol);
-    the 20 dB width is solved for only when it may lie inside the band or
-    next to an edge, and once at the final step for the residual.
+    * q >= sqrt(99), wings higher than any Voigt's: the pure Lorentzian of
+      the measured 20 dB width, L = w20 / sqrt(99) and G = 0, flagged
+      grid-limited.
+    * a Lorentzian part under w20 / 20, which includes q <= sqrt(log2(100)):
+      the pure Gaussian L = 0, G = w3, flagged grid-limited.
+    * otherwise the inverted L and G, which reproduce both measured widths
+      to better than 1e-8.
+
+    The inversion reads a table of exact widths of 2 001 Voigt shapes, built
+    once per process on the first estimate that needs it (a few ms), and
+    solves q on the table's cubic Hermite interpolant: no Faddeeva
+    evaluation per estimate.  The residual is |q(L, G) - q| / q, the model's
+    width ratio against the measured one, and iterations is 1.
     """
     if opts is None:
         opts = VoigtOptions()
     values = _masked_values(trace.values, opts.exclude_central_bins)
-    tied = False
+    flags = set()
     try:
         ipk = _peak_index(values, allow_ties=False)
     except AmbiguousPeakError:
         # Equal-height peaks: the lowest-frequency one wins, flagged.
-        tied = True
+        flags.add(FLAG_GRID_LIMITED)
         ipk = _peak_index(values, allow_ties=True)
     w20 = _width_about(values, trace.grid, ipk, 20.0)
     w3 = _width_about(values, trace.grid, ipk, HALF_POWER_DB)
-
-    def model_w20(lorentzian: float) -> float:
-        gaussian, _ = _gaussian_from_measured_fwhm(w3, lorentzian)
-        return voigt_width_numeric(lorentzian, gaussian, 20.0)
-
-    def side(lorentzian: float, tol: float) -> int:
-        """1 or -1 when the model's 20 dB width lies above or below the
-        band w20 * (1 +- tol) by more than _SIDE_MARGIN, else 0."""
-        gaussian, _ = _gaussian_from_measured_fwhm(w3, lorentzian)
-        return _voigt_width_side(lorentzian, gaussian, 20.0,
-                                 w20 * (1.0 - tol - _SIDE_MARGIN),
-                                 w20 * (1.0 + tol) * (1.0 + _SIDE_MARGIN))
-
-    lo = w20 / 20.0
-    hi = w20 / 2.0
-    flags = {FLAG_GRID_LIMITED} if tied else set()
-
-    lo_side = side(lo, 0.0)
-    if lo_side > 0 or (lo_side == 0 and model_w20(lo) >= w20):
-        # Even the narrowest bracketed Lorentzian over-widens the wings: the
-        # trace is effectively pure Gaussian at this resolution.
+    ratio = w20 / w3
+    if ratio >= LORENTZIAN_20DB_FACTOR:
         flags.add(FLAG_GRID_LIMITED)
-        gaussian, _ = _gaussian_from_measured_fwhm(w3, 0.0)
-        residual = abs(GAUSSIAN_20DB_FACTOR * gaussian - w20) / w20
-        return _make_estimate(0.0, gaussian, METHOD_VOIGT, 1, residual, flags)
-
-    # The upper bracket always over-widens: a Voigt's 20 dB width is at
-    # least its Lorentzian's, sqrt(99) * w20 / 2 at hi.  The first probe is
-    # the exact 20 dB width of a pure Lorentzian, inside the bracket since
-    # 2 < sqrt(99) < 20; the bracket then shrinks around it by plain bisection.
-    first_guess = w20 / LORENTZIAN_20DB_FACTOR
-    for iterations in range(1, opts.max_iter + 1):
-        mid = first_guess if iterations == 1 else 0.5 * (lo + hi)
-        step_side = side(mid, opts.tol)
-        width = None
-        if step_side == 0:
-            width = model_w20(mid)
-            mismatch = (width - w20) / w20
-            if abs(mismatch) < opts.tol:
-                break
-            step_side = 1 if width > w20 else -1
-        if step_side > 0:
-            hi = mid
-        else:
-            lo = mid
-    else:
-        flags.add(FLAG_NON_CONVERGED)
-    if width is None:  # the last step was decided without a solve
-        mismatch = (model_w20(mid) - w20) / w20
-
-    gaussian, clamped = _gaussian_from_measured_fwhm(w3, mid)
-    if clamped:
-        flags.add(FLAG_GRID_LIMITED)
-    return _make_estimate(mid, gaussian, METHOD_VOIGT, iterations,
-                          abs(mismatch), flags)
+        return _make_estimate(w20 / LORENTZIAN_20DB_FACTOR, 0.0, METHOD_VOIGT, 1,
+                              (ratio - LORENTZIAN_20DB_FACTOR) / ratio, flags)
+    if ratio > GAUSSIAN_20DB_FACTOR:
+        lorentzian, gaussian, unit_w3, model_ratio = _voigt_shape(ratio)
+        scale = w3 / unit_w3
+        if lorentzian * scale >= w20 / 20.0:
+            return _make_estimate(lorentzian * scale, gaussian * scale,
+                                  METHOD_VOIGT, 1,
+                                  abs(model_ratio - ratio) / ratio, flags)
+    # The wings fall as fast as a Gaussian's at this resolution.
+    flags.add(FLAG_GRID_LIMITED)
+    return _make_estimate(0.0, w3, METHOD_VOIGT, 1,
+                          abs(GAUSSIAN_20DB_FACTOR * w3 - w20) / w20, flags)
 
 
 # ---------------------------------------------------------------------------

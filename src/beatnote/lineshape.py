@@ -12,6 +12,8 @@ about 1e-13 relative wherever the profile is within 30 dB of its peak.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -178,19 +180,6 @@ def voigt_fwhm_approx(fwhm_lorentzian: float, fwhm_gaussian: float) -> float:
     )
 
 
-def _gaussian_from_measured_fwhm(w3: float, lorentzian: float) -> tuple[float, bool]:
-    """Invert voigt_fwhm_approx for the Gaussian part at fixed total FWHM
-    w3; returns (gaussian_fwhm, clamped) with clamped=True when the
-    Lorentzian alone already exceeds what w3 allows."""
-    rest = 2.0 * w3 - VOIGT_WIDTH_CL * lorentzian
-    if rest <= 0:
-        return 0.0, True
-    disc = rest * rest - VOIGT_WIDTH_CQ * lorentzian * lorentzian
-    if disc <= 0:
-        return 0.0, True
-    return 0.5 * math.sqrt(disc), False
-
-
 def _weideman_coefficients(n: int):
     """Scale L and the n coefficients (highest degree first) of Weideman's
     approximation w(z) = 2 p(Z) / (L - iz)**2 + 1 / (sqrt(pi) (L - iz)),
@@ -273,36 +262,42 @@ def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> Spectrum
 _LORENTZIAN_LIMIT = 1e8
 
 
-def _voigt_level(fwhm_lorentzian: float, fwhm_gaussian: float,
-                 level_db: float):
-    """Set-up of a Voigt width at `level_db` below the peak, shared by
-    voigt_width_numeric and _voigt_width_side.
+def _pick(condition, if_true, if_false):
+    """np.where for the Python floats of one profile."""
+    return if_true if condition else if_false
 
-    Validates the input.  A pure shape, or a Gaussian part too small to move
-    the Lorentzian width, gives the closed-form full width as a float.
-    Otherwise the widths are scaled by the larger one, so every finite input
-    stays finite, and the result is (fl, fg, s, scale, y, target, pure_l,
-    pure_g): the scaled widths, sigma sqrt 2 of the scaled Gaussian, the
-    scale, y = gamma / (sigma sqrt 2), the level Re w(iy) * 10**(-level_db/10)
-    and the widths per FWHM of a pure Lorentzian and Gaussian at the level.
-    """
-    if not 0 < level_db < math.inf:
-        raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
-    LineshapeParams(0.0, fwhm_gaussian, fwhm_lorentzian)  # validates the widths
-    fwhm_lorentzian, fwhm_gaussian = float(fwhm_lorentzian), float(fwhm_gaussian)
-    ratio = 10.0 ** (level_db / 10.0)
-    pure_l = math.sqrt(ratio - 1.0)   # width per FWHM of a Lorentzian
-    pure_g = math.sqrt(math.log2(ratio))  # same for a Gaussian
-    if fwhm_lorentzian == 0:
-        return fwhm_gaussian * pure_g
-    scale = max(fwhm_lorentzian, fwhm_gaussian)
-    fl, fg = fwhm_lorentzian / scale, fwhm_gaussian / scale
-    s = fg * _SIGMA_ROOT2_PER_FWHM
-    if not 0.5 * fl <= _LORENTZIAN_LIMIT * s:
-        return fwhm_lorentzian * pure_l
-    y = 0.5 * fl / s
-    target = _faddeeva(complex(0.0, y)).real / ratio
-    return fl, fg, s, scale, y, target, pure_l, pure_g
+
+def _newton_start(fl, fg, s, lo, hi, pure_l, pure_g, where):
+    """First iterate and last step of the width solve: half of
+    voigt_fwhm_approx of the widths at the level, per sigma sqrt 2, or the
+    bracket's midpoint if it falls outside (lo, hi).  Takes floats with
+    where=_pick or arrays with where=np.where."""
+    a, b = fl * pure_l, fg * pure_g
+    u = 0.25 * (VOIGT_WIDTH_CL * a + (VOIGT_WIDTH_CQ * a * a + 4.0 * b * b) ** 0.5) / s
+    return where((lo < u) & (u < hi), u, 0.5 * (lo + hi)), hi - lo
+
+
+def _newton_step(u, y, w, target, lo, hi, last_step, where):
+    """One step of the width solve from the iterate u, where w = w(u + iy):
+    (u, lo, hi, last_step, width, done), the next iterate, bracket and step,
+    and once done the full width per sigma sqrt 2.  Takes floats with
+    where=_pick or arrays with where=np.where."""
+    excess = w.real - target
+    above = excess > 0
+    lo, hi = where(above, u, lo), where(above, hi, u)
+    # Re w'(u + iy) = -2 (u Re w - y Im w).  The two terms cancel as |z|
+    # grows; a slope under 1e-12 of their size is rounding, not trusted.
+    slope = -2.0 * (u * w.real - y * w.imag)
+    trusted = slope < -1e-12 * (abs(u * w.real) + abs(y * w.imag))
+    step = excess / where(trusted, slope, -1.0)
+    newton = u - step
+    stopped = trusted & (abs(step) <= 1e-12 * u)
+    taken = trusted & (lo < newton) & (newton < hi) & (abs(step) < 0.5 * last_step)
+    done = stopped | where(taken, False, hi - lo <= 1e-12 * hi)
+    return (where(taken, newton, 0.5 * (lo + hi)),
+            lo, hi, where(taken, abs(step), hi - lo),
+            where(stopped, 2.0 * newton, lo + hi),  # twice the midpoint
+            done)
 
 
 def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
@@ -317,65 +312,156 @@ def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
     until it holds the crossing; a Newton step that leaves the bracket, does
     not halve the last step, or rests on a slope lost to rounding bisects
     instead.  The stop is a step or bracket within 1e-12 relative.
+    _voigt_widths runs the same solve on arrays of profiles.
     """
-    level = _voigt_level(fwhm_lorentzian, fwhm_gaussian, level_db)
-    if isinstance(level, float):
-        return level
-    fl, fg, s, scale, y, target, pure_l, pure_g = level
+    if not 0 < level_db < math.inf:
+        raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
+    LineshapeParams(0.0, fwhm_gaussian, fwhm_lorentzian)  # validates the widths
+    fwhm_lorentzian, fwhm_gaussian = float(fwhm_lorentzian), float(fwhm_gaussian)
+    ratio = 10.0 ** (level_db / 10.0)
+    pure_l = math.sqrt(ratio - 1.0)   # width per FWHM of a Lorentzian
+    pure_g = math.sqrt(math.log2(ratio))  # same for a Gaussian
+    if fwhm_lorentzian == 0:
+        return fwhm_gaussian * pure_g
+    # Scaled by the larger width, so every finite input stays finite.
+    scale = max(fwhm_lorentzian, fwhm_gaussian)
+    fl, fg = fwhm_lorentzian / scale, fwhm_gaussian / scale
+    s = fg * _SIGMA_ROOT2_PER_FWHM
+    if not 0.5 * fl <= _LORENTZIAN_LIMIT * s:
+        return fwhm_lorentzian * pure_l
+    y = 0.5 * fl / s
+    target = _faddeeva(complex(0.0, y)).real / ratio
     lo, hi = 0.0, (fl + fg) / s
     while _faddeeva(complex(hi, y)).real > target:
         lo, hi = hi, 2.0 * hi
-    u = 0.5 * voigt_fwhm_approx(fl * pure_l, fg * pure_g) / s
-    if not lo < u < hi:
-        u = 0.5 * (lo + hi)
-    last_step = hi - lo
+    u, last_step = _newton_start(fl, fg, s, lo, hi, pure_l, pure_g, _pick)
     while True:
-        w = _faddeeva(complex(u, y))
-        excess = w.real - target
-        if excess > 0:
-            lo = u
-        else:
-            hi = u
-        # Re w'(u + iy) = -2 (u Re w - y Im w).  The two terms cancel as |z|
-        # grows; a slope under 1e-12 of their size is rounding, not trusted.
-        slope = -2.0 * (u * w.real - y * w.imag)
-        if slope < -1e-12 * (abs(u * w.real) + abs(y * w.imag)):
-            step = excess / slope
-            if abs(step) <= 1e-12 * u:
-                return 2.0 * (u - step) * s * scale
-            if lo < u - step < hi and abs(step) < 0.5 * last_step:
-                u -= step
-                last_step = abs(step)
-                continue
-        if hi - lo <= 1e-12 * hi:
-            return (lo + hi) * s * scale  # full width: twice the midpoint
-        u = 0.5 * (lo + hi)
-        last_step = hi - lo
+        u, lo, hi, last_step, width, done = _newton_step(
+            u, y, _faddeeva(complex(u, y)), target, lo, hi, last_step, _pick)
+        if done:
+            return width * s * scale
 
 
-def _voigt_width_side(fwhm_lorentzian: float, fwhm_gaussian: float,
-                      level_db: float, below: float, above: float) -> int:
-    """1 when the Voigt's full width at `level_db` exceeds `above`, -1 when
-    it falls short of `below`, 0 when it may lie between them.
+def _voigt_widths(fwhm_lorentzian: np.ndarray, fwhm_gaussian: np.ndarray,
+                  level_db: np.ndarray) -> np.ndarray:
+    """voigt_width_numeric of each element of three float arrays of one
+    shape, the widths valid and the levels > 0 dB: the same closed forms,
+    bracket, steps and stop, with each Faddeeva evaluation shared by the
+    profiles still being solved."""
+    ratio = 10.0 ** (level_db / 10.0)
+    pure_l = np.sqrt(ratio - 1.0)
+    pure_g = np.sqrt(np.log2(ratio))
+    widths = np.where(fwhm_lorentzian == 0, fwhm_gaussian * pure_g,
+                      fwhm_lorentzian * pure_l)
+    scale = np.maximum(fwhm_lorentzian, fwhm_gaussian)
+    fl, fg = fwhm_lorentzian / scale, fwhm_gaussian / scale
+    s = fg * _SIGMA_ROOT2_PER_FWHM
+    solved = np.flatnonzero((fl > 0) & (0.5 * fl <= _LORENTZIAN_LIMIT * s))
+    fl, fg, s, ratio, pure_l, pure_g = (
+        a[solved] for a in (fl, fg, s, ratio, pure_l, pure_g))
+    y = 0.5 * fl / s
+    target = _faddeeva(1j * y).real / ratio
+    lo, hi = np.zeros_like(y), (fl + fg) / s
+    grow = _faddeeva(hi + 1j * y).real > target
+    while grow.any():
+        lo[grow] = hi[grow]
+        hi[grow] *= 2.0
+        grow[grow] = _faddeeva(hi[grow] + 1j * y[grow]).real > target[grow]
+    u, last_step = _newton_start(fl, fg, s, lo, hi, pure_l, pure_g, np.where)
+    full = np.empty_like(u)
+    index = np.arange(u.size)  # of the profiles still being solved
+    while index.size:
+        u, lo, hi, last_step, width, done = _newton_step(
+            u, y, _faddeeva(u + 1j * y), target, lo, hi, last_step, np.where)
+        full[index[done]] = width[done]
+        index, u, y, target, lo, hi, last_step = (
+            a[~done] for a in (index, u, y, target, lo, hi, last_step))
+    widths[solved] = full * s * scale[solved]
+    return widths
 
-    The profile falls monotonically away from its centre, so the width
-    exceeds an edge exactly when the density at the edge's half width lies
-    above the level: one Faddeeva evaluation for the level and at most one
-    per edge decide what a full voigt_width_numeric solve would.  An edge at
-    or below 0 is never above the width.  A closed-form width is compared
-    directly.  Callers that must agree with a solve's rounded result widen
-    the edges by a margin far above its 1e-12 stop.
+
+# Nodes of the Voigt shape table, evenly spaced in theta over [0, pi/2].
+_SHAPE_NODES = 2001
+
+
+@functools.cache
+def _voigt_shape_table():
+    """Exact widths of the Voigt profiles (L, G) = (sin(theta)**2,
+    cos(theta)) at the _SHAPE_NODES nodes, built once per process (a few ms)
+    by _voigt_widths: (theta step, q, dq, w3, dw3), with w3 the half-power
+    width, q = w20 / w3 the ratio of the 20 dB to the half-power width, and
+    dq, dw3 their slopes per node by five-point differences.  q depends on
+    the shape rho = L / (L + G) alone and rises strictly from
+    GAUSSIAN_20DB_FACTOR at theta = 0 to LORENTZIAN_20DB_FACTOR at pi/2.
+
+    Near the pure Gaussian the widths move with L, near the pure Lorentzian
+    with G squared: a Gaussian convolution adds only even moments.  So in
+    theta both columns are smooth and even about either end, which gives the
+    slopes there, and the nodes crowd in rho towards the pure Gaussian.  The
+    columns are Python lists, read one value at a time."""
+    theta = np.linspace(0.0, 0.5 * math.pi, _SHAPE_NODES)
+    lorentzian = np.sin(theta) ** 2
+    gaussian = np.cos(theta)
+    lorentzian[-1], gaussian[-1] = 1.0, 0.0
+    # Both levels in one solve, which shares each Faddeeva evaluation.
+    w3, w20 = _voigt_widths(np.tile(lorentzian, 2), np.tile(gaussian, 2),
+                            np.repeat([HALF_POWER_DB, 20.0], _SHAPE_NODES)
+                            ).reshape(2, _SHAPE_NODES)
+    q = w20 / w3
+
+    def slope(f):
+        f = np.concatenate((f[2:0:-1], f, f[-2:-4:-1]))  # mirrored ends
+        return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / 12.0
+
+    return (float(theta[1]), q.tolist(), slope(q).tolist(), w3.tolist(),
+            slope(w3).tolist())
+
+
+def _hermite(values, slopes, k: int):
+    """The cubic on cell k, t in [0, 1], through values[k], values[k + 1]
+    with slopes[k], slopes[k + 1]: a function of t and its derivative."""
+    a, b = values[k], slopes[k]
+    c = 3.0 * (values[k + 1] - a) - 2.0 * b - slopes[k + 1]
+    d = 2.0 * (a - values[k + 1]) + b + slopes[k + 1]
+    return (lambda t: a + t * (b + t * (c + t * d)),
+            lambda t: b + t * (2.0 * c + 3.0 * t * d))
+
+
+def _voigt_shape(ratio: float):
+    """The Voigt profile of the table's family whose 20 dB to half-power
+    width ratio is `ratio`, strictly between GAUSSIAN_20DB_FACTOR and
+    LORENTZIAN_20DB_FACTOR: (L, G, w3, q), its Lorentzian and Gaussian
+    widths, its half-power width and the ratio the table gives it.
+
+    The cell of the table that holds the ratio is found by bisection, and
+    the ratio is solved on the cell's cubic Hermite interpolant by Newton
+    from the chord's root, within the cell: a step that leaves what is left
+    of it bisects instead.  Away from the pure Lorentzian, where the slope
+    of q falls to 0, the chord misses by the square of the cell and two or
+    three steps reach rounding.  No Faddeeva evaluation once the table
+    exists.
     """
-    level = _voigt_level(fwhm_lorentzian, fwhm_gaussian, level_db)
-    if isinstance(level, float):
-        return 1 if level > above else -1 if level < below else 0
-    _, _, s, scale, y, target, _, _ = level
-    per_width = 0.5 / (s * scale)  # u per Hz of full width
-    if _faddeeva(complex(above * per_width, y)).real > target:
-        return 1
-    if below > 0 and _faddeeva(complex(below * per_width, y)).real < target:
-        return -1
-    return 0
+    step, qs, dqs, w3s, dw3s = _voigt_shape_table()
+    k = min(max(bisect.bisect_right(qs, ratio) - 1, 0), len(qs) - 2)
+    q, dq = _hermite(qs, dqs, k)
+    lo, hi = 0.0, 1.0
+    t = min(max((ratio - qs[k]) / (qs[k + 1] - qs[k]), lo), hi)
+    for _ in range(64):  # each bisection halves the cell: rounding by 53
+        excess = q(t) - ratio
+        if excess > 0:
+            hi = t
+        else:
+            lo = t
+        slope = dq(t)
+        after = t - excess / slope if slope > 0 else 0.5 * (lo + hi)
+        if not lo <= after <= hi:
+            after = 0.5 * (lo + hi)
+        if abs(after - t) <= 1e-15:
+            break
+        t = after
+    theta = step * (k + t)
+    return (math.sin(theta) ** 2, math.cos(theta),
+            _hermite(w3s, dw3s, k)[0](t), q(t))
 
 
 def _interpolated_peak(values: np.ndarray, i: int) -> float:
@@ -441,7 +527,9 @@ def _nearest_below(values: np.ndarray, ipk: int, threshold: float,
 def _width_about(values: np.ndarray, grid: FrequencyGrid, ipk: int,
                  level_db: float) -> float:
     """Full width at `level_db` below the interior maximum at `ipk`, between
-    the two crossings nearest it, each interpolated linearly."""
+    the two crossings nearest it, each interpolated linearly.  A level above
+    a flat top, whose high-side crossing no sample pair brackets, raises
+    WidthUndefinedError."""
     threshold = _interpolated_peak(values, ipk) * 10.0 ** (-level_db / 10.0)
     i = _nearest_below(values, ipk, threshold, -1)
     if i is None:
@@ -456,6 +544,16 @@ def _width_about(values: np.ndarray, grid: FrequencyGrid, ipk: int,
         raise WidthUndefinedError(
             f"{level_db:g} dB level not crossed on the high-frequency side"
         )
+    if values[j - 1] == values[j]:
+        # Only a flat top, j - 1 == ipk, leaves no sample pair about the
+        # crossing: the parabola through its first bin peaks above it.
+        end = j
+        while end + 1 < len(values) and values[end + 1] == values[j]:
+            end += 1
+        raise WidthUndefinedError(
+            f"{level_db:g} dB level lies above the flat top at bins "
+            f"{ipk}-{end}; its high-frequency crossing is undefined"
+        )
     f_right = grid.start + grid.step * (
         j - (threshold - values[j]) / (values[j - 1] - values[j])
     )
@@ -468,9 +566,10 @@ def width_at_level(trace: SpectrumTrace, level_db: float,
 
     The two crossings nearest the peak are located by linear interpolation
     between adjacent samples.  Raises WidthUndefinedError when the level is
-    not crossed inside the grid (or the peak sits on a grid edge) and
-    AmbiguousPeakError when several separated samples tie for the maximum
-    (with allow_ties the lowest-frequency one wins).
+    not crossed inside the grid (or the peak sits on a grid edge, or the
+    level lies above a flat-topped peak's samples) and AmbiguousPeakError
+    when several separated samples tie for the maximum (with allow_ties the
+    lowest-frequency one wins).
 
     Finding the peak reads every bin; each crossing is then searched outward
     from the peak in blocks of 64, 128, 256, ... bins, so it costs the

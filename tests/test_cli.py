@@ -163,12 +163,6 @@ class TestFit:
         err = capsys.readouterr().err
         assert f"masked bin count {count}" in err and "10001-bin" in err
 
-    def test_infinite_tol_is_usage_error(self, tmp_path):
-        # Unchecked, tol=inf stops the bisection at its first probe.
-        trace = self.synth(tmp_path)
-        assert run_cli("fit", "--input", str(trace), "--method", "voigt",
-                       "--tol", "inf", "--out", str(tmp_path / "r.json")) == 2
-
     def test_fitted_profile_overlay(self, tmp_path):
         trace = self.synth(tmp_path)
         report = tmp_path / "report.json"

@@ -1,13 +1,16 @@
 """Linewidth estimators and the least-squares engine."""
 
 import dataclasses
+import functools
 import math
-from typing import Optional
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from beatnote import (
     DshiParams,
@@ -26,9 +29,10 @@ from beatnote import (
     read_trace,
     solve_contrast,
     voigt_beat_note,
+    write_trace,
 )
-import beatnote.estimate as estimate_module
 import beatnote.lineshape as lineshape
+from beatnote.cli import main as cli_main
 from beatnote.errors import (
     AmbiguousPeakError,
     DomainError,
@@ -42,10 +46,7 @@ from beatnote.errors import (
 )
 from beatnote.estimate import (
     FLAG_GRID_LIMITED,
-    FLAG_NON_CONVERGED,
     FLAG_SERVO_CONTAMINATED,
-    METHOD_VOIGT,
-    LinewidthEstimate,
     VoigtOptions,
     _check_orders,
     _contrast_model,
@@ -59,7 +60,6 @@ from beatnote.lineshape import (
     GAUSSIAN_20DB_FACTOR,
     HALF_POWER_DB,
     LORENTZIAN_20DB_FACTOR,
-    _gaussian_from_measured_fwhm,
     _interpolated_peak,
     voigt_width_numeric,
     width_at_level,
@@ -186,12 +186,6 @@ class TestEstimateVoigt:
         assert est.flags == {FLAG_GRID_LIMITED}
         assert est.lorentzian_fwhm == pytest.approx(4.0, rel=0.05)
 
-    def test_iteration_cap_flags_non_converged(self):
-        trace, _ = beat_trace(320.0, 640.0)
-        est = estimate_voigt(trace, VoigtOptions(max_iter=1, tol=1e-12))
-        assert est.iterations == 1
-        assert est.flags == {FLAG_NON_CONVERGED}
-
     def test_voigt_width_dominates_components(self):
         trace, _ = beat_trace(320.0, 320.0)
         est = estimate_voigt(trace)
@@ -227,20 +221,11 @@ class TestEstimateVoigt:
             estimate_voigt(read_trace(path))
 
     @pytest.mark.parametrize("field, bad", [
-        ("max_iter", 3.5),
-        ("max_iter", math.nan),
         ("exclude_central_bins", 1.5),
     ])
     def test_options_reject_non_integral_counts(self, field, bad):
         with pytest.raises(InvalidParameterError):
             VoigtOptions(**{field: bad})
-
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-3])
-    def test_options_reject_non_finite_or_non_positive_tol(self, tol):
-        # Unchecked, tol=inf "converges" on the first probe: 461 Hz on this
-        # 320 Hz trace.
-        with pytest.raises(InvalidParameterError):
-            VoigtOptions(tol=tol)
 
     def test_mask_central_bins_removes_spike(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
@@ -445,8 +430,9 @@ class TestPlainFloats:
 
 
 # The full-pass readers that the estimators replaced, verbatim but for their
-# names: every bin of the trace is read, and the frequencies come from
-# grid.points().
+# names and for the flat-top refusal in reference_width_at_level, which
+# holds the shared refusal to the full pass's search: every bin of the trace
+# is read, and the frequencies come from grid.points().
 def reference_width_at_level(trace: SpectrumTrace, level_db: float,
                              allow_ties: bool = False) -> float:
     """Full width of the trace's peak at `level_db` (power dB) below the peak.
@@ -489,6 +475,14 @@ def reference_width_at_level(trace: SpectrumTrace, level_db: float,
             f"{level_db:g} dB level not crossed on the high-frequency side"
         )
     j = ipk + 1 + int(below_right[0])
+    if values[j - 1] == values[j]:
+        end = j
+        while end + 1 < len(values) and values[end + 1] == values[j]:
+            end += 1
+        raise WidthUndefinedError(
+            f"{level_db:g} dB level lies above the flat top at bins "
+            f"{ipk}-{end}; its high-frequency crossing is undefined"
+        )
     f_right = grid.start + grid.step * (
         j - (threshold - values[j]) / (values[j - 1] - values[j])
     )
@@ -663,81 +657,6 @@ class TestEnvelopeSinglePass:
             320.0, rel=1e-6)
 
 
-# The parent's estimate_voigt, verbatim but for its name: a full solve of the
-# model's 20 dB width at every bisection step and at the grid-limited check.
-def reference_estimate_voigt(trace: SpectrumTrace,
-                             opts: Optional[VoigtOptions] = None) -> LinewidthEstimate:
-    """Combined Lorentzian/Gaussian widths from the central beat-note peak.
-
-    Measures the half-power and 20 dB widths, then bisects on the Lorentzian
-    width over [W20/20, W20/2]: at each step the Gaussian width is chosen so
-    the constructed Voigt keeps the measured half-power width, and the
-    candidate is scored by how well its 20 dB width matches the measured one.
-    The initial guess W20/sqrt(99) is the exact 20 dB width of a pure
-    Lorentzian.  A bisection pinned at the lower bracket returns a zero
-    Lorentzian width with the grid-limited flag.
-    """
-    if opts is None:
-        opts = VoigtOptions()
-    work = mask_central_bins(trace, opts.exclude_central_bins)
-    tied = False
-    try:
-        w20 = reference_width_at_level(work, 20.0)
-        w3 = reference_width_at_level(work, HALF_POWER_DB)
-    except AmbiguousPeakError:
-        # Equal-height peaks: the lowest-frequency one wins, flagged.
-        tied = True
-        w20 = reference_width_at_level(work, 20.0, allow_ties=True)
-        w3 = reference_width_at_level(work, HALF_POWER_DB, allow_ties=True)
-
-    def model_w20(lorentzian: float) -> float:
-        gaussian, _ = _gaussian_from_measured_fwhm(w3, lorentzian)
-        return voigt_width_numeric(lorentzian, gaussian, 20.0)
-
-    lo = w20 / 20.0
-    hi = w20 / 2.0
-    flags = {FLAG_GRID_LIMITED} if tied else set()
-
-    if model_w20(lo) >= w20:
-        # Even the narrowest bracketed Lorentzian over-widens the wings: the
-        # trace is effectively pure Gaussian at this resolution.
-        flags.add(FLAG_GRID_LIMITED)
-        gaussian, _ = _gaussian_from_measured_fwhm(w3, 0.0)
-        residual = abs(GAUSSIAN_20DB_FACTOR * gaussian - w20) / w20
-        return _make_estimate(0.0, gaussian, METHOD_VOIGT, 1, residual, flags)
-
-    # The upper bracket always over-widens: a Voigt's 20 dB width is at
-    # least its Lorentzian's, sqrt(99) * w20 / 2 at hi.  The first probe is
-    # the exact 20 dB width of a pure Lorentzian, inside the bracket since
-    # 2 < sqrt(99) < 20; the bracket then shrinks around it by plain bisection.
-    first_guess = w20 / LORENTZIAN_20DB_FACTOR
-    for iterations in range(1, opts.max_iter + 1):
-        mid = first_guess if iterations == 1 else 0.5 * (lo + hi)
-        width = model_w20(mid)
-        mismatch = (width - w20) / w20
-        if abs(mismatch) < opts.tol:
-            break
-        if width > w20:
-            hi = mid
-        else:
-            lo = mid
-    else:
-        flags.add(FLAG_NON_CONVERGED)
-
-    gaussian, clamped = _gaussian_from_measured_fwhm(w3, mid)
-    if clamped:
-        flags.add(FLAG_GRID_LIMITED)
-    return _make_estimate(mid, gaussian, METHOD_VOIGT, iterations,
-                          abs(mismatch), flags)
-
-
-def _voigt_outcome(estimator, trace, opts):
-    try:
-        return estimator(trace, opts)
-    except (WidthUndefinedError, DomainError) as exc:
-        return type(exc).__name__
-
-
 def _nudged(value, ulps):
     """`value` moved by `ulps` units in the last place."""
     toward = math.inf if ulps > 0 else -math.inf
@@ -749,12 +668,10 @@ def _nudged(value, ulps):
 @st.composite
 def voigt_cases(draw):
     """A trace and options for estimate_voigt: a DSHI beat note with random
-    Lorentzian and Gaussian widths, with or without servo bumps, two tied
-    Lorentzian peaks, or a pure Gaussian (the grid-limited check's side);
-    tol either one of three fixed values or the first probe's own mismatch
-    moved by a few ulps, which puts a band edge on the width the first step
-    finds."""
-    kind = draw(st.sampled_from(["beat", "bumped", "tied", "gaussian"]))
+    Lorentzian and Gaussian widths, with or without servo bumps or a flat
+    floor 21-30 dB below its peak (wings higher than any Voigt's), two tied
+    Lorentzian peaks, or a pure Gaussian."""
+    kind = draw(st.sampled_from(["beat", "bumped", "floor", "tied", "gaussian"]))
     width = draw(st.floats(2.0, 20.0))
     grid = FrequencyGrid(-200.0, 0.5, 801)
     if kind == "tied":
@@ -776,53 +693,152 @@ def voigt_cases(draw):
                                   width=draw(st.floats(0.5, 3.0)) * lorentzian,
                                   height_db=draw(st.floats(3.0, 15.0)))
             trace = inject_servo_bumps(trace, bump, carrier_hz=7e6)
-    max_iter = draw(st.sampled_from([1, 2, 3, 60]))
-    excluded = draw(st.sampled_from([0, 3]))
-    tol = draw(st.sampled_from([1e-6, 1e-3, 0.1, "edge"]))
-    if tol == "edge":
-        first = _voigt_outcome(reference_estimate_voigt, trace, VoigtOptions(
-            tol=1e-300, max_iter=1, exclude_central_bins=excluded))
-        mismatch = getattr(first, "residual", 0.0)
-        tol = _nudged(mismatch, draw(st.integers(-2, 2))) if mismatch > 0 else 1e-3
-    return trace, VoigtOptions(tol=tol, max_iter=max_iter,
-                               exclude_central_bins=excluded)
+        elif kind == "floor":
+            floor = trace.values.max() * 10.0 ** (-draw(st.floats(21.0, 30.0)) / 10.0)
+            trace = SpectrumTrace(trace.grid, trace.values + floor)
+    return trace, VoigtOptions(exclude_central_bins=draw(st.sampled_from([0, 3])))
 
 
-class TestVoigtStepsDecidedByDensity:
-    """Each bisection step compares the model's density at the band edges
-    instead of solving for its 20 dB width; the estimates are the full-solve
-    reference's, bit for bit."""
+@functools.cache
+def ratio_at_lorentzian_floor():
+    """The width ratio w20 / w3 of the Voigt whose Lorentzian width is
+    w20 / 20, solved by scipy on voigt_width_numeric: below it the estimator
+    returns the pure Gaussian."""
+    def excess(rho):
+        return rho / voigt_width_numeric(rho, 1.0 - rho, 20.0) - 1.0 / 20.0
+
+    rho = brentq(excess, 1e-3, 0.5, xtol=1e-15, rtol=1e-15)
+    return (voigt_width_numeric(rho, 1.0 - rho, 20.0)
+            / voigt_width_numeric(rho, 1.0 - rho, HALF_POWER_DB))
+
+
+@pytest.fixture(scope="module")
+def seed7_trace(tmp_path_factory):
+    """Criterion 8's Monte-Carlo trace: 50 kHz, 1 MHz EOM, seed 7."""
+    path = tmp_path_factory.mktemp("seed7") / "trace.csv"
+    assert cli_main(["simulate", "--mode", "montecarlo", "--eom-mhz", "1",
+                     "--linewidth-hz", "50000", "--duration-s", "0.04",
+                     "--segments", "16", "--seed", "7", "--out", str(path)]) == 0
+    return path
+
+
+class TestVoigtInversion:
+    """estimate_voigt inverts the measured width ratio q = w20 / w3 once,
+    against a per-process table of exact Voigt widths."""
 
     @given(case=voigt_cases())
     @settings(max_examples=150)
-    def test_equals_full_solve_reference(self, case):
+    def test_each_path_gives_its_stated_values(self, case):
         trace, opts = case
-        assert _voigt_outcome(estimate_voigt, trace, opts) \
-            == _voigt_outcome(reference_estimate_voigt, trace, opts)
+        values = mask_central_bins(trace, opts.exclude_central_bins)
+        try:
+            w20 = width_at_level(values, 20.0, allow_ties=True)
+            w3 = width_at_level(values, HALF_POWER_DB, allow_ties=True)
+        except WidthUndefinedError as exc:
+            with pytest.raises(WidthUndefinedError, match=str(exc)):
+                estimate_voigt(trace, opts)
+            return
+        try:
+            width_at_level(values, 20.0)
+            tied = set()
+        except AmbiguousPeakError:
+            tied = {FLAG_GRID_LIMITED}
+        est = estimate_voigt(trace, opts)
+        q = w20 / w3
+        assert est.iterations == 1
+        assert est.single_laser_fwhm * 2.0 == est.lorentzian_fwhm
+        if q >= LORENTZIAN_20DB_FACTOR:
+            assert (est.lorentzian_fwhm, est.gaussian_fwhm, est.residual) == (
+                w20 / LORENTZIAN_20DB_FACTOR, 0.0,
+                (q - LORENTZIAN_20DB_FACTOR) / q)
+            assert est.flags == {FLAG_GRID_LIMITED}
+        elif est.lorentzian_fwhm == 0:
+            assert q <= ratio_at_lorentzian_floor() * (1.0 + 1e-9)
+            assert (est.gaussian_fwhm, est.residual) == (
+                w3, abs(GAUSSIAN_20DB_FACTOR * w3 - w20) / w20)
+            assert est.flags == {FLAG_GRID_LIMITED}
+        else:
+            assert q >= ratio_at_lorentzian_floor() * (1.0 - 1e-9)
+            assert est.lorentzian_fwhm >= w20 / 20.0
+            lorentzian, gaussian = est.lorentzian_fwhm, est.gaussian_fwhm
+            assert voigt_width_numeric(lorentzian, gaussian, HALF_POWER_DB) \
+                == pytest.approx(w3, rel=1e-8, abs=0.0)
+            assert voigt_width_numeric(lorentzian, gaussian, 20.0) \
+                == pytest.approx(w20, rel=1e-8, abs=0.0)
+            assert est.residual < 1e-12
+            assert est.flags == tied
 
-    def test_one_solve_and_three_evaluations_per_decided_step(self, monkeypatch):
-        # The README trace: 9 steps, each once a full solve of ~10 Faddeeva
-        # evaluations.  Now each step, and the grid-limited check, costs the
-        # level Re w(iy) and one evaluation per band edge at most.
+    def test_cases_reach_every_path(self, seed7_trace):
+        # The three paths on fixed traces: the paper configuration, a pure
+        # Gaussian and criterion 8's trace, whose q reads 77.3.
+        grid = grid_about(0.0, 5e3, 2.0)
+        inverted = estimate_voigt(beat_trace(320.0, 640.0)[0])
+        gaussian = estimate_voigt(eval_gaussian(grid, 0.0, 300.0),
+                                  VoigtOptions(exclude_central_bins=0))
+        lorentzian = estimate_voigt(read_trace(seed7_trace))
+        assert inverted.flags == frozenset() and inverted.gaussian_fwhm > 0
+        assert gaussian.lorentzian_fwhm == 0 and gaussian.gaussian_fwhm > 0
+        assert lorentzian.gaussian_fwhm == 0 and lorentzian.lorentzian_fwhm > 0
+
+    def test_wide_wings_keep_the_pure_lorentzian_value_bit_for_bit(self, seed7_trace):
+        # The value the bisection returned on this trace, whose first probe,
+        # w20 / sqrt(99), it accepted.
+        est = estimate_voigt(read_trace(seed7_trace))
+        masked = mask_central_bins(read_trace(seed7_trace), 3)
+        w20 = width_at_level(masked, 20.0)
+        assert est.lorentzian_fwhm == 31538.058851465572
+        assert est.lorentzian_fwhm == w20 / LORENTZIAN_20DB_FACTOR
+        assert est.gaussian_fwhm == 0.0
+        assert est.flags == {FLAG_GRID_LIMITED}
+
+    def test_table_nodes_are_exact_widths(self):
+        step, ratios, _, half_power, _ = lineshape._voigt_shape_table()
+        assert len(ratios) == lineshape._SHAPE_NODES
+        for k in range(0, len(ratios), 50):
+            theta = step * k
+            lorentzian, gaussian = math.sin(theta) ** 2, math.cos(theta)
+            if k == len(ratios) - 1:
+                lorentzian, gaussian = 1.0, 0.0
+            w3 = voigt_width_numeric(lorentzian, gaussian, HALF_POWER_DB)
+            w20 = voigt_width_numeric(lorentzian, gaussian, 20.0)
+            assert half_power[k] == pytest.approx(w3, rel=1e-12, abs=0.0)
+            assert ratios[k] * half_power[k] == pytest.approx(w20, rel=1e-12, abs=0.0)
+
+    def test_table_ratio_rises_between_the_pure_shapes(self):
+        ratios = np.array(lineshape._voigt_shape_table()[1])
+        assert np.all(np.diff(ratios) > 0)
+        assert ratios[0] == pytest.approx(GAUSSIAN_20DB_FACTOR, rel=1e-15)
+        assert ratios[-1] == pytest.approx(LORENTZIAN_20DB_FACTOR, rel=1e-15)
+
+    def test_no_faddeeva_evaluation_once_the_table_exists(self, monkeypatch):
         trace, _ = beat_trace(320.0, 640.0)
-        evaluations, solves = [], []
+        lineshape._voigt_shape_table()
+        evaluations = []
         faddeeva = lineshape._faddeeva
-        solve = estimate_module.voigt_width_numeric
         monkeypatch.setattr(lineshape, "_faddeeva",
                             lambda z: evaluations.append(z) or faddeeva(z))
-
-        def counted_solve(*args):
-            before = len(evaluations)
-            width = solve(*args)
-            solves.append(len(evaluations) - before)
-            return width
-
-        monkeypatch.setattr(estimate_module, "voigt_width_numeric", counted_solve)
         est = estimate_voigt(trace)
-        assert est.iterations == 9
-        assert len(solves) == 1
-        assert len(evaluations) - solves[0] <= 3 * (est.iterations + 1)
-        assert est == reference_estimate_voigt(trace)
+        assert evaluations == []
+        assert not est.flags and est.gaussian_fwhm > 0  # the inverted path
+
+    def test_table_built_by_an_in_range_ratio_alone(self, tmp_path, seed7_trace):
+        # Neither the CLI's import nor a fit of wings wider than any Voigt's
+        # pays for the table; the paper configuration does.
+        in_range = tmp_path / "beat.csv"
+        write_trace(beat_trace(320.0, 640.0)[0], in_range)
+        proc = subprocess.run([sys.executable, "-c", (
+            "import sys\n"
+            "import beatnote.cli\n"
+            "from beatnote import estimate_voigt, read_trace\n"
+            "from beatnote.lineshape import _voigt_shape_table as table\n"
+            "sizes = [table.cache_info().currsize]\n"
+            "for path in sys.argv[1:]:\n"
+            "    estimate_voigt(read_trace(path))\n"
+            "    sizes.append(table.cache_info().currsize)\n"
+            "print(sizes)\n"), str(seed7_trace), str(in_range)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 1]"
 
 
 def _result_or_raised(fn, *args):
@@ -846,7 +862,7 @@ def width_cases(draw):
     block, on a grid edge, anywhere, or nowhere, and farther bins are mixed.
     The peak sits inside the grid, on index 1 or n-2 included, and may tie
     with an adjacent or a separated sample (on a grid edge too) or head a
-    plateau."""
+    plateau, which a level under 0.05 dB leaves as a flat top under it."""
     n = draw(st.integers(3, 1100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ipk = draw(st.sampled_from([1, n - 2]) | st.integers(1, n - 2))
@@ -868,19 +884,25 @@ def width_cases(draw):
         if distance <= room:
             values[ipk + outward * distance] = rng.uniform(0.0, 0.01)
     values[ipk] = 1.0
-    tie = draw(st.sampled_from(["none", "adjacent", "separated", "plateau"]))
+    tie = draw(st.sampled_from(["none", "adjacent", "separated", "plateau",
+                                "flat top"]))
     if tie == "adjacent":
         values[min(ipk + 1, n - 1)] = 1.0
     elif tie == "separated":
         values[draw(st.integers(0, n - 1))] = 1.0
-    elif tie == "plateau":
+    elif tie in ("plateau", "flat top"):
         values[ipk:ipk + draw(st.integers(2, 70))] = 1.0
     grid = FrequencyGrid(draw(st.sampled_from([0.0, -1234.5, 7e6 + 1.0 / 3.0])),
                          draw(st.sampled_from([10.0, 0.5, 1.0 / 3.0])), n)
     # 20 dB and below, the level parts the low bins from the high ones or,
-    # near 3 dB, falls among the high ones.
-    level = draw(st.sampled_from([20.0, HALF_POWER_DB, 10.0])
-                 | st.floats(0.01, 19.0))
+    # near 3 dB, falls among the high ones.  Under 0.05 dB it lies above a
+    # flat top's samples, since the parabola through the top's first bin
+    # peaks at least 1.0125 times above them.
+    if tie == "flat top":
+        level = draw(st.sampled_from([0.01, 0.001]) | st.floats(0.001, 0.05))
+    else:
+        level = draw(st.sampled_from([20.0, HALF_POWER_DB, 10.0])
+                     | st.floats(0.01, 19.0))
     return SpectrumTrace(grid, values), level, draw(st.booleans())
 
 
@@ -998,6 +1020,16 @@ class TestOversizedMask:
             mask_central_bins(trace, count)
         with pytest.raises(InvalidParameterError, match=message):
             estimate_voigt(trace, VoigtOptions(exclude_central_bins=count))
+
+    @pytest.mark.parametrize("peak, masked", [(9, [5, 6, 7, 8, 9]),
+                                              (1, [1, 2, 3, 4, 5])])
+    def test_count_kept_next_to_either_edge(self, peak, masked):
+        # A ramp peaking next to the high edge used to mask only bins 7-9:
+        # the mask was clipped at bin 9 instead of shifted down.
+        values = np.append(np.arange(1.0, 11.0), 0.5)
+        trace = SpectrumTrace(self.GRID, values if peak == 9 else values[::-1])
+        changed = mask_central_bins(trace, 5).values != trace.values
+        assert np.flatnonzero(changed).tolist() == masked
 
     def test_largest_count_masks(self):
         trace = eval_lorentzian(self.GRID, 0.0, 3.0)

@@ -431,6 +431,17 @@ class TestWidthAtLevel:
         with pytest.raises(WidthUndefinedError, match="high-frequency side"):
             width_at_level(trace, HALF_POWER_DB)
 
+    @pytest.mark.parametrize("level_db", [0.01, 0.001])
+    def test_level_above_a_flat_top_is_refused(self, level_db):
+        # The parabola through the top's first bin peaks at 1.0125, so the
+        # level lies above both plateau samples; the high-side crossing was
+        # read from the plateau's two bins, a division by zero.
+        trace = SpectrumTrace(FrequencyGrid(0.0, 1.0, 9), np.array(
+            [0.1, 0.2, 0.5, 0.9, 1.0, 1.0, 0.6, 0.2, 0.1]))
+        with pytest.raises(WidthUndefinedError, match="flat top at bins 4-5"):
+            width_at_level(trace, level_db)
+        assert width_at_level(trace, 3.0) == pytest.approx(4.2127, abs=1e-4)
+
     def test_peak_on_edge(self):
         grid = FrequencyGrid(0.0, 1.0, 101)
         trace = SpectrumTrace(grid, np.exp(-np.linspace(0, 5, 101)))

@@ -205,7 +205,7 @@ def table(tmp_path_factory):
         "SimConfig": dict(sample_rate=1e8, duration=1e-5, segments=16, seed=0),
         "SpectrumTrace": dict(grid=FrequencyGrid(0.0, 1.0, 4),
                               values=np.array([0.0, 1.0, 2.0, 0.5]), rbw=1.0),
-        "VoigtOptions": dict(tol=1e-3, max_iter=60, exclude_central_bins=3),
+        "VoigtOptions": dict(exclude_central_bins=3),
         "analytic_psd": dict(params=dshi, grid=envelope_grid),
         "apply_rbw": dict(trace=trace, rbw=2.0),
         "estimate_envelope_contrast": dict(trace=envelope_trace, params=dshi,
