@@ -430,9 +430,9 @@ class TestPlainFloats:
 
 
 # The full-pass readers that the estimators replaced, verbatim but for their
-# names and for the flat-top refusal in reference_width_at_level, which
-# holds the shared refusal to the full pass's search: every bin of the trace
-# is read, and the frequencies come from grid.points().
+# names and, in reference_width_at_level, the flat-top refusal both width
+# readers now make: every bin of the trace is read, and the frequencies come
+# from grid.points().
 def reference_width_at_level(trace: SpectrumTrace, level_db: float,
                              allow_ties: bool = False) -> float:
     """Full width of the trace's peak at `level_db` (power dB) below the peak.
