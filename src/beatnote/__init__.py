@@ -22,9 +22,9 @@ _HOMES = {name: module for module, names in {
         "extrema_spacing", "inject_servo_bumps", "simulate_time_domain",
         "voigt_beat_note"),
     "estimate": (
-        "FitResult", "LinewidthEstimate", "VoigtOptions",
-        "estimate_envelope_contrast", "estimate_voigt", "fit_least_squares",
-        "measure_envelope_contrast", "solve_contrast"),
+        "FitResult", "LinewidthEstimate", "estimate_envelope_contrast",
+        "estimate_voigt", "fit_least_squares", "measure_envelope_contrast",
+        "solve_contrast"),
     "ionsim": (
         "ExcitationCurve", "IonProbeParams", "LaserNoise",
         "expected_excitation", "fit_damped_sine", "fit_inverse_power",

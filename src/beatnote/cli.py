@@ -183,19 +183,18 @@ def _fitted_profile(trace: SpectrumTrace, estimate) -> SpectrumTrace:
 
 
 def cmd_fit(args) -> int:
-    from .estimate import (VoigtOptions, estimate_envelope_contrast,
-                           estimate_voigt)
+    from .estimate import estimate_envelope_contrast, estimate_voigt
 
     if args.fitted_trace and args.method == "envelope":
         raise InvalidParameterError(
             "--fitted-trace needs the Voigt estimator (--method voigt or both)")
     trace = read_trace(args.input)
-    opts = VoigtOptions(exclude_central_bins=args.exclude_central_bins)
     # Every requested estimator runs before any file is written, so a
     # failure leaves no partial output.
     reports = []
     if args.method in ("voigt", "both"):
-        reports.append(("voigt", estimate_voigt(trace, opts)))
+        reports.append(("voigt", estimate_voigt(
+            trace, exclude_central_bins=args.exclude_central_bins)))
     if args.method in ("envelope", "both"):
         params = _dshi_params(args, laser_fwhm=0.0)
         est = estimate_envelope_contrast(

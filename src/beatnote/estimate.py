@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Callable, FrozenSet, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    AmbiguousPeakError,
     DomainError,
     ExtremumNotFoundError,
     InitializationError,
@@ -53,7 +52,6 @@ __all__ = [
     "FLAG_GRID_LIMITED",
     "FitResult",
     "LinewidthEstimate",
-    "VoigtOptions",
     "fit_least_squares",
     "lorentzian_peak_model",
     "estimate_voigt",
@@ -294,19 +292,6 @@ def _lorentzian_peak_jacobian(x, center, fwhm, amplitude, offset):
 # Voigt estimator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VoigtOptions:
-    """Knobs for estimate_voigt."""
-
-    exclude_central_bins: int = 3
-
-    def __post_init__(self):
-        object.__setattr__(self, "exclude_central_bins", _whole_number(
-            self.exclude_central_bins, "exclude_central_bins"))
-        if self.exclude_central_bins < 0:
-            raise InvalidParameterError("invalid Voigt estimator options")
-
-
 def _masked_values(values: np.ndarray, count) -> np.ndarray:
     """A copy of `values` with the `count` bins nearest their maximum
     replaced by linear interpolation; `values` itself when count is 0.  The
@@ -351,14 +336,16 @@ def mask_central_bins(trace: SpectrumTrace, count: int) -> SpectrumTrace:
 
 
 def estimate_voigt(trace: SpectrumTrace,
-                   opts: Optional[VoigtOptions] = None) -> LinewidthEstimate:
+                   exclude_central_bins: int = 3) -> LinewidthEstimate:
     """Combined Lorentzian/Gaussian widths from the central beat-note peak.
 
     Measures the half-power width w3 and the 20 dB width w20 (width_at_level's,
-    about one peak search of the masked values).  Their ratio q = w20 / w3
-    fixes the Voigt's shape: it rises strictly from sqrt(log2(100)) for a
-    pure Gaussian to sqrt(99) for a pure Lorentzian.  So one inversion of q
-    gives the shape, and w3 then the scale.  Three paths:
+    about one peak search, tied maxima flagged grid-limited) once the
+    `exclude_central_bins` bins nearest the maximum are masked as
+    mask_central_bins does.  Their ratio q = w20 / w3 fixes the Voigt's
+    shape: it rises strictly from sqrt(log2(100)) for a pure Gaussian to
+    sqrt(99) for a pure Lorentzian.  So one inversion of q gives the shape,
+    and w3 then the scale.  Three paths:
 
     * q >= sqrt(99), wings higher than any Voigt's: the pure Lorentzian of
       the measured 20 dB width, L = w20 / sqrt(99) and G = 0, flagged
@@ -374,16 +361,9 @@ def estimate_voigt(trace: SpectrumTrace,
     evaluation per estimate.  The residual is |q(L, G) - q| / q, the model's
     width ratio against the measured one, and iterations is 1.
     """
-    if opts is None:
-        opts = VoigtOptions()
-    values = _masked_values(trace.values, opts.exclude_central_bins)
-    flags = set()
-    try:
-        ipk = _peak_index(values, allow_ties=False)
-    except AmbiguousPeakError:
-        # Equal-height peaks: the lowest-frequency one wins, flagged.
-        flags.add(FLAG_GRID_LIMITED)
-        ipk = _peak_index(values, allow_ties=True)
+    values = _masked_values(trace.values, exclude_central_bins)
+    ipk, tied = _peak_index(values, allow_ties=True)
+    flags = {FLAG_GRID_LIMITED} if tied else set()
     w20 = _width_about(values, trace.grid, ipk, 20.0)
     w3 = _width_about(values, trace.grid, ipk, HALF_POWER_DB)
     ratio = w20 / w3

@@ -154,7 +154,8 @@ class SpectrumTrace:
 def eval_gaussian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
     """Unit-integral Gaussian of the given FWHM centered at f0."""
     if not (math.isfinite(f0) and 0 < fwhm < math.inf):
-        raise InvalidParameterError(f"gaussian needs a finite f0 and fwhm > 0")
+        raise InvalidParameterError(
+            f"gaussian needs a finite f0 and fwhm > 0, got f0={f0}, fwhm={fwhm}")
     x = grid.points() - f0
     peak = 2.0 * math.sqrt(math.log(2.0)) / (math.sqrt(math.pi) * fwhm)
     values = peak * np.exp(-4.0 * math.log(2.0) * (x / fwhm) ** 2)
@@ -164,7 +165,8 @@ def eval_gaussian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
 def eval_lorentzian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
     """Unit-integral Lorentzian of the given FWHM centered at f0."""
     if not (math.isfinite(f0) and 0 < fwhm < math.inf):
-        raise InvalidParameterError(f"lorentzian needs a finite f0 and fwhm > 0")
+        raise InvalidParameterError(
+            f"lorentzian needs a finite f0 and fwhm > 0, got f0={f0}, fwhm={fwhm}")
     x = grid.points() - f0
     values = (fwhm / (2.0 * math.pi)) / (x * x + fwhm * fwhm / 4.0)
     return SpectrumTrace(grid, values)
@@ -480,84 +482,68 @@ def _interpolated_peak(values: np.ndarray, i: int) -> float:
 _FIRST_BLOCK = 64
 
 
-def _peak_index(values: np.ndarray, allow_ties: bool) -> int:
-    """Index of the interior maximum that widths are measured about.
+def _peak_index(values: np.ndarray, allow_ties: bool) -> tuple[int, bool]:
+    """(index, tied): the interior maximum that widths are measured about,
+    and whether separated samples tie for it (the lowest-index one wins).
 
-    Raises AmbiguousPeakError when several separated samples tie for the
-    maximum (with allow_ties the lowest-index one wins) and
+    Raises AmbiguousPeakError on a tie unless allow_ties, then
     WidthUndefinedError when the maximum sits on a grid edge.
     """
     peaks = np.flatnonzero(values == values.max())
     # The tied indices are ascending, so they are adjacent exactly when they
     # span as many bins as there are ties.
-    if peaks[-1] - peaks[0] >= len(peaks) and not allow_ties:
+    tied = bool(peaks[-1] - peaks[0] >= len(peaks))
+    if tied and not allow_ties:
         raise AmbiguousPeakError(
             f"{len(peaks)} samples tie for the maximum; peak is ambiguous"
         )
     ipk = int(peaks[0])
     if ipk == 0 or ipk == len(values) - 1:
         raise WidthUndefinedError("global maximum sits on a grid edge")
-    return ipk
+    return ipk, tied
 
 
 def _nearest_below(values: np.ndarray, ipk: int, threshold: float,
                    outward: int):
     """Index of the sample nearest `ipk` on the side `outward` (-1 below it,
-    1 above it) whose value is below `threshold`, or None."""
-    size = _FIRST_BLOCK
-    if outward < 0:
-        near = ipk
-        while near > 0:
-            far = max(near - size, 0)
-            below = np.flatnonzero(values[far:near] < threshold)
-            if len(below):
-                return far + int(below[-1])
-            near, size = far, 2 * size
-    else:
-        near = ipk + 1
-        while near < len(values):
-            far = min(near + size, len(values))
-            below = np.flatnonzero(values[near:far] < threshold)
-            if len(below):
-                return near + int(below[0])
-            near, size = far, 2 * size
+    1 above it) whose value is below `threshold`, or None.  The side is read
+    as one view, nearest sample first, in blocks of 64, 128, 256, ... bins."""
+    side = values[ipk + outward::outward]
+    near, size = 0, _FIRST_BLOCK
+    while near < len(side):
+        below = np.flatnonzero(side[near:near + size] < threshold)
+        if len(below):
+            return ipk + outward * (near + 1 + int(below[0]))
+        near, size = near + size, 2 * size
     return None
 
 
 def _width_about(values: np.ndarray, grid: FrequencyGrid, ipk: int,
                  level_db: float) -> float:
     """Full width at `level_db` below the interior maximum at `ipk`, between
-    the two crossings nearest it, each interpolated linearly.  A level above
-    a flat top, whose high-side crossing no sample pair brackets, raises
-    WidthUndefinedError."""
+    the two crossings nearest it, each interpolated linearly from the first
+    sample below the level towards the peak.  A level above the top sample,
+    which the parabolic peak can exceed by up to 0.51 dB, leaves no sample
+    pair about either crossing and raises WidthUndefinedError."""
     threshold = _interpolated_peak(values, ipk) * 10.0 ** (-level_db / 10.0)
-    i = _nearest_below(values, ipk, threshold, -1)
-    if i is None:
-        raise WidthUndefinedError(
-            f"{level_db:g} dB level not crossed on the low-frequency side"
-        )
-    f_left = grid.start + grid.step * (
-        i + (threshold - values[i]) / (values[i + 1] - values[i])
-    )
-    j = _nearest_below(values, ipk, threshold, 1)
-    if j is None:
-        raise WidthUndefinedError(
-            f"{level_db:g} dB level not crossed on the high-frequency side"
-        )
-    if values[j - 1] == values[j]:
-        # Only a flat top, j - 1 == ipk, leaves no sample pair about the
-        # crossing: the parabola through its first bin peaks above it.
-        end = j
-        while end + 1 < len(values) and values[end + 1] == values[j]:
+    if threshold > values[ipk]:
+        end = ipk
+        while end + 1 < len(values) and values[end + 1] == values[ipk]:
             end += 1
-        raise WidthUndefinedError(
-            f"{level_db:g} dB level lies above the flat top at bins "
-            f"{ipk}-{end}; its high-frequency crossing is undefined"
-        )
-    f_right = grid.start + grid.step * (
-        j - (threshold - values[j]) / (values[j - 1] - values[j])
-    )
-    return float(f_right - f_left)
+        top = (f"flat top at bins {ipk}-{end}; its high-frequency crossing is"
+               if end > ipk else f"top sample at bin {ipk}; its crossings are")
+        raise WidthUndefinedError(f"{level_db:g} dB level lies above the {top} undefined")
+    edges = []
+    for outward, side in ((-1, "low"), (1, "high")):
+        i = _nearest_below(values, ipk, threshold, outward)
+        if i is None:
+            raise WidthUndefinedError(
+                f"{level_db:g} dB level not crossed on the {side}-frequency side"
+            )
+        edges.append(grid.start + grid.step * (
+            i - outward * (threshold - values[i]) / (values[i - outward] - values[i])
+        ))
+    return float(edges[1] - edges[0])
 
 
 def width_at_level(trace: SpectrumTrace, level_db: float,
@@ -567,9 +553,9 @@ def width_at_level(trace: SpectrumTrace, level_db: float,
     The two crossings nearest the peak are located by linear interpolation
     between adjacent samples.  Raises WidthUndefinedError when the level is
     not crossed inside the grid (or the peak sits on a grid edge, or the
-    level lies above a flat-topped peak's samples) and AmbiguousPeakError
-    when several separated samples tie for the maximum (with allow_ties the
-    lowest-frequency one wins).
+    level lies above the top sample, as one under 0.51 dB can) and
+    AmbiguousPeakError when several separated samples tie for the maximum
+    (with allow_ties the lowest-frequency one wins).
 
     Finding the peak reads every bin; each crossing is then searched outward
     from the peak in blocks of 64, 128, 256, ... bins, so it costs the
@@ -577,5 +563,5 @@ def width_at_level(trace: SpectrumTrace, level_db: float,
     """
     if not 0 < level_db < math.inf:
         raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
-    ipk = _peak_index(trace.values, allow_ties)
+    ipk, _ = _peak_index(trace.values, allow_ties)
     return _width_about(trace.values, trace.grid, ipk, level_db)

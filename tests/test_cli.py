@@ -346,6 +346,17 @@ class TestExitCodes:
         assert run_cli(*argv, *outputs[argv[0]]) == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, named", [
+        (("--sweep-param", "fiber-km"), "--sweep-values required"),
+        ((), "--out is required"),
+    ], ids=["sweep_without_values", "no_out"])
+    def test_simulate_without_its_output_flags_is_validation_error(
+            self, tmp_path, capsys, monkeypatch, argv, named):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", "--mode", "analytic", *argv) == 2
+        assert named in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("width", ["-5", "nan"])
     def test_bad_flicker_gaussian_width_is_validation_error(self, tmp_path,
                                                             width):

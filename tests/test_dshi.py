@@ -272,6 +272,13 @@ class TestModelValidation:
             ServoBumpModel(**{"offset": 1e3, "width": 50.0, "height_db": 3.0,
                               field: bad})
 
+    @pytest.mark.parametrize("field", ["offset", "width"])
+    @pytest.mark.parametrize("bad", [0.0, -50.0])
+    def test_servo_bump_rejects_offset_or_width_not_above_zero(self, field, bad):
+        with pytest.raises(InvalidParameterError, match=f"bump {field} must be > 0"):
+            ServoBumpModel(**{"offset": 1e3, "width": 50.0, "height_db": 3.0,
+                              field: bad})
+
     @pytest.mark.parametrize("field", ["sample_rate", "duration"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_sim_config_rejects_non_finite_rates(self, field, bad):

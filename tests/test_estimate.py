@@ -47,7 +47,6 @@ from beatnote.errors import (
 from beatnote.estimate import (
     FLAG_GRID_LIMITED,
     FLAG_SERVO_CONTAMINATED,
-    VoigtOptions,
     _check_orders,
     _contrast_model,
     _locate_extremum,
@@ -162,14 +161,14 @@ class TestEstimateVoigt:
     def test_pure_lorentzian(self):
         grid = grid_about(0.0, 5e3, 2.0)
         trace = SpectrumTrace(grid, eval_lorentzian(grid, 0.0, 300.0).values)
-        est = estimate_voigt(trace, VoigtOptions(exclude_central_bins=0))
+        est = estimate_voigt(trace, exclude_central_bins=0)
         assert est.lorentzian_fwhm == pytest.approx(300.0, rel=0.01)
         assert est.gaussian_fwhm < 0.05 * est.lorentzian_fwhm
 
     def test_pure_gaussian_pins_lower_bracket(self):
         grid = grid_about(0.0, 5e3, 2.0)
         trace = SpectrumTrace(grid, eval_gaussian(grid, 0.0, 300.0).values)
-        est = estimate_voigt(trace, VoigtOptions(exclude_central_bins=0))
+        est = estimate_voigt(trace, exclude_central_bins=0)
         assert est.lorentzian_fwhm < 0.05 * est.gaussian_fwhm
         assert FLAG_GRID_LIMITED in est.flags
 
@@ -181,8 +180,7 @@ class TestEstimateVoigt:
         values = (eval_lorentzian(grid, -50.0, 4.0).values
                   + eval_lorentzian(grid, 50.0, 4.0).values)
         assert np.count_nonzero(values == values.max()) == 2
-        est = estimate_voigt(SpectrumTrace(grid, values),
-                             VoigtOptions(exclude_central_bins=0))
+        est = estimate_voigt(SpectrumTrace(grid, values), exclude_central_bins=0)
         assert est.flags == {FLAG_GRID_LIMITED}
         assert est.lorentzian_fwhm == pytest.approx(4.0, rel=0.05)
 
@@ -202,7 +200,7 @@ class TestEstimateVoigt:
         grid = grid_about(0.0, 300.0, 2.0)  # too narrow for the 20 dB width
         trace = SpectrumTrace(grid, eval_lorentzian(grid, 0.0, 300.0).values)
         with pytest.raises(WidthUndefinedError):
-            estimate_voigt(trace, VoigtOptions(exclude_central_bins=0))
+            estimate_voigt(trace, exclude_central_bins=0)
 
     def test_nan_at_argmax_yields_no_estimate(self, tmp_path):
         # A NaN bin would be the argmax carrier and be interpolated away by
@@ -225,7 +223,7 @@ class TestEstimateVoigt:
     ])
     def test_options_reject_non_integral_counts(self, field, bad):
         with pytest.raises(InvalidParameterError):
-            VoigtOptions(**{field: bad})
+            estimate_voigt(beat_trace(320.0, 640.0)[0], **{field: bad})
 
     def test_mask_central_bins_removes_spike(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
@@ -421,7 +419,7 @@ class TestPlainFloats:
     def test_voigt_pure_gaussian_branch(self):
         grid = grid_about(0.0, 5e3, 2.0)
         trace = SpectrumTrace(grid, eval_gaussian(grid, 0.0, 300.0).values)
-        self.assert_plain(estimate_voigt(trace, VoigtOptions(exclude_central_bins=0)))
+        self.assert_plain(estimate_voigt(trace, exclude_central_bins=0))
 
     def test_envelope(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
@@ -430,18 +428,19 @@ class TestPlainFloats:
 
 
 # The full-pass readers that the estimators replaced, verbatim but for their
-# names and, in reference_width_at_level, the flat-top refusal both width
-# readers now make: every bin of the trace is read, and the frequencies come
-# from grid.points().
+# names and, in reference_width_at_level, the refusal of a level above the
+# top sample that both width readers now make: every bin of the trace is
+# read, and the frequencies come from grid.points().
 def reference_width_at_level(trace: SpectrumTrace, level_db: float,
                              allow_ties: bool = False) -> float:
     """Full width of the trace's peak at `level_db` (power dB) below the peak.
 
     The two crossings nearest the peak are located by linear interpolation
     between adjacent samples.  Raises WidthUndefinedError when the level is
-    not crossed inside the grid (or the peak sits on a grid edge) and
-    AmbiguousPeakError when several separated samples tie for the maximum
-    (with allow_ties the lowest-frequency one wins).
+    not crossed inside the grid (or the peak sits on a grid edge, or the
+    level lies above the top sample) and AmbiguousPeakError when several
+    separated samples tie for the maximum (with allow_ties the
+    lowest-frequency one wins).
     """
     if not 0 < level_db < math.inf:
         raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
@@ -458,6 +457,19 @@ def reference_width_at_level(trace: SpectrumTrace, level_db: float,
         raise WidthUndefinedError("global maximum sits on a grid edge")
 
     threshold = _interpolated_peak(values, ipk) * 10.0 ** (-level_db / 10.0)
+    if threshold > values[ipk]:
+        end = ipk
+        while end + 1 < len(values) and values[end + 1] == values[ipk]:
+            end += 1
+        if end > ipk:
+            raise WidthUndefinedError(
+                f"{level_db:g} dB level lies above the flat top at bins "
+                f"{ipk}-{end}; its high-frequency crossing is undefined"
+            )
+        raise WidthUndefinedError(
+            f"{level_db:g} dB level lies above the top sample at bin {ipk}; "
+            f"its crossings are undefined"
+        )
 
     below_left = np.flatnonzero(values[:ipk] < threshold)
     if len(below_left) == 0:
@@ -475,14 +487,6 @@ def reference_width_at_level(trace: SpectrumTrace, level_db: float,
             f"{level_db:g} dB level not crossed on the high-frequency side"
         )
     j = ipk + 1 + int(below_right[0])
-    if values[j - 1] == values[j]:
-        end = j
-        while end + 1 < len(values) and values[end + 1] == values[j]:
-            end += 1
-        raise WidthUndefinedError(
-            f"{level_db:g} dB level lies above the flat top at bins "
-            f"{ipk}-{end}; its high-frequency crossing is undefined"
-        )
     f_right = grid.start + grid.step * (
         j - (threshold - values[j]) / (values[j - 1] - values[j])
     )
@@ -667,10 +671,10 @@ def _nudged(value, ulps):
 
 @st.composite
 def voigt_cases(draw):
-    """A trace and options for estimate_voigt: a DSHI beat note with random
-    Lorentzian and Gaussian widths, with or without servo bumps or a flat
-    floor 21-30 dB below its peak (wings higher than any Voigt's), two tied
-    Lorentzian peaks, or a pure Gaussian."""
+    """A trace and a central-bin count for estimate_voigt: a DSHI beat note
+    with random Lorentzian and Gaussian widths, with or without servo bumps
+    or a flat floor 21-30 dB below its peak (wings higher than any Voigt's),
+    two tied Lorentzian peaks, or a pure Gaussian."""
     kind = draw(st.sampled_from(["beat", "bumped", "floor", "tied", "gaussian"]))
     width = draw(st.floats(2.0, 20.0))
     grid = FrequencyGrid(-200.0, 0.5, 801)
@@ -696,7 +700,7 @@ def voigt_cases(draw):
         elif kind == "floor":
             floor = trace.values.max() * 10.0 ** (-draw(st.floats(21.0, 30.0)) / 10.0)
             trace = SpectrumTrace(trace.grid, trace.values + floor)
-    return trace, VoigtOptions(exclude_central_bins=draw(st.sampled_from([0, 3])))
+    return trace, draw(st.sampled_from([0, 3]))
 
 
 @functools.cache
@@ -729,21 +733,21 @@ class TestVoigtInversion:
     @given(case=voigt_cases())
     @settings(max_examples=150)
     def test_each_path_gives_its_stated_values(self, case):
-        trace, opts = case
-        values = mask_central_bins(trace, opts.exclude_central_bins)
+        trace, count = case
+        values = mask_central_bins(trace, count)
         try:
             w20 = width_at_level(values, 20.0, allow_ties=True)
             w3 = width_at_level(values, HALF_POWER_DB, allow_ties=True)
         except WidthUndefinedError as exc:
             with pytest.raises(WidthUndefinedError, match=str(exc)):
-                estimate_voigt(trace, opts)
+                estimate_voigt(trace, exclude_central_bins=count)
             return
         try:
             width_at_level(values, 20.0)
             tied = set()
         except AmbiguousPeakError:
             tied = {FLAG_GRID_LIMITED}
-        est = estimate_voigt(trace, opts)
+        est = estimate_voigt(trace, exclude_central_bins=count)
         q = w20 / w3
         assert est.iterations == 1
         assert est.single_laser_fwhm * 2.0 == est.lorentzian_fwhm
@@ -774,7 +778,7 @@ class TestVoigtInversion:
         grid = grid_about(0.0, 5e3, 2.0)
         inverted = estimate_voigt(beat_trace(320.0, 640.0)[0])
         gaussian = estimate_voigt(eval_gaussian(grid, 0.0, 300.0),
-                                  VoigtOptions(exclude_central_bins=0))
+                                  exclude_central_bins=0)
         lorentzian = estimate_voigt(read_trace(seed7_trace))
         assert inverted.flags == frozenset() and inverted.gaussian_fwhm > 0
         assert gaussian.lorentzian_fwhm == 0 and gaussian.gaussian_fwhm > 0
@@ -862,7 +866,9 @@ def width_cases(draw):
     block, on a grid edge, anywhere, or nowhere, and farther bins are mixed.
     The peak sits inside the grid, on index 1 or n-2 included, and may tie
     with an adjacent or a separated sample (on a grid edge too) or head a
-    plateau, which a level under 0.05 dB leaves as a flat top under it."""
+    plateau, which a level under 0.05 dB leaves as a flat top under it; or
+    it is a sharp top, whose parabola peaks above it unless its neighbours
+    are equal, drawn with a level under 0.51 dB."""
     n = draw(st.integers(3, 1100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ipk = draw(st.sampled_from([1, n - 2]) | st.integers(1, n - 2))
@@ -885,7 +891,7 @@ def width_cases(draw):
             values[ipk + outward * distance] = rng.uniform(0.0, 0.01)
     values[ipk] = 1.0
     tie = draw(st.sampled_from(["none", "adjacent", "separated", "plateau",
-                                "flat top"]))
+                                "flat top", "sharp top"]))
     if tie == "adjacent":
         values[min(ipk + 1, n - 1)] = 1.0
     elif tie == "separated":
@@ -897,9 +903,12 @@ def width_cases(draw):
     # 20 dB and below, the level parts the low bins from the high ones or,
     # near 3 dB, falls among the high ones.  Under 0.05 dB it lies above a
     # flat top's samples, since the parabola through the top's first bin
-    # peaks at least 1.0125 times above them.
+    # peaks at least 1.0125 times above them.  Over a sharp top it may lie
+    # above or below the top sample.
     if tie == "flat top":
         level = draw(st.sampled_from([0.01, 0.001]) | st.floats(0.001, 0.05))
+    elif tie == "sharp top":
+        level = draw(st.sampled_from([0.125, 0.01]) | st.floats(0.001, 0.51))
     else:
         level = draw(st.sampled_from([20.0, HALF_POWER_DB, 10.0])
                      | st.floats(0.01, 19.0))
@@ -1019,7 +1028,7 @@ class TestOversizedMask:
         with pytest.raises(InvalidParameterError, match=message):
             mask_central_bins(trace, count)
         with pytest.raises(InvalidParameterError, match=message):
-            estimate_voigt(trace, VoigtOptions(exclude_central_bins=count))
+            estimate_voigt(trace, exclude_central_bins=count)
 
     @pytest.mark.parametrize("peak, masked", [(9, [5, 6, 7, 8, 9]),
                                               (1, [1, 2, 3, 4, 5])])

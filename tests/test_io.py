@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from beatnote import (
     AnalysisReport,
     DshiParams,
+    FitResult,
     FrequencyGrid,
     SpectrumTrace,
     estimate_voigt,
@@ -242,6 +243,28 @@ class TestReports:
                                     seed=2), tmp_path / "r.json")
         text = (tmp_path / "r.json").read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    def test_nan_covariance_is_written_as_null(self, tmp_path):
+        # A failed pinv leaves the covariance NaN; JSON has no NaN.
+        fit = FitResult(parameters=np.array([1.0, 2.0]),
+                        covariance=np.array([[math.nan, 0.5], [0.5, 2.0]]),
+                        residual_norm=0.5, converged=False, iterations=3)
+        write_report(AnalysisReport(input={}, method="lm", payload=fit),
+                     tmp_path / "r.json")
+        doc = read_report(tmp_path / "r.json")
+        assert doc["fit"]["covariance"] == [[None, 0.5], [0.5, 2.0]]
+        assert doc["fit"]["parameters"] == [1.0, 2.0]
+
+    def test_numpy_integers_and_frozensets_in_config(self, tmp_path):
+        est = self.make_estimate()
+        config = {"points": np.int64(401), "shots": np.uint16(7),
+                  "modes": frozenset({"voigt", "envelope"})}
+        write_report(AnalysisReport(input={}, method=est.method, payload=est,
+                                    config=config), tmp_path / "r.json")
+        text = (tmp_path / "r.json").read_text()
+        assert read_report(tmp_path / "r.json")["config"] == {
+            "points": 401, "shots": 7, "modes": ["envelope", "voigt"]}
+        assert '"points": 401,' in text
 
     def test_file_errors(self, tmp_path):
         est = self.make_estimate()

@@ -442,6 +442,17 @@ class TestWidthAtLevel:
             width_at_level(trace, level_db)
         assert width_at_level(trace, 3.0) == pytest.approx(4.2127, abs=1e-4)
 
+    @pytest.mark.parametrize("level_db", [0.1, 0.01])
+    def test_level_above_a_sharp_top_is_refused(self, level_db):
+        # The parabola peaks at 1.0333, so both levels lie above the top
+        # sample, and both crossings were extrapolated past the peak: the
+        # widths read -0.118 and -0.371.
+        trace = SpectrumTrace(FrequencyGrid(0.0, 1.0, 7), np.array(
+            [0.1, 0.3, 0.5, 1.0, 0.9, 0.3, 0.1]))
+        with pytest.raises(WidthUndefinedError, match="above the top sample at bin 3"):
+            width_at_level(trace, level_db)
+        assert width_at_level(trace, 0.3) == pytest.approx(0.428, abs=1e-3)
+
     def test_peak_on_edge(self):
         grid = FrequencyGrid(0.0, 1.0, 101)
         trace = SpectrumTrace(grid, np.exp(-np.linspace(0, 5, 101)))

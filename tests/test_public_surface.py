@@ -1,6 +1,6 @@
-"""The package's public surface: every name has a caller outside the tests,
-every helper of tests/oracles.py has a test that reads it, and every public
-class and callable refuses a bad number.
+"""The package's public surface: every public name and every private helper
+has a caller outside the tests, every helper of tests/oracles.py has a test
+that reads it, and every public class and callable refuses a bad number.
 
 The refusal table holds one valid call for each public class and callable.
 Each numeric argument of that call is replaced in turn by NaN, +inf and
@@ -32,7 +32,6 @@ from beatnote import (
     NoiseModel,
     ServoBumpModel,
     SimConfig,
-    VoigtOptions,
     analytic_psd,
     eval_voigt_numeric,
     measure_envelope_contrast,
@@ -88,6 +87,19 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(beatnote.__all__) - used - set(ORACLES)) == []
 
 
+def test_every_private_helper_has_a_caller():
+    # A private top-level name of the package that no caller reads (its own
+    # definition aside) is dead code; __init__.py reads its own helpers.
+    package = (ROOT / "src" / "beatnote").glob("*.py")
+    defined = set().union(*(_defined(top) for path in package
+                            for top in ast.parse(path.read_text()).body))
+    private = {name for name in defined
+               if name.startswith("_") and not name.startswith("__")}
+    files = [p for pattern in CALLERS for p in ROOT.glob(pattern)]
+    used = set().union(*map(_references, files))
+    assert sorted(private - used) == []
+
+
 def test_every_oracle_has_a_test():
     # A helper of tests/oracles.py that no test module reads checks nothing.
     oracles = ROOT / "tests" / "oracles.py"
@@ -100,14 +112,14 @@ def test_all_holds_no_module():
     namespace = {}
     exec("import io\nfrom beatnote import *", namespace)
     assert namespace["io"].StringIO
-    assert len(beatnote.__all__) == 44
+    assert len(beatnote.__all__) == 43
 
 
 def test_star_import_binds_exactly_the_public_names():
     namespace = {}
     exec("from beatnote import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == beatnote.__all__
-    assert len(namespace) - 1 == 44
+    assert len(namespace) - 1 == 43
 
 
 @pytest.mark.parametrize("name", beatnote.__all__)
@@ -205,13 +217,12 @@ def table(tmp_path_factory):
         "SimConfig": dict(sample_rate=1e8, duration=1e-5, segments=16, seed=0),
         "SpectrumTrace": dict(grid=FrequencyGrid(0.0, 1.0, 4),
                               values=np.array([0.0, 1.0, 2.0, 0.5]), rbw=1.0),
-        "VoigtOptions": dict(exclude_central_bins=3),
         "analytic_psd": dict(params=dshi, grid=envelope_grid),
         "apply_rbw": dict(trace=trace, rbw=2.0),
         "estimate_envelope_contrast": dict(trace=envelope_trace, params=dshi,
                                            peak_order=1, trough_order=2,
                                            servo_band_hz=100e3),
-        "estimate_voigt": dict(trace=trace, opts=VoigtOptions()),
+        "estimate_voigt": dict(trace=trace, exclude_central_bins=3),
         "eval_gaussian": dict(grid=line_grid, f0=0.0, fwhm=20.0),
         "eval_lorentzian": dict(grid=line_grid, f0=0.0, fwhm=20.0),
         "eval_voigt_numeric": dict(grid=line_grid, params=shape),
