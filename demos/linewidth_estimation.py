@@ -3,9 +3,9 @@
 Synthesizes the measured-beat-note model for a 320 Hz combined linewidth
 (two identical arms, so 160 Hz per laser) with flicker-induced Gaussian
 broadening, runs the Voigt estimator (one inversion of the measured 20 dB
-to half-power width ratio against a table of exact Voigt widths) and the
-envelope-contrast estimator, then injects cavity-servo bumps to show why
-only the Voigt method survives them.
+to half-power width ratio through a Chebyshev fit to exact Voigt widths)
+and the envelope-contrast estimator, then injects cavity-servo bumps to
+show why only the Voigt method survives them.
 """
 
 from beatnote import (
@@ -31,8 +31,8 @@ for flicker in (320.0, 640.0, 960.0):
     est = estimate_voigt(trace)
     print(f"  flicker {flicker:5.0f} Hz: combined={est.lorentzian_fwhm:6.1f} Hz, "
           f"gaussian={est.gaussian_fwhm:6.1f} Hz, "
-          f"single laser={est.single_laser_fwhm:6.1f} Hz "
-          f"(width-ratio residual {est.residual:.1e})")
+          f"voigt={est.voigt_fwhm:6.1f} Hz, "
+          f"single laser={est.single_laser_fwhm:6.1f} Hz")
 
 print("\n== envelope contrast on the unbroadened spectrum ==")
 clean = analytic_psd(params, grid)

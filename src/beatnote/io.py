@@ -150,10 +150,10 @@ def _columns(rows, data):
 def read_trace(path) -> SpectrumTrace:
     """Parse a trace CSV, rejecting non-monotone or non-uniform grids, rows
     holding a non-finite frequency or a NaN or +inf value, numeric metadata
-    that is not a finite number, and values that are not a finite linear
-    power >= 0 (a negative linear value, or a dBm value whose power
-    overflows), naming the first such line.  Values of a dBm file come back
-    as linear power 10**(v/10), so a -inf row reads as 0."""
+    that is not a finite number, a negative rbw_hz, and values that are not
+    a finite linear power >= 0 (a negative linear value, or a dBm value
+    whose power overflows), naming the first such line.  Values of a dBm
+    file come back as linear power 10**(v/10), so a -inf row reads as 0."""
     meta: Dict[str, str] = {}
     rows = []  # line number of each data row
     data = []  # its stripped text
@@ -208,6 +208,8 @@ def read_trace(path) -> SpectrumTrace:
         raise SchemaError(f"line {rows[i]}: value {raw[i]:g} (unit {unit}) is "
                           "not a finite power density >= 0")
     rbw = _meta_number(meta, "rbw_hz", 0.0)
+    if rbw < 0:
+        raise SchemaError(f"metadata rbw_hz={meta['rbw_hz']!r} is negative")
     return SpectrumTrace(grid, values, rbw)
 
 

@@ -12,7 +12,6 @@ about 1e-13 relative wherever the profile is within 30 dB of its peak.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import numbers
@@ -138,8 +137,8 @@ class SpectrumTrace:
             )
         if not np.all((values >= 0) & (values < np.inf)):  # false for NaN
             raise InvalidParameterError("trace values must be finite and >= 0")
-        if not math.isfinite(self.rbw):
-            raise InvalidParameterError(f"rbw must be finite, got {self.rbw}")
+        if not 0 <= self.rbw < math.inf:
+            raise InvalidParameterError(f"rbw must be finite and >= 0, got {self.rbw}")
         object.__setattr__(self, "values", values)
 
     def linear_values(self) -> np.ndarray:
@@ -151,6 +150,14 @@ class SpectrumTrace:
         return float(np.trapezoid(self.values, dx=self.grid.step))
 
 
+def _unit_gaussian(x: np.ndarray, fwhm: float) -> np.ndarray:
+    """exp(-4 ln 2 (x / fwhm)**2), the unit-peak Gaussian of FWHM `fwhm` at
+    offsets x.  |x| is clamped at 40 FWHM, where the value is already 0.0,
+    so no square overflows however narrow the Gaussian."""
+    x = np.minimum(np.abs(x), 40.0 * float(fwhm))
+    return np.exp(-4.0 * math.log(2.0) * (x / fwhm) ** 2)
+
+
 def eval_gaussian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
     """Unit-integral Gaussian of the given FWHM centered at f0."""
     if not (math.isfinite(f0) and 0 < fwhm < math.inf):
@@ -158,7 +165,7 @@ def eval_gaussian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
             f"gaussian needs a finite f0 and fwhm > 0, got f0={f0}, fwhm={fwhm}")
     x = grid.points() - f0
     peak = 2.0 * math.sqrt(math.log(2.0)) / (math.sqrt(math.pi) * fwhm)
-    values = peak * np.exp(-4.0 * math.log(2.0) * (x / fwhm) ** 2)
+    values = peak * _unit_gaussian(x, fwhm)
     return SpectrumTrace(grid, values)
 
 
@@ -168,18 +175,28 @@ def eval_lorentzian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrac
         raise InvalidParameterError(
             f"lorentzian needs a finite f0 and fwhm > 0, got f0={f0}, fwhm={fwhm}")
     x = grid.points() - f0
-    values = (fwhm / (2.0 * math.pi)) / (x * x + fwhm * fwhm / 4.0)
+    # A width whose square underflows divides by 0 at the center; the
+    # trace refuses the inf.
+    with np.errstate(divide="ignore"):
+        values = (fwhm / (2.0 * math.pi)) / (x * x + fwhm * fwhm / 4.0)
     return SpectrumTrace(grid, values)
 
 
 def voigt_fwhm_approx(fwhm_lorentzian: float, fwhm_gaussian: float) -> float:
-    """Closed-form Voigt FWHM from its Lorentzian and Gaussian components."""
+    """Closed-form Voigt FWHM from its Lorentzian and Gaussian components;
+    widths whose FWHM overflows are refused."""
     if not (0 <= fwhm_lorentzian < math.inf and 0 <= fwhm_gaussian < math.inf):
         raise InvalidParameterError("linewidths must be finite and >= 0")
-    return 0.5 * (
-        VOIGT_WIDTH_CL * fwhm_lorentzian
-        + math.sqrt(VOIGT_WIDTH_CQ * fwhm_lorentzian**2 + 4.0 * fwhm_gaussian**2)
-    )
+    fl, fg = float(fwhm_lorentzian), float(fwhm_gaussian)
+    try:
+        width = 0.5 * (VOIGT_WIDTH_CL * fl
+                       + math.sqrt(VOIGT_WIDTH_CQ * fl**2 + 4.0 * fg**2))
+    except OverflowError:  # from a square
+        width = math.inf
+    if width == math.inf:
+        raise InvalidParameterError(f"the Voigt FWHM of Lorentzian {fl:g} Hz and "
+                                    f"Gaussian {fg:g} Hz widths overflows")
+    return width
 
 
 def _weideman_coefficients(n: int):
@@ -264,44 +281,6 @@ def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> Spectrum
 _LORENTZIAN_LIMIT = 1e8
 
 
-def _pick(condition, if_true, if_false):
-    """np.where for the Python floats of one profile."""
-    return if_true if condition else if_false
-
-
-def _newton_start(fl, fg, s, lo, hi, pure_l, pure_g, where):
-    """First iterate and last step of the width solve: half of
-    voigt_fwhm_approx of the widths at the level, per sigma sqrt 2, or the
-    bracket's midpoint if it falls outside (lo, hi).  Takes floats with
-    where=_pick or arrays with where=np.where."""
-    a, b = fl * pure_l, fg * pure_g
-    u = 0.25 * (VOIGT_WIDTH_CL * a + (VOIGT_WIDTH_CQ * a * a + 4.0 * b * b) ** 0.5) / s
-    return where((lo < u) & (u < hi), u, 0.5 * (lo + hi)), hi - lo
-
-
-def _newton_step(u, y, w, target, lo, hi, last_step, where):
-    """One step of the width solve from the iterate u, where w = w(u + iy):
-    (u, lo, hi, last_step, width, done), the next iterate, bracket and step,
-    and once done the full width per sigma sqrt 2.  Takes floats with
-    where=_pick or arrays with where=np.where."""
-    excess = w.real - target
-    above = excess > 0
-    lo, hi = where(above, u, lo), where(above, hi, u)
-    # Re w'(u + iy) = -2 (u Re w - y Im w).  The two terms cancel as |z|
-    # grows; a slope under 1e-12 of their size is rounding, not trusted.
-    slope = -2.0 * (u * w.real - y * w.imag)
-    trusted = slope < -1e-12 * (abs(u * w.real) + abs(y * w.imag))
-    step = excess / where(trusted, slope, -1.0)
-    newton = u - step
-    stopped = trusted & (abs(step) <= 1e-12 * u)
-    taken = trusted & (lo < newton) & (newton < hi) & (abs(step) < 0.5 * last_step)
-    done = stopped | where(taken, False, hi - lo <= 1e-12 * hi)
-    return (where(taken, newton, 0.5 * (lo + hi)),
-            lo, hi, where(taken, abs(step), hi - lo),
-            where(stopped, 2.0 * newton, lo + hi),  # twice the midpoint
-            done)
-
-
 def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
                         level_db: float = HALF_POWER_DB) -> float:
     """Full width of the exact Voigt profile at `level_db` below its peak.
@@ -311,10 +290,11 @@ def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
     the half width u (in units of sigma sqrt 2) where Re w(u + iy) falls to
     Re w(iy) * 10**(-level_db/10), with the slope from w'(z) = -2z w(z) +
     2i/sqrt(pi).  The bracket starts at the summed component widths, doubled
-    until it holds the crossing; a Newton step that leaves the bracket, does
-    not halve the last step, or rests on a slope lost to rounding bisects
-    instead.  The stop is a step or bracket within 1e-12 relative.
-    _voigt_widths runs the same solve on arrays of profiles.
+    until it holds the crossing, and the first iterate is voigt_fwhm_approx
+    of the pure shapes' widths at the level; a Newton step that leaves the
+    bracket, does not halve the last step, or rests on a slope lost to
+    rounding bisects instead.  The stop is a step or bracket within 1e-12
+    relative.
     """
     if not 0 < level_db < math.inf:
         raise InvalidParameterError(f"level must be finite and > 0 dB, got {level_db}")
@@ -336,134 +316,85 @@ def voigt_width_numeric(fwhm_lorentzian: float, fwhm_gaussian: float,
     lo, hi = 0.0, (fl + fg) / s
     while _faddeeva(complex(hi, y)).real > target:
         lo, hi = hi, 2.0 * hi
-    u, last_step = _newton_start(fl, fg, s, lo, hi, pure_l, pure_g, _pick)
+    a, b = fl * pure_l, fg * pure_g
+    u = 0.25 * (VOIGT_WIDTH_CL * a + (VOIGT_WIDTH_CQ * a * a + 4.0 * b * b) ** 0.5) / s
+    if not lo < u < hi:
+        u = 0.5 * (lo + hi)
+    last_step = hi - lo
     while True:
-        u, lo, hi, last_step, width, done = _newton_step(
-            u, y, _faddeeva(complex(u, y)), target, lo, hi, last_step, _pick)
-        if done:
-            return width * s * scale
+        w = _faddeeva(complex(u, y))
+        excess = w.real - target
+        if excess > 0:
+            lo = u
+        else:
+            hi = u
+        # Re w'(u + iy) = -2 (u Re w - y Im w).  The two terms cancel as |z|
+        # grows; a slope under 1e-12 of their size is rounding, not trusted.
+        slope = -2.0 * (u * w.real - y * w.imag)
+        if slope < -1e-12 * (abs(u * w.real) + abs(y * w.imag)):
+            step = excess / slope
+            newton = u - step
+            if abs(step) <= 1e-12 * u:
+                return 2.0 * newton * s * scale
+            if lo < newton < hi and abs(step) < 0.5 * last_step:
+                u, last_step = newton, abs(step)
+                continue
+        if hi - lo <= 1e-12 * hi:
+            return (lo + hi) * s * scale  # twice the midpoint
+        u, last_step = 0.5 * (lo + hi), hi - lo
 
 
-def _voigt_widths(fwhm_lorentzian: np.ndarray, fwhm_gaussian: np.ndarray,
-                  level_db: np.ndarray) -> np.ndarray:
-    """voigt_width_numeric of each element of three float arrays of one
-    shape, the widths valid and the levels > 0 dB: the same closed forms,
-    bracket, steps and stop, with each Faddeeva evaluation shared by the
-    profiles still being solved."""
-    ratio = 10.0 ** (level_db / 10.0)
-    pure_l = np.sqrt(ratio - 1.0)
-    pure_g = np.sqrt(np.log2(ratio))
-    widths = np.where(fwhm_lorentzian == 0, fwhm_gaussian * pure_g,
-                      fwhm_lorentzian * pure_l)
-    scale = np.maximum(fwhm_lorentzian, fwhm_gaussian)
-    fl, fg = fwhm_lorentzian / scale, fwhm_gaussian / scale
-    s = fg * _SIGMA_ROOT2_PER_FWHM
-    solved = np.flatnonzero((fl > 0) & (0.5 * fl <= _LORENTZIAN_LIMIT * s))
-    fl, fg, s, ratio, pure_l, pure_g = (
-        a[solved] for a in (fl, fg, s, ratio, pure_l, pure_g))
-    y = 0.5 * fl / s
-    target = _faddeeva(1j * y).real / ratio
-    lo, hi = np.zeros_like(y), (fl + fg) / s
-    grow = _faddeeva(hi + 1j * y).real > target
-    while grow.any():
-        lo[grow] = hi[grow]
-        hi[grow] *= 2.0
-        grow[grow] = _faddeeva(hi[grow] + 1j * y[grow]).real > target[grow]
-    u, last_step = _newton_start(fl, fg, s, lo, hi, pure_l, pure_g, np.where)
-    full = np.empty_like(u)
-    index = np.arange(u.size)  # of the profiles still being solved
-    while index.size:
-        u, lo, hi, last_step, width, done = _newton_step(
-            u, y, _faddeeva(u + 1j * y), target, lo, hi, last_step, np.where)
-        full[index[done]] = width[done]
-        index, u, y, target, lo, hi, last_step = (
-            a[~done] for a in (index, u, y, target, lo, hi, last_step))
-    widths[solved] = full * s * scale[solved]
-    return widths
-
-
-# Nodes of the Voigt shape table, evenly spaced in theta over [0, pi/2].
-_SHAPE_NODES = 2001
+# Nodes of the shape fit and the degrees of its two Chebyshev series (48
+# nodes and degrees 36 and 30 leave 2e-11), and the ratio's mid-range and
+# half-range, which map it onto [-1, 1].
+_FIT_NODES, _X_DEGREE, _W3_DEGREE = 56, 40, 32
+_Q_MID, _Q_HALF = (0.5 * (LORENTZIAN_20DB_FACTOR + GAUSSIAN_20DB_FACTOR),
+                   0.5 * (LORENTZIAN_20DB_FACTOR - GAUSSIAN_20DB_FACTOR))
 
 
 @functools.cache
-def _voigt_shape_table():
-    """Exact widths of the Voigt profiles (L, G) = (sin(theta)**2,
-    cos(theta)) at the _SHAPE_NODES nodes, built once per process (a few ms)
-    by _voigt_widths: (theta step, q, dq, w3, dw3), with w3 the half-power
-    width, q = w20 / w3 the ratio of the 20 dB to the half-power width, and
-    dq, dw3 their slopes per node by five-point differences.  q depends on
-    the shape rho = L / (L + G) alone and rises strictly from
-    GAUSSIAN_20DB_FACTOR at theta = 0 to LORENTZIAN_20DB_FACTOR at pi/2.
-
-    Near the pure Gaussian the widths move with L, near the pure Lorentzian
-    with G squared: a Gaussian convolution adds only even moments.  So in
-    theta both columns are smooth and even about either end, which gives the
-    slopes there, and the nodes crowd in rho towards the pure Gaussian.  The
-    columns are Python lists, read one value at a time."""
-    theta = np.linspace(0.0, 0.5 * math.pi, _SHAPE_NODES)
-    lorentzian = np.sin(theta) ** 2
-    gaussian = np.cos(theta)
-    lorentzian[-1], gaussian[-1] = 1.0, 0.0
-    # Both levels in one solve, which shares each Faddeeva evaluation.
-    w3, w20 = _voigt_widths(np.tile(lorentzian, 2), np.tile(gaussian, 2),
-                            np.repeat([HALF_POWER_DB, 20.0], _SHAPE_NODES)
-                            ).reshape(2, _SHAPE_NODES)
-    q = w20 / w3
-
-    def slope(f):
-        f = np.concatenate((f[2:0:-1], f, f[-2:-4:-1]))  # mirrored ends
-        return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / 12.0
-
-    return (float(theta[1]), q.tolist(), slope(q).tolist(), w3.tolist(),
-            slope(w3).tolist())
+def _shape_fit():
+    """Chebyshev coefficients of x(q) and w3(q), in t = (q - _Q_MID) /
+    _Q_HALF, for the Voigt profiles (L, G) = (x, sqrt(1 - x)), x in [0, 1]:
+    q = w20 / w3 is their 20 dB to half-power width ratio.  Two lists of
+    floats, fitted once per process (a few ms) by least squares on the
+    three-term recurrence's basis to exact widths at _FIT_NODES Chebyshev
+    points of x, both pure shapes included.  q rises from
+    GAUSSIAN_20DB_FACTOR at x = 0 with slope 3.5 to LORENTZIAN_20DB_FACTOR
+    at x = 1 with slope 7.0, so both series are smooth: within 2e-12 in x
+    and 6e-12 in w3."""
+    x = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, _FIT_NODES))
+    w3, w20 = (np.array([voigt_width_numeric(v, math.sqrt(1.0 - v), level) for v in x])
+               for level in (HALF_POWER_DB, 20.0))
+    t = (w20 / w3 - _Q_MID) / _Q_HALF
+    basis = np.empty((_FIT_NODES, _X_DEGREE + 1))
+    basis[:, 0], basis[:, 1] = 1.0, t
+    for k in range(2, _X_DEGREE + 1):
+        basis[:, k] = 2.0 * t * basis[:, k - 1] - basis[:, k - 2]
+    return tuple(np.linalg.lstsq(basis[:, :degree + 1], values, rcond=None)[0].tolist()
+                 for values, degree in ((x, _X_DEGREE), (w3, _W3_DEGREE)))
 
 
-def _hermite(values, slopes, k: int):
-    """The cubic on cell k, t in [0, 1], through values[k], values[k + 1]
-    with slopes[k], slopes[k + 1]: a function of t and its derivative."""
-    a, b = values[k], slopes[k]
-    c = 3.0 * (values[k + 1] - a) - 2.0 * b - slopes[k + 1]
-    d = 2.0 * (a - values[k + 1]) + b + slopes[k + 1]
-    return (lambda t: a + t * (b + t * (c + t * d)),
-            lambda t: b + t * (2.0 * c + 3.0 * t * d))
+def _clenshaw(coeffs, t: float) -> float:
+    """The Chebyshev series with coefficients `coeffs` at t, by Clenshaw's
+    recurrence on Python floats."""
+    b1 = b2 = 0.0
+    twice = 2.0 * t
+    for c in reversed(coeffs[1:]):
+        b1, b2 = c + twice * b1 - b2, b1
+    return coeffs[0] + t * b1 - b2
 
 
 def _voigt_shape(ratio: float):
-    """The Voigt profile of the table's family whose 20 dB to half-power
+    """The Voigt profile (L, G) = (x, sqrt(1 - x)) whose 20 dB to half-power
     width ratio is `ratio`, strictly between GAUSSIAN_20DB_FACTOR and
-    LORENTZIAN_20DB_FACTOR: (L, G, w3, q), its Lorentzian and Gaussian
-    widths, its half-power width and the ratio the table gives it.
-
-    The cell of the table that holds the ratio is found by bisection, and
-    the ratio is solved on the cell's cubic Hermite interpolant by Newton
-    from the chord's root, within the cell: a step that leaves what is left
-    of it bisects instead.  Away from the pure Lorentzian, where the slope
-    of q falls to 0, the chord misses by the square of the cell and two or
-    three steps reach rounding.  No Faddeeva evaluation once the table
-    exists.
-    """
-    step, qs, dqs, w3s, dw3s = _voigt_shape_table()
-    k = min(max(bisect.bisect_right(qs, ratio) - 1, 0), len(qs) - 2)
-    q, dq = _hermite(qs, dqs, k)
-    lo, hi = 0.0, 1.0
-    t = min(max((ratio - qs[k]) / (qs[k + 1] - qs[k]), lo), hi)
-    for _ in range(64):  # each bisection halves the cell: rounding by 53
-        excess = q(t) - ratio
-        if excess > 0:
-            hi = t
-        else:
-            lo = t
-        slope = dq(t)
-        after = t - excess / slope if slope > 0 else 0.5 * (lo + hi)
-        if not lo <= after <= hi:
-            after = 0.5 * (lo + hi)
-        if abs(after - t) <= 1e-15:
-            break
-        t = after
-    theta = step * (k + t)
-    return (math.sin(theta) ** 2, math.cos(theta),
-            _hermite(w3s, dw3s, k)[0](t), q(t))
+    LORENTZIAN_20DB_FACTOR: (L, G, w3), its Lorentzian and Gaussian widths
+    and its half-power width, from the two series of _shape_fit, with x
+    clamped to [0, 1].  No Faddeeva evaluation once the fit exists."""
+    x_coeffs, w3_coeffs = _shape_fit()
+    t = (ratio - _Q_MID) / _Q_HALF
+    x = min(max(_clenshaw(x_coeffs, t), 0.0), 1.0)
+    return x, math.sqrt(1.0 - x), _clenshaw(w3_coeffs, t)
 
 
 def _interpolated_peak(values: np.ndarray, i: int) -> float:

@@ -312,7 +312,7 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(path), "--method", "voigt",
                        "--out", str(tmp_path / "r.json")) == 3
 
-    @pytest.mark.parametrize("bad", ["abc", "nan"])
+    @pytest.mark.parametrize("bad", ["abc", "nan", "-3"])
     def test_bad_trace_metadata_is_io_error(self, tmp_path, bad):
         path = tmp_path / "t.csv"
         rows = [f"# rbw_hz={bad}", "frequency_hz,psd"]
@@ -562,9 +562,9 @@ class TestStartup:
     # second.  The oracle's second lane is a plain threading.Thread;
     # concurrent.futures would add about 7 ms to every CLI call.
     NEVER = ("scipy", "scipy.*", "concurrent.futures")
-    # What each process runs, a statement or a CLI argv ("{d}" is the
-    # test's directory), and the patterns it must also keep out: each
-    # subcommand compiles only the modules it runs.
+    # What each process runs, a statement or one or more CLI argvs ("{d}"
+    # is the test's directory), and the patterns it must also keep out:
+    # each subcommand compiles only the modules it runs.
     ROWS = {
         "import-beatnote": ("import beatnote", ("beatnote.*",)),
         "import-cli": ("import beatnote.cli", ()),
@@ -576,6 +576,15 @@ class TestStartup:
         "fit": (["fit", "--input", "{d}/an.csv", "--method", "voigt",
                  "--fitted-trace", "{d}/fit.csv", "--out", "{d}/r.json"],
                 ("beatnote.ionsim", "beatnote.dshi", "numpy.random")),
+        # A width ratio between the pure shapes, so `fit` builds the Voigt
+        # shape fit, with numpy.linalg and not numpy.polynomial.
+        "fit-voigt-shape": (
+            (["simulate", "--mode", "analytic", "--linewidth-hz", "320",
+              "--flicker-gaussian-hz", "640", "--span-hz", "120000",
+              "--points", "12001", "--out", "{d}/voigt.csv"],
+             ["fit", "--input", "{d}/voigt.csv", "--method", "voigt",
+              "--out", "{d}/r.json"]),
+            ("numpy.polynomial", "numpy.polynomial.*", "beatnote.ionsim")),
         "fit-both": (["fit", "--input", "{d}/an.csv", "--method", "both",
                       "--fitted-trace", "{d}/fit.csv", "--out", "{d}/r.json"],
                      ("beatnote.ionsim", "numpy.random")),
@@ -589,11 +598,14 @@ class TestStartup:
     def test_process_loads_only_what_it_runs(self, tmp_path, row):
         run, kept_out = self.ROWS[row]
         if isinstance(run, list):
+            run = (run,)
+        if isinstance(run, tuple):
             assert run_cli("simulate", "--mode", "analytic", "--linewidth-hz",
                            "50000", "--span-hz", "1000000", "--points", "2001",
                            "--out", str(tmp_path / "an.csv")) == 0
-            argv = [arg.format(d=tmp_path) for arg in run]
-            run = f"from beatnote.cli import main\nassert main({argv!r}) == 0"
+            argvs = [[arg.format(d=tmp_path) for arg in argv] for argv in run]
+            run = "from beatnote.cli import main\n" + "".join(
+                f"assert main({argv!r}) == 0\n" for argv in argvs)
         # The module list is taken before json is imported to print it.
         proc = subprocess.run(
             [sys.executable, "-c",

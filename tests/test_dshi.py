@@ -644,6 +644,15 @@ class TestServoBumps:
         with pytest.raises(DomainError):
             extract_servo_bumps(self.clean, model)
 
+    def test_narrowest_bump_is_one_bin_each_side_without_warning(self):
+        bump = ServoBumpModel(offset=50e3, width=1e-300, height_db=10.0)
+        bumped = inject_servo_bumps(self.clean, bump, carrier_hz=7e6)
+        multiplier = _bump_multiplier(bump, 7e6, self.grid.points())
+        assert np.flatnonzero(multiplier != 1.0).tolist() == [
+            self.grid.index_of(7e6 - 50e3), self.grid.index_of(7e6 + 50e3)]
+        assert multiplier.max() == 10.0
+        assert np.array_equal(bumped.values, self.clean.values * multiplier)
+
     def test_bump_outside_grid_rejected(self):
         with pytest.raises(DomainError):
             inject_servo_bumps(
@@ -725,6 +734,15 @@ class TestApplyRbw:
         raw = analytic_psd(DshiParams(**P5KM), grid_about(7e6, 50e3, 10.0))
         with pytest.raises(InvalidParameterError):
             apply_rbw(raw, rbw)
+
+    def test_narrowest_rbw_keeps_the_trace_without_warning(self):
+        # A kernel of one non-zero bin: (offset / rbw)**2 would overflow
+        # beside it.
+        raw = analytic_psd(DshiParams(**P5KM), grid_about(7e6, 50e3, 10.0))
+        smoothed = apply_rbw(raw, 1e-300)
+        assert smoothed.rbw == 1e-300
+        assert np.allclose(smoothed.values, raw.values, rtol=1e-9,
+                           atol=1e-12 * raw.values.max())
 
     def test_kernel_wider_than_trace_refused(self):
         # 101 points of 10 Hz: the kernel half-width ceil(4 rbw / step) may

@@ -728,7 +728,7 @@ def seed7_trace(tmp_path_factory):
 
 class TestVoigtInversion:
     """estimate_voigt inverts the measured width ratio q = w20 / w3 once,
-    against a per-process table of exact Voigt widths."""
+    through a per-process Chebyshev fit to exact Voigt widths."""
 
     @given(case=voigt_cases())
     @settings(max_examples=150)
@@ -795,28 +795,29 @@ class TestVoigtInversion:
         assert est.gaussian_fwhm == 0.0
         assert est.flags == {FLAG_GRID_LIMITED}
 
-    def test_table_nodes_are_exact_widths(self):
-        step, ratios, _, half_power, _ = lineshape._voigt_shape_table()
-        assert len(ratios) == lineshape._SHAPE_NODES
-        for k in range(0, len(ratios), 50):
-            theta = step * k
-            lorentzian, gaussian = math.sin(theta) ** 2, math.cos(theta)
-            if k == len(ratios) - 1:
-                lorentzian, gaussian = 1.0, 0.0
-            w3 = voigt_width_numeric(lorentzian, gaussian, HALF_POWER_DB)
-            w20 = voigt_width_numeric(lorentzian, gaussian, 20.0)
-            assert half_power[k] == pytest.approx(w3, rel=1e-12, abs=0.0)
-            assert ratios[k] * half_power[k] == pytest.approx(w20, rel=1e-12, abs=0.0)
+    def test_fit_inverts_shapes_off_its_nodes(self):
+        # 440 shapes halfway in angle between the fit's Chebyshev nodes, and
+        # ratios a few ulps inside either pure shape.
+        m = 8 * (lineshape._FIT_NODES - 1)
+        shapes = 0.5 - 0.5 * np.cos(np.pi * (np.arange(m) + 0.5) / m)
+        ratios = [voigt_width_numeric(x, math.sqrt(1.0 - x), 20.0)
+                  / voigt_width_numeric(x, math.sqrt(1.0 - x)) for x in shapes]
+        nudged = ([_nudged(GAUSSIAN_20DB_FACTOR, k) for k in (1, 2, 5)]
+                  + [_nudged(LORENTZIAN_20DB_FACTOR, -k) for k in (1, 2, 5)])
+        for k, ratio in enumerate(ratios + nudged):
+            lorentzian, gaussian, w3 = lineshape._voigt_shape(ratio)
+            assert 0.0 <= lorentzian <= 1.0
+            assert gaussian == math.sqrt(1.0 - lorentzian)
+            if k < m:
+                assert lorentzian == pytest.approx(shapes[k], rel=0.0, abs=1e-10)
+            assert voigt_width_numeric(lorentzian, gaussian, HALF_POWER_DB) \
+                == pytest.approx(w3, rel=1e-10, abs=0.0)
+            assert voigt_width_numeric(lorentzian, gaussian, 20.0) \
+                == pytest.approx(ratio * w3, rel=1e-10, abs=0.0)
 
-    def test_table_ratio_rises_between_the_pure_shapes(self):
-        ratios = np.array(lineshape._voigt_shape_table()[1])
-        assert np.all(np.diff(ratios) > 0)
-        assert ratios[0] == pytest.approx(GAUSSIAN_20DB_FACTOR, rel=1e-15)
-        assert ratios[-1] == pytest.approx(LORENTZIAN_20DB_FACTOR, rel=1e-15)
-
-    def test_no_faddeeva_evaluation_once_the_table_exists(self, monkeypatch):
+    def test_no_faddeeva_evaluation_once_the_fit_exists(self, monkeypatch):
         trace, _ = beat_trace(320.0, 640.0)
-        lineshape._voigt_shape_table()
+        lineshape._shape_fit()
         evaluations = []
         faddeeva = lineshape._faddeeva
         monkeypatch.setattr(lineshape, "_faddeeva",
@@ -825,24 +826,33 @@ class TestVoigtInversion:
         assert evaluations == []
         assert not est.flags and est.gaussian_fwhm > 0  # the inverted path
 
-    def test_table_built_by_an_in_range_ratio_alone(self, tmp_path, seed7_trace):
+    def test_fit_made_by_an_in_range_ratio_alone(self, tmp_path, seed7_trace):
         # Neither the CLI's import nor a fit of wings wider than any Voigt's
-        # pays for the table; the paper configuration does.
+        # pays for the shape fit; the paper configuration does.
         in_range = tmp_path / "beat.csv"
         write_trace(beat_trace(320.0, 640.0)[0], in_range)
         proc = subprocess.run([sys.executable, "-c", (
             "import sys\n"
             "import beatnote.cli\n"
             "from beatnote import estimate_voigt, read_trace\n"
-            "from beatnote.lineshape import _voigt_shape_table as table\n"
-            "sizes = [table.cache_info().currsize]\n"
+            "from beatnote.lineshape import _shape_fit as fit\n"
+            "sizes = [fit.cache_info().currsize]\n"
             "for path in sys.argv[1:]:\n"
             "    estimate_voigt(read_trace(path))\n"
-            "    sizes.append(table.cache_info().currsize)\n"
+            "    sizes.append(fit.cache_info().currsize)\n"
             "print(sizes)\n"), str(seed7_trace), str(in_range)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 1]"
+
+    def test_fit_is_the_same_in_every_process(self):
+        # Seeded estimates stay deterministic only if the least-squares fit
+        # gives the same coefficients each time it is made.
+        runs = [subprocess.run([sys.executable, "-c", (
+            "from beatnote.lineshape import _shape_fit\n"
+            "print(repr(_shape_fit()))\n")],
+            capture_output=True, text=True, check=True).stdout for _ in range(2)]
+        assert runs[0] == runs[1] == repr(lineshape._shape_fit()) + "\n"
 
 
 def _result_or_raised(fn, *args):

@@ -120,6 +120,12 @@ class TestTraceFiles:
         with pytest.raises(SchemaError, match=key):
             read_trace(path)
 
+    def test_negative_rbw_names_key(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# rbw_hz=-3\nfrequency_hz,psd\n1,1\n2,1\n")
+        with pytest.raises(SchemaError, match="rbw_hz='-3' is negative"):
+            read_trace(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceIOError):
             read_trace(tmp_path / "nope.csv")

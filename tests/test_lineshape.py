@@ -207,6 +207,14 @@ class TestGaussian:
         with pytest.raises(InvalidParameterError):
             eval_gaussian(grid, 0.0, -1.0)
 
+    def test_narrowest_width_is_one_bin_without_warning(self):
+        # Off the center (x / fwhm)**2 would overflow; the value there is 0.
+        grid = FrequencyGrid(-1.0, 0.125, 17)
+        trace = eval_gaussian(grid, 0.0, 1e-300)
+        assert np.flatnonzero(trace.values).tolist() == [8]
+        assert trace.values[8] == 2.0 * math.sqrt(math.log(2.0)) / (
+            math.sqrt(math.pi) * 1e-300)
+
 
 class TestLorentzian:
     def test_peak_value(self):
@@ -236,6 +244,11 @@ class TestLorentzian:
         with pytest.raises(InvalidParameterError):
             eval_lorentzian(grid, 0.0, -3.0)
 
+    def test_width_whose_square_underflows_refused_without_warning(self):
+        grid = FrequencyGrid(-1.0, 0.1, 21)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            eval_lorentzian(grid, 0.0, 1e-300)
+
 
 class TestVoigtApprox:
     def test_pure_gaussian_limit_exact(self):
@@ -252,6 +265,15 @@ class TestVoigtApprox:
             voigt_fwhm_approx(-1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             voigt_fwhm_approx(1.0, -1.0)
+
+    def test_overflowing_width_refused(self):
+        with pytest.raises(InvalidParameterError,
+                           match=r"Lorentzian 1e\+200 Hz and Gaussian 1e\+200 Hz"):
+            voigt_fwhm_approx(1e200, 1e200)
+        # Below overflow the closed form still holds: 1.637623 times equal
+        # widths, as at 100 Hz.
+        assert voigt_fwhm_approx(1e153, 1e153) == pytest.approx(1.637623e153,
+                                                                 rel=1e-6)
 
     def test_monotone_in_each_argument(self):
         widths = np.logspace(0, 4, 9)
@@ -495,6 +517,10 @@ class TestSpectrumTrace:
     def test_rejects_non_finite_rbw(self, rbw):
         with pytest.raises(InvalidParameterError):
             SpectrumTrace(self.grid, np.ones(5), rbw=rbw)
+
+    def test_rejects_negative_rbw(self):
+        with pytest.raises(InvalidParameterError, match="rbw must be finite and >= 0"):
+            SpectrumTrace(self.grid, np.ones(5), rbw=-5.0)
 
     def test_integral_of_dbm_trace_is_linear(self):
         linear = SpectrumTrace(self.grid, [0.0, 1.0, 2.0, 1.0, 0.0])
