@@ -236,7 +236,7 @@ def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
 # SeedSequence(seed, spawn_key=(s, k)), whoever draws it and whatever the
 # record length, so the draws do not depend on lanes or on their order.
 _DRAW_BLOCK = 1 << 18
-_WHITE, _SPECTRUM, _RIN = range(3)
+_WHITE, _FLICKER, _RIN = range(3)
 
 
 def _keyed_blocks(seed: int, stream: int, out: np.ndarray, first: int = 0,
@@ -260,55 +260,37 @@ def _fft_length(n: int) -> int:
                for p in (3 ** b * 5 ** c for b in range(bits) for c in range(bits)))
 
 
-def _phase_sigma(white_fm_fwhm: float, level: float, m: int, dt: float,
-                 lo: int, hi: int) -> np.ndarray:
-    """Fourier amplitudes sigma_j, j in [lo, hi), of the per-sample phase
-    increments of white FM W = white_fm_fwhm plus 1/f noise on m samples.
+def _flicker_sigma(level: float, m: int, dt: float) -> np.ndarray:
+    """Fourier amplitudes sigma_j, 0 <= j <= m/2, of the per-sample phase
+    increments of 1/f noise (one-sided PSD level/f) on an even length m.
 
-    Spectral synthesis (Timmer & Koenig 1995, A&A 300, 707): a part of bin
-    0 < j < m/2 has the variance m pi W dt / 2 + (m pi dt)^2 level / j,
-    from E|X_j|^2 = S(f_j) m / (2 dt) with f_j = j / (m dt) and 2 pi dt
-    per Hz.  The real DC and Nyquist bins carry the whole white variance,
-    so a flat spectrum inverts to i.i.d. N(0, pi W dt) increments.
+    Spectral synthesis (Timmer & Koenig 1995, A&A 300, 707): E|X_j|^2 =
+    S(f_j) m / (2 dt) with f_j = j / (m dt) and 2 pi dt rad per Hz, so a
+    part of bin 0 < j < m/2 has the variance (m pi dt)^2 level / j.  DC
+    carries nothing, and the real Nyquist bin the variance of its whole bin.
     """
-    var = np.arange(lo, hi, dtype=float)
+    var = np.arange(m // 2 + 1, dtype=float)
     np.divide((m * math.pi * dt) ** 2 * level, var, out=var, where=var > 0)
-    white = 0.5 * m * math.pi * white_fm_fwhm * dt
-    var += white
-    var[[j - lo for j in (0, m // 2) if lo <= j < hi]] += white
-    np.sqrt(var, out=var)
-    return var
+    var[-1] *= 2.0
+    return np.sqrt(var, out=var)
 
 
-def _phase_spectrum(white_fm_fwhm: float, level: float, m: int, dt: float,
-                    seed: int) -> np.ndarray:
-    """The m // 2 + 1 Fourier amplitudes of the phase increments on m
-    samples.  The complex array's float view (re, im interleaved) is stream
-    _SPECTRUM; two lanes draw alternate blocks and scale each by
-    _phase_sigma as they go."""
+def _flicker_increments(level: float, n: int, dt: float, seed: int) -> np.ndarray:
+    """Phase increments (rad) of 1/f noise over n samples of step dt.
+
+    The m // 2 + 1 Fourier amplitudes on m = _fft_length(n) are stream
+    _FLICKER (real and imaginary parts interleaved) scaled by
+    _flicker_sigma; their inverse transform is truncated to n.  It is
+    periodic over m, so the series wraps around when n is itself an even
+    5-smooth length; the phase structure function at segment lags still
+    matches its closed form there.
+    """
+    m = _fft_length(n)
     spec = np.empty(m // 2 + 1, complex)
-    parts = spec.view(float)
-
-    def lane(first):
-        for offset, block in _keyed_blocks(seed, _SPECTRUM, parts, first, 2):
-            lo = offset // 2
-            pairs = block.reshape(-1, 2)
-            pairs *= _phase_sigma(white_fm_fwhm, level, m, dt, lo,
-                                  lo + pairs.shape[0])[:, None]
-
-    _in_two_lanes(lane)
-    return spec
-
-
-def _spectral_phase(spec: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Phase (rad) over n samples from the increment spectrum spec.  The
-    inverse transform runs on the length m >= n and is truncated to n.  The
-    increments are periodic over m, so the series does wrap around when n
-    is itself an even 5-smooth length (m = n); the phase structure function
-    at segment lags still matches its closed form there."""
-    phase = np.fft.irfft(spec, m)[:n]
-    np.cumsum(phase, out=phase)
-    return phase
+    for _ in _keyed_blocks(seed, _FLICKER, spec.view(float)):
+        pass
+    spec *= _flicker_sigma(level, m, dt)
+    return np.fft.irfft(spec, m)[:n]
 
 
 def _in_two_lanes(fn) -> None:
@@ -333,46 +315,44 @@ def _in_two_lanes(fn) -> None:
         raise errors[0]
 
 
-def _noise_tracks(noise: NoiseModel, n: int, dt: float, seed: int):
+def _noise_tracks(noise: NoiseModel, n: int, dt: float, seed: int, hold: int):
     """Total phase (rad) and intensity (None without RIN) over n samples.
 
-    Every draw is keyed by stream and block (_keyed_blocks).  With flicker,
-    both lanes draw one spectrum of the phase increments, white FM and 1/f
-    on the length _fft_length(n); the second lane then inverts and
-    integrates it while the calling thread draws RIN.  Without flicker
-    both lanes draw alternate white-FM and RIN blocks.
+    Every draw is keyed by stream and block (_keyed_blocks), and the two
+    lanes draw alternate blocks of white FM and RIN.  With flicker, the
+    second lane first draws the 1/f increments on a grid hold samples
+    coarser; each is spread evenly over its hold white-FM increments, so
+    the 1/f phase is the coarse one linearly interpolated.  That lowers the
+    1/f structure function at a delay of delay_n samples by about
+    0.9 (hold / delay_n)^2 of the closed form: under 1e-3 for
+    hold <= delay_n / 32.
     """
-    phase = None if noise.flicker_level > 0 else np.empty(n)
+    phase = np.empty(n)
     intensity = np.empty(n) if noise.rin_sigma > 0 else None
     # Wiener phase: increment variance pi * fwhm * dt gives the per-arm
     # autocorrelation exp(-pi (fwhm/2) |tau|).
     step = math.sqrt(math.pi * noise.white_fm_fwhm * dt)
+    flicker = []
 
-    def draw(first, lanes=2):
-        if phase is not None:
-            for _, block in _keyed_blocks(seed, _WHITE, phase, first, lanes):
-                block *= step
+    def draw(first):
+        if first and noise.flicker_level > 0:
+            flicker.append(_flicker_increments(
+                noise.flicker_level, -(-n // hold), hold * dt, seed) / hold)
+        for _, block in _keyed_blocks(seed, _WHITE, phase, first, 2):
+            block *= step
         if intensity is not None:
-            for _, block in _keyed_blocks(seed, _RIN, intensity, first, lanes):
+            for _, block in _keyed_blocks(seed, _RIN, intensity, first, 2):
                 block *= noise.rin_sigma
                 block += 1.0
                 np.maximum(block, 0.0, out=block)
 
-    if phase is not None:
-        _in_two_lanes(draw)
-        return np.cumsum(phase, out=phase), intensity
-    m = _fft_length(n)
-    spec = _phase_spectrum(noise.white_fm_fwhm, noise.flicker_level, m, dt, seed)
-    flicker = []
-
-    def lane(second):
-        if second:
-            flicker.append(_spectral_phase(spec, m, n))
-        else:
-            draw(0, 1)
-
-    _in_two_lanes(lane)
-    return flicker[0], intensity
+    _in_two_lanes(draw)
+    if flicker:
+        coarse, k = flicker[0], n // hold
+        whole = phase[:k * hold].reshape(k, hold)
+        whole += coarse[:k, None]
+        phase[k * hold:] += coarse[k:]
+    return np.cumsum(phase, out=phase), intensity
 
 
 def _hann(nperseg: int) -> np.ndarray:
@@ -476,13 +456,15 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
 
     The work runs in two lanes, the calling thread and one more thread
     that ends before this returns.  Every normal is keyed by what it is:
-    block k of stream s (0 white FM, 1 phase-increment spectrum, 2 RIN) is
-    drawn from SeedSequence(cfg.seed, spawn_key=(s, k)); with flicker, the
-    white FM is drawn with the 1/f noise in that spectrum (_noise_tracks).
-    The beat and its periodograms are split between the lanes a chunk of
-    segments at a time.  No value depends on which lane made it, so a
-    seeded run is bit-identical to a single-threaded one that draws each
-    block from its key in order.
+    block k of stream s (0 white FM, 1 the 1/f spectrum, 2 RIN) is drawn
+    from SeedSequence(cfg.seed, spawn_key=(s, k)).  White FM is drawn in
+    the time domain; 1/f noise is synthesized on a grid held over
+    max(1, delay_n // 32) samples and its phase linearly interpolated,
+    which lowers its structure function at the delay by under 1e-3
+    (_noise_tracks).  The beat and its periodograms are split between the
+    lanes a chunk of segments at a time.  No value depends on which lane
+    made it, so a seeded run is bit-identical to a single-threaded one that
+    draws each block from its key in order.
     """
     fs = cfg.sample_rate
     if fs < 8.0 * params.eom_frequency:
@@ -502,7 +484,9 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
     n_total = nperseg * cfg.segments
     dt = 1.0 / fs
 
-    phase, intensity = _noise_tracks(noise, n_total + delay_n, dt, cfg.seed)
+    hold = max(1, delay_n // 32)
+    phase, intensity = _noise_tracks(noise, n_total + delay_n, dt, cfg.seed,
+                                     hold)
     window = _hann(nperseg)
     power = _beat_periodograms(params, phase, intensity, delay_n, nperseg,
                                cfg.segments, dt, window)

@@ -70,6 +70,22 @@ class TestSimulate:
         assert run_cli(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_montecarlo_flicker_is_seeded(self, tmp_path):
+        # The seed fixes the 1/f draws too, and --flicker-level reaches them.
+        args = ("simulate", "--mode", "montecarlo", "--eom-mhz", "1",
+                "--linewidth-hz", "5000", "--duration-s", "0.04",
+                "--segments", "16")
+        runs = {"a": ("42", "1e4"), "b": ("42", "1e4"), "c": ("43", "1e4"),
+                "d": ("42", "0")}
+        for name, (seed, level) in runs.items():
+            assert run_cli(*args, "--seed", seed, "--flicker-level", level,
+                           "--out", str(tmp_path / f"{name}.csv")) == 0
+        a, b, c, d = (tmp_path.joinpath(f"{name}.csv").read_bytes()
+                      for name in runs)
+        assert a == b
+        assert a != c
+        assert a != d
+
     def test_sweep_refuses_values_that_share_a_file_name(self, tmp_path, capsys):
         # Both values print as 1e+06 under {:g}: the second trace would
         # overwrite the first.

@@ -30,10 +30,11 @@ from beatnote import dshi
 from beatnote.dshi import (
     _bump_multiplier,
     _fft_length,
+    _flicker_increments,
+    _flicker_sigma,
     _hann,
     _one_sided_density,
     _periodogram_rows,
-    _phase_spectrum,
     _wing_and_envelope,
 )
 from beatnote.errors import (
@@ -50,7 +51,7 @@ P5KM = dict(eom_frequency=7e6, laser_fwhm=100.0, fiber_length=5e3, fiber_index=1
 
 # A single-threaded oracle that draws every noise block from its key in
 # order, as the bit-identity reference: block k of stream s (0 white FM,
-# 1 phase-increment spectrum, 2 RIN) is 2**18 standard normals from
+# 1 the 1/f spectrum, 2 RIN) is 2**18 standard normals from
 # SeedSequence(seed, spawn_key=(s, k)).
 
 KEY_BLOCK = 1 << 18
@@ -79,43 +80,43 @@ def smooth_length(n: int) -> int:
         m += 2
 
 
-def serial_phase_increments(white_fm_fwhm: float, level: float, n: int,
-                            dt: float, seed: int) -> np.ndarray:
-    """Phase increments (rad) of white FM plus 1/f frequency noise with a
-    one-sided PSD of level/f.
+def serial_flicker_increments(level: float, n: int, dt: float,
+                              seed: int) -> np.ndarray:
+    """Phase increments (rad) over n samples of step dt of 1/f frequency
+    noise with a one-sided PSD of level/f.
 
     Spectral synthesis (Timmer & Koenig 1995, A&A 300, 707): Gaussian
     Fourier amplitudes on the smallest even 5-smooth length m >= n,
-    inverted and truncated to n samples so the series does not wrap around.
-    E|X_k|^2 = S(f_k) m / (2 dt) makes the one-sided periodogram S(f_k);
-    with f_k = k / (m dt) and 2 pi dt rad per Hz, each part of bin
-    0 < k < m/2 has the variance m pi W dt / 2 + (m pi dt)^2 level / k.
-    DC and Nyquist, real bins, carry the whole white variance m pi W dt
-    (and DC no 1/f part).  The real and imaginary parts interleave in one
-    keyed stream.
+    inverted and truncated to n samples.  E|X_k|^2 = S(f_k) m / (2 dt)
+    makes the one-sided periodogram S(f_k); with f_k = k / (m dt) and
+    2 pi dt rad per Hz, each part of bin 0 < k < m/2 has the variance
+    (m pi dt)^2 level / k.  DC carries nothing, and Nyquist, a real bin,
+    the variance of its whole bin.  The real and imaginary parts interleave
+    in one keyed stream.
     """
     m = smooth_length(n)
     k = np.arange(m // 2 + 1, dtype=float)
     var = np.zeros(k.size)
     var[1:] = (m * math.pi * dt) ** 2 * level / k[1:]
-    white = 0.5 * m * math.pi * white_fm_fwhm * dt
-    var += white
-    var[[0, -1]] += white
+    var[-1] *= 2.0
     parts = keyed_normals(seed, 1, 2 * k.size)
     re, im = parts[0::2], parts[1::2]
     return np.fft.irfft(np.sqrt(var) * (re + 1j * im), m)[:n]
 
 
-def serial_phase(noise: NoiseModel, n: int, dt: float, seed: int) -> np.ndarray:
-    """The phase (rad) over n samples: with flicker, the integrated
-    increments of one spectrum; without, the Wiener phase of white FM, whose
+def serial_phase(noise: NoiseModel, n: int, dt: float, seed: int,
+                 hold: int) -> np.ndarray:
+    """The phase (rad) over n samples: the Wiener phase of white FM, whose
     increment variance pi * fwhm * dt gives the per-arm autocorrelation
-    exp(-pi (fwhm/2) |tau|)."""
+    exp(-pi (fwhm/2) |tau|), plus, with flicker, 1/f increments drawn on a
+    grid hold samples coarser, each spread evenly over its hold samples."""
+    increments = (math.sqrt(math.pi * noise.white_fm_fwhm * dt)
+                  * keyed_normals(seed, 0, n))
     if noise.flicker_level > 0:
-        return np.cumsum(serial_phase_increments(
-            noise.white_fm_fwhm, noise.flicker_level, n, dt, seed))
-    return np.cumsum(math.sqrt(math.pi * noise.white_fm_fwhm * dt)
-                     * keyed_normals(seed, 0, n))
+        coarse = serial_flicker_increments(
+            noise.flicker_level, -(-n // hold), hold * dt, seed)
+        increments += np.repeat(coarse / hold, hold)[:n]
+    return np.cumsum(increments)
 
 
 def serial_welch_density(x: np.ndarray, fs: float, nperseg: int) -> np.ndarray:
@@ -168,7 +169,8 @@ def serial_simulate_time_domain(params: DshiParams, noise: NoiseModel,
     n_field = n_total + delay_n
     dt = 1.0 / fs
 
-    phase = serial_phase(noise, n_field, dt, cfg.seed)
+    # 1/f noise held over a 32nd of the delay.
+    phase = serial_phase(noise, n_field, dt, cfg.seed, max(1, delay_n // 32))
 
     # Arms sqrt(I) e^{i phi}: |direct|^2 + |delayed|^2 + 2 Re(conj(direct) delayed
     # e^{iwt}) = I_dir + I_del + 2 sqrt(I_dir I_del) cos(phi_del - phi_dir + wt).
@@ -190,13 +192,82 @@ def serial_simulate_time_domain(params: DshiParams, noise: NoiseModel,
     return SpectrumTrace(grid, psd / 2.0, rbw=fs / nperseg)
 
 
-def flicker_frequency_noise(level, n, dt, seed):
-    """The package's keyed 1/f synthesis: the increment spectrum both lanes
-    draw, without white FM, inverted, truncated to n samples and read as a
-    frequency (Hz)."""
-    m = _fft_length(n)
-    increments = np.fft.irfft(_phase_spectrum(0.0, level, m, dt, seed), m)[:n]
-    return increments / (2.0 * math.pi * dt)
+def flicker_frequency_noise(level, n, dt, seed, hold):
+    """The oracle's 1/f noise over n samples, read as a frequency (Hz): the
+    package's keyed 1/f increments on a grid hold samples coarser, each
+    held over its hold samples."""
+    coarse = _flicker_increments(level, -(-n // hold), hold * dt, seed)
+    return np.repeat(coarse, hold)[:n] / (2.0 * math.pi * hold * dt)
+
+
+def assert_one_over_f(nu, level, fs, top):
+    """The Welch PSD of nu times f reads level within 1 dB in every octave
+    band from 50 Hz to top that holds at least three bins."""
+    f, psd = welch(nu, fs=fs, nperseg=1 << 15, noverlap=0)
+    edges = 10.0 ** np.arange(1.7, 5.4, 0.3)
+    edges = edges[edges <= top * (1.0 + 1e-9)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        band = (f >= lo) & (f < hi)
+        if np.count_nonzero(band) >= 3:
+            dev_db = 10.0 * math.log10(np.mean(psd[band] * f[band]) / level)
+            assert abs(dev_db) < 1.0, (lo, hi, dev_db)
+
+
+def flicker_structure_function(level, tau_d, tau):
+    """D_flicker: the variance of dphi(t + tau) - dphi(t), dphi(t) =
+    phi(t) - phi(t - tau_d), of 1/f noise with a one-sided PSD of level/f:
+    -2 level sum_j a_j c_j^2 ln c_j with a = (1, 1, -1/2, -1/2),
+    c = 2 pi (tau_d, tau, tau_d + tau, |tau_d - tau|) and 0 ln 0 = 0."""
+    total = 0.0
+    for a, c in zip((1.0, 1.0, -0.5, -0.5),
+                    (tau_d, tau, tau_d + tau, abs(tau_d - tau))):
+        if c > 0:
+            total += a * (2.0 * math.pi * c) ** 2 * math.log(2.0 * math.pi * c)
+    return -2.0 * level * total
+
+
+def held_structure_function(level, n, dt, delay_n, hold, lag):
+    """The exact expected variance of dphi(t + lag) - dphi(t), dphi(t) =
+    phi(t) - phi(t - delay_n) (lags in samples), of the oracle's 1/f phase
+    over n samples held over hold, averaged over t's place within a hold.
+
+    The phase is the coarse phase linearly interpolated, so a difference
+    phi(b) - phi(a) weights coarse increment i by the share of coarse step
+    i inside [a, b]: w_i = clip(b/hold - i, 0, 1) - clip(a/hold - i, 0, 1).
+    The coarse increments are the inverse transform of independent parts
+    of standard deviation sigma_j (_flicker_sigma), so sum_i w_i c_i has
+    the variance (4 sum_{0<j<m/2} sigma_j^2 |W_j|^2 + sigma_{m/2}^2
+    |W_{m/2}|^2) / m^2, W = rfft(w) on the m points of the transform.
+    """
+    m = _fft_length(-(-n // hold))
+    weight = _flicker_sigma(level, m, hold * dt) ** 2
+    weight[1:-1] *= 4.0
+    i = np.arange(m)
+    total = 0.0
+    for r in range(hold):
+        share = lambda u: np.clip(u / hold - i, 0.0, 1.0)
+        w = (share(r + lag + delay_n) - share(r + lag)
+             - share(r + delay_n) + share(r))
+        spectrum = np.fft.rfft(w)
+        total += np.sum(weight * (spectrum.real ** 2 + spectrum.imag ** 2))
+    return total / (hold * m * m)
+
+
+def oracle_hold(monkeypatch, params, sample_rate):
+    """The hold simulate_time_domain gives the 1/f noise for params at
+    sample_rate, read from its call of _noise_tracks."""
+    holds = []
+    tracks = dshi._noise_tracks
+
+    def spy(noise, n, dt, seed, hold):
+        holds.append(hold)
+        return tracks(noise, n, dt, seed, hold)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dshi, "_noise_tracks", spy)
+        simulate_time_domain(params, NoiseModel(0.0, 1e3), SimConfig(
+            sample_rate=sample_rate, duration=60.0 * params.delay, seed=1))
+    return holds[0]
 
 
 def welch_density(x, fs, nperseg):
@@ -219,7 +290,8 @@ def reference_simulate_time_domain(params, noise, cfg):
     n_total = nperseg * cfg.segments
     n_field = n_total + delay_n
     dt = 1.0 / fs
-    field = np.exp(1j * serial_phase(noise, n_field, dt, cfg.seed))
+    field = np.exp(1j * serial_phase(noise, n_field, dt, cfg.seed,
+                                     max(1, delay_n // 32)))
     if noise.rin_sigma > 0:
         intensity = 1.0 + noise.rin_sigma * keyed_normals(cfg.seed, 2, n_field)
         field *= np.sqrt(np.maximum(intensity, 0.0))
@@ -453,16 +525,17 @@ class TestMonteCarlo:
                                  SimConfig(sample_rate=8e6, duration=2e-3))
 
     def test_flicker_noise_follows_one_over_f(self):
-        level = 1e4
-        n, dt = 1_500_000, 5e-7
-        nu = flicker_frequency_noise(level, n, dt, seed=42)
-        f, psd = welch(nu, fs=1.0 / dt, nperseg=1 << 15, noverlap=0)
-        edges = 10.0 ** np.arange(1.7, 5.4, 0.3)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            band = (f >= lo) & (f < hi)
-            if np.count_nonzero(band) >= 3:
-                dev_db = 10.0 * math.log10(np.mean(psd[band] * f[band]) / level)
-                assert abs(dev_db) < 1.0
+        # Unheld: 50 Hz to 200 kHz at 2 MS/s.
+        level, n, dt = 1e4, 1_500_000, 5e-7
+        nu = flicker_frequency_noise(level, n, dt, seed=42, hold=1)
+        assert_one_over_f(nu, level, 1.0 / dt, 2e5)
+
+    def test_held_flicker_noise_follows_one_over_f(self):
+        # Held over 5 samples, the frequency is a staircase whose PSD falls
+        # by 0.9 dB at fs / (4 hold) = 100 kHz: 1/f within 1 dB up to there.
+        level, n, dt, hold = 1e4, 1_500_000, 5e-7, 5
+        nu = flicker_frequency_noise(level, n, dt, seed=42, hold=hold)
+        assert_one_over_f(nu, level, 1.0 / dt, 1.0 / (4.0 * hold * dt))
 
     @pytest.mark.parametrize("noise, seed", [
         (NoiseModel(white_fm_fwhm=320.0), 4),
@@ -514,8 +587,8 @@ class TestMonteCarlo:
         NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4, rin_sigma=0.05),
     ], ids=["flicker", "flicker_rin"])
     def test_bit_identical_whatever_the_lane_order(self, monkeypatch, noise):
-        # 16 x 20000 samples put the flicker spectrum in three keyed blocks,
-        # so each lane draws at least one of them.
+        # 16 x 20000 samples put the white FM and the RIN in two keyed
+        # blocks each, so each lane draws one of each.
         params = DshiParams(eom_frequency=1e6, laser_fwhm=320.0)
         cfg = SimConfig(sample_rate=8e6, duration=16 * 20000 / 8e6,
                         segments=16, seed=5)
@@ -534,8 +607,8 @@ class TestMonteCarlo:
         # the start of a longer one, across a block boundary.
         noise, dt = NoiseModel(white_fm_fwhm=320.0), 1.0 / 8e6
         n1, n2 = 300_001, 600_000
-        short, _ = dshi._noise_tracks(noise, n1, dt, 3)
-        long, _ = dshi._noise_tracks(noise, n2, dt, 3)
+        short, _ = dshi._noise_tracks(noise, n1, dt, 3, 6)
+        long, _ = dshi._noise_tracks(noise, n2, dt, 3, 6)
         assert np.array_equal(long[:n1], short)
 
     def test_lanes_end_with_the_call(self, monkeypatch):
@@ -553,7 +626,7 @@ class TestMonteCarlo:
         def failing_transform(*args):
             raise LaneFailure("flicker transform failed")
 
-        monkeypatch.setattr(dshi, "_spectral_phase", failing_transform)
+        monkeypatch.setattr(dshi, "_flicker_increments", failing_transform)
         with pytest.raises(LaneFailure):
             simulate_time_domain(params, noise, cfg)
         assert threading.active_count() == before
@@ -569,26 +642,71 @@ class TestMonteCarlo:
 
 class TestPhaseSpectrum:
     @pytest.mark.parametrize("m", [6, 8])
-    def test_flat_spectrum_gives_white_increments(self, monkeypatch, m):
-        # DC and Nyquist each carry 1/m of an increment's variance: half or
-        # double of either moves the variance by 1/(2m) or more and every
-        # lag's correlation by as much, far outside the bands below.  The
-        # lanes draw one block here, so they run in turn, without a thread.
-        monkeypatch.setattr(dshi, "_in_two_lanes", lambda fn: (fn(0), fn(1)))
-        dt, fwhm, seeds = 1e-6, 2e3, 8000
-        var = math.pi * fwhm * dt
-        x = np.array([np.fft.irfft(_phase_spectrum(fwhm, 1e-12, m, dt, seed), m)
-                      for seed in range(seeds)]) / math.sqrt(var)
-        lo, hi = chi2.ppf(1e-6, x.size), chi2.isf(1e-6, x.size)
-        assert lo < np.sum(x * x) < hi
-        for lag in (1, 2, 3):
-            pairs = x[:, :-lag] * x[:, lag:]
-            assert abs(np.mean(pairs)) < 4.0 / math.sqrt(pairs.size)
+    def test_flicker_increments_carry_each_bins_variance(self, m):
+        # 1/f increments on m samples: over the seeds, every DFT bin
+        # 0 < j <= m/2 must carry the power m S(f_j) / (2 dt) of the
+        # one-sided PSD S(f) = (2 pi dt)^2 level / f, in two parts for a
+        # complex bin and one for the real Nyquist bin: each bin's sum of
+        # power over that mean, times its parts, is chi^2 with parts x
+        # seeds degrees of freedom.  A halved Nyquist bin reads half its
+        # mean, far outside its band.
+        level, dt, seeds = 1e4, 1e-6, 8000
+        x = np.array([_flicker_increments(level, m, dt, seed)
+                      for seed in range(seeds)])
+        power = np.abs(np.fft.rfft(x, axis=1)[:, 1:]) ** 2
+        j = np.arange(1, m // 2 + 1)
+        mean = m * (2.0 * math.pi * dt) ** 2 * level * (m * dt / j) / (2.0 * dt)
+        parts = np.where(j < m // 2, 2, 1)
+        statistic = parts * power.sum(axis=0) / mean
+        dof = parts * seeds
+        assert np.all(chi2.ppf(1e-6, dof) < statistic)
+        assert np.all(statistic < chi2.isf(1e-6, dof))
 
     def test_fft_length_is_the_smallest_even_5_smooth_number(self):
         assert [_fft_length(n) for n in range(1, 5001)] == [
             smooth_length(n) for n in range(1, 5001)]
         assert _fft_length(2_048_196) == smooth_length(2_048_196) == 2_073_600
+
+
+class TestHeldFlicker:
+    """The oracle's 1/f phase, held over a 32nd of the delay, against
+    D_flicker at the 5 km delay, 8 MS/s and the benchmark's record."""
+
+    PARAMS = DshiParams(eom_frequency=1e6, laser_fwhm=320.0)
+    FS, N, LEVEL, DELAY_N = 8e6, 2_048_196, 1e3, 196
+
+    def ratio(self, phase_sf, k):
+        dt = 1.0 / self.FS
+        closed = flicker_structure_function(self.LEVEL, self.DELAY_N * dt,
+                                            k * self.DELAY_N * dt)
+        return phase_sf / closed
+
+    def test_exact_bias_under_1e_3(self, monkeypatch):
+        assert round(self.PARAMS.delay * self.FS) == self.DELAY_N
+        hold = oracle_hold(monkeypatch, self.PARAMS, self.FS)
+
+        def exact(hold, k):
+            return self.ratio(held_structure_function(
+                self.LEVEL, self.N, 1.0 / self.FS, self.DELAY_N, hold,
+                k * self.DELAY_N), k)
+
+        for k in (1, 4, 40):
+            assert abs(exact(hold, k) - 1.0) < 1e-3, k
+        # The check bites: held over an eighth of the delay, 0.9895.
+        assert abs(exact(self.DELAY_N // 8, 1) - 1.0) > 1e-3
+
+    def test_twelve_seeds_at_the_delay(self, monkeypatch):
+        # Unheld, seeds 0-11 read 1.000 +- 0.005 (mean +- standard error)
+        # of the closed form at the delay; held, they must stay in that band.
+        hold = oracle_hold(monkeypatch, self.PARAMS, self.FS)
+        d, ratios = self.DELAY_N, []
+        for seed in range(12):
+            phase, _ = dshi._noise_tracks(NoiseModel(0.0, self.LEVEL), self.N,
+                                          1.0 / self.FS, seed, hold)
+            dphi = phase[d:] - phase[:-d]
+            step = dphi[d:] - dphi[:-d]
+            ratios.append(self.ratio(np.mean(step * step), 1))
+        assert abs(np.mean(ratios) - 1.0) < 5e-3
 
 
 class TestServoBumps:
