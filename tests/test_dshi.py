@@ -243,9 +243,9 @@ def held_structure_function(level, n, dt, delay_n, hold, lag):
     weight = _flicker_sigma(level, m, hold * dt) ** 2
     weight[1:-1] *= 4.0
     i = np.arange(m)
+    share = lambda u: np.clip(u / hold - i, 0.0, 1.0)
     total = 0.0
     for r in range(hold):
-        share = lambda u: np.clip(u / hold - i, 0.0, 1.0)
         w = (share(r + lag + delay_n) - share(r + lag)
              - share(r + delay_n) + share(r))
         spectrum = np.fft.rfft(w)
