@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -237,19 +239,19 @@ def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
 # record length, so the draws do not depend on lanes or on their order.
 _DRAW_BLOCK = 1 << 18
 _WHITE, _FLICKER, _RIN = range(3)
+# Samples per piece of the phase's integration and per beat-and-Welch
+# chunk (whole holds or whole segments, at least one): small enough that a
+# piece's buffers stay in cache.
+_CHUNK_SAMPLES = 1 << 16
 
 
-def _keyed_blocks(seed: int, stream: int, out: np.ndarray, first: int = 0,
-                  step: int = 1):
-    """Fill blocks first, first + step, ... of the float array out with
-    standard normals, each from its key, and yield (offset, block) as each
-    is drawn."""
-    for k in range(first, -(-out.size // _DRAW_BLOCK), step):
-        offset = k * _DRAW_BLOCK
-        block = out[offset:offset + _DRAW_BLOCK]
-        key = np.random.SeedSequence(seed, spawn_key=(stream, k))
-        np.random.default_rng(key).standard_normal(out=block)
-        yield offset, block
+def _keyed_block(seed: int, stream: int, out: np.ndarray, k: int) -> np.ndarray:
+    """Fill block k of the float array out with standard normals from its
+    key and return it."""
+    block = out[k * _DRAW_BLOCK:(k + 1) * _DRAW_BLOCK]
+    key = np.random.SeedSequence(seed, spawn_key=(stream, k))
+    np.random.default_rng(key).standard_normal(out=block)
+    return block
 
 
 def _fft_length(n: int) -> int:
@@ -287,30 +289,45 @@ def _flicker_increments(level: float, n: int, dt: float, seed: int) -> np.ndarra
     """
     m = _fft_length(n)
     spec = np.empty(m // 2 + 1, complex)
-    for _ in _keyed_blocks(seed, _FLICKER, spec.view(float)):
-        pass
+    parts = spec.view(float)
+    for k in range(-(-parts.size // _DRAW_BLOCK)):
+        _keyed_block(seed, _FLICKER, parts, k)
     spec *= _flicker_sigma(level, m, dt)
     return np.fft.irfft(spec, m)[:n]
 
 
-def _in_two_lanes(fn) -> None:
-    """Run fn(1) on a second thread and fn(0) on the calling thread at once;
-    both have finished when this returns or raises, and an exception of
-    fn(1) is raised here unless fn(0) raised first."""
-    errors = []
+def _in_two_lanes(tasks) -> None:
+    """Run the tasks in two lanes, the calling thread (lane 0) and one more
+    thread (lane 1), each calling the next task of one queue with its
+    lane's number until the queue is empty.  The calling thread takes the
+    first task before the second thread starts, so the first task always
+    runs on it: the 1/f synthesis's temporaries, left to either thread's
+    heap by turns, kept about 7 MB more memory resident.  The first
+    exception stops both lanes and is raised here; the second thread has
+    ended when this returns or raises."""
+    queue, errors = deque(tasks), []
 
-    def run_second():
+    def take():
         try:
-            fn(1)
+            return None if errors else queue.popleft()
+        except IndexError:
+            return None
+
+    def work(lane, task):
+        try:
+            while task is not None:
+                task(lane)
+                task = take()
         except BaseException as exc:  # re-raised in the caller below
             errors.append(exc)
 
-    lane = threading.Thread(target=run_second)
-    lane.start()
+    first = take()
+    second = threading.Thread(target=lambda: work(1, take()))
+    second.start()
     try:
-        fn(0)
+        work(0, first)
     finally:
-        lane.join()
+        second.join()
     if errors:
         raise errors[0]
 
@@ -318,13 +335,15 @@ def _in_two_lanes(fn) -> None:
 def _noise_tracks(noise: NoiseModel, n: int, dt: float, seed: int, hold: int):
     """Total phase (rad) and intensity (None without RIN) over n samples.
 
-    Every draw is keyed by stream and block (_keyed_blocks), and the two
-    lanes draw alternate blocks of white FM and RIN.  With flicker, the
-    second lane first draws the 1/f increments on a grid hold samples
-    coarser; each is spread evenly over its hold white-FM increments, so
-    the 1/f phase is the coarse one linearly interpolated.  That lowers the
-    1/f structure function at a delay of delay_n samples by about
-    0.9 (hold / delay_n)^2 of the closed form: under 1e-3 for
+    Two task lists run in two lanes (_in_two_lanes), every draw keyed by
+    stream and block (_keyed_block).  The first holds the 1/f synthesis,
+    the longest task, then one task per white-FM block; the second holds
+    the task that adds the 1/f increments and integrates the phase, beside
+    one task per RIN block.  The 1/f increments are drawn on a grid hold
+    samples coarser, and each is spread evenly over its hold white-FM
+    increments, so the 1/f phase is the coarse one linearly interpolated.
+    That lowers the 1/f structure function at a delay of delay_n samples by
+    about 0.9 (hold / delay_n)^2 of the closed form: under 1e-3 for
     hold <= delay_n / 32.
     """
     phase = np.empty(n)
@@ -332,27 +351,50 @@ def _noise_tracks(noise: NoiseModel, n: int, dt: float, seed: int, hold: int):
     # Wiener phase: increment variance pi * fwhm * dt gives the per-arm
     # autocorrelation exp(-pi (fwhm/2) |tau|).
     step = math.sqrt(math.pi * noise.white_fm_fwhm * dt)
+    blocks = range(-(-n // _DRAW_BLOCK))
     flicker = []
 
-    def draw(first):
-        if first and noise.flicker_level > 0:
-            flicker.append(_flicker_increments(
-                noise.flicker_level, -(-n // hold), hold * dt, seed) / hold)
-        for _, block in _keyed_blocks(seed, _WHITE, phase, first, 2):
-            block *= step
-        if intensity is not None:
-            for _, block in _keyed_blocks(seed, _RIN, intensity, first, 2):
-                block *= noise.rin_sigma
-                block += 1.0
-                np.maximum(block, 0.0, out=block)
+    def synthesize_flicker(_lane):
+        flicker.append(_flicker_increments(
+            noise.flicker_level, -(-n // hold), hold * dt, seed) / hold)
 
-    _in_two_lanes(draw)
-    if flicker:
-        coarse, k = flicker[0], n // hold
-        whole = phase[:k * hold].reshape(k, hold)
-        whole += coarse[:k, None]
-        phase[k * hold:] += coarse[k:]
-    return np.cumsum(phase, out=phase), intensity
+    def white(k, _lane):
+        block = _keyed_block(seed, _WHITE, phase, k)
+        block *= step
+
+    def integrate(_lane):
+        # A piece of whole holds at a time, each piece's first increment
+        # taking the last sum before it: the additions of one cumsum, in
+        # its order.  The increments go through scratch space because
+        # numpy's in-place cumsum holds the interpreter lock, which would
+        # stall the other lane's RIN tasks.
+        piece = hold * max(1, _CHUNK_SAMPLES // hold)
+        scratch = np.empty(min(piece, n))
+        for lo in range(0, n, piece):
+            part = phase[lo:lo + piece]
+            inc = scratch[:part.size]
+            if flicker:
+                coarse, k = flicker[0][lo // hold:], part.size // hold
+                np.add(part[:k * hold].reshape(k, hold), coarse[:k, None],
+                       out=inc[:k * hold].reshape(k, hold))
+                np.add(part[k * hold:], coarse[k:k + 1], out=inc[k * hold:])
+            else:
+                inc[:] = part
+            if lo:
+                inc[0] += phase[lo - 1]
+            np.cumsum(inc, out=part)
+
+    def rin(k, _lane):
+        block = _keyed_block(seed, _RIN, intensity, k)
+        block *= noise.rin_sigma
+        block += 1.0
+        np.maximum(block, 0.0, out=block)
+
+    first = [synthesize_flicker] if noise.flicker_level > 0 else []
+    _in_two_lanes(first + [partial(white, k) for k in blocks])
+    rins = [partial(rin, k) for k in blocks] if intensity is not None else []
+    _in_two_lanes([integrate] + rins)
+    return phase, intensity
 
 
 def _hann(nperseg: int) -> np.ndarray:
@@ -387,11 +429,6 @@ def _one_sided_density(power: np.ndarray, fs: float,
     return psd
 
 
-# Samples per beat-and-Welch chunk (whole segments, at least one): small
-# enough that a chunk's buffers stay in cache.
-_CHUNK_SAMPLES = 1 << 16
-
-
 def _beat_periodograms(params: DshiParams, phase: np.ndarray, intensity,
                        delay_n: int, nperseg: int, segments: int, dt: float,
                        window: np.ndarray) -> np.ndarray:
@@ -399,46 +436,46 @@ def _beat_periodograms(params: DshiParams, phase: np.ndarray, intensity,
 
     Arms sqrt(I) e^{i phi}: |direct|^2 + |delayed|^2 + 2 Re(conj(direct)
     delayed e^{iwt}) = I_dir + I_del + 2 sqrt(I_dir I_del) cos(phi_del -
-    phi_dir + wt).  The beat is formed and transformed a chunk of whole
-    segments at a time; the two lanes take alternate chunks and write
-    disjoint rows, so the rows do not depend on which lane made them.
+    phi_dir + wt).  The beat is formed and transformed one task per chunk
+    of whole segments (_in_two_lanes), each lane in its own scratch
+    buffers; a chunk writes its own rows, so the rows do not depend on
+    which lane made them or in what order.
     """
     rows = max(1, _CHUNK_SAMPLES // nperseg)
-    n_chunks = -(-segments // rows)
     power = np.empty((segments, nperseg // 2 + 1))
     omega_dt = 2.0 * math.pi * params.eom_frequency * dt
     half = 0.5 * params.optical_power
+    ramp = np.arange(rows * nperseg, dtype=float)
+    scratch = [(np.empty(ramp.size), np.empty(ramp.size),
+                np.empty(power[:rows].shape, complex)) for _ in range(2)]
 
-    def lane(first):
-        ramp = np.arange(rows * nperseg, dtype=float)
-        buf, tmp = np.empty(ramp.size), np.empty(ramp.size)
-        spectra = np.empty(power[:rows].shape, complex)
-        for c in range(first, n_chunks, 2):
-            a, b = c * rows, min(c * rows + rows, segments)
-            lo, hi = a * nperseg, b * nperseg
-            beat, t = buf[:hi - lo], tmp[:hi - lo]
-            np.add(ramp[:hi - lo], lo, out=beat)
-            beat *= omega_dt
-            np.subtract(phase[lo:hi], phase[lo + delay_n:hi + delay_n], out=t)
+    def chunk(a, lane):
+        buf, tmp, spectra = scratch[lane]
+        b = min(a + rows, segments)
+        lo, hi = a * nperseg, b * nperseg
+        beat, t = buf[:hi - lo], tmp[:hi - lo]
+        np.add(ramp[:hi - lo], lo, out=beat)
+        beat *= omega_dt
+        np.subtract(phase[lo:hi], phase[lo + delay_n:hi + delay_n], out=t)
+        beat += t
+        np.cos(beat, out=beat)
+        if intensity is None:
+            beat += 1.0
+            beat *= 2.0 * half
+        else:
+            direct = intensity[lo + delay_n:hi + delay_n]
+            delayed = intensity[lo:hi]
+            np.multiply(direct, delayed, out=t)
+            np.sqrt(t, out=t)
+            t *= 2.0 * half
+            beat *= t
+            np.add(direct, delayed, out=t)
+            t *= half
             beat += t
-            np.cos(beat, out=beat)
-            if intensity is None:
-                beat += 1.0
-                beat *= 2.0 * half
-            else:
-                direct = intensity[lo + delay_n:hi + delay_n]
-                delayed = intensity[lo:hi]
-                np.multiply(direct, delayed, out=t)
-                np.sqrt(t, out=t)
-                t *= 2.0 * half
-                beat *= t
-                np.add(direct, delayed, out=t)
-                t *= half
-                beat += t
-            _periodogram_rows(beat.reshape(b - a, nperseg), window,
-                              spectra[:b - a], power[a:b])
+        _periodogram_rows(beat.reshape(b - a, nperseg), window,
+                          spectra[:b - a], power[a:b])
 
-    _in_two_lanes(lane)
+    _in_two_lanes(partial(chunk, a) for a in range(0, segments, rows))
     return power
 
 
@@ -454,17 +491,19 @@ def simulate_time_domain(params: DshiParams, noise: NoiseModel,
     difference, is Welch-averaged over non-overlapping Hann segments and
     halved to the two-sided density convention of analytic_psd.
 
-    The work runs in two lanes, the calling thread and one more thread
-    that ends before this returns.  Every normal is keyed by what it is:
+    The work runs as three lists of tasks, one after the other, each
+    shared by two lanes, the calling thread and one more thread that ends
+    with the list: the 1/f synthesis and the white-FM blocks; the phase's
+    integration beside the RIN blocks; the beat and its periodograms, a
+    chunk of segments per task.  Every normal is keyed by what it is:
     block k of stream s (0 white FM, 1 the 1/f spectrum, 2 RIN) is drawn
     from SeedSequence(cfg.seed, spawn_key=(s, k)).  White FM is drawn in
     the time domain; 1/f noise is synthesized on a grid held over
     max(1, delay_n // 32) samples and its phase linearly interpolated,
     which lowers its structure function at the delay by under 1e-3
-    (_noise_tracks).  The beat and its periodograms are split between the
-    lanes a chunk of segments at a time.  No value depends on which lane
-    made it, so a seeded run is bit-identical to a single-threaded one that
-    draws each block from its key in order.
+    (_noise_tracks).  No value depends on which lane made it or in what
+    order the tasks of a list ran, so a seeded run is bit-identical to a
+    single-threaded one that draws each block from its key in order.
     """
     fs = cfg.sample_rate
     if fs < 8.0 * params.eom_frequency:

@@ -1,8 +1,11 @@
 """Analytic beat-note model, Monte-Carlo oracle, and servo bumps."""
 
 import math
+import sys
 import threading
+import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -583,24 +586,34 @@ class TestMonteCarlo:
         assert np.array_equal(trace.values, expected.values)
 
     @pytest.mark.parametrize("noise", [
+        NoiseModel(white_fm_fwhm=320.0),
         NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4),
         NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4, rin_sigma=0.05),
-    ], ids=["flicker", "flicker_rin"])
+    ], ids=["white_fm", "flicker", "flicker_rin"])
     def test_bit_identical_whatever_the_lane_order(self, monkeypatch, noise):
         # 16 x 20000 samples put the white FM and the RIN in two keyed
-        # blocks each, so each lane draws one of each.
+        # blocks each and the beat in six chunks.  Every list's tasks run
+        # on one thread, reversed and in a fixed shuffled order, handed
+        # lanes 0 and 1 in turn so both lanes' scratch buffers are reused.
         params = DshiParams(eom_frequency=1e6, laser_fwhm=320.0)
         cfg = SimConfig(sample_rate=8e6, duration=16 * 20000 / 8e6,
                         segments=16, seed=5)
         expected = simulate_time_domain(params, noise, cfg)
+        shuffle = np.random.default_rng(2024).permutation
+        for order in (lambda n: range(n)[::-1], shuffle):
+            sizes = []
 
-        def reversed_lanes(fn):
-            fn(1)
-            fn(0)
+            def one_thread(tasks):
+                tasks = list(tasks)
+                sizes.append(len(tasks))
+                for i, j in enumerate(order(len(tasks))):
+                    tasks[j](i % 2)
 
-        monkeypatch.setattr(dshi, "_in_two_lanes", reversed_lanes)
-        trace = simulate_time_domain(params, noise, cfg)
-        assert np.array_equal(trace.values, expected.values)
+            with monkeypatch.context() as patch:
+                patch.setattr(dshi, "_in_two_lanes", one_thread)
+                trace = simulate_time_domain(params, noise, cfg)
+            assert len(sizes) == 3 and sizes[0] >= 2 and sizes[2] == 6
+            assert np.array_equal(trace.values, expected.values)
 
     def test_white_phase_is_a_prefix_of_a_longer_record(self):
         # Keys name the block, not the record length: a shorter track is
@@ -612,6 +625,8 @@ class TestMonteCarlo:
         assert np.array_equal(long[:n1], short)
 
     def test_lanes_end_with_the_call(self, monkeypatch):
+        # A task that raises, the 1/f synthesis or a beat chunk, reaches
+        # the caller, and no thread outlives the call.
         params = DshiParams(eom_frequency=1e6, laser_fwhm=320.0)
         noise = NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4, rin_sigma=0.05)
         cfg = SimConfig(sample_rate=8e6, duration=16 * 4096 / 8e6,
@@ -623,13 +638,54 @@ class TestMonteCarlo:
         class LaneFailure(Exception):
             pass
 
-        def failing_transform(*args):
-            raise LaneFailure("flicker transform failed")
+        def failing(*args):
+            raise LaneFailure("task failed")
 
-        monkeypatch.setattr(dshi, "_flicker_increments", failing_transform)
-        with pytest.raises(LaneFailure):
-            simulate_time_domain(params, noise, cfg)
+        for name in ("_flicker_increments", "_periodogram_rows"):
+            with monkeypatch.context() as patch:
+                patch.setattr(dshi, name, failing)
+                with pytest.raises(LaneFailure):
+                    simulate_time_domain(params, noise, cfg)
+            assert threading.active_count() == before, name
+
+    def test_two_lanes_run_each_task_once(self):
+        # Thousands of tiny tasks that each let the other lane run, with
+        # the interpreter switching threads every microsecond: a task
+        # popped twice or lost would show.
+        ran, interval = [], sys.getswitchinterval()
+
+        def task(i, lane):
+            time.sleep(0)
+            ran.append((i, lane))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            dshi._in_two_lanes(partial(task, i) for i in range(5000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(i for i, _ in ran) == list(range(5000))
+        assert {lane for _, lane in ran} <= {0, 1}
+
+    def test_first_exception_stops_both_lanes(self):
+        # Lane 1 sleeps in its task, and lane 0 raises in its own once
+        # lane 1 is inside: the caller must wait for lane 1, and then
+        # neither lane may start another task.
+        inside, late = threading.Event(), []
+
+        def first(lane):
+            if lane == 1:
+                inside.set()
+                time.sleep(0.2)
+            else:
+                assert inside.wait(10.0)
+                raise ValueError("first")
+
+        tasks = [first, first] + [lambda lane: late.append(lane)] * 20
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="first"):
+            dshi._in_two_lanes(tasks)
         assert threading.active_count() == before
+        assert late == []
 
     @pytest.mark.parametrize("nperseg", [4096, 4095])
     def test_welch_matches_scipy(self, nperseg):
@@ -638,6 +694,32 @@ class TestMonteCarlo:
                             detrend="constant", scaling="density")
         psd = welch_density(x, 8e6, nperseg)
         assert np.max(np.abs(psd / expected - 1.0)) <= 1e-12
+
+
+class TestNoiseTracks:
+    """_noise_tracks against the serial oracle, bit for bit: one draw block
+    and one block + 1 sample, a hold that divides a block and one that
+    does not (7), with and without 1/f noise and RIN."""
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(white_fm_fwhm=320.0),
+        NoiseModel(white_fm_fwhm=320.0, rin_sigma=0.05),
+        NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4),
+        NoiseModel(white_fm_fwhm=320.0, flicker_level=1e4, rin_sigma=0.05),
+    ], ids=["white_fm", "rin", "flicker", "flicker_rin"])
+    @pytest.mark.parametrize("hold", [1, 7])
+    @pytest.mark.parametrize("n", [KEY_BLOCK, KEY_BLOCK + 1],
+                             ids=["one_block", "one_block_plus_one"])
+    def test_bit_identical_to_serial_phase(self, n, hold, noise):
+        dt, seed = 1.0 / 8e6, 3
+        phase, intensity = dshi._noise_tracks(noise, n, dt, seed, hold)
+        assert np.array_equal(phase, serial_phase(noise, n, dt, seed, hold))
+        if noise.rin_sigma > 0:
+            expected = np.maximum(
+                1.0 + noise.rin_sigma * keyed_normals(seed, 2, n), 0.0)
+            assert np.array_equal(intensity, expected)
+        else:
+            assert intensity is None
 
 
 class TestPhaseSpectrum:
