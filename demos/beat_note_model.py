@@ -3,8 +3,9 @@
 Reproduces the four classic behaviors of a short-delay self-heterodyne
 spectrum: carrier shifts translate the trace, optical power moves it
 vertically, the linewidth sets the peak/trough contrast of the coherence
-envelope, and the fiber length sets the extrema spacing.  Traces land in
-CSV files next to this script for plotting with any tool.
+envelope (which solve_contrast inverts back to the linewidth), and the
+fiber length sets the extrema spacing.  Traces land in CSV files next to
+this script for plotting with any tool.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from beatnote import (
     analytic_psd,
     extrema_spacing,
     measure_envelope_contrast,
+    solve_contrast,
     write_trace,
 )
 
@@ -25,13 +27,14 @@ def grid_about(center, half_span, step):
 
 
 print("sweep 1: linewidth sets the envelope contrast (5 km fiber, 7 MHz EOM)")
-print("  linewidth   first peak/trough contrast")
+print("  linewidth   first peak/trough contrast   inverted linewidth")
 for fwhm in (10.0, 100.0, 1000.0, 10000.0):
     params = DshiParams(eom_frequency=7e6, laser_fwhm=fwhm)
     trace = analytic_psd(params, grid_about(7e6, 80e3, 20.0))
     contrast, _, _ = measure_envelope_contrast(trace, params, 1, 2)
     write_trace(trace, f"trace_linewidth_{fwhm:g}.csv")
-    print(f"  {fwhm:9.0f} Hz {contrast:10.2f} dB")
+    inverted, _ = solve_contrast(params, 1, 2, contrast)
+    print(f"  {fwhm:9.0f} Hz {contrast:10.2f} dB {inverted:22.1f} Hz")
 
 print("\nsweep 2: fiber length sets the extrema spacing c/(2nL)")
 for length in (2.5e3, 5e3, 10e3):

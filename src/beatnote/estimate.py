@@ -406,22 +406,24 @@ def _contrast_model(params: DshiParams, peak_order: int,
                     trough_order: int) -> Callable[[float], float]:
     """Analytic peak/trough contrast (dB) of the coherence envelope as a
     function of the combined linewidth fwhm > 0: the wing-times-envelope
-    model evaluated at the two extremum positions.  The spacing, delay and
-    extremum offsets are computed once here.  The orders must already be
-    checked."""
+    model evaluated at the two extremum positions.  The coherence decay
+    rate -2 pi delay and the squared extremum offsets are computed once
+    here.  The orders must already be checked."""
     from .dshi import extrema_spacing
 
     spacing = extrema_spacing(params)
-    delay = params.delay
+    decay = -2.0 * math.pi * params.delay
     x_p = peak_order * spacing
     x_t = trough_order * spacing
+    x_p2, x_t2 = x_p * x_p, x_t * x_t
+    exp, log10 = math.exp, math.log10
 
     def contrast_db(fwhm: float) -> float:
         gamma = fwhm / 2.0
-        coh = math.exp(-2.0 * math.pi * delay * gamma)
-        ratio = ((gamma * gamma + x_t * x_t) / (gamma * gamma + x_p * x_p)) \
+        coh = exp(decay * gamma)
+        ratio = ((gamma * gamma + x_t2) / (gamma * gamma + x_p2)) \
             * ((1.0 + coh) / (1.0 - coh))
-        return 10.0 * math.log10(ratio)
+        return 10.0 * log10(ratio)
 
     return contrast_db
 
@@ -437,10 +439,16 @@ def solve_contrast(params: DshiParams, peak_order: int, trough_order: int,
     bracket; contrasts outside the attainable [model(hi), model(lo)] range
     raise NoSolutionError.  Returns (linewidth, iterations).
     """
+    model = _contrast_model(params, *_check_orders(peak_order, trough_order))
+    return _bisect_contrast(model, contrast_db)
+
+
+def _bisect_contrast(model: Callable[[float], float],
+                     contrast_db: float) -> Tuple[float, int]:
+    """solve_contrast's bisection on a built contrast model; a non-finite
+    contrast raises InvalidParameterError."""
     if not math.isfinite(contrast_db):
         raise InvalidParameterError(f"contrast must be finite, got {contrast_db}")
-    peak_order, trough_order = _check_orders(peak_order, trough_order)
-    model = _contrast_model(params, peak_order, trough_order)
     lo, hi = _CONTRAST_BRACKET_HZ
     ds_lo = model(lo)
     ds_hi = model(hi)
@@ -471,7 +479,8 @@ def _predicted_extrema(grid, params, peak_order, trough_order):
     spacing, and the predicted peak and trough positions carrier + order *
     spacing, the contrast model's convention.  A position off the grid is
     refused, naming it: its contrast would otherwise be read from an
-    extrapolated parabola."""
+    extrapolated parabola.  So is a grid of fewer than the three bins that
+    parabola needs."""
     from .dshi import extrema_spacing
 
     orders = _check_orders(peak_order, trough_order)
@@ -483,6 +492,11 @@ def _predicted_extrema(grid, params, peak_order, trough_order):
                 f"the order-{order} {kind} at {position:.0f} Hz lies outside "
                 f"the grid [{grid.start:.0f}, {grid.stop:.0f}] Hz"
             )
+    if grid.count < 3:
+        raise ExtremumNotFoundError(
+            f"the {grid.count}-bin grid [{grid.start:.0f}, {grid.stop:.0f}] Hz "
+            f"has fewer than the 3 bins a quadratic reading needs"
+        )
     return orders, spacing, positions
 
 
@@ -508,22 +522,28 @@ def _locate_extremum(grid, values, carrier, position, window, kind,
     raw trace the 1/x^2 wing falloff swallows low-order peaks outright.  The
     position is the parabolic vertex of the detrended samples.
 
-    Only the bins whose index lies within window / step of the prediction,
-    plus one on each side for rounding, are formed as start + step * i and
-    tested; the test picks the bins a full frequency array would.
+    The candidates are the bins whose index lies within window / step of the
+    prediction, plus one on each side for rounding.  A bin's frequency,
+    start + step * i, rises with i, so the bins within `window` of the
+    prediction are one run of candidates: the test |start + step * i -
+    position| <= window, in the float operations a full frequency array
+    takes, trims the run's ends in Python floats, and the run is read as one
+    slice.
     """
     start, step = grid.start, grid.step
     i0 = max(math.ceil((position - window - start) / step) - 1, 0)
     i1 = min(math.floor((position + window - start) / step) + 2, grid.count)
-    near_f = start + step * np.arange(i0, i1)
-    mask = np.abs(near_f - position) <= window
-    if np.count_nonzero(mask) < 5:
+    while i0 < i1 and abs(start + step * i0 - position) > window:
+        i0 += 1
+    while i0 < i1 and abs(start + step * (i1 - 1) - position) > window:
+        i1 -= 1
+    if i1 - i0 < 5:
         raise ExtremumNotFoundError(
             f"grid too coarse: fewer than 5 samples within {window:.0f} Hz of "
             f"the predicted extremum at {position:.0f} Hz"
         )
-    sub_f = near_f[mask]
-    detrended = values[i0:i1][mask] * ((sub_f - carrier) ** 2 + gamma * gamma)
+    sub_f = start + step * np.arange(i0, i1)
+    detrended = values[i0:i1] * ((sub_f - carrier) ** 2 + gamma * gamma)
     idx = int(np.argmax(detrended) if kind == "peak" else np.argmin(detrended))
     if idx == 0 or idx == len(detrended) - 1:
         raise ExtremumNotFoundError(
@@ -588,9 +608,10 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     # locator's wing-detrend hint.  An unsolvable contrast waits until both
     # extrema are validated, so a missing extremum is reported first.
     ds = _predicted_contrast(grid, values, positions)
+    model = _contrast_model(params, peak_order, trough_order)
     unsolved = None
     try:
-        fwhm, iterations = solve_contrast(params, peak_order, trough_order, ds)
+        fwhm, iterations = _bisect_contrast(model, ds)
     except NoSolutionError as exc:
         unsolved, fwhm = exc, 0.0
     x_p, x_t = _locate_extrema(grid, values, params, spacing, positions,
@@ -602,7 +623,5 @@ def estimate_envelope_contrast(trace: SpectrumTrace, params: DshiParams,
     carrier = params.eom_frequency
     if min(abs(x_p - carrier), abs(x_t - carrier)) < servo_band_hz:
         flags.add(FLAG_SERVO_CONTAMINATED)
-    residual = abs(
-        _contrast_model(params, peak_order, trough_order)(fwhm) - ds
-    ) / max(abs(ds), 1e-12)
+    residual = abs(model(fwhm) - ds) / max(abs(ds), 1e-12)
     return _make_estimate(fwhm, 0.0, METHOD_ENVELOPE, iterations, residual, flags)

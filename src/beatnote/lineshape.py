@@ -55,6 +55,8 @@ VOIGT_WIDTH_CQ = 0.866639
 def _whole_number(value, name: str) -> int:
     """`value` as an int; an integral float or numpy number passes, anything
     fractional, non-finite or non-numeric is refused."""
+    if type(value) is int:  # the common case, without the ABC checks
+        return value
     if isinstance(value, numbers.Integral) or (
             isinstance(value, numbers.Real) and float(value).is_integer()):
         return int(value)
@@ -416,11 +418,13 @@ _FIRST_BLOCK = 64
 def _peak_index(values: np.ndarray, allow_ties: bool) -> tuple[int, bool]:
     """(index, tied): the interior maximum that widths are measured about,
     and whether separated samples tie for it (the lowest-index one wins).
+    The samples equal to the maximum are read from one comparison's
+    nonzero(), in ascending order.
 
     Raises AmbiguousPeakError on a tie unless allow_ties, then
     WidthUndefinedError when the maximum sits on a grid edge.
     """
-    peaks = np.flatnonzero(values == values.max())
+    peaks = (values == values.max()).nonzero()[0]
     # The tied indices are ascending, so they are adjacent exactly when they
     # span as many bins as there are ties.
     tied = bool(peaks[-1] - peaks[0] >= len(peaks))
@@ -438,13 +442,16 @@ def _nearest_below(values: np.ndarray, ipk: int, threshold: float,
                    outward: int):
     """Index of the sample nearest `ipk` on the side `outward` (-1 below it,
     1 above it) whose value is below `threshold`, or None.  The side is read
-    as one view, nearest sample first, in blocks of 64, 128, 256, ... bins."""
+    as one view, nearest sample first, in blocks of 64, 128, 256, ... bins;
+    argmax of a block's boolean test is its first sample below, or 0 when
+    there is none, which that sample's own test tells apart."""
     side = values[ipk + outward::outward]
     near, size = 0, _FIRST_BLOCK
     while near < len(side):
-        below = np.flatnonzero(side[near:near + size] < threshold)
-        if len(below):
-            return ipk + outward * (near + 1 + int(below[0]))
+        below = side[near:near + size] < threshold
+        first = int(below.argmax())
+        if below[first]:
+            return ipk + outward * (near + 1 + first)
         near, size = near + size, 2 * size
     return None
 

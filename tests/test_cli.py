@@ -12,10 +12,13 @@ import pytest
 
 from beatnote import (
     DshiParams,
+    FrequencyGrid,
+    SpectrumTrace,
     extrema_spacing,
     measure_envelope_contrast,
     read_report,
     read_trace,
+    write_trace,
 )
 from beatnote import cli, errors
 from beatnote.cli import build_parser, main
@@ -141,6 +144,19 @@ class TestFit:
                        "--out", str(report)) == 0
         doc = read_report(report)
         assert "servo-contaminated" in doc["result"]["flags"]
+
+    def test_two_row_trace_is_an_estimation_failure(self, tmp_path, capsys):
+        # Both extrema lie on the two rows' span; the envelope estimator
+        # used to crash on its quadratic reading with a traceback.
+        spacing = extrema_spacing(DshiParams(eom_frequency=7e6, laser_fwhm=0.0))
+        trace = tmp_path / "two.csv"
+        write_trace(SpectrumTrace(FrequencyGrid(7e6, 3.0 * spacing, 2),
+                                  [1.0, 0.5]), trace)
+        report = tmp_path / "report.json"
+        assert run_cli("fit", "--input", str(trace), "--method", "envelope",
+                       "--out", str(report)) == 3
+        assert "2-bin grid" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_both_methods_replace_only_a_trailing_json(self, tmp_path):
         trace = self.synth(tmp_path, **{"--flicker-gaussian-hz": "0"})

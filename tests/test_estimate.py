@@ -351,6 +351,19 @@ class TestEnvelopeContrast:
         with pytest.raises(ExtremumNotFoundError):
             measure_envelope_contrast(trace, params, 1, 2)
 
+    @pytest.mark.parametrize("estimator", [estimate_envelope_contrast,
+                                           measure_envelope_contrast])
+    def test_two_bin_grid_is_named(self, estimator):
+        # Both extrema lie on a 2-bin grid three spacings wide; the
+        # estimator used to raise a bare IndexError from its quadratic
+        # reading, and the reader a message about the search window.
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=100.0)
+        grid = FrequencyGrid(7e6, 3.0 * extrema_spacing(params), 2)
+        trace = SpectrumTrace(grid, [1.0, 0.5])
+        with pytest.raises(ExtremumNotFoundError,
+                           match=r"the 2-bin grid \[7000000, 7061265\] Hz has "
+                                 r"fewer than the 3 bins"):
+            estimator(trace, params, 1, 2)
 
     @pytest.mark.parametrize("estimator", [estimate_envelope_contrast,
                                            measure_envelope_contrast])
@@ -1056,3 +1069,65 @@ class TestOversizedMask:
         assert masked.values[0] == trace.values[0]
         assert masked.values[-1] == trace.values[-1]
         assert not np.array_equal(masked.values, trace.values)
+
+
+def reference_contrast_model(params, peak_order, trough_order):
+    """The contrast model as one closure that reads every constant from
+    params on each call: the formula _contrast_model must match bit for bit."""
+    spacing = extrema_spacing(params)
+    delay = params.delay
+    x_p = peak_order * spacing
+    x_t = trough_order * spacing
+
+    def contrast_db(fwhm):
+        gamma = fwhm / 2.0
+        coh = math.exp(-2.0 * math.pi * delay * gamma)
+        ratio = ((gamma * gamma + x_t * x_t) / (gamma * gamma + x_p * x_p)) \
+            * ((1.0 + coh) / (1.0 - coh))
+        return 10.0 * math.log10(ratio)
+
+    return contrast_db
+
+
+def reference_solve_contrast(params, peak_order, trough_order, contrast_db):
+    """Geometric bisection of the reference model on [0.1 Hz, 1 MHz] to a
+    1e-12 relative bracket: (linewidth, iterations)."""
+    model = reference_contrast_model(params, peak_order, trough_order)
+    lo, hi = 0.1, 1e6
+    iterations = 0
+    for iterations in range(1, 200):
+        mid = math.sqrt(lo * hi)
+        if model(mid) > contrast_db:
+            lo = mid
+        else:
+            hi = mid
+        if (hi - lo) <= 1e-12 * hi:
+            break
+    return math.sqrt(lo * hi), iterations
+
+
+@st.composite
+def contrast_cases(draw):
+    """Params with a 1-10 km fiber, an order pair, and a contrast inside the
+    model's attainable bracket [model(1 MHz), model(0.1 Hz)], ends included."""
+    params = DshiParams(eom_frequency=7e6, laser_fwhm=100.0,
+                        fiber_length=draw(st.floats(1e3, 1e4)))
+    orders = draw(st.sampled_from([(1, 2), (3, 2), (3, 4)]))
+    model = reference_contrast_model(params, *orders)
+    low, high = model(1e6), model(0.1)
+    share = draw(st.floats(0.0, 1.0))
+    contrast = min(max(low + share * (high - low), low), high)
+    return params, orders, contrast
+
+
+class TestContrastSolverMatchesReference:
+    @given(case=contrast_cases())
+    @settings(max_examples=300)
+    def test_same_linewidth_and_iterations(self, case):
+        params, orders, contrast = case
+        fwhm, iterations = solve_contrast(params, *orders, contrast)
+        assert (fwhm, iterations) \
+            == reference_solve_contrast(params, *orders, contrast)
+        assert type(iterations) is int
+        assert _contrast_model(params, *orders)(fwhm) \
+            == reference_contrast_model(params, *orders)(fwhm)

@@ -24,7 +24,7 @@ from beatnote.errors import (
     InvalidParameterError,
     WidthUndefinedError,
 )
-from beatnote.lineshape import _faddeeva, _voigt_density
+from beatnote.lineshape import _faddeeva, _voigt_density, _whole_number
 from oracles import voigt_grid
 
 GAUSS_20DB = math.sqrt(math.log2(100.0))     # 2.577568
@@ -525,3 +525,20 @@ class TestSpectrumTrace:
     def test_integral_of_dbm_trace_is_linear(self):
         linear = SpectrumTrace(self.grid, [0.0, 1.0, 2.0, 1.0, 0.0])
         assert linear.integral() == 4.0
+
+
+class TestWholeNumber:
+    @pytest.mark.parametrize("value, expected", [
+        (3, 3), (0, 0), (-7, -7), (2**70, 2**70), (True, 1), (False, 0),
+        (np.int64(3), 3), (np.uint8(200), 200), (3.0, 3), (np.float64(3.0), 3),
+        (-0.0, 0),
+    ])
+    def test_whole_values_come_back_as_int(self, value, expected):
+        out = _whole_number(value, "count")
+        assert type(out) is int and out == expected
+
+    @pytest.mark.parametrize("value", [1.5, math.nan, math.inf, -math.inf,
+                                       np.float64(2.5), "3", None, 3 + 0j])
+    def test_other_values_refused(self, value):
+        with pytest.raises(InvalidParameterError, match="count must be an integer"):
+            _whole_number(value, "count")
