@@ -411,7 +411,8 @@ class TestAnalyticPsd:
     def test_zero_linewidth_envelope_is_one_minus_cos(self):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=0.0)
         x = np.linspace(-50e3, 50e3, 101)
-        wing, envelope = _wing_and_envelope(params, x)
+        grid = FrequencyGrid(params.eom_frequency - 50e3, 1e3, 101)
+        wing, envelope = _wing_and_envelope(params, grid)
         assert np.allclose(envelope, 1.0 - np.cos(2.0 * math.pi * params.delay * x),
                            atol=1e-12)
         assert np.all(wing == 0.0)
@@ -448,6 +449,95 @@ class TestAnalyticPsd:
     def test_values_non_negative(self):
         trace = analytic_psd(DshiParams(**P5KM), grid_about(7e6, 200e3, 20.0))
         assert np.all(trace.values >= 0.0)
+
+
+def direct_envelope(params, grid):
+    """1 - coh (cos theta + gamma 2 pi t_d sinc(2 t_d x)), clipped at 0, bin
+    by bin from offsets x = start + i step - f0 taken in extended precision."""
+    gamma = np.longdouble(params.laser_fwhm / 2.0)
+    t_d = np.longdouble(params.delay)
+    x = (np.longdouble(grid.start) - np.longdouble(params.eom_frequency)
+         + np.longdouble(grid.step) * np.arange(grid.count))
+    coh = np.exp(-2 * np.longdouble(np.pi) * t_d * gamma)
+    theta = 2 * np.longdouble(np.pi) * t_d * x
+    safe = np.where(x == 0, 1, x)
+    ratio = np.where(x == 0, 2 * np.longdouble(np.pi) * t_d, np.sin(theta) / safe)
+    return np.maximum(1 - coh * (np.cos(theta) + gamma * ratio), 0).astype(float)
+
+
+class TestEnvelopeByAngleAddition:
+    """_wing_and_envelope takes cos theta and sin theta by angle addition
+    over rows and a column table, from the grid's own start and step."""
+
+    @pytest.mark.parametrize("params,grid", [
+        # A 7.3 Hz step whose nearest bin sits 3.1 Hz below the carrier.
+        (DshiParams(**P5KM), FrequencyGrid(7e6 - 3.1 - 7.3 * 13000, 7.3, 26001)),
+        # ... and 3.1 Hz above it, with an even count.
+        (DshiParams(**P5KM), FrequencyGrid(7e6 + 3.1 - 7.3 * 9000, 7.3, 17322)),
+        # Wholly above, and wholly below, the carrier.
+        (DshiParams(**P5KM), FrequencyGrid(7e6 + 1234.5, 25.0, 8001)),
+        (DshiParams(**P5KM), FrequencyGrid(7e6 - 3e5, 37.1, 7001)),
+        # Two points, about and beside the carrier, and small odd grids.
+        (DshiParams(**P5KM), FrequencyGrid(7e6 - 3.0, 7.3, 2)),
+        (DshiParams(**P5KM), FrequencyGrid(7e6 + 5.0, 7.3, 2)),
+        (DshiParams(**P5KM), FrequencyGrid(7e6 - 3 * 7.3, 7.3, 7)),
+        (DshiParams(**P5KM), FrequencyGrid(7e6 - 50.0 * 9.7 - 1.3, 9.7, 101)),
+        # theta up to 1.5e3 rad: a 200 km fiber over +-244 kHz.
+        (DshiParams(eom_frequency=7e6, laser_fwhm=320.0, fiber_length=2e5),
+         FrequencyGrid(7e6 - 3.1 - 7.3 * 33450, 7.3, 66901)),
+        (DshiParams(eom_frequency=7e6, laser_fwhm=0.0, fiber_length=2e5),
+         FrequencyGrid(7e6 - 2.44e5, 97.3, 5001)),
+    ], ids=["offset_below", "offset_above_even", "above", "below", "two_about",
+            "two_beside", "seven", "odd_101", "theta_1500", "theta_1500_zero_width"])
+    def test_matches_direct_formula(self, params, grid):
+        _, envelope = _wing_and_envelope(params, grid)
+        reference = direct_envelope(params, grid)
+        assert envelope.shape == (grid.count,)
+        assert np.max(np.abs(envelope - reference)) <= 1e-12
+
+    def test_carrier_bin_takes_the_limit(self):
+        params = DshiParams(**P5KM)
+        grid = grid_about(7e6, 10e3, 7.3)
+        _, envelope = _wing_and_envelope(params, grid)
+        i0 = grid.index_of(7e6)
+        gamma, t_d = 50.0, params.delay
+        coh = math.exp(-2.0 * math.pi * t_d * gamma)
+        assert envelope[i0] == pytest.approx(
+            1.0 - coh * (1.0 + 2.0 * math.pi * t_d * gamma), rel=1e-12)
+        assert np.all(np.isfinite(envelope))
+
+
+class TestEvenAboutTheCarrier:
+    """On a grid centred on the carrier every model is a bitwise palindrome:
+    estimate_voigt's masked plateau is then exactly flat, and its peak bin
+    (the lowest of the flat maximum) does not move with a one-ulp difference
+    between the two sides."""
+
+    @pytest.mark.parametrize("laser,gaussian,step,half_span", [
+        (320.0, 640.0, 10.0, 64e3),    # estimate-batch: both Faddeeva regions
+        (320.0, 10.0, 2.5, 30e3),      # y > 12: the asymptotic series alone
+        (2e3, 140.0, 0.5, 8e3),        # y = 11.9: a narrow Weideman slice
+        (100.0, 5e3, 25.0, 2e5),       # Gaussian-dominated
+    ])
+    def test_models_are_palindromes(self, laser, gaussian, step, half_span):
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=laser, fiber_length=4321.0)
+        grid = grid_about(7e6, half_span, step)
+        offsets = grid.points() - 7e6
+        assert np.array_equal(offsets, -offsets[::-1])
+        for values in (*_wing_and_envelope(params, grid),
+                       analytic_psd(params, grid).values,
+                       voigt_beat_note(params, gaussian, grid).values):
+            assert np.array_equal(values, values[::-1])
+
+    def test_masked_plateau_peak_is_the_lowest_bin(self):
+        # The five centre bins are exactly equal once the three nearest the
+        # maximum are masked, so the peak search takes the lowest of them.
+        params = DshiParams(eom_frequency=7e6, laser_fwhm=320.0)
+        grid = grid_about(7e6, 64e3, 10.0)
+        masked = mask_central_bins(voigt_beat_note(params, 640.0, grid), 3).values
+        c = grid.index_of(7e6)
+        assert np.all(masked[c - 2:c + 3] == masked[c])
+        assert int(np.argmax(masked)) == c - 2
 
 
 class TestExtremaSpacing:

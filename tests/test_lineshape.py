@@ -24,7 +24,8 @@ from beatnote.errors import (
     InvalidParameterError,
     WidthUndefinedError,
 )
-from beatnote.lineshape import _faddeeva, _voigt_density, _whole_number
+from beatnote.lineshape import (_FAR_FIELD, _faddeeva, _voigt_density,
+                                _whole_number)
 from oracles import voigt_grid
 
 GAUSS_20DB = math.sqrt(math.log2(100.0))     # 2.577568
@@ -132,6 +133,62 @@ class TestFaddeeva:
         got, reference = _faddeeva(z), complex(wofz(z))
         assert abs(got.real / reference.real - 1.0) < 1e-13
         assert abs(got.imag / reference.imag - 1.0) < 1e-13
+
+
+def ring(radius):
+    """Points of |z| = radius from arg 0 to pi/2, with Im z also stepped
+    logarithmically down to 1e-8."""
+    y = np.logspace(-8.0, math.log10(0.9 * radius), 400)
+    arg = np.concatenate((np.linspace(0.0, 0.5 * math.pi, 2001),
+                          np.arcsin(y / radius)))
+    return radius * np.exp(1j * arg)
+
+
+class TestFaddeevaRegions:
+    """The asymptotic series from |z| = _FAR_FIELD on, Weideman's
+    approximation inside it: both sides of the boundary against wofz."""
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-9, 1.0 + 1e-9, 0.95, 1.05])
+    def test_rings_about_the_boundary_match_wofz(self, factor):
+        z = ring(_FAR_FIELD * factor)
+        assert np.all(z.imag >= 0.0) and np.min(z.imag[z.imag > 0]) < 1.1e-8
+        w, reference = _faddeeva(z), wofz(z)
+        assert np.max(np.abs(w - reference) / np.abs(reference)) <= 1e-13
+        near = reference.real >= 1e-3 * wofz(1j * z.imag).real
+        assert np.count_nonzero(near) > 1000
+        assert np.max(np.abs(w.real[near] / reference.real[near] - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-9, 1.0 + 1e-9, 0.95, 1.05])
+    def test_scalar_path_matches_array_path_on_rings(self, factor):
+        z = ring(_FAR_FIELD * factor)
+        array = _faddeeva(z)
+        for zk, wk in zip(z, array):
+            scalar = _faddeeva(complex(zk))
+            assert isinstance(scalar, complex)
+            assert abs(scalar - wk) <= 1e-15 * abs(wk)
+
+    @pytest.mark.parametrize("fl", [0.2, 10.0, 16.5, 17.0, 40.0])
+    def test_density_slices_match_the_masked_path(self, fl):
+        # fg = 1, so y = fl / 1.2: the Weideman slice narrows to nothing at
+        # y = 12 (fl = 14.4) and is empty beyond it.
+        params = LineshapeParams(0.0, fwhm_gaussian=1.0, fwhm_lorentzian=fl)
+        x = 0.01 * np.arange(-4000, 4001)
+        s = 1.0 / (2.0 * math.sqrt(math.log(2.0)))
+        z = (x + 0.5j * fl) / s
+        density = _voigt_density(x, params)
+        masked = _faddeeva(z).real / (math.sqrt(math.pi) * s)
+        assert np.max(np.abs(density - masked)) <= 1e-15 * masked.max()
+        assert np.array_equal(density, density[::-1])
+        reference = voigt_profile(x, s / math.sqrt(2.0), 0.5 * fl)
+        assert np.max(np.abs(density - reference)) <= 1e-13 * reference.max()
+
+    def test_density_is_a_palindrome_in_both_regions(self):
+        params = LineshapeParams(0.0, fwhm_gaussian=640.0, fwhm_lorentzian=320.0)
+        x = 10.0 * np.arange(-6400, 6401)
+        far = np.abs((x + 160.0j) / (640.0 / (2.0 * math.sqrt(math.log(2.0)))))
+        assert 0 < np.count_nonzero(far < _FAR_FIELD) < x.size
+        density = _voigt_density(x, params)
+        assert np.array_equal(density, density[::-1])
 
 
 class TestFrequencyGrid:
