@@ -294,11 +294,12 @@ def _voigt_density(x: np.ndarray, params: LineshapeParams) -> np.ndarray:
     With y = gamma / (sigma sqrt 2), |z| < _FAR_FIELD exactly where |x| <
     sigma sqrt 2 sqrt(_FAR_FIELD^2 - y^2), so Weideman's approximation runs
     on the one slice inside that bound, found by searchsorted, and the
-    asymptotic series on the two slices outside it.  The bound and both
-    forms are odd-symmetric in x, so offsets symmetric about 0 give a
-    density that is a bitwise palindrome: estimate_voigt's masked plateau
-    is then exactly flat, and its peak bin does not move with a rounding
-    difference between the two sides.
+    asymptotic series on the two slices outside it.  The slices are
+    symmetric about 0, and both forms give Re w(-x + iy) = Re w(x + iy) bit
+    for bit, so offsets symmetric about 0 give a density that is a bitwise
+    palindrome: estimate_voigt's masked plateau is then exactly flat, and
+    its peak bin does not move with a rounding difference between the two
+    sides.
     """
     s = params.fwhm_gaussian * _SIGMA_ROOT2_PER_FWHM
     y = 0.5 * params.fwhm_lorentzian / s
