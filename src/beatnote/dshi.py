@@ -177,7 +177,11 @@ def _wing_and_envelope(params: DshiParams, grid: FrequencyGrid):
     of voigt_beat_note is: a carrier-centred trace is an exact palindrome.
     estimate_voigt's masked plateau is then exactly flat, and its peak bin
     (the lowest of the flat maximum) does not move with a rounding
-    difference between the two sides.
+    difference between the two sides.  With delta = 0 both sides are
+    therefore read from one side(0, max(n - c, c + 1)): its k-th value
+    depends on k and the block alone, never on the count, so the mirror
+    gives the bits of the two calls it replaces.  With delta != 0 the two
+    sides sit at different offsets and take one call each.
     """
     gamma = params.laser_fwhm / 2.0
     p2 = params.optical_power**2
@@ -217,10 +221,13 @@ def _wing_and_envelope(params: DshiParams, grid: FrequencyGrid):
         sin_t += 1.0
         return sin_t
 
+    if delta == 0:
+        upper = lower = side(0.0, max(n - c, c + 1))
+    else:
+        upper, lower = side(delta, n - c), side(-delta, c + 1)
     envelope = np.empty(n)
-    envelope[c:] = side(delta, n - c)
-    if c:
-        envelope[:c] = side(-delta, c + 1)[:0:-1]
+    envelope[c:] = upper[:n - c]
+    envelope[:c] = lower[c:0:-1]
     return wing, np.maximum(envelope, 0.0, out=envelope)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     AmbiguousPeakError,
+    DomainError,
     InvalidParameterError,
     WidthUndefinedError,
 )
@@ -83,6 +84,14 @@ class FrequencyGrid:
         object.__setattr__(self, "count", _whole_number(self.count, "grid count"))
         if self.count < 2:
             raise InvalidParameterError(f"grid needs >= 2 points, got {self.count}")
+        try:
+            stop = self.stop
+        except OverflowError:  # a count beyond the float range
+            stop = math.inf
+        if not math.isfinite(stop):
+            raise InvalidParameterError(
+                f"the last point of a grid from {self.start:g} Hz by "
+                f"{self.step:g} Hz overflows")
 
     @property
     def stop(self) -> float:
@@ -94,10 +103,14 @@ class FrequencyGrid:
 
     def index_of(self, frequency: float) -> int:
         """Index of the grid point nearest to `frequency`, which must be
-        finite."""
+        finite and no more steps from the start than a float can count."""
         if not math.isfinite(frequency):
             raise InvalidParameterError(f"frequency must be finite, got {frequency}")
-        return int(round((frequency - self.start) / self.step))
+        steps = (frequency - self.start) / self.step
+        if not math.isfinite(steps):
+            raise DomainError(f"the index of {frequency:g} Hz on a grid from "
+                              f"{self.start:g} Hz by {self.step:g} Hz overflows")
+        return int(round(steps))
 
     def covers(self, frequency: float) -> bool:
         return self.start <= frequency <= self.stop
@@ -300,19 +313,37 @@ def _voigt_density(x: np.ndarray, params: LineshapeParams) -> np.ndarray:
     palindrome: estimate_voigt's masked plateau is then exactly flat, and
     its peak bin does not move with a rounding difference between the two
     sides.
+
+    On an odd count of at least five offsets centred on 0 (x[m] == 0 and
+    x[:m] == -x[m + 1:][::-1], m = size // 2, as on a grid centred on the
+    carrier), only x[m:] is evaluated and the lower half is its mirror
+    image: by that evenness, the bits the lower half would have given
+    itself, for half the Faddeeva work.  numpy rounds an in-place complex
+    product on a one-element array differently from one on a longer array,
+    so the mirror is kept to grids where it hands neither form a one-element
+    slice at a non-zero offset that the whole evaluation did not.  Three
+    offsets (far-field slices of two and one) and an even count midway
+    between bins (two Weideman bins would become one) are evaluated whole.
     """
     s = params.fwhm_gaussian * _SIGMA_ROOT2_PER_FWHM
     y = 0.5 * params.fwhm_lorentzian / s
+    size = x.size
+    half = size // 2
+    first = half if (size >= 5 and size % 2 and x[half] == 0
+                     and np.array_equal(x[:half], -x[half + 1:][::-1])) else 0
+    density = np.empty(x.shape)
+    x, upper = x[first:], density[first:]
     z = np.empty(x.shape, complex)
     np.divide(x, s, out=z.real)
     z.imag = y
     bound = s * math.sqrt(_FAR_FIELD * _FAR_FIELD - y * y) if y < _FAR_FIELD else 0.0
     lo = int(np.searchsorted(x, -bound, side="right"))
     hi = max(lo, int(np.searchsorted(x, bound, side="left")))
-    density = np.empty(x.shape)
     for part, form in ((slice(0, lo), _asymptotic), (slice(lo, hi), _weideman),
                        (slice(hi, None), _asymptotic)):
-        np.multiply(form(z[part]).real, _INV_SQRT_PI / s, out=density[part])
+        np.multiply(form(z[part]).real, _INV_SQRT_PI / s, out=upper[part])
+    if first:
+        density[:first] = density[first + 1:][::-1]
     return density
 
 

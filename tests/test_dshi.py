@@ -5,10 +5,14 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve, welch
 from scipy.stats import chi2
 
@@ -16,6 +20,7 @@ from beatnote import (
     SPEED_OF_LIGHT,
     DshiParams,
     FrequencyGrid,
+    LineshapeParams,
     NoiseModel,
     ServoBumpModel,
     SimConfig,
@@ -29,7 +34,7 @@ from beatnote import (
     voigt_beat_note,
     width_at_level,
 )
-from beatnote import dshi
+from beatnote import dshi, lineshape
 from beatnote.dshi import (
     _bump_multiplier,
     _fft_length,
@@ -47,7 +52,7 @@ from beatnote.errors import (
     ResolutionError,
 )
 from beatnote.estimate import mask_central_bins
-from oracles import grid_about
+from oracles import grid_about, two_sided_density
 
 P5KM = dict(eom_frequency=7e6, laser_fwhm=100.0, fiber_length=5e3, fiber_index=1.468)
 
@@ -507,11 +512,70 @@ class TestEnvelopeByAngleAddition:
         assert np.all(np.isfinite(envelope))
 
 
+def one_sided_envelope(params, grid):
+    """The envelope of _wing_and_envelope from two grids of the same count
+    (so the same block) whose first bins lie delta steps above and below the
+    carrier, with c the bin nearest it and delta = c + (start - f0) / step.
+    Each starts at its own nearest bin, so each is one side(+-delta, n)
+    call and never a mirror: bin c + k is bin k of the first and bin c - k
+    bin k of the second.  Exact where f0 + delta * step is, as on the
+    dyadic grids of carrier_grids."""
+    f0, step, n = params.eom_frequency, grid.step, grid.count
+    u0 = (grid.start - f0) / step
+    c = min(max(round(-u0), 0), n - 1)
+    delta = c + u0
+    assert abs(delta) <= 0.5
+    above = _wing_and_envelope(params, FrequencyGrid(f0 + delta * step, step, n))
+    below = _wing_and_envelope(params, FrequencyGrid(f0 - delta * step, step, n))
+    return np.concatenate((below[1][c:0:-1], above[1][:n - c]))
+
+
+@contextmanager
+def two_sided_models():
+    """Within it, the models take their envelope from one_sided_envelope
+    and their Voigt peak from two_sided_density: every bin evaluated at its
+    own offset, with no mirror."""
+    def wing_and_envelope(params, grid):
+        return _wing_and_envelope(params, grid)[0], one_sided_envelope(params, grid)
+
+    with mock.patch.object(dshi, "_wing_and_envelope", wing_and_envelope), \
+            mock.patch.object(lineshape, "_voigt_density", two_sided_density):
+        yield
+
+
+@st.composite
+def carrier_grids(draw):
+    """(params, gaussian_fwhm, grid): 2 to 3000 bins of a step that is a
+    multiple of 1/16 Hz, the carrier at 7 MHz a multiple of 1/16 step above
+    the start, so every point, offset and f0 +- delta * step is exact.  The
+    grid is centred on it (on a bin for an odd count, midway between two
+    for an even one), or has it on any bin, or up to half a step off one,
+    up to half a step outside the grid included: asymmetric spans and grids
+    wholly on one side.  Widths from 0.1 to 3000 steps reach both Faddeeva
+    regions and the asymptotic series alone (y > 12); one laser in eight
+    has no width."""
+    step = draw(st.integers(1, 4000)) / 16.0
+    n = draw(st.integers(2, 3000))
+    if draw(st.booleans()):
+        steps_below = (n - 1) / 2
+    else:
+        steps_below = draw(st.integers(0, n - 1)) + draw(
+            st.sampled_from([0.0, 0.5, -0.5, 0.25, -0.0625, 0.4375]))
+    gaussian = step * 10.0 ** draw(st.floats(-1.0, 3.0))
+    laser = step * 10.0 ** draw(st.floats(-1.0, 3.5)) if draw(
+        st.integers(0, 7)) else 0.0
+    params = DshiParams(eom_frequency=7e6, laser_fwhm=laser,
+                        fiber_length=draw(st.floats(1e3, 2e4)))
+    return params, gaussian, FrequencyGrid(7e6 - steps_below * step, step, n)
+
+
 class TestEvenAboutTheCarrier:
     """On a grid centred on the carrier every model is a bitwise palindrome:
     estimate_voigt's masked plateau is then exactly flat, and its peak bin
     (the lowest of the flat maximum) does not move with a one-ulp difference
-    between the two sides."""
+    between the two sides.  The package mirrors one side onto the other
+    there, so the palindrome is asked of the two-sided evaluation, and the
+    models are asked to equal it."""
 
     @pytest.mark.parametrize("laser,gaussian,step,half_span", [
         (320.0, 640.0, 10.0, 64e3),    # estimate-batch: both Faddeeva regions
@@ -524,10 +588,34 @@ class TestEvenAboutTheCarrier:
         grid = grid_about(7e6, half_span, step)
         offsets = grid.points() - 7e6
         assert np.array_equal(offsets, -offsets[::-1])
-        for values in (*_wing_and_envelope(params, grid),
-                       analytic_psd(params, grid).values,
-                       voigt_beat_note(params, gaussian, grid).values):
-            assert np.array_equal(values, values[::-1])
+        models = (*_wing_and_envelope(params, grid), analytic_psd(params, grid).values,
+                  voigt_beat_note(params, gaussian, grid).values)
+        with two_sided_models():
+            two_sided = (*dshi._wing_and_envelope(params, grid),
+                         analytic_psd(params, grid).values,
+                         voigt_beat_note(params, gaussian, grid).values)
+        for values, reference in zip(models, two_sided):
+            assert np.array_equal(reference, reference[::-1])
+            assert np.array_equal(values, reference)
+
+    @given(case=carrier_grids())
+    @settings(max_examples=200)
+    def test_mirrored_equals_two_sided(self, case):
+        params, gaussian, grid = case
+        offsets = grid.points() - params.eom_frequency
+        peak = LineshapeParams(0.0, gaussian, params.laser_fwhm or gaussian)
+        assert np.array_equal(lineshape._voigt_density(offsets, peak),
+                              two_sided_density(offsets, peak))
+        assert np.array_equal(_wing_and_envelope(params, grid)[1],
+                              one_sided_envelope(params, grid))
+        if grid.covers(params.eom_frequency):
+            models = (analytic_psd(params, grid).values,
+                      voigt_beat_note(params, gaussian, grid).values)
+            with two_sided_models():
+                two_sided = (analytic_psd(params, grid).values,
+                             voigt_beat_note(params, gaussian, grid).values)
+            for values, reference in zip(models, two_sided):
+                assert np.array_equal(values, reference)
 
     def test_masked_plateau_peak_is_the_lowest_bin(self):
         # The five centre bins are exactly equal once the three nearest the

@@ -21,12 +21,13 @@ from beatnote import (
 )
 from beatnote.errors import (
     AmbiguousPeakError,
+    DomainError,
     InvalidParameterError,
     WidthUndefinedError,
 )
-from beatnote.lineshape import (_FAR_FIELD, _faddeeva, _voigt_density,
-                                _whole_number)
-from oracles import voigt_grid
+from beatnote.lineshape import (_FAR_FIELD, _asymptotic, _faddeeva,
+                                _voigt_density, _weideman, _whole_number)
+from oracles import two_sided_density, voigt_grid
 
 GAUSS_20DB = math.sqrt(math.log2(100.0))     # 2.577568
 LORENTZ_20DB = math.sqrt(99.0)               # 9.949874
@@ -135,6 +136,30 @@ class TestFaddeeva:
         assert abs(got.imag / reference.imag - 1.0) < 1e-13
 
 
+class TestFaddeevaEvenness:
+    """Re w(-conj z) == Re w(z) bit for bit in both forms, wherever z sits
+    in the array passed: _voigt_density's mirror gives the lower half the
+    upper half's bits on that property alone."""
+
+    @pytest.mark.parametrize("form,far", [(_asymptotic, True), (_weideman, False)],
+                             ids=["asymptotic", "weideman"])
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 255, 256, 1001])
+    def test_real_part_is_even_bit_for_bit(self, form, far, length):
+        rng = np.random.default_rng(length)
+        radius = (rng.uniform(_FAR_FIELD, 40.0 * _FAR_FIELD, length + 4) if far
+                  else rng.uniform(0.0, _FAR_FIELD, length + 4))
+        z = radius * np.exp(1j * rng.uniform(0.0, math.pi, length + 4))
+        for start in range(4):
+            part = z[start:start + length]
+            values = form(part).real
+            # The mirror image, reversed, at every placement in an array.
+            for shift in range(4):
+                mirrored = np.empty(length + 4, complex)
+                mirrored[shift:shift + length] = -part.conj()[::-1]
+                images = form(mirrored[shift:shift + length]).real[::-1]
+                assert np.array_equal(values, images)
+
+
 def ring(radius):
     """Points of |z| = radius from arg 0 to pi/2, with Im z also stepped
     logarithmically down to 1e-8."""
@@ -178,7 +203,9 @@ class TestFaddeevaRegions:
         density = _voigt_density(x, params)
         masked = _faddeeva(z).real / (math.sqrt(math.pi) * s)
         assert np.max(np.abs(density - masked)) <= 1e-15 * masked.max()
-        assert np.array_equal(density, density[::-1])
+        two_sided = two_sided_density(x, params)
+        assert np.array_equal(two_sided, two_sided[::-1])
+        assert np.array_equal(density, two_sided)
         reference = voigt_profile(x, s / math.sqrt(2.0), 0.5 * fl)
         assert np.max(np.abs(density - reference)) <= 1e-13 * reference.max()
 
@@ -187,8 +214,10 @@ class TestFaddeevaRegions:
         x = 10.0 * np.arange(-6400, 6401)
         far = np.abs((x + 160.0j) / (640.0 / (2.0 * math.sqrt(math.log(2.0)))))
         assert 0 < np.count_nonzero(far < _FAR_FIELD) < x.size
-        density = _voigt_density(x, params)
-        assert np.array_equal(density, density[::-1])
+        # Each side on its own: a palindrome only if both forms are even.
+        two_sided = two_sided_density(x, params)
+        assert np.array_equal(two_sided, two_sided[::-1])
+        assert np.array_equal(_voigt_density(x, params), two_sided)
 
 
 class TestFrequencyGrid:
@@ -229,6 +258,26 @@ class TestFrequencyGrid:
         grid = FrequencyGrid(100.0, 2.0, 51)
         assert grid.index_of(100.0) == 0
         assert grid.index_of(150.9) == 25
+
+    @pytest.mark.parametrize("start,step,count", [
+        (1e308, 1e308, 3),       # the last point rounds to inf
+        (-1e308, 1e308, 3),      # (count - 1) * step alone overflows
+        (0.0, 1.0, 10**400),     # a count beyond the float range
+    ], ids=["stop_inf", "span_inf", "huge_count"])
+    def test_rejects_non_finite_stop(self, start, step, count):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            FrequencyGrid(start, step, count)
+
+    def test_largest_finite_stop_is_kept(self):
+        grid = FrequencyGrid(0.0, 8e307, 3)
+        assert grid.stop == 1.6e308 and grid.covers(1.6e308)
+        assert not grid.covers(1.7e308)
+
+    @pytest.mark.parametrize("start,step,frequency", [
+        (0.0, 1e-300, 1e308), (1e308, 1e-300, -1e308)])
+    def test_index_of_overflow_is_a_package_error(self, start, step, frequency):
+        with pytest.raises(DomainError, match="overflows"):
+            FrequencyGrid(start, step, 10).index_of(frequency)
 
     @pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf])
     def test_index_of_non_finite_refused(self, frequency):
