@@ -297,6 +297,9 @@ def _faddeeva(z):
 
 # sigma * sqrt(2) of a Gaussian, in units of its FWHM.
 _SIGMA_ROOT2_PER_FWHM = 1.0 / (2.0 * math.sqrt(math.log(2.0)))
+# Offsets per block of _voigt_density's Faddeeva work: the complex
+# temporaries of one block, 32 KB each, stay in cache.
+_FADDEEVA_BLOCK = 2048
 
 
 def _voigt_density(x: np.ndarray, params: LineshapeParams) -> np.ndarray:
@@ -324,6 +327,14 @@ def _voigt_density(x: np.ndarray, params: LineshapeParams) -> np.ndarray:
     slice at a non-zero offset that the whole evaluation did not.  Three
     offsets (far-field slices of two and one) and an even count midway
     between bins (two Weideman bins would become one) are evaluated whole.
+
+    Each slice goes through its form in blocks of _FADDEEVA_BLOCK offsets,
+    the last block taking the remainder (so no block is shorter than
+    _FADDEEVA_BLOCK unless its whole slice is).  The forms work element by
+    element, so the blocks give the bits of one pass over the slice, while
+    their temporaries stay in cache: a whole far-field slice of some 6 000
+    offsets made three 100 KB complex temporaries a call, whose release
+    shrank the heap so that the next call faulted their pages back in.
     """
     s = params.fwhm_gaussian * _SIGMA_ROOT2_PER_FWHM
     y = 0.5 * params.fwhm_lorentzian / s
@@ -333,15 +344,18 @@ def _voigt_density(x: np.ndarray, params: LineshapeParams) -> np.ndarray:
                      and np.array_equal(x[:half], -x[half + 1:][::-1])) else 0
     density = np.empty(x.shape)
     x, upper = x[first:], density[first:]
-    z = np.empty(x.shape, complex)
-    np.divide(x, s, out=z.real)
-    z.imag = y
     bound = s * math.sqrt(_FAR_FIELD * _FAR_FIELD - y * y) if y < _FAR_FIELD else 0.0
     lo = int(np.searchsorted(x, -bound, side="right"))
     hi = max(lo, int(np.searchsorted(x, bound, side="left")))
-    for part, form in ((slice(0, lo), _asymptotic), (slice(lo, hi), _weideman),
-                       (slice(hi, None), _asymptotic)):
-        np.multiply(form(z[part]).real, _INV_SQRT_PI / s, out=upper[part])
+    for start, stop, form in ((0, lo, _asymptotic), (lo, hi, _weideman),
+                              (hi, x.size, _asymptotic)):
+        while start < stop:
+            end = stop if stop - start < 2 * _FADDEEVA_BLOCK else start + _FADDEEVA_BLOCK
+            z = np.empty(end - start, complex)
+            np.divide(x[start:end], s, out=z.real)
+            z.imag = y
+            np.multiply(form(z).real, _INV_SQRT_PI / s, out=upper[start:end])
+            start = end
     if first:
         density[:first] = density[first + 1:][::-1]
     return density

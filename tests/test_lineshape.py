@@ -25,7 +25,8 @@ from beatnote.errors import (
     InvalidParameterError,
     WidthUndefinedError,
 )
-from beatnote.lineshape import (_FAR_FIELD, _asymptotic, _faddeeva,
+from beatnote.lineshape import (_FADDEEVA_BLOCK, _FAR_FIELD, _INV_SQRT_PI,
+                                _SIGMA_ROOT2_PER_FWHM, _asymptotic, _faddeeva,
                                 _voigt_density, _weideman, _whole_number)
 from oracles import two_sided_density, voigt_grid
 
@@ -218,6 +219,29 @@ class TestFaddeevaRegions:
         two_sided = two_sided_density(x, params)
         assert np.array_equal(two_sided, two_sided[::-1])
         assert np.array_equal(_voigt_density(x, params), two_sided)
+
+    @pytest.mark.parametrize("below,centred", [(1000, False), (None, True)],
+                             ids=["one-pass", "mirrored"])
+    def test_blocks_give_the_bits_of_one_pass(self, below, centred):
+        # The upper far-field slice holds 4 blocks and one offset, so the
+        # last block must take that offset in rather than leave it alone:
+        # a one-element array rounds an in-place complex product
+        # differently for about a quarter of such offsets, hence 16 widths.
+        for fg in np.linspace(600.0, 700.0, 16):
+            params = LineshapeParams(0.0, fwhm_gaussian=fg, fwhm_lorentzian=320.0)
+            s = fg * _SIGMA_ROOT2_PER_FWHM
+            y = 160.0 / s
+            bound = s * math.sqrt(_FAR_FIELD * _FAR_FIELD - y * y)
+            top = math.ceil(bound / 10.0) + 4 * _FADDEEVA_BLOCK
+            x = 10.0 * np.arange(-top if centred else -below, top + 1)
+            assert np.count_nonzero(x >= bound) == 4 * _FADDEEVA_BLOCK + 1
+            # Each form on all the offsets in one pass, each offset taking
+            # the value of the form whose region holds it.
+            z = x / s + 1j * y
+            far = (x <= -bound) | (x >= bound)
+            one_pass = np.where(far, _asymptotic(z).real, _weideman(z).real)
+            one_pass *= _INV_SQRT_PI / s
+            assert np.array_equal(_voigt_density(x, params), one_pass)
 
 
 class TestFrequencyGrid:
