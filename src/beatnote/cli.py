@@ -345,13 +345,13 @@ def cmd_bumps(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_dshi_flags(parser):
-    parser.add_argument("--fiber-km", type=float, default=5.0,
+    parser.add_argument("--fiber-km", type=_positive, default=5.0,
                         help="delay-fiber length in km (default 5)")
-    parser.add_argument("--fiber-index", type=float, default=1.468,
+    parser.add_argument("--fiber-index", type=_positive, default=1.468,
                         help="fiber group index (default 1.468)")
-    parser.add_argument("--eom-mhz", type=float, default=7.0,
+    parser.add_argument("--eom-mhz", type=_positive, default=7.0,
                         help="EOM shift frequency in MHz (default 7)")
-    parser.add_argument("--power", type=float, default=1.0,
+    parser.add_argument("--power", type=_positive, default=1.0,
                         help="normalized optical power (default 1)")
 
 
@@ -406,7 +406,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     fit.add_argument("--exclude-central-bins", type=int, default=3)
     fit.add_argument("--peak-order", type=int, default=1)
     fit.add_argument("--trough-order", type=int, default=2)
-    fit.add_argument("--servo-band-hz", type=float, default=100e3)
+    fit.add_argument("--servo-band-hz", type=_non_negative, default=100e3)
     fit.add_argument("--fitted-trace", type=str, default=None,
                      help="write the fitted Voigt profile for overlays "
                           "(--method voigt or both)")
@@ -417,23 +417,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     ion = sub.add_parser("ionsim", help="trapped-ion spectroscopy simulator")
     ion.add_argument("--mode", default="spectrum",
                      choices=("spectrum", "rabi", "sweep-T", "sweep-omega"))
-    ion.add_argument("--rabi-hz", type=float, default=250.0)
+    ion.add_argument("--rabi-hz", type=_positive, default=250.0)
     ion.add_argument("--pulse-ms", type=_positive, default=2.0,
                      help="default 2: a pi pulse at 250 Hz")
-    ion.add_argument("--laser-fwhm-hz", type=float, default=156.0)
-    ion.add_argument("--rin", type=float, default=0.0)
+    ion.add_argument("--laser-fwhm-hz", type=_non_negative, default=156.0)
+    ion.add_argument("--rin", type=_non_negative, default=0.0)
     ion.add_argument("--shots", type=int, default=200)
     ion.add_argument("--seed", type=int, default=0)
     ion.add_argument("--span-hz", type=_positive, default=None)
     ion.add_argument("--points", type=_grid_points, default=41)
-    ion.add_argument("--t-max-ms", type=float, default=16.0,
+    ion.add_argument("--t-max-ms", type=_positive, default=16.0,
                      help="default 16: four Rabi periods at 250 Hz")
     ion.add_argument("--t-points", type=int, default=400)
     ion.add_argument("--durations-ms", type=str, default="1,2,4,8")
-    ion.add_argument("--rabi-time-product", type=float, default=0.5,
+    ion.add_argument("--rabi-time-product", type=_positive, default=0.5,
                      help="Omega*T kept fixed across a duration sweep")
     ion.add_argument("--rabi-values-hz", type=str, default="10000,20000,40000")
-    ion.add_argument("--rabi-periods", type=float, default=12.0,
+    ion.add_argument("--rabi-periods", type=_positive, default=12.0,
                      help="flop periods recorded in sweep-omega mode")
     ion.add_argument("--free-exponent", action="store_true",
                      help="fit the power-law exponent instead of fixing it")

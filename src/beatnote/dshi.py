@@ -4,7 +4,8 @@ Provides the analytic PSD of the beat note between a laser and its delayed,
 frequency-shifted copy (Lorentzian wing times coherence envelope plus a
 coherent residue at the carrier), a time-domain Monte-Carlo oracle for the
 same quantity, the spacing of the coherence-envelope extrema, and
-injection/extraction of servo bumps.
+injection/extraction of servo bumps.  The analytic models are evaluated once
+per side of the carrier (lineshape._about_center), palindromes about a bin.
 
 Linewidth convention: DshiParams.laser_fwhm is the *combined two-arm*
 Lorentzian FWHM of the beat note, i.e. twice the per-arm width.  All internal
@@ -29,8 +30,8 @@ from .errors import (
     ResolutionError,
 )
 from .lineshape import (FrequencyGrid, LineshapeParams, SpectrumTrace,
-                        _delta_width, _unit_gaussian, _whole_number,
-                        eval_voigt_numeric)
+                        _about_center, _delta_width, _unit_gaussian,
+                        _whole_number, eval_voigt_numeric)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -160,48 +161,31 @@ def _coherence_factor(params: DshiParams) -> float:
 
 def _wing_and_envelope(params: DshiParams, grid: FrequencyGrid):
     """Continuous beat PSD on the grid as (Lorentzian wing) * (coherence
-    envelope), about the carrier f0 = params.eom_frequency.
+    envelope), each even about the carrier f0 = params.eom_frequency and
+    assembled from its two sides by lineshape._about_center.
 
     The envelope is 1 - coh (cos theta + gamma sin theta / x), theta = 2 pi
     t_d x at the offset x from the carrier, with its removable singularity
     at x = 0 taken as the limit 2 pi t_d gamma.  Its cosine and sine come by
     angle addition, a row's angle plus a column's, over a (rows, block)
     split of each side, so about 4 sqrt(count) trig calls replace two per
-    bin.  The offsets are built from the grid's own start and step, u0 =
-    (start - f0) / step, never from differences of rounded points: with c
-    the bin nearest the carrier and delta = c + u0, the bins c, c + 1, ...
-    sit at (k + delta) steps and the bins c, c - 1, ... at -(k - delta)
-    steps, each side's magnitudes from rows of the same block and the same
-    column table.  So when the carrier falls on bin c (delta = 0), the two
-    sides are bitwise equal bin for bin, as the wing is and the Voigt peak
-    of voigt_beat_note is: a carrier-centred trace is an exact palindrome.
-    estimate_voigt's masked plateau is then exactly flat, and its peak bin
-    (the lowest of the flat maximum) does not move with a rounding
-    difference between the two sides.  With delta = 0 both sides are
-    therefore read from one side(0, max(n - c, c + 1)): its k-th value
-    depends on k and the block alone, never on the count, so the mirror
-    gives the bits of the two calls it replaces.  With delta != 0 the two
-    sides sit at different offsets and take one call each.
+    bin.  A side's k-th value depends on k and the block alone, never on
+    its count.
     """
     gamma = params.laser_fwhm / 2.0
     p2 = params.optical_power**2
     f0, step, n = params.eom_frequency, grid.step, grid.count
-    if gamma > 0:
-        x = grid.points() - f0
-        wing = (p2 / (4.0 * math.pi)) * gamma / (gamma * gamma + x * x)
-    else:
-        wing = np.zeros(n)
     two_pi_td = 2.0 * math.pi * params.delay
     coh = _coherence_factor(params)
-    u0 = (grid.start - f0) / step
-    c = min(max(round(-u0), 0), n - 1)
-    delta = c + u0
     block = math.isqrt(n - 1) + 1
     col_angle = np.arange(block) * (step * two_pi_td)
     cos_col, sin_col = np.cos(col_angle), np.sin(col_angle)
 
-    def side(offset, count):
-        """The envelope at the count offsets (k + offset) steps, k = 0, 1, ..."""
+    def wing(offset, count):
+        x = (np.arange(count) + offset) * step
+        return (p2 / (4.0 * math.pi)) * gamma / (gamma * gamma + x * x)
+
+    def envelope(offset, count):
         first = block * np.arange(-(-count // block)) + offset
         row_angle = first * (step * two_pi_td)
         cos_row, sin_row = np.cos(row_angle), np.sin(row_angle)
@@ -219,16 +203,14 @@ def _wing_and_envelope(params: DshiParams, grid: FrequencyGrid):
         sin_t += cos_t
         sin_t *= -coh
         sin_t += 1.0
-        return sin_t
+        return np.maximum(sin_t, 0.0, out=sin_t)
 
-    if delta == 0:
-        upper = lower = side(0.0, max(n - c, c + 1))
-    else:
-        upper, lower = side(delta, n - c), side(-delta, c + 1)
-    envelope = np.empty(n)
-    envelope[c:] = upper[:n - c]
-    envelope[:c] = lower[c:0:-1]
-    return wing, np.maximum(envelope, 0.0, out=envelope)
+    # A half width whose square underflows has no wing, as a zero one has
+    # none; an offset whose square overflows reads 0.
+    with np.errstate(over="ignore"):
+        wing_values = (_about_center(grid, f0, wing) if gamma * gamma > 0
+                       else np.zeros(n))
+    return wing_values, _about_center(grid, f0, envelope)
 
 
 def _spike_power(params: DshiParams) -> float:
@@ -266,7 +248,8 @@ def voigt_beat_note(params: DshiParams, gaussian_fwhm: float,
     at zero linewidth).  The peak carries the residue's integrated power and
     rides on the same wing-times-envelope pedestal as analytic_psd.  With no
     broadening, or a Gaussian alone that the grid cannot resolve, the
-    residue stays in the carrier bin.
+    residue stays in the carrier bin.  With the carrier on a bin the trace
+    is a bitwise palindrome about it.
     """
     if not 0 <= gaussian_fwhm < math.inf:
         raise InvalidParameterError(

@@ -175,15 +175,44 @@ def _unit_gaussian(x: np.ndarray, fwhm: float) -> np.ndarray:
     return np.exp(-4.0 * math.log(2.0) * (x / fwhm) ** 2)
 
 
+def _about_center(grid: FrequencyGrid, f0: float, side) -> np.ndarray:
+    """A profile even about f0 on the grid from side(offset, count), the
+    profile at the offsets (k + offset) steps, k < count, whose k-th value
+    does not depend on count.  With c the bin nearest f0 and delta = c +
+    (start - f0) / step (never differences of rounded points), bins c + k
+    take side(delta, n - c) and bins c - k side(-delta, c + 1); with delta
+    = 0 one side(0, max(n - c, c + 1)) serves both, so the profile is a
+    bitwise palindrome about f0 and estimate_voigt's masked plateau exactly
+    flat.  A centre more steps away than a float can count raises
+    DomainError, as index_of does."""
+    n = grid.count
+    u0 = (grid.start - f0) / grid.step
+    if not math.isfinite(u0):
+        raise DomainError(f"the offset of {f0:g} Hz from a grid at {grid.start:g} Hz "
+                          f"by {grid.step:g} Hz overflows")
+    c = min(max(round(-u0), 0), n - 1)
+    delta = c + u0
+    if delta == 0:
+        upper = lower = side(0.0, max(n - c, c + 1))
+    else:
+        upper, lower = side(delta, n - c), side(-delta, c + 1)
+    values = np.empty(n)
+    values[c:] = upper[:n - c]
+    values[:c] = lower[c:0:-1]
+    return values
+
+
 def eval_gaussian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
     """Unit-integral Gaussian of the given FWHM centered at f0."""
     if not (math.isfinite(f0) and 0 < fwhm < math.inf):
         raise InvalidParameterError(
             f"gaussian needs a finite f0 and fwhm > 0, got f0={f0}, fwhm={fwhm}")
-    x = grid.points() - f0
     peak = 2.0 * math.sqrt(math.log(2.0)) / (math.sqrt(math.pi) * fwhm)
-    values = peak * _unit_gaussian(x, fwhm)
-    return SpectrumTrace(grid, values)
+
+    def side(offset, count):
+        return peak * _unit_gaussian((np.arange(count) + offset) * grid.step, fwhm)
+
+    return SpectrumTrace(grid, _about_center(grid, f0, side))
 
 
 def eval_lorentzian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrace:
@@ -191,12 +220,15 @@ def eval_lorentzian(grid: FrequencyGrid, f0: float, fwhm: float) -> SpectrumTrac
     if not (math.isfinite(f0) and 0 < fwhm < math.inf):
         raise InvalidParameterError(
             f"lorentzian needs a finite f0 and fwhm > 0, got f0={f0}, fwhm={fwhm}")
-    x = grid.points() - f0
-    # A width whose square underflows divides by 0 at the center; the
-    # trace refuses the inf.
-    with np.errstate(divide="ignore"):
-        values = (fwhm / (2.0 * math.pi)) / (x * x + fwhm * fwhm / 4.0)
-    return SpectrumTrace(grid, values)
+
+    def side(offset, count):
+        x = (np.arange(count) + offset) * grid.step
+        return (fwhm / (2.0 * math.pi)) / (x * x + fwhm * fwhm / 4.0)
+
+    # A width whose square underflows divides by 0 at the center, which the
+    # trace refuses; an offset whose square overflows reads 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        return SpectrumTrace(grid, _about_center(grid, f0, side))
 
 
 def voigt_fwhm_approx(fwhm_lorentzian: float, fwhm_gaussian: float) -> float:
@@ -303,30 +335,14 @@ _FADDEEVA_BLOCK = 2048
 
 
 def _voigt_density(x: np.ndarray, params: LineshapeParams) -> np.ndarray:
-    """Exact unit-integral Voigt density at ascending offsets x from the
-    center, for two non-zero widths: Re w((x + i gamma) / (sigma sqrt 2)) /
-    (sigma sqrt(2 pi)), gamma = FWHM_L / 2.
+    """Exact unit-integral Voigt density at non-negative ascending offsets x
+    from the center, for two non-zero widths: Re w((x + i gamma) / (sigma
+    sqrt 2)) / (sigma sqrt(2 pi)), gamma = FWHM_L / 2.
 
-    With y = gamma / (sigma sqrt 2), |z| < _FAR_FIELD exactly where |x| <
+    With y = gamma / (sigma sqrt 2), |z| < _FAR_FIELD exactly where x <
     sigma sqrt 2 sqrt(_FAR_FIELD^2 - y^2), so Weideman's approximation runs
-    on the one slice inside that bound, found by searchsorted, and the
-    asymptotic series on the two slices outside it.  The slices are
-    symmetric about 0, and both forms give Re w(-x + iy) = Re w(x + iy) bit
-    for bit, so offsets symmetric about 0 give a density that is a bitwise
-    palindrome: estimate_voigt's masked plateau is then exactly flat, and
-    its peak bin does not move with a rounding difference between the two
-    sides.
-
-    On an odd count of at least five offsets centred on 0 (x[m] == 0 and
-    x[:m] == -x[m + 1:][::-1], m = size // 2, as on a grid centred on the
-    carrier), only x[m:] is evaluated and the lower half is its mirror
-    image: by that evenness, the bits the lower half would have given
-    itself, for half the Faddeeva work.  numpy rounds an in-place complex
-    product on a one-element array differently from one on a longer array,
-    so the mirror is kept to grids where it hands neither form a one-element
-    slice at a non-zero offset that the whole evaluation did not.  Three
-    offsets (far-field slices of two and one) and an even count midway
-    between bins (two Weideman bins would become one) are evaluated whole.
+    on the slice below that bound, found by searchsorted, and the
+    asymptotic series on the slice from it on.
 
     Each slice goes through its form in blocks of _FADDEEVA_BLOCK offsets,
     the last block taking the remainder (so no block is shorter than
@@ -338,26 +354,17 @@ def _voigt_density(x: np.ndarray, params: LineshapeParams) -> np.ndarray:
     """
     s = params.fwhm_gaussian * _SIGMA_ROOT2_PER_FWHM
     y = 0.5 * params.fwhm_lorentzian / s
-    size = x.size
-    half = size // 2
-    first = half if (size >= 5 and size % 2 and x[half] == 0
-                     and np.array_equal(x[:half], -x[half + 1:][::-1])) else 0
-    density = np.empty(x.shape)
-    x, upper = x[first:], density[first:]
     bound = s * math.sqrt(_FAR_FIELD * _FAR_FIELD - y * y) if y < _FAR_FIELD else 0.0
-    lo = int(np.searchsorted(x, -bound, side="right"))
-    hi = max(lo, int(np.searchsorted(x, bound, side="left")))
-    for start, stop, form in ((0, lo, _asymptotic), (lo, hi, _weideman),
-                              (hi, x.size, _asymptotic)):
+    near = int(np.searchsorted(x, bound, side="left"))
+    density = np.empty(x.shape)
+    for start, stop, form in ((0, near, _weideman), (near, x.size, _asymptotic)):
         while start < stop:
             end = stop if stop - start < 2 * _FADDEEVA_BLOCK else start + _FADDEEVA_BLOCK
             z = np.empty(end - start, complex)
             np.divide(x[start:end], s, out=z.real)
             z.imag = y
-            np.multiply(form(z).real, _INV_SQRT_PI / s, out=upper[start:end])
+            np.multiply(form(z).real, _INV_SQRT_PI / s, out=density[start:end])
             start = end
-    if first:
-        density[:first] = density[first + 1:][::-1]
     return density
 
 
@@ -371,9 +378,9 @@ def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> Spectrum
     integral.
 
     The samples come from the Faddeeva closed form, so any grid step and
-    span is exact up to that one normalization constant.  A component
-    narrower than step/100 is treated as a delta and the other pure shape is
-    returned directly.
+    span is exact up to that one normalization constant (an area too small
+    to divide by raises DomainError).  A component narrower than step/100
+    is treated as a delta and the other pure shape is returned directly.
     """
     fg, fl, f0 = params.fwhm_gaussian, params.fwhm_lorentzian, params.center
     if fg < _delta_width(grid):
@@ -382,8 +389,16 @@ def eval_voigt_numeric(grid: FrequencyGrid, params: LineshapeParams) -> Spectrum
         return eval_lorentzian(grid, f0, fl)
     if fl < _delta_width(grid):
         return eval_gaussian(grid, f0, fg)
-    values = _voigt_density(grid.points() - f0, params)
-    values /= np.trapezoid(values, dx=grid.step)
+
+    def side(offset, count):
+        return _voigt_density(np.abs(np.arange(count) + offset) * grid.step, params)
+
+    values = _about_center(grid, f0, side)
+    area = float(np.trapezoid(values, dx=grid.step))
+    if not (area > 0 and float(values.max()) / area < math.inf):
+        raise DomainError(f"the Voigt profile's area of {area:g} on this grid "
+                          "cannot be normalized to 1")
+    values /= area
     return SpectrumTrace(grid, values)
 
 

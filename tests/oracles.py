@@ -7,9 +7,10 @@ held to `expected_excitation` inside the shot-noise chi^2 bound.
 `step_plan` is its step rule, on which the exact mean of the discrete kicks
 (`discrete_kick_mean` in test_ionsim) agrees with `expected_excitation` to
 2e-4.  `voigt_grid` is the grid on which the Voigt width solvers are
-compared, and `grid_about` is the symmetric grid most spectrum tests sample
-on.  `two_sided_density` is the Voigt density evaluated on each side of 0
-on its own, the evaluation the package's mirrored one must reproduce.
+compared, and `grid_about` is the grid with a point at a centre that most
+spectrum tests sample on.  The package evaluates every profile about its
+centre once per side, so where (start - centre) / step is a whole number
+the two sides are bitwise equal; no test here evaluates a second way.
 """
 
 import math
@@ -19,7 +20,6 @@ import numpy as np
 
 from beatnote import FrequencyGrid, LaserNoise, LineshapeParams, voigt_fwhm_approx
 from beatnote.ionsim import _STEPS_PER_PERIOD
-from beatnote.lineshape import _voigt_density
 
 
 def rabi_probability(omega: float, delta, t):
@@ -37,21 +37,6 @@ def voigt_grid(params: LineshapeParams) -> FrequencyGrid:
     step = voigt_fwhm_approx(fl, fg) / 40.0
     half_count = int(math.ceil(20.0 * (fg + fl) / step))
     return FrequencyGrid(params.center - half_count * step, step, 2 * half_count + 1)
-
-
-def two_sided_density(x: np.ndarray, params: LineshapeParams) -> np.ndarray:
-    """_voigt_density at ascending offsets x as two calls, one for the
-    offsets below 0 and one for the rest, each also given its neighbour
-    across 0 (whose value is dropped).  That neighbour keeps every slice a
-    Faddeeva form receives at one element only where the whole evaluation
-    had one element there too: numpy rounds an in-place complex product on
-    a one-element array differently.  Neither call is centred on 0, so
-    neither is mirrored: each bin is evaluated at its own offset."""
-    c = int(np.searchsorted(x, 0.0))
-    if c in (0, x.size):
-        return _voigt_density(x, params)
-    return np.concatenate((_voigt_density(x[:c + 1], params)[:-1],
-                           _voigt_density(x[c - 1:], params)[1:]))
 
 
 def grid_about(center, half_span, step):

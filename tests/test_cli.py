@@ -180,9 +180,10 @@ class TestFit:
 
     def test_nan_servo_band_is_usage_error(self, tmp_path):
         trace = self.synth(tmp_path, **{"--flicker-gaussian-hz": "0"})
-        assert run_cli("fit", "--input", str(trace), "--method", "envelope",
-                       "--servo-band-hz", "nan",
-                       "--out", str(tmp_path / "r.json")) == 2
+        assert exit_code("fit", "--input", str(trace), "--method", "envelope",
+                         "--servo-band-hz", "nan",
+                         "--out", str(tmp_path / "r.json")) == 2
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("count", ["9999", "20000"])
     def test_oversized_central_mask_is_usage_error(self, tmp_path, capsys, count):
@@ -561,6 +562,45 @@ def subcommand_flags(command):
     usage line."""
     usage = build_parser()[1][command].format_usage()
     return {f.replace("-", "_") for f in re.findall(r"--([a-z][a-z0-9-]*)", usage)}
+
+
+# Every float flag of the subcommands that echo their flags into a report.
+REPORTED_FLOAT_FLAGS = [
+    ("fit", flag) for flag in ("--fiber-km", "--fiber-index", "--eom-mhz",
+                               "--power", "--servo-band-hz")] + [
+    ("ionsim", flag) for flag in ("--rabi-hz", "--laser-fwhm-hz", "--rin",
+                                  "--t-max-ms", "--rabi-time-product",
+                                  "--rabi-periods")]
+
+
+class TestNonFiniteFlags:
+    """A report echoes every flag, the ones its run does not use included,
+    so each float flag of fit and ionsim refuses a non-finite value (exit 2)
+    before any file is written: unchecked, inf was written as Infinity, not
+    JSON, and nan as null."""
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("command,flag", REPORTED_FLOAT_FLAGS)
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_refused_before_any_file(self, tmp_path, capsys, command, flag, value,
+                                     via_config):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        if command == "fit":
+            args = ["fit", "--input", str(tmp_path / "t.csv"), "--method", "voigt"]
+        else:
+            args = ["ionsim", "--mode", "sweep-T",
+                    "--out-curve", str(out_dir / "c.csv")]
+        args += ["--out", str(out_dir / "r.json")]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: value}))
+            args = ["--config", str(cfg)] + args
+        else:
+            args += [flag, value]
+        assert exit_code(*args) == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert not any(out_dir.iterdir())
 
 
 class TestReportConfig:

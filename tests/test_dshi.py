@@ -5,13 +5,11 @@ import sys
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager
 from functools import partial
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve, welch
 from scipy.stats import chi2
@@ -27,6 +25,9 @@ from beatnote import (
     SpectrumTrace,
     analytic_psd,
     apply_rbw,
+    eval_gaussian,
+    eval_lorentzian,
+    eval_voigt_numeric,
     extract_servo_bumps,
     extrema_spacing,
     inject_servo_bumps,
@@ -34,7 +35,7 @@ from beatnote import (
     voigt_beat_note,
     width_at_level,
 )
-from beatnote import dshi, lineshape
+from beatnote import dshi
 from beatnote.dshi import (
     _bump_multiplier,
     _fft_length,
@@ -46,13 +47,14 @@ from beatnote.dshi import (
     _wing_and_envelope,
 )
 from beatnote.errors import (
+    BeatnoteError,
     DomainError,
     GridMismatchError,
     InvalidParameterError,
     ResolutionError,
 )
 from beatnote.estimate import mask_central_bins
-from oracles import grid_about, two_sided_density
+from oracles import grid_about
 
 P5KM = dict(eom_frequency=7e6, laser_fwhm=100.0, fiber_length=5e3, fiber_index=1.468)
 
@@ -512,70 +514,51 @@ class TestEnvelopeByAngleAddition:
         assert np.all(np.isfinite(envelope))
 
 
-def one_sided_envelope(params, grid):
-    """The envelope of _wing_and_envelope from two grids of the same count
-    (so the same block) whose first bins lie delta steps above and below the
-    carrier, with c the bin nearest it and delta = c + (start - f0) / step.
-    Each starts at its own nearest bin, so each is one side(+-delta, n)
-    call and never a mirror: bin c + k is bin k of the first and bin c - k
-    bin k of the second.  Exact where f0 + delta * step is, as on the
-    dyadic grids of carrier_grids."""
-    f0, step, n = params.eom_frequency, grid.step, grid.count
-    u0 = (grid.start - f0) / step
-    c = min(max(round(-u0), 0), n - 1)
-    delta = c + u0
-    assert abs(delta) <= 0.5
-    above = _wing_and_envelope(params, FrequencyGrid(f0 + delta * step, step, n))
-    below = _wing_and_envelope(params, FrequencyGrid(f0 - delta * step, step, n))
-    return np.concatenate((below[1][c:0:-1], above[1][:n - c]))
-
-
-@contextmanager
-def two_sided_models():
-    """Within it, the models take their envelope from one_sided_envelope
-    and their Voigt peak from two_sided_density: every bin evaluated at its
-    own offset, with no mirror."""
-    def wing_and_envelope(params, grid):
-        return _wing_and_envelope(params, grid)[0], one_sided_envelope(params, grid)
-
-    with mock.patch.object(dshi, "_wing_and_envelope", wing_and_envelope), \
-            mock.patch.object(lineshape, "_voigt_density", two_sided_density):
-        yield
+def models(params, gaussian, grid):
+    """Every model about the carrier f0 = params.eom_frequency on the grid:
+    the wing and envelope, analytic_psd (G = 0), voigt_beat_note at the
+    Gaussian width G, and the three lineshapes at that width and the laser's (the
+    Gaussian width where the laser has none)."""
+    f0, laser = params.eom_frequency, params.laser_fwhm or gaussian
+    return (*_wing_and_envelope(params, grid), analytic_psd(params, grid).values,
+            voigt_beat_note(params, gaussian, grid).values,
+            eval_gaussian(grid, f0, gaussian).values,
+            eval_lorentzian(grid, f0, laser).values,
+            eval_voigt_numeric(grid, LineshapeParams(f0, gaussian, laser)).values)
 
 
 @st.composite
-def carrier_grids(draw):
-    """(params, gaussian_fwhm, grid): 2 to 3000 bins of a step that is a
-    multiple of 1/16 Hz, the carrier at 7 MHz a multiple of 1/16 step above
-    the start, so every point, offset and f0 +- delta * step is exact.  The
-    grid is centred on it (on a bin for an odd count, midway between two
-    for an even one), or has it on any bin, or up to half a step off one,
-    up to half a step outside the grid included: asymmetric spans and grids
-    wholly on one side.  Widths from 0.1 to 3000 steps reach both Faddeeva
-    regions and the asymptotic series alone (y > 12); one laser in eight
-    has no width."""
-    step = draw(st.integers(1, 4000)) / 16.0
-    n = draw(st.integers(2, 3000))
-    if draw(st.booleans()):
-        steps_below = (n - 1) / 2
-    else:
-        steps_below = draw(st.integers(0, n - 1)) + draw(
-            st.sampled_from([0.0, 0.5, -0.5, 0.25, -0.0625, 0.4375]))
+def carrier_on_a_bin(draw):
+    """(params, gaussian_fwhm, grid, c): any float carrier and step, the
+    grid FrequencyGrid(f0 - k step, step, k + m + 1), and c the bin nearest
+    the carrier, kept only where the carrier falls on it exactly, (start -
+    f0) / step == -c, and the grid covers it.  Widths from 0.1 to 3000
+    steps reach both Faddeeva regions and the asymptotic series alone
+    (y > 12); one laser in four has no width."""
+    f0 = draw(st.floats(1.0, 1e12))
+    step = draw(st.floats(1e-3, 1e4))
+    k = draw(st.integers(0, 400))
+    m = draw(st.integers(0 if k else 1, 400))
+    grid = FrequencyGrid(f0 - k * step, step, k + m + 1)
+    u0 = (grid.start - f0) / step
+    c = round(-u0)
+    # covers() reads the last point as start + (count - 1) step, which can
+    # round an ulp below a carrier on the last bin; the models refuse that.
+    assume(c + u0 == 0 and 0 <= c < grid.count and grid.covers(f0))
     gaussian = step * 10.0 ** draw(st.floats(-1.0, 3.0))
     laser = step * 10.0 ** draw(st.floats(-1.0, 3.5)) if draw(
-        st.integers(0, 7)) else 0.0
-    params = DshiParams(eom_frequency=7e6, laser_fwhm=laser,
+        st.integers(0, 3)) else 0.0
+    params = DshiParams(eom_frequency=f0, laser_fwhm=laser,
                         fiber_length=draw(st.floats(1e3, 2e4)))
-    return params, gaussian, FrequencyGrid(7e6 - steps_below * step, step, n)
+    return params, gaussian, grid, c
 
 
 class TestEvenAboutTheCarrier:
-    """On a grid centred on the carrier every model is a bitwise palindrome:
-    estimate_voigt's masked plateau is then exactly flat, and its peak bin
-    (the lowest of the flat maximum) does not move with a one-ulp difference
-    between the two sides.  The package mirrors one side onto the other
-    there, so the palindrome is asked of the two-sided evaluation, and the
-    models are asked to equal it."""
+    """With the carrier on a bin every model is a bitwise palindrome about
+    it: estimate_voigt's masked plateau is then exactly flat, and its peak
+    bin (the lowest of the flat maximum) does not move with a one-ulp
+    difference between the two sides.  Each model reads both sides from one
+    evaluation there (lineshape._about_center)."""
 
     @pytest.mark.parametrize("laser,gaussian,step,half_span", [
         (320.0, 640.0, 10.0, 64e3),    # estimate-batch: both Faddeeva regions
@@ -585,37 +568,16 @@ class TestEvenAboutTheCarrier:
     ])
     def test_models_are_palindromes(self, laser, gaussian, step, half_span):
         params = DshiParams(eom_frequency=7e6, laser_fwhm=laser, fiber_length=4321.0)
-        grid = grid_about(7e6, half_span, step)
-        offsets = grid.points() - 7e6
-        assert np.array_equal(offsets, -offsets[::-1])
-        models = (*_wing_and_envelope(params, grid), analytic_psd(params, grid).values,
-                  voigt_beat_note(params, gaussian, grid).values)
-        with two_sided_models():
-            two_sided = (*dshi._wing_and_envelope(params, grid),
-                         analytic_psd(params, grid).values,
-                         voigt_beat_note(params, gaussian, grid).values)
-        for values, reference in zip(models, two_sided):
-            assert np.array_equal(reference, reference[::-1])
-            assert np.array_equal(values, reference)
+        for values in models(params, gaussian, grid_about(7e6, half_span, step)):
+            assert np.array_equal(values, values[::-1])
 
-    @given(case=carrier_grids())
+    @given(case=carrier_on_a_bin())
     @settings(max_examples=200)
-    def test_mirrored_equals_two_sided(self, case):
-        params, gaussian, grid = case
-        offsets = grid.points() - params.eom_frequency
-        peak = LineshapeParams(0.0, gaussian, params.laser_fwhm or gaussian)
-        assert np.array_equal(lineshape._voigt_density(offsets, peak),
-                              two_sided_density(offsets, peak))
-        assert np.array_equal(_wing_and_envelope(params, grid)[1],
-                              one_sided_envelope(params, grid))
-        if grid.covers(params.eom_frequency):
-            models = (analytic_psd(params, grid).values,
-                      voigt_beat_note(params, gaussian, grid).values)
-            with two_sided_models():
-                two_sided = (analytic_psd(params, grid).values,
-                             voigt_beat_note(params, gaussian, grid).values)
-            for values, reference in zip(models, two_sided):
-                assert np.array_equal(values, reference)
+    def test_palindrome_on_any_float_grid(self, case):
+        params, gaussian, grid, c = case
+        reach = min(c, grid.count - 1 - c)
+        for values in models(params, gaussian, grid):
+            assert np.array_equal(values[c - reach:c], values[c + reach:c:-1])
 
     def test_masked_plateau_peak_is_the_lowest_bin(self):
         # The five centre bins are exactly equal once the three nearest the
@@ -626,6 +588,55 @@ class TestEvenAboutTheCarrier:
         c = grid.index_of(7e6)
         assert np.all(masked[c - 2:c + 3] == masked[c])
         assert int(np.argmax(masked)) == c - 2
+
+
+# Magnitudes from 1e-300 to 1e300, and the same of either sign.
+MAGNITUDES = st.floats(1e-300, 1e300)
+SIGNED = st.tuples(st.sampled_from([-1.0, 1.0]), MAGNITUDES).map(lambda t: t[0] * t[1])
+
+
+@st.composite
+def extreme_inputs(draw):
+    """(f0, grid, gaussian, lorentzian): a carrier, step and widths from
+    1e-300 to 1e300, and a grid of 2 to 40 points that starts anywhere in
+    that range or on a bin whose offsets from the carrier are whole steps."""
+    f0, step = draw(MAGNITUDES), draw(MAGNITUDES)
+    count = draw(st.integers(2, 40))
+    start = draw(st.one_of(SIGNED, st.integers(0, count - 1).map(
+        lambda j: f0 - j * step)))
+    return f0, FrequencyGrid(start, step, count), draw(MAGNITUDES), draw(MAGNITUDES)
+
+
+class TestExtremeInputs:
+    @given(case=extreme_inputs(), laser=st.one_of(st.just(0.0), MAGNITUDES))
+    @settings(max_examples=300)
+    def test_models_return_or_refuse(self, case, laser):
+        # pytest fails a RuntimeWarning as an error, so each call returns
+        # a trace or raises a package error, and nothing else.
+        f0, grid, gaussian, lorentzian = case
+        params = DshiParams(eom_frequency=f0, laser_fwhm=laser)
+        for call in (partial(eval_gaussian, grid, f0, gaussian),
+                     partial(eval_lorentzian, grid, f0, lorentzian),
+                     partial(eval_voigt_numeric, grid,
+                             LineshapeParams(f0, gaussian, lorentzian)),
+                     partial(analytic_psd, params, grid),
+                     partial(voigt_beat_note, params, gaussian, grid)):
+            try:
+                trace = call()
+            except BeatnoteError:
+                continue
+            assert trace.grid == grid
+
+    @pytest.mark.parametrize("model", ["gaussian", "lorentzian", "voigt"])
+    def test_centre_beyond_float_steps_is_a_package_error(self, model):
+        # (start - f0) / step overflows: no bin's offset can be counted.
+        grid = FrequencyGrid(0.0, 1e-10, 10)
+        call = {"gaussian": partial(eval_gaussian, grid, 1e300, 1.0),
+                "lorentzian": partial(eval_lorentzian, grid, 1e300, 1.0),
+                "voigt": partial(eval_voigt_numeric, grid,
+                                 LineshapeParams(1e300, 1.0, 1.0))}[model]
+        with pytest.raises(DomainError, match="overflows"):
+            call()
 
 
 class TestExtremaSpacing:
